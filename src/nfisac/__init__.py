@@ -11,15 +11,12 @@ __version__ = "0.1.0"
 from .arrays import (
     ArrayGeometry,
     CarrierGrid,
-    ChannelSnapshot,
     PolarPoint,
-    SteeringVector,
     far_field_steering,
     near_field_steering,
     rayleigh_distance,
-    synthesize_channel,
 )
-from .codebook import Beamformer, GainMap, PolarGrid, dft_codeword, gain_map, polar_codeword
+from .codebook import Beamformer, PolarGrid, dft_codeword, polar_codeword
 from .delay_phase import (
     Arc,
     DelayPhaseConfig,
@@ -65,9 +62,7 @@ __all__ = [
     "BoundaryPeakWarning",
     "CalibrationError",
     "CarrierGrid",
-    "ChannelSnapshot",
     "DelayPhaseConfig",
-    "GainMap",
     "HardwareBoundError",
     "IllConditionedSpecError",
     "InfeasibleAllocationError",
@@ -78,7 +73,6 @@ __all__ = [
     "RadiusRangeTable",
     "SampleCovariance",
     "SquintTrajectory",
-    "SteeringVector",
     "TrackState",
     "TrajectorySpec",
     "apply_delay_phase",
@@ -91,7 +85,6 @@ __all__ = [
     "far_field_steering",
     "fit_trajectory",
     "focal_points",
-    "gain_map",
     "kalman_predict_update",
     "music_localize",
     "music_spectrum",
@@ -101,7 +94,6 @@ __all__ = [
     "rayleigh_distance",
     "sample_covariance",
     "squint_deviation",
-    "synthesize_channel",
     "upa_snapshot",
     "wavenumber_transform",
 ]

@@ -19,15 +19,10 @@ from .errors import InfeasibleAllocationError
 
 @dataclass(frozen=True, eq=False)
 class UserDemand:
-    """Per-subcarrier effective channel gains for one user.
-
-    min_rate_bps_hz is carried for reporting only; the greedy allocator does
-    not enforce per-user rate floors.
-    """
+    """Per-subcarrier effective channel gains for one user."""
 
     user_id: int
     gains: np.ndarray
-    min_rate_bps_hz: Optional[float] = None
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gains, dtype=float)

@@ -118,23 +118,6 @@ class CarrierGrid:
         return (self.num_subcarriers - 1) * self.spacing_hz
 
 
-@dataclass(frozen=True, eq=False)
-class SteeringVector:
-    """Per-antenna complex response at one subcarrier; entries unit modulus."""
-
-    values: np.ndarray
-    subcarrier_index: int
-    model_tag: str  # "near_field" or "far_field"
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelSnapshot:
-    """Multipath channel: per-subcarrier superposition of steered paths."""
-
-    matrix: np.ndarray  # (num_subcarriers, num_elements)
-    path_list: tuple  # of (PolarPoint, complex gain)
-
-
 def spherical_delays(geom: ArrayGeometry, p: PolarPoint) -> np.ndarray:
     """Exact per-element propagation delay (seconds) from point p."""
     tau = p.delay_s()
@@ -155,6 +138,34 @@ def spherical_delay_matrix(
     return np.sqrt(taus * taus + t * t - 2.0 * taus * t * cosines)
 
 
+# chunk rows so a manifold pass never materializes more than ~32 MB of phases
+_CHUNK_ENTRIES = 2_000_000
+
+
+def steering_chunks(geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray):
+    """Spherical-wavefront steering rows at freq_hz over matched point arrays.
+
+    Yields (lo, hi, delays, steering) for consecutive row ranges lo:hi of the
+    1-D taus/cosines arrays: delays is their spherical_delay_matrix and
+    steering = exp(-2j*pi*freq_hz*delays). A chunk holds about _CHUNK_ENTRIES
+    entries, which bounds peak memory on large grids, and never a single row
+    unless there is only one point: numpy hands a one-row product to BLAS's
+    dot routine, whose last bits differ from the matrix-vector kernel's, so a
+    lone row would make a point's gain depend on where the chunks split.
+    """
+    chunk = max(2, _CHUNK_ENTRIES // geom.num_elements)
+    lo = 0
+    while lo < taus.size:
+        hi = taus.size if taus.size - lo <= chunk + 1 else lo + chunk
+        delays = spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi])
+        # exp in place: a caller may still hold the previous chunk here
+        steering = np.multiply(-2j * np.pi * freq_hz, delays)
+        yield lo, hi, delays, np.exp(steering, out=steering)
+        # hold no reference here, so a caller that drops its chunk frees it
+        del delays, steering
+        lo = hi
+
+
 def _check_source_range(geom: ArrayGeometry, p: PolarPoint) -> None:
     # source inside the aperture breaks the point-source phase model
     if p.range_m <= geom.aperture_m() / 2:
@@ -163,22 +174,21 @@ def _check_source_range(geom: ArrayGeometry, p: PolarPoint) -> None:
 
 def near_field_steering(
     geom: ArrayGeometry, p: PolarPoint, grid: CarrierGrid, m: int
-) -> SteeringVector:
-    """Spherical-wavefront steering vector at subcarrier m."""
+) -> np.ndarray:
+    """Spherical-wavefront steering vector at subcarrier m; entries unit modulus."""
     _check_source_range(geom, p)
     f = grid.freq(m)
-    values = np.exp(-2j * np.pi * f * spherical_delays(geom, p))
-    return SteeringVector(values, m, "near_field")
+    return np.exp(-2j * np.pi * f * spherical_delays(geom, p))
 
 
 def far_field_steering(
     geom: ArrayGeometry, p: PolarPoint, grid: CarrierGrid, m: int
-) -> SteeringVector:
-    """Planar-wavefront steering vector at subcarrier m."""
+) -> np.ndarray:
+    """Planar-wavefront steering vector at subcarrier m; entries unit modulus."""
     _check_source_range(geom, p)
     f = grid.freq(m)
     delays = p.delay_s() - geom.element_offsets_s * np.cos(p.angle_rad)
-    return SteeringVector(np.exp(-2j * np.pi * f * delays), m, "far_field")
+    return np.exp(-2j * np.pi * f * delays)
 
 
 def rayleigh_distance(geom: ArrayGeometry, grid: CarrierGrid) -> float:
@@ -187,20 +197,3 @@ def rayleigh_distance(geom: ArrayGeometry, grid: CarrierGrid) -> float:
     d_ap = geom.aperture_m()
     return 2.0 * d_ap * d_ap / wavelength
 
-
-def synthesize_channel(
-    geom: ArrayGeometry, grid: CarrierGrid, paths: list
-) -> ChannelSnapshot:
-    """Superpose spherical-wavefront paths into an (M+1, N) channel matrix.
-
-    paths is a list of (PolarPoint, complex gain).
-    """
-    if not paths:
-        raise ValueError("path list must be nonempty")
-    freqs = grid.freqs()
-    matrix = np.zeros((grid.num_subcarriers, geom.num_elements), dtype=complex)
-    for point, gain in paths:
-        _check_source_range(geom, point)
-        delays = spherical_delays(geom, point)
-        matrix += gain * np.exp(-2j * np.pi * freqs[:, None] * delays[None, :])
-    return ChannelSnapshot(matrix, tuple((p, complex(g)) for p, g in paths))

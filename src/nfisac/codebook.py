@@ -12,20 +12,15 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delay_matrix, spherical_delays
-from .constants import SPEED_OF_LIGHT as C
-
-# chunk rows so a gain evaluation never materializes more than ~32 MB of phases
-_CHUNK_ENTRIES = 2_000_000
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
 
 
 @dataclass(frozen=True, eq=False)
 class Beamformer:
-    """Unit-power beamforming weights and how they were designed."""
+    """Unit-power beamforming weights and the point they focus on, if any."""
 
     weights: np.ndarray
     design_point: Optional[PolarPoint] = None
-    design_model: str = "custom"  # dft_angle | polar_point | delay_phase | custom
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=complex)
@@ -74,22 +69,13 @@ class PolarGrid:
         return (self.angles_rad.size, self.ranges_m.size)
 
 
-@dataclass(frozen=True, eq=False)
-class GainMap:
-    """|w^H a_m|^2 over a PolarGrid; shape (num_angles, num_ranges)."""
-
-    values: np.ndarray
-    grid: PolarGrid
-    subcarrier_index: int
-
-
 def dft_codeword(geom: ArrayGeometry, grid: CarrierGrid, angle_rad: float) -> Beamformer:
     """Frequency-flat codeword matched to the planar wavefront at angle_rad."""
     if not 0.0 < angle_rad < np.pi:
         raise ValueError("angle_rad must lie in (0, pi)")
     n = geom.num_elements
     phase = 2.0 * np.pi * grid.center_hz * geom.element_offsets_s * np.cos(angle_rad)
-    return Beamformer(np.exp(1j * phase) / np.sqrt(n), None, "dft_angle")
+    return Beamformer(np.exp(1j * phase) / np.sqrt(n))
 
 
 def polar_codeword(geom: ArrayGeometry, grid: CarrierGrid, p: PolarPoint) -> Beamformer:
@@ -100,7 +86,7 @@ def polar_codeword(geom: ArrayGeometry, grid: CarrierGrid, p: PolarPoint) -> Bea
     """
     n = geom.num_elements
     phase = 2.0 * np.pi * grid.center_hz * spherical_delays(geom, p)
-    return Beamformer(np.exp(-1j * phase) / np.sqrt(n), p, "polar_point")
+    return Beamformer(np.exp(-1j * phase) / np.sqrt(n), p)
 
 
 def gains_at_freq(
@@ -115,25 +101,9 @@ def gains_at_freq(
     cosines = np.asarray(cosines, dtype=float)
     out = np.empty(taus.size, dtype=float)
     wc = np.conj(weights)
-    chunk = max(1, _CHUNK_ENTRIES // geom.num_elements)
-    for lo in range(0, taus.size, chunk):
-        hi = min(lo + chunk, taus.size)
-        delays = spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi])
-        a = np.exp(-2j * np.pi * freq_hz * delays)
+    for lo, hi, _, a in steering_chunks(geom, freq_hz, taus, cosines):
         out[lo:hi] = np.abs(a @ wc) ** 2
     return out
-
-
-def gain_map(
-    geom: ArrayGeometry, grid: CarrierGrid, w: Beamformer, m: int, pg: PolarGrid
-) -> GainMap:
-    """Evaluate the codeword's gain on every grid point at subcarrier m."""
-    if pg.angles_rad.size == 0 or pg.ranges_m.size == 0:
-        raise ValueError("polar grid must be nonempty")
-    f = grid.freq(m)
-    rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
-    gains = gains_at_freq(geom, f, (rr / C).ravel(), np.cos(aa).ravel(), w.weights)
-    return GainMap(gains.reshape(pg.shape), pg, m)
 
 
 def angular_spread(geom: ArrayGeometry, grid: CarrierGrid, p: PolarPoint) -> float:

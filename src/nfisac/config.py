@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 import yaml
 
+from .allocation import sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint
 from .constants import SPEED_OF_LIGHT as C
 from .delay_phase import Arc
@@ -85,6 +86,10 @@ EXPERIMENT_SECTIONS: Dict[str, Dict[str, tuple]] = {
         "optional": (),
     },
 }
+
+
+# grid angle bounds used when a grid sets only one of angle_min_rad/angle_max_rad
+GRID_ANGLE_DEFAULTS_RAD = (1e-3, np.pi - 1e-3)
 
 
 def _is_num(x: Any) -> bool:
@@ -335,6 +340,52 @@ def _validate_targets(rep: ValidationReport, sec: Any) -> None:
         _validate_point(rep, f"targets[{i}]", t)
 
 
+def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
+    """Checks that relate keys of different sections.
+
+    sections maps each section the experiment reads to its raw value. A check
+    runs only on values that passed their own section's checks.
+    """
+
+    def get(section: str, key: str) -> Any:
+        sec = sections.get(section)
+        return sec.get(key) if isinstance(sec, dict) else None
+
+    num_m = get("carrier", "num_subcarriers")
+    if not (_is_int(num_m) and num_m >= 1 and num_m % 2 == 1):
+        num_m = None
+    count = get("isac", "sensing_subcarriers")
+    if num_m is not None and _is_int(count) and count >= 3:
+        try:
+            sensing_subcarriers(num_m, count)
+        except ValueError as exc:
+            rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {num_m})")
+
+    grid = sections.get("grid")
+    if isinstance(grid, dict) and ("angle_min_rad" in grid or "angle_max_rad" in grid):
+        lo = grid.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0])
+        hi = grid.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1])
+        if all(_is_num(v) and 0 < v < np.pi for v in (lo, hi)) and not lo < hi:
+            rep.add("grid.angle_max_rad", f"must exceed grid.angle_min_rad ({lo})")
+
+    counts = get("allocation", "sensing_counts")
+    total = get("allocation", "total_power_w")
+    p_min = get("allocation", "sensing_power_w")
+    powers_ok = _is_num(total) and total > 0 and _is_num(p_min) and p_min >= 0
+    for i, c in enumerate(counts if isinstance(counts, list) else ()):
+        if not _is_int(c) or c <= 0:
+            continue  # 0 is the no-sensing baseline
+        path = f"allocation.sensing_counts[{i}]"
+        if num_m is not None and c >= num_m:
+            rep.add(path, f"must be < carrier.num_subcarriers ({num_m})")
+        elif powers_ok and c * float(p_min) >= float(total):
+            rep.add(
+                path,
+                f"reserves {c} x allocation.sensing_power_w = {c * float(p_min)} W, "
+                f"which must be < allocation.total_power_w ({total} W)",
+            )
+
+
 _SECTION_VALIDATORS = {
     "experiment": _validate_experiment,
     "carrier": _validate_carrier,
@@ -402,22 +453,28 @@ def validate_data(data: Any) -> ValidationReport:
     for key in data:
         if key in _SECTION_VALIDATORS and key != "experiment" and key in wanted:
             _SECTION_VALIDATORS[key](rep, data[key])
+    _validate_cross_fields(rep, {key: data[key] for key in data if key in wanted})
     return rep
 
 
-def validate_config(path: str) -> ValidationReport:
-    """Parse and schema-check a YAML configuration file."""
+def _read_config(path: str) -> tuple:
+    """Parse a YAML file once; returns (data, validation report)."""
     rep = ValidationReport()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         rep.add("$", f"file not found: {path}")
-        return rep
+        return None, rep
     except yaml.YAMLError as exc:
         rep.add("$", f"not valid YAML: {exc}")
-        return rep
-    return validate_data(data)
+        return None, rep
+    return data, validate_data(data)
+
+
+def validate_config(path: str) -> ValidationReport:
+    """Parse and schema-check a YAML configuration file."""
+    return _read_config(path)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,9 +553,7 @@ def build_config(data: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     """Validate then build; raises ConfigError with the full report on failure."""
-    report = validate_config(path)
+    data, report = _read_config(path)
     if not report.ok:
         raise ConfigError(report)
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
     return build_config(data)

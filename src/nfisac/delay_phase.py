@@ -121,7 +121,7 @@ def apply_delay_phase(cfg: DelayPhaseConfig, grid: CarrierGrid, m: int) -> Beamf
     f = grid.freq(m)
     n = cfg.delays_s.size
     phase = 2.0 * np.pi * f * cfg.delays_s + cfg.phases_rad
-    return Beamformer(np.exp(-1j * phase) / np.sqrt(n), None, "delay_phase")
+    return Beamformer(np.exp(-1j * phase) / np.sqrt(n))
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays
 from .delay_phase import DelayPhaseConfig, apply_delay_phase
-from .squint import SquintTrajectory
 
 
 def simulate_echoes(
@@ -67,6 +66,20 @@ def parabolic_refine(values: np.ndarray, k: int) -> float:
     return float(np.clip(off, -0.5, 0.5))
 
 
+def peak_angle(angles: np.ndarray, stat: np.ndarray) -> float:
+    """Angle of the largest statistic, refined by parabolic_refine.
+
+    The index offset is scaled by the local half-spacing of the two
+    neighboring angles, so unevenly spaced angles are handled; a peak at
+    either end is not refined.
+    """
+    k = int(np.argmax(stat))
+    off = parabolic_refine(stat, k)
+    if off == 0.0:
+        return float(angles[k])
+    return float(angles[k] + off * ((angles[k + 1] - angles[k - 1]) / 2.0))
+
+
 def sense_from_echoes(
     arc_angles,
     echoes: np.ndarray,
@@ -74,15 +87,11 @@ def sense_from_echoes(
 ) -> Optional[float]:
     """Estimate the target angle from per-sensing-subcarrier echoes.
 
-    arc_angles may be a SquintTrajectory (its focal-point angles are used) or
-    an array of the arc angles the sensing subcarriers point at. Returns None
-    when every echo is exactly zero (no detection). The statistic |y|^2/p is
-    invariant to any common complex scaling of the echoes.
+    arc_angles holds the arc angles the sensing subcarriers point at. Returns
+    None when every echo is exactly zero (no detection). The statistic
+    |y|^2/p is invariant to any common complex scaling of the echoes.
     """
-    if isinstance(arc_angles, SquintTrajectory):
-        angles = np.array([p.angle_rad for p in arc_angles.points])
-    else:
-        angles = np.asarray(arc_angles, dtype=float)
+    angles = np.asarray(arc_angles, dtype=float)
     echoes = np.asarray(echoes, dtype=complex)
     powers_w = np.asarray(powers_w, dtype=float)
     if angles.size < 3:
@@ -91,10 +100,4 @@ def sense_from_echoes(
         raise ValueError("angles, echoes and powers must align")
     if np.all(echoes == 0):
         return None
-    stat = np.abs(echoes) ** 2 / powers_w
-    k = int(np.argmax(stat))
-    off = parabolic_refine(stat, k)
-    if off == 0.0:
-        return float(angles[k])
-    local_step = (angles[k + 1] - angles[k - 1]) / 2.0
-    return float(angles[k] + off * local_step)
+    return peak_angle(angles, np.abs(echoes) ** 2 / powers_w)

@@ -15,13 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .allocation import SensingRequirement, UserDemand, partition_and_allocate
+from .allocation import SensingRequirement, UserDemand, partition_and_allocate, sensing_subcarriers
 from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
 from .codebook import PolarGrid, angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, ScenarioConfig
+from .config import EXPERIMENT_SECTIONS, GRID_ANGLE_DEFAULTS_RAD, ScenarioConfig
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
-from .echoes import parabolic_refine
+from .echoes import peak_angle
 from .music import collect_snapshots, music_localize, sample_covariance
 from .squint import focal_points, squint_deviation
 from .wavenumber import (
@@ -55,8 +55,8 @@ def _grid_from_section(cfg: ScenarioConfig) -> PolarGrid:
     rmax = float(sec["range_max_m"])
     num_angles = int(sec.get("num_angles", 721))
     if "angle_min_rad" in sec or "angle_max_rad" in sec:
-        lo = float(sec.get("angle_min_rad", 1e-3))
-        hi = float(sec.get("angle_max_rad", math.pi - 1e-3))
+        lo = float(sec.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0]))
+        hi = float(sec.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1]))
         angles = np.linspace(lo, hi, num_angles)
     else:
         angles = np.linspace(0.0, math.pi, num_angles + 2)[1:-1]
@@ -355,7 +355,7 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     dp_cfg, fit_rms = fit_trajectory(geom, grid, spec)
     w_ttd = np.stack([apply_delay_phase(dp_cfg, grid, m).weights for m in range(num_m)])
     arc_angles = np.array([arc.angle_at(m / (num_m - 1)) for m in range(num_m)])
-    sense_rel = np.round(np.linspace(0.0, num_m - 1, ks)).astype(int)
+    sense_rel = sensing_subcarriers(num_m, ks)
     sense_angles = arc_angles[sense_rel]
 
     # Conventional baseline: kc sequential phase-shifter slots at the arc range.
@@ -394,41 +394,17 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
             # ISAC: the arc is probed only on the sensing subcarrier subset.
             y = beta * g_ttd[sense_rel] * math.sqrt(e_isac) + n_i
-            q = np.abs(y) ** 2 / e_isac
-            k = int(np.argmax(q))
-            off = parabolic_refine(q, k)
-            step = (
-                (sense_angles[min(k + 1, ks - 1)] - sense_angles[max(k - 1, 0)]) / 2.0
-                if 0 < k < ks - 1
-                else 0.0
-            )
-            est = sense_angles[k] + off * step
+            est = peak_angle(sense_angles, np.abs(y) ** 2 / e_isac)
             sq_err[(snr_db, "isac")] += (est - th_t) ** 2
 
             # Sensing-only: every subcarrier probes the arc at higher energy.
             y = beta * g_ttd * math.sqrt(e_sense) + n_s
-            q = np.abs(y) ** 2 / e_sense
-            k = int(np.argmax(q))
-            off = parabolic_refine(q, k)
-            step = (
-                (arc_angles[min(k + 1, num_m - 1)] - arc_angles[max(k - 1, 0)]) / 2.0
-                if 0 < k < num_m - 1
-                else 0.0
-            )
-            est = arc_angles[k] + off * step
+            est = peak_angle(arc_angles, np.abs(y) ** 2 / e_sense)
             sq_err[(snr_db, "sensing-only")] += (est - th_t) ** 2
 
             # Conventional: kc narrowband slots, energy split across the band.
             y = beta * g_ps * math.sqrt(e_conv) + n_c
-            q = np.sum(np.abs(y) ** 2, axis=1) / e_slot
-            k = int(np.argmax(q))
-            off = parabolic_refine(q, k)
-            step = (
-                (slot_angles[min(k + 1, kc - 1)] - slot_angles[max(k - 1, 0)]) / 2.0
-                if 0 < k < kc - 1
-                else 0.0
-            )
-            est = slot_angles[k] + off * step
+            est = peak_angle(slot_angles, np.sum(np.abs(y) ** 2, axis=1) / e_slot)
             sq_err[(snr_db, "conventional")] += (est - th_t) ** 2
 
     rows = []

@@ -8,24 +8,27 @@ both jointly. The number of sources is an input; no model-order selection.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delay_matrix, spherical_delays
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
 from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
 
-_CHUNK_ENTRIES = 2_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class SampleCovariance:
-    """Hermitian PSD snapshot covariance and the snapshot count behind it."""
+    """Hermitian PSD snapshot covariance and the snapshot count behind it.
+
+    eigvecs holds the eigenvectors by ascending eigenvalue, from the one
+    decomposition that also checks positive semidefiniteness.
+    """
 
     matrix: np.ndarray
     snapshot_count: int
+    eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.matrix, dtype=complex)
@@ -34,10 +37,11 @@ class SampleCovariance:
         asym = float(np.abs(r - r.conj().T).max())
         if asym > 1e-10:
             raise ValueError(f"covariance asymmetry {asym:.2e} exceeds 1e-10")
-        eig = np.linalg.eigvalsh(r)
+        eig, vecs = np.linalg.eigh(r)
         if eig[0] < -1e-9 * max(eig[-1], 0.0):
             raise ValueError("covariance is not positive semidefinite")
         object.__setattr__(self, "matrix", r)
+        object.__setattr__(self, "eigvecs", vecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +94,6 @@ def sample_covariance(snapshots: np.ndarray) -> SampleCovariance:
     return SampleCovariance(r, t_count)
 
 
-def _signal_subspace(cov: SampleCovariance, num_sources: int) -> np.ndarray:
-    n = cov.matrix.shape[0]
-    if not 0 < num_sources < n:
-        raise ValueError("num_sources must lie in 1..N-1")
-    _, vecs = np.linalg.eigh(cov.matrix)  # ascending eigenvalues
-    return vecs[:, n - num_sources:]
-
-
 def music_spectrum(
     cov: SampleCovariance,
     geom: ArrayGeometry,
@@ -110,19 +106,16 @@ def music_spectrum(
     Uses ||E_n^H a||^2 = N - ||E_s^H a||^2, so only the small signal subspace
     is projected.
     """
-    e_s = _signal_subspace(cov, num_sources)
-    n = geom.num_elements
+    n = cov.matrix.shape[0]
+    if not 0 < num_sources < n:
+        raise ValueError("num_sources must lie in 1..N-1")
+    es_conj = cov.eigvecs[:, n - num_sources:].conj()
     fc = grid.center_hz
     rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
     taus = (rr / C).ravel()
     cosines = np.cos(aa).ravel()
     den = np.empty(taus.size, dtype=float)
-    es_conj = e_s.conj()
-    chunk = max(1, _CHUNK_ENTRIES // n)
-    for lo in range(0, taus.size, chunk):
-        hi = min(lo + chunk, taus.size)
-        delays = spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi])
-        a = np.exp(-2j * np.pi * fc * delays)
+    for lo, hi, _, a in steering_chunks(geom, fc, taus, cosines):
         proj = np.abs(a @ es_conj) ** 2
         den[lo:hi] = n - proj.sum(axis=1)
     den = np.maximum(den, np.finfo(float).tiny)

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delay_matrix
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, steering_chunks
 from .codebook import Beamformer, PolarGrid
 from .constants import SPEED_OF_LIGHT as C
-
-_CHUNK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +61,7 @@ def focal_points(
 
     best_val = np.full(num_m, -1.0)
     best_idx = np.zeros(num_m, dtype=np.int64)
-    chunk = max(1, _CHUNK_ENTRIES // geom.num_elements)
-    for lo in range(0, taus.size, chunk):
-        hi = min(lo + chunk, taus.size)
-        delays = spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi])
-        a = np.exp(-2j * np.pi * f0 * delays)
+    for lo, _, delays, a in steering_chunks(geom, f0, taus, cosines):
         step = np.exp(-2j * np.pi * df * delays) if df else None
         for m in range(num_m):
             g = np.abs(a @ wc) ** 2
@@ -78,6 +72,9 @@ def focal_points(
                 best_idx[m] = lo + k
             if step is not None and m + 1 < num_m:
                 a *= step
+        # free this chunk before the next is built: holding it doubles the
+        # live chunk arrays and lets heap fragmentation set peak memory
+        del delays, a, step
 
     ir, ia = np.divmod(best_idx, n_ang)
     points = tuple(

@@ -64,8 +64,8 @@ def test_criterion_01_near_field_phase_model(capsys):
         worst = 0.0
         for th in angles:
             p = PolarPoint(r, float(th))
-            near = near_field_steering(geom, p, grid, 0).values
-            far = far_field_steering(geom, p, grid, 0).values
+            near = near_field_steering(geom, p, grid, 0)
+            far = far_field_steering(geom, p, grid, 0)
             worst = max(worst, float(np.abs(np.angle(near * np.conj(far))).max()))
         return worst
 
@@ -120,7 +120,7 @@ def test_criterion_03_far_field_squint_law(capsys):
     angles = np.linspace(0.9, 1.25, 4001)
     gains = np.empty(angles.size)
     for i, th in enumerate(angles):
-        a = far_field_steering(geom, PolarPoint(1.0e6, float(th)), grid, m_edge).values
+        a = far_field_steering(geom, PolarPoint(1.0e6, float(th)), grid, m_edge)
         gains[i] = abs(np.vdot(w.weights, a)) ** 2
     peak = angles[int(np.argmax(gains))]
     want = np.arccos(FC / f_edge * np.cos(theta_c))

@@ -1,4 +1,4 @@
-"""Steering-vector and channel-synthesis correctness.
+"""Steering-vector correctness.
 
 The extended-precision oracle recomputes the spherical-wavefront phase with
 mpmath at 50 digits; float64 evaluation must agree entry by entry to ~1e-9
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nfisac.arrays as arrays
 from nfisac.arrays import (
     ArrayGeometry,
     CarrierGrid,
@@ -18,9 +19,11 @@ from nfisac.arrays import (
     near_field_steering,
     rayleigh_distance,
     spherical_delays,
-    synthesize_channel,
 )
+from nfisac.codebook import PolarGrid, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
+from nfisac.music import collect_snapshots, music_spectrum, sample_covariance
+from nfisac.squint import focal_points
 
 FC = 3.0e11
 WL = C / FC
@@ -49,7 +52,7 @@ def test_near_field_phase_against_mpmath_oracle():
         delay = mpmath.sqrt(tau**2 + t_n**2 - 2 * tau * t_n * cos_t)
         phase = -2 * mpmath.pi * mpmath.mpf(repr(FC)) * delay
         expected = complex(mpmath.cos(phase), mpmath.sin(phase))
-        assert abs(vec.values[n] - expected) < 1e-8
+        assert abs(vec[n] - expected) < 1e-8
 
 
 def test_far_field_phase_formula():
@@ -59,7 +62,7 @@ def test_far_field_phase_formula():
     vec = far_field_steering(geom, p, grid, 0)
     t = geom.element_offsets_s
     expected = np.exp(-2j * np.pi * FC * (p.range_m / C - t * np.cos(1.1)))
-    np.testing.assert_allclose(vec.values, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vec, expected, rtol=0, atol=1e-12)
 
 
 def test_element_offsets_are_centered_and_uniform():
@@ -100,7 +103,7 @@ ranges = st.floats(min_value=1.0, max_value=100.0)
 def test_steering_entries_unit_modulus(theta, r):
     geom = make_ula(32)
     vec = near_field_steering(geom, PolarPoint(r, theta), make_grid(), 0)
-    np.testing.assert_allclose(np.abs(vec.values), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-12)
 
 
 @given(angles, ranges)
@@ -111,7 +114,7 @@ def test_geometry_reversal_mirrors_angle(theta, r):
     grid = make_grid()
     fwd = near_field_steering(geom, PolarPoint(r, theta), grid, 0)
     rev = near_field_steering(geom, PolarPoint(r, np.pi - theta), grid, 0)
-    np.testing.assert_allclose(fwd.values[::-1], rev.values, atol=1e-9)
+    np.testing.assert_allclose(fwd[::-1], rev, atol=1e-9)
 
 
 @given(angles)
@@ -119,8 +122,8 @@ def test_geometry_reversal_mirrors_angle(theta, r):
 def test_far_field_shape_independent_of_range(theta):
     geom = make_ula(32)
     grid = make_grid()
-    a1 = far_field_steering(geom, PolarPoint(10.0, theta), grid, 0).values
-    a2 = far_field_steering(geom, PolarPoint(1.0e6, theta), grid, 0).values
+    a1 = far_field_steering(geom, PolarPoint(10.0, theta), grid, 0)
+    a2 = far_field_steering(geom, PolarPoint(1.0e6, theta), grid, 0)
     # range enters only through a common phase; tolerance covers float
     # rounding of the ~1e9-cycle absolute phase at the long range
     np.testing.assert_allclose(a1 * np.conj(a1[0]), a2 * np.conj(a2[0]), atol=2e-5)
@@ -136,18 +139,53 @@ def test_spherical_delay_matches_law_of_cosines():
     np.testing.assert_allclose(taus, expected, rtol=1e-14)
 
 
-def test_channel_synthesis_superposes_paths():
-    geom = make_ula(16)
-    grid = CarrierGrid(FC, 5, 1.0e9)
-    p1 = PolarPoint(5.0, 1.0)
-    p2 = PolarPoint(9.0, 2.0)
-    snap1 = synthesize_channel(geom, grid, [(p1, 1.0)])
-    snap2 = synthesize_channel(geom, grid, [(p2, 0.5j)])
-    both = synthesize_channel(geom, grid, [(p1, 1.0), (p2, 0.5j)])
-    np.testing.assert_allclose(both.matrix, snap1.matrix + snap2.matrix, atol=1e-12)
-    assert snap1.matrix.shape == (5, 16)
+
+def _adjacent_twins(x, f):
+    """First two adjacent doubles from x upward that f maps to the same float."""
+    while f(x) != f(np.nextafter(x, np.inf)):
+        x = np.nextafter(x, np.inf)
+    return float(x), float(np.nextafter(x, np.inf))
 
 
-def test_channel_requires_paths():
-    with pytest.raises(ValueError, match="nonempty"):
-        synthesize_channel(make_ula(8), make_grid(), [])
+@pytest.mark.parametrize("rows", [2, 3, 5, 7])
+def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
+    # every manifold pass is first run in one chunk, then split into chunks
+    # of `rows` rows; the point counts (41, 63, 16) leave every tail length,
+    # including the one-row tail that is merged into the chunk before it
+    geom = make_ula(32)
+    grid = CarrierGrid(FC, 5, 4.6875e8)
+    rng = np.random.default_rng(3)
+    taus = rng.uniform(0.05, 0.5, 41) / C
+    cosines = np.cos(rng.uniform(0.3, np.pi - 0.3, 41))
+    w = polar_codeword(geom, grid, PolarPoint(0.2, 1.2))
+
+    music_pg = PolarGrid(np.linspace(1.0, 1.4, 9), np.geomspace(0.1, 0.4, 7))
+    sources = [PolarPoint(0.15, 1.1), PolarPoint(0.3, 1.3)]
+    cov = sample_covariance(collect_snapshots(geom, grid, sources, 64, 0.01, seed=5))
+
+    # an exact four-way gain tie at the design point: two angles that share a
+    # cosine and two ranges that share a delay r/c give bit-identical rows at
+    # flat indices 5, 6, 9 and 10, which every chunking here splits apart
+    a1, a2 = _adjacent_twins(0.1, np.cos)
+    r1, r2 = _adjacent_twins(0.1, lambda r: r / C)
+    focal_pg = PolarGrid(np.array([0.05, a1, a2, 0.15]), np.array([0.08, r1, r2, 0.125]))
+    w_tie = polar_codeword(geom, grid, PolarPoint(r1, a1))
+
+    def evaluate():
+        return (
+            gains_at_freq(geom, FC, taus, cosines, w.weights),
+            music_spectrum(cov, geom, grid, music_pg, 2).values,
+            focal_points(geom, grid, w_tie, focal_pg),
+        )
+
+    gains, spectrum, traj = evaluate()
+    monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", rows * geom.num_elements)
+    c_gains, c_spectrum, c_traj = evaluate()
+
+    assert np.array_equal(c_gains, gains)
+    assert np.array_equal(c_spectrum, spectrum)
+    assert np.array_equal(c_traj.gains, traj.gains)
+    assert c_traj.points == traj.points
+    assert c_traj.boundary_warning == traj.boundary_warning
+    # the tie resolves to the smaller range, then the smaller angle
+    assert c_traj.points[grid.half_m] == PolarPoint(r1, a1)

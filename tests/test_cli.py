@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +78,26 @@ def test_runtime_failure_exits_three(tmp_path):
     proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 3
     assert "CalibrationError" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value, path",
+    [
+        ("rmse_vs_snr.yaml", "isac", "sensing_subcarriers", 99, "isac.sensing_subcarriers"),
+        ("squint_deviation.yaml", "grid", "angle_min_rad", 3.141, "grid.angle_max_rad"),
+        ("rate_vs_sensing_budget.yaml", "allocation", "sensing_counts", [0, 40], "allocation.sensing_counts[1]"),
+    ],
+)
+def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):
+    data = yaml.safe_load((CONFIG_DIR / name).read_text())
+    data[section][key] = value
+    cfg_path = tmp_path / name
+    cfg_path.write_text(yaml.safe_dump(data))
+    for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        proc = run_cli(*args, "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert path in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_list_experiments_names_all_six():

@@ -1,4 +1,4 @@
-"""Codeword matching, gain maps, and angular-spread behavior."""
+"""Codeword matching, polar-grid gains, and angular-spread behavior."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from nfisac.codebook import (
     PolarGrid,
     angular_spread,
     dft_codeword,
-    gain_map,
     gains_at_freq,
     polar_codeword,
 )
@@ -25,7 +24,7 @@ GRID = CarrierGrid(FC, 1, 0.0)
 def test_polar_codeword_gain_is_n_at_design_point():
     p = PolarPoint(8.0, 1.2)
     w = polar_codeword(GEOM, GRID, p)
-    a = near_field_steering(GEOM, p, GRID, 0).values
+    a = near_field_steering(GEOM, p, GRID, 0)
     gain = abs(np.vdot(w.weights, a)) ** 2
     assert gain == pytest.approx(64.0, rel=1e-12)
 
@@ -51,27 +50,20 @@ def test_polar_codeword_reduces_to_dft_in_far_field():
 
 def test_beamformer_requires_unit_norm():
     with pytest.raises(ValueError, match="unit"):
-        Beamformer(np.ones(4, dtype=complex), None, "custom")
+        Beamformer(np.ones(4, dtype=complex))
 
 
-def test_gain_map_peaks_at_design_point():
+def test_gains_at_freq_peaks_at_design_point():
     p = PolarPoint(6.0, np.pi / 2)
     w = polar_codeword(GEOM, GRID, p)
     # design point sits exactly on a grid node, so the peak gain is exactly N
     pg = PolarGrid(np.linspace(np.pi / 2 - 0.35, np.pi / 2 + 0.35, 41), np.geomspace(3.0, 12.0, 25))
-    gm = gain_map(GEOM, GRID, w, 0, pg)
-    assert gm.values.shape == (41, 25)
-    ia, ir = np.unravel_index(np.argmax(gm.values), gm.values.shape)
+    rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
+    gains = gains_at_freq(GEOM, FC, (rr / C).ravel(), np.cos(aa).ravel(), w.weights).reshape(pg.shape)
+    ia, ir = np.unravel_index(np.argmax(gains), gains.shape)
     assert abs(pg.angles_rad[ia] - np.pi / 2) < 0.02
     assert abs(pg.ranges_m[ir] - 6.0) / 6.0 < 0.15
-    assert gm.values.max() == pytest.approx(64.0, rel=1e-6)
-
-
-def test_gain_map_rejects_empty_grid():
-    w = polar_codeword(GEOM, GRID, PolarPoint(6.0, 1.5))
-    empty = PolarGrid(np.array([]), np.array([2.0]))
-    with pytest.raises(ValueError, match="nonempty"):
-        gain_map(GEOM, GRID, w, 0, empty)
+    assert gains.max() == pytest.approx(64.0, rel=1e-6)
 
 
 def test_chunked_gain_evaluation_matches_direct():
@@ -82,7 +74,7 @@ def test_chunked_gain_evaluation_matches_direct():
     ths = rng.uniform(0.3, np.pi - 0.3, 300)
     gains = gains_at_freq(GEOM, FC, rs / C, np.cos(ths), w)
     for i in [0, 17, 299]:
-        a = near_field_steering(GEOM, PolarPoint(rs[i], ths[i]), GRID, 0).values
+        a = near_field_steering(GEOM, PolarPoint(rs[i], ths[i]), GRID, 0)
         assert gains[i] == pytest.approx(abs(np.vdot(w, a)) ** 2, rel=1e-10)
 
 
@@ -90,7 +82,7 @@ def test_chunked_gain_evaluation_matches_direct():
 @settings(max_examples=40, deadline=None)
 def test_gain_never_exceeds_element_count(theta, r):
     w = polar_codeword(GEOM, GRID, PolarPoint(9.0, 1.0)).weights
-    a = near_field_steering(GEOM, PolarPoint(r, theta), GRID, 0).values
+    a = near_field_steering(GEOM, PolarPoint(r, theta), GRID, 0)
     assert abs(np.vdot(w, a)) ** 2 <= 64.0 + 1e-9
 
 

@@ -184,3 +184,42 @@ def test_missing_file_is_a_validation_issue():
     rep = validate_config("/nonexistent/nowhere.yaml")
     assert not rep.ok
     assert "file not found" in str(rep)
+
+
+def _shipped(name):
+    with open(CONFIG_DIR / name) as fh:
+        return yaml.safe_load(fh)
+
+
+def test_sensing_subcarriers_beyond_carrier_rejected():
+    # 99 probes on 65 subcarriers would silently probe duplicates at run time
+    data = _shipped("rmse_vs_snr.yaml")
+    data["isac"]["sensing_subcarriers"] = 99
+    issues = _issues(data)
+    assert "isac.sensing_subcarriers" in issues
+    assert "65" in issues["isac.sensing_subcarriers"]
+    data["isac"]["sensing_subcarriers"] = 65
+    assert _issues(data) == {}
+
+
+def test_grid_angle_bounds_must_be_ordered():
+    bad = copy.deepcopy(BASE)
+    bad["grid"].update(angle_min_rad=1.2, angle_max_rad=1.2)
+    assert "grid.angle_max_rad" in _issues(bad)
+    # a lone bound is checked against the default for the other one
+    lone = copy.deepcopy(BASE)
+    lone["grid"]["angle_max_rad"] = 1.0e-4
+    assert "grid.angle_max_rad" in _issues(lone)
+    lone["grid"]["angle_max_rad"] = 1.0
+    assert _issues(lone) == {}
+
+
+def test_infeasible_sensing_counts_rejected():
+    data = _shipped("rate_vs_sensing_budget.yaml")
+    total = data["allocation"]["total_power_w"]
+    p_min = data["allocation"]["sensing_power_w"]
+    data["allocation"]["sensing_counts"] = [0, 4, int(total // p_min), 65]
+    issues = _issues(data)
+    assert set(issues) == {"allocation.sensing_counts[2]", "allocation.sensing_counts[3]"}
+    assert "allocation.total_power_w" in issues["allocation.sensing_counts[2]"]
+    assert "carrier.num_subcarriers" in issues["allocation.sensing_counts[3]"]

@@ -31,7 +31,7 @@ def test_fixed_focal_point_is_exactly_representable():
     assert rms < 1e-6
     for m in [0, GRID.half_m, GRID.num_subcarriers - 1]:
         w = apply_delay_phase(cfg, GRID, m)
-        a = near_field_steering(GEOM, p, GRID, m).values
+        a = near_field_steering(GEOM, p, GRID, m)
         assert abs(np.vdot(w.weights, a)) ** 2 == pytest.approx(128.0, rel=1e-6)
 
 
@@ -88,7 +88,7 @@ def test_common_delay_shift_leaves_gains_unchanged(delta):
     shifted = DelayPhaseConfig(cfg.delays_s + delta, cfg.phases_rad)
     p = PolarPoint(15.0, 1.15)
     for m in [0, 32, 64]:
-        a = near_field_steering(GEOM, p, GRID, m).values
+        a = near_field_steering(GEOM, p, GRID, m)
         g0 = abs(np.vdot(apply_delay_phase(cfg, GRID, m).weights, a))
         g1 = abs(np.vdot(apply_delay_phase(shifted, GRID, m).weights, a))
         assert g1 == pytest.approx(g0, rel=1e-9)

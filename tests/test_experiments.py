@@ -1,6 +1,11 @@
 """Experiment registry wiring and artifact layout."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +82,38 @@ def test_unknown_experiment_name_rejected(tmp_path):
     object.__setattr__(cfg, "name", "not-an-experiment")
     with pytest.raises(KeyError):
         run_experiment(cfg, tmp_path / "out")
+
+
+PKG_ROOT = Path(__file__).resolve().parent.parent
+
+# squint-deviation is left out only to keep the suite fast
+BLAS_CONFIGS = [
+    "music_vs_wavenumber.yaml",
+    "rmse_vs_snr.yaml",
+    "rate_vs_sensing_budget.yaml",
+    "angular_spread.yaml",
+    "wavenumber_calibration.yaml",
+]
+
+
+def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name in BLAS_CONFIGS:
+        shutil.copy(PKG_ROOT / "configs" / name, configs / name)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def run_all(out, **extra_env):
+        subprocess.run(
+            [sys.executable, str(PKG_ROOT / "scripts" / "run_all_experiments.py"),
+             "--configs", str(configs), "--out", str(out)],
+            env=dict(env, **extra_env), check=True, capture_output=True,
+        )
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    default = run_all(tmp_path / "default")
+    single = run_all(tmp_path / "single", OPENBLAS_NUM_THREADS="1")
+    assert len(default) == 3 * len(BLAS_CONFIGS) + 1  # wavenumber-calibration writes two CSVs
+    assert sorted(single) == sorted(default)
+    assert [rel for rel in default if single[rel] != default[rel]] == []

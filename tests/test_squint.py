@@ -48,7 +48,7 @@ def test_exact_gain_ties_resolve_to_smaller_angle():
     # gain columns are bit-identical and the argmax must keep the smaller one
     geom = ArrayGeometry.ula(32, WL / 2)
     grid = CarrierGrid(FC, 1, 0.0)
-    w = Beamformer(np.ones(32, dtype=complex) / np.sqrt(32.0), None, "custom")
+    w = Beamformer(np.ones(32, dtype=complex) / np.sqrt(32.0))
     assert np.cos(1.0e-12) == np.cos(2.0e-12) == 1.0
     pg = PolarGrid(np.array([1.0e-12, 2.0e-12]), np.array([5.0, 9.0]))
     traj = focal_points(geom, grid, w, pg)
@@ -81,7 +81,7 @@ def test_grid_must_cover_design_point():
 def test_empty_grid_rejected():
     geom = ArrayGeometry.ula(16, WL / 2)
     grid = CarrierGrid(FC, 1, 0.0)
-    w = Beamformer(np.ones(16, dtype=complex) / 4.0, None, "custom")
+    w = Beamformer(np.ones(16, dtype=complex) / 4.0)
     with pytest.raises(ValueError, match="nonempty"):
         focal_points(geom, grid, w, PolarGrid(np.array([1.0]), np.array([])))
 
