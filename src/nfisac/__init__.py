@@ -38,6 +38,8 @@ from .music import (
     SampleCovariance,
     collect_snapshots,
     music_localize,
+    music_peaks,
+    music_spectra,
     music_spectrum,
     sample_covariance,
 )
@@ -87,6 +89,8 @@ __all__ = [
     "focal_points",
     "kalman_predict_update",
     "music_localize",
+    "music_peaks",
+    "music_spectra",
     "music_spectrum",
     "near_field_steering",
     "polar_codeword",

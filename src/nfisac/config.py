@@ -92,6 +92,34 @@ EXPERIMENT_SECTIONS: Dict[str, Dict[str, tuple]] = {
 GRID_ANGLE_DEFAULTS_RAD = (1e-3, np.pi - 1e-3)
 
 
+def grid_angles(sec: dict) -> np.ndarray:
+    """Angle axis of the evaluation grid described by a grid section.
+
+    With either bound given, num_angles points span [angle_min_rad,
+    angle_max_rad] (a missing bound takes its GRID_ANGLE_DEFAULTS_RAD value);
+    with neither, they are the interior points of an even split of [0, pi].
+    """
+    num_angles = int(sec.get("num_angles", 721))
+    if "angle_min_rad" in sec or "angle_max_rad" in sec:
+        lo = float(sec.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0]))
+        hi = float(sec.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1]))
+        return np.linspace(lo, hi, num_angles)
+    return np.linspace(0.0, np.pi, num_angles + 2)[1:-1]
+
+
+def sweep_range_m(sections: dict) -> tuple:
+    """(min, max) range of the wavenumber calibration sweep, in meters.
+
+    wavenumber.range_min_m/range_max_m, each falling back to the grid's bound.
+    """
+    wsec = sections.get("wavenumber") or {}
+    gsec = sections["grid"]
+    return (
+        float(wsec.get("range_min_m", gsec["range_min_m"])),
+        float(wsec.get("range_max_m", gsec["range_max_m"])),
+    )
+
+
 def _is_num(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -340,6 +368,21 @@ def _validate_targets(rep: ValidationReport, sec: Any) -> None:
         _validate_point(rep, f"targets[{i}]", t)
 
 
+def _passes(check, *args) -> bool:
+    """True when a section check finds nothing wrong with these arguments."""
+    scratch = ValidationReport()
+    check(scratch, *args)
+    return scratch.ok
+
+
+def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what: str) -> bool:
+    lo, hi = bounds
+    if lo <= value <= hi:
+        return True
+    rep.add(path, f"{value} lies outside {what} [{lo}, {hi}]")
+    return False
+
+
 def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
     """Checks that relate keys of different sections.
 
@@ -362,11 +405,38 @@ def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
             rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {num_m})")
 
     grid = sections.get("grid")
+    grid_ok = _passes(_validate_grid, grid)
     if isinstance(grid, dict) and ("angle_min_rad" in grid or "angle_max_rad" in grid):
         lo = grid.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0])
         hi = grid.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1])
         if all(_is_num(v) and 0 < v < np.pi for v in (lo, hi)) and not lo < hi:
             rep.add("grid.angle_max_rad", f"must exceed grid.angle_min_rad ({lo})")
+            grid_ok = False
+
+    # a wavenumber section may narrow the calibration sweep below the grid's
+    sweep = None
+    if grid_ok and "wavenumber" in sections and _passes(_validate_wavenumber, sections["wavenumber"]):
+        sweep = sweep_range_m(sections)
+        if not sweep[0] < sweep[1]:
+            rep.add("wavenumber.range_max_m", f"must exceed the sweep's minimum range ({sweep[0]} m)")
+            sweep = None
+
+    # design and target points must lie inside the grid the experiment builds
+    if grid_ok:
+        targets = sections.get("targets")
+        points = [("design", sections.get("design"))]
+        points += [(f"targets[{i}]", t) for i, t in enumerate(targets if isinstance(targets, list) else ())]
+        angles = grid_angles(grid)
+        for path, point in points:
+            if not _passes(_validate_point, path, point):
+                continue
+            _within(rep, f"{path}.angle_rad", point["angle_rad"],
+                    (float(angles[0]), float(angles[-1])), "the evaluation grid's angles")
+            in_grid = _within(rep, f"{path}.range_m", point["range_m"],
+                              (grid["range_min_m"], grid["range_max_m"]), "the evaluation grid's ranges")
+            if in_grid and sweep is not None:
+                _within(rep, f"{path}.range_m", point["range_m"], sweep,
+                        "the wavenumber calibration sweep")
 
     counts = get("allocation", "sensing_counts")
     total = get("allocation", "total_power_w")

@@ -18,11 +18,11 @@ import numpy as np
 from .allocation import SensingRequirement, UserDemand, partition_and_allocate, sensing_subcarriers
 from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
 from .codebook import PolarGrid, angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, GRID_ANGLE_DEFAULTS_RAD, ScenarioConfig
+from .config import EXPERIMENT_SECTIONS, ScenarioConfig, grid_angles, sweep_range_m
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
 from .echoes import peak_angle
-from .music import collect_snapshots, music_localize, sample_covariance
+from .music import collect_snapshots, music_peaks, music_spectra, sample_covariance
 from .squint import focal_points, squint_deviation
 from .wavenumber import (
     calibrate_radius_range,
@@ -53,17 +53,11 @@ def _grid_from_section(cfg: ScenarioConfig) -> PolarGrid:
     sec = cfg.section("grid")
     rmin = float(sec["range_min_m"])
     rmax = float(sec["range_max_m"])
-    num_angles = int(sec.get("num_angles", 721))
-    if "angle_min_rad" in sec or "angle_max_rad" in sec:
-        lo = float(sec.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0]))
-        hi = float(sec.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1]))
-        angles = np.linspace(lo, hi, num_angles)
-    else:
-        angles = np.linspace(0.0, math.pi, num_angles + 2)[1:-1]
+    angles = grid_angles(sec)
     if "num_ranges" in sec:
         ranges = np.geomspace(rmin, rmax, int(sec["num_ranges"]))
         return PolarGrid(angles, ranges)
-    pg = PolarGrid.regular(rmin, rmax, num_angles=num_angles)
+    pg = PolarGrid.regular(rmin, rmax, num_angles=angles.size)
     return PolarGrid(angles, pg.ranges_m)
 
 
@@ -179,16 +173,13 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     arr = cfg.upa
     grid = cfg.carrier
     sec = cfg.section("wavenumber")
-    gsec = cfg.section("grid")
     freq = grid.center_hz
     npts = int(sec.get("num_calibration_points", 9))
     frac = float(sec.get("threshold_frac", 0.1))
     theta = float(sec.get("direction_angle_rad", math.pi / 2.0))
     direction = np.array([math.cos(theta), math.sin(theta), 0.0])
 
-    rmin = float(sec.get("range_min_m", gsec["range_min_m"]))
-    rmax = float(sec.get("range_max_m", gsec["range_max_m"]))
-    sweep = np.geomspace(rmin, rmax, npts)
+    sweep = np.geomspace(*sweep_range_m(cfg.raw), npts)
     table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
     write_csv(
         outdir / "calibration.csv",
@@ -247,7 +238,6 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     arr = cfg.upa
     grid = cfg.carrier
     pg = _grid_from_section(cfg)
-    gsec = cfg.section("grid")
     msec = cfg.section("music")
     wsec = cfg.section("wavenumber")
     targets = [
@@ -264,11 +254,18 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     rows = []
     music_errs = []
     for k, target in enumerate(targets):
-        for tr in range(trials):
-            seed = np.random.SeedSequence((cfg.seed, k, tr))
-            snaps = collect_snapshots(geom, grid, [target], snap_count, noise_power, seed)
-            cov = sample_covariance(snaps)
-            est = music_localize(cov, geom, grid, pg, num_sources=1)[0]
+        # trials stream into one steering pass over the grid per target
+        covs = (
+            sample_covariance(
+                collect_snapshots(
+                    geom, grid, [target], snap_count, noise_power,
+                    np.random.SeedSequence((cfg.seed, k, tr)),
+                )
+            )
+            for tr in range(trials)
+        )
+        for tr, spec in enumerate(music_spectra(covs, geom, grid, pg, num_sources=1)):
+            est = music_peaks(spec)[0]
             err_r = abs(est.range_m - target.range_m)
             err_a = abs(est.angle_rad - target.angle_rad)
             music_errs.append((err_a, err_r))
@@ -279,11 +276,7 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     # The planar-array readout is noiseless and deterministic: one row per target.
     theta = float(wsec.get("direction_angle_rad", math.pi / 2.0))
     direction = np.array([math.cos(theta), math.sin(theta), 0.0])
-    sweep = np.geomspace(
-        float(wsec.get("range_min_m", gsec["range_min_m"])),
-        float(wsec.get("range_max_m", gsec["range_max_m"])),
-        npts,
-    )
+    sweep = np.geomspace(*sweep_range_m(cfg.raw), npts)
     table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
     wn_errs = []
     for k, target in enumerate(targets):

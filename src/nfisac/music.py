@@ -7,11 +7,13 @@ both jointly. The number of sources is an input; no model-order selection.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import arrays
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
 from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
@@ -94,6 +96,50 @@ def sample_covariance(snapshots: np.ndarray) -> SampleCovariance:
     return SampleCovariance(r, t_count)
 
 
+def music_spectra(
+    covs,
+    geom: ArrayGeometry,
+    grid: CarrierGrid,
+    pg: PolarGrid,
+    num_sources: int,
+):
+    """Yield the MUSIC spectrum of each covariance in covs, in order.
+
+    Spectra are evaluated on the polar grid at the center frequency, using
+    ||E_n^H a||^2 = N - ||E_s^H a||^2 so only the small signal subspace is
+    projected. covs may be any iterable, such as a generator of trials: each
+    covariance is read once, for its signal subspace, and may be freed after.
+    One steering pass over the grid serves up to _CHUNK_ENTRIES // grid-size
+    covariances, so the spectra of a pass take no more memory than one
+    steering chunk, whatever the number of covariances. Each covariance is
+    projected with its own product, so its spectrum has the same bits as when
+    it is evaluated alone.
+    """
+    fc = grid.center_hz
+    rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
+    taus = (rr / C).ravel()
+    cosines = np.cos(aa).ravel()
+    batch = max(1, arrays._CHUNK_ENTRIES // taus.size)
+    covs = iter(covs)
+    while True:
+        subspaces = []
+        for cov in itertools.islice(covs, batch):
+            n = cov.matrix.shape[0]
+            if not 0 < num_sources < n:
+                raise ValueError("num_sources must lie in 1..N-1")
+            subspaces.append((n, cov.eigvecs[:, n - num_sources:].conj()))
+        if not subspaces:
+            return
+        den = np.empty((len(subspaces), taus.size), dtype=float)
+        for lo, hi, _, a in steering_chunks(geom, fc, taus, cosines):
+            for row, (n, es_conj) in zip(den, subspaces):
+                proj = np.abs(a @ es_conj) ** 2
+                row[lo:hi] = n - proj.sum(axis=1)
+        den = np.maximum(den, np.finfo(float).tiny)
+        for row in den:
+            yield MusicSpectrum((1.0 / row).reshape(pg.shape), pg, num_sources)
+
+
 def music_spectrum(
     cov: SampleCovariance,
     geom: ArrayGeometry,
@@ -101,26 +147,8 @@ def music_spectrum(
     pg: PolarGrid,
     num_sources: int,
 ) -> MusicSpectrum:
-    """Evaluate the MUSIC spectrum on the polar grid at the center frequency.
-
-    Uses ||E_n^H a||^2 = N - ||E_s^H a||^2, so only the small signal subspace
-    is projected.
-    """
-    n = cov.matrix.shape[0]
-    if not 0 < num_sources < n:
-        raise ValueError("num_sources must lie in 1..N-1")
-    es_conj = cov.eigvecs[:, n - num_sources:].conj()
-    fc = grid.center_hz
-    rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
-    taus = (rr / C).ravel()
-    cosines = np.cos(aa).ravel()
-    den = np.empty(taus.size, dtype=float)
-    for lo, hi, _, a in steering_chunks(geom, fc, taus, cosines):
-        proj = np.abs(a @ es_conj) ** 2
-        den[lo:hi] = n - proj.sum(axis=1)
-    den = np.maximum(den, np.finfo(float).tiny)
-    values = (1.0 / den).reshape(pg.shape)
-    return MusicSpectrum(values, pg, num_sources)
+    """The MUSIC spectrum of one covariance; see music_spectra."""
+    return next(music_spectra([cov], geom, grid, pg, num_sources))
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -133,20 +161,13 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return peak
 
 
-def music_localize(
-    cov: SampleCovariance,
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    pg: PolarGrid,
-    num_sources: int,
-) -> list:
-    """Largest local maxima of the MUSIC spectrum, sorted by peak height.
+def music_peaks(spec: MusicSpectrum) -> list:
+    """The spectrum's num_sources largest local maxima, sorted by peak height.
 
     Ties break toward smaller range. A peak on the grid boundary triggers a
     BoundaryPeakWarning, since the true maximum may lie outside the grid.
     """
-    spec = music_spectrum(cov, geom, grid, pg, num_sources)
-    values = spec.values
+    values, pg = spec.values, spec.grid
     mask = _local_maxima(values)
     ia, ir = np.nonzero(mask)
     if ia.size == 0:
@@ -155,7 +176,7 @@ def music_localize(
         range(ia.size),
         key=lambda k: (-values[ia[k], ir[k]], pg.ranges_m[ir[k]], pg.angles_rad[ia[k]]),
     )
-    picked = order[:num_sources]
+    picked = order[:spec.num_sources]
     n_ang, n_rng = pg.shape
     results = []
     for k in picked:
@@ -166,3 +187,14 @@ def music_localize(
             )
         results.append(PolarPoint(float(pg.ranges_m[r_i]), float(pg.angles_rad[a_i])))
     return results
+
+
+def music_localize(
+    cov: SampleCovariance,
+    geom: ArrayGeometry,
+    grid: CarrierGrid,
+    pg: PolarGrid,
+    num_sources: int,
+) -> list:
+    """Peaks of one covariance's MUSIC spectrum; see music_peaks."""
+    return music_peaks(music_spectrum(cov, geom, grid, pg, num_sources))

@@ -29,7 +29,7 @@ from nfisac.config import load_config
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.delay_phase import Arc, TrajectorySpec, apply_delay_phase, arc_trajectory_spec, fit_trajectory
 from nfisac.experiments import run_experiment
-from nfisac.music import collect_snapshots, music_localize, sample_covariance
+from nfisac.music import collect_snapshots, music_localize, music_peaks, music_spectra, sample_covariance
 from nfisac.tracking import TrackState, kalman_predict_update, xy_to_polar
 from nfisac.wavenumber import (
     PlanarArray,
@@ -234,12 +234,15 @@ def test_criterion_06_subspace_localization(capsys):
         and exact[0].range_m == truth.range_m
     )
 
-    errs = []
-    for tr in range(100):
-        x = collect_snapshots(
-            geom, grid, [truth], 256, 0.01, seed=np.random.SeedSequence((11, tr))
+    covs = (
+        sample_covariance(
+            collect_snapshots(geom, grid, [truth], 256, 0.01, seed=np.random.SeedSequence((11, tr)))
         )
-        peak = music_localize(sample_covariance(x), geom, grid, pg, 1)[0]
+        for tr in range(100)
+    )
+    errs = []
+    for spec in music_spectra(covs, geom, grid, pg, 1):
+        peak = music_peaks(spec)[0]
         errs.append((peak.angle_rad - truth.angle_rad, peak.range_m - truth.range_m))
     errs = np.array(errs)
     rmse_angle = float(np.sqrt(np.mean(errs[:, 0] ** 2)))

@@ -22,7 +22,7 @@ from nfisac.arrays import (
 )
 from nfisac.codebook import PolarGrid, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.music import collect_snapshots, music_spectrum, sample_covariance
+from nfisac.music import collect_snapshots, music_spectra, music_spectrum, sample_covariance
 from nfisac.squint import focal_points
 
 FC = 3.0e11
@@ -161,7 +161,10 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
 
     music_pg = PolarGrid(np.linspace(1.0, 1.4, 9), np.geomspace(0.1, 0.4, 7))
     sources = [PolarPoint(0.15, 1.1), PolarPoint(0.3, 1.3)]
-    cov = sample_covariance(collect_snapshots(geom, grid, sources, 64, 0.01, seed=5))
+    covs = [
+        sample_covariance(collect_snapshots(geom, grid, sources, 64, 0.01, seed=s))
+        for s in range(5, 10)
+    ]
 
     # an exact four-way gain tie at the design point: two angles that share a
     # cosine and two ranges that share a delay r/c give bit-identical rows at
@@ -171,10 +174,18 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     focal_pg = PolarGrid(np.array([0.05, a1, a2, 0.15]), np.array([0.08, r1, r2, 0.125]))
     w_tie = polar_codeword(geom, grid, PolarPoint(r1, a1))
 
+    def spectra(num_sources):
+        # one by one, then batched from a generator: with `rows` set, a pass
+        # over the 63-point grid serves 1 (rows 2, 3), 2 (rows 5) or 3 (rows 7)
+        # of the 5 covariances, so the batch splits into several passes
+        single = [music_spectrum(c, geom, grid, music_pg, num_sources).values for c in covs]
+        batched = music_spectra(iter(covs), geom, grid, music_pg, num_sources)
+        return np.array(single), np.array([s.values for s in batched])
+
     def evaluate():
         return (
             gains_at_freq(geom, FC, taus, cosines, w.weights),
-            music_spectrum(cov, geom, grid, music_pg, 2).values,
+            {k: spectra(k) for k in (1, 2)},
             focal_points(geom, grid, w_tie, focal_pg),
         )
 
@@ -183,7 +194,12 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     c_gains, c_spectrum, c_traj = evaluate()
 
     assert np.array_equal(c_gains, gains)
-    assert np.array_equal(c_spectrum, spectrum)
+    for k in (1, 2):
+        single, batched = spectrum[k]
+        assert single.shape == (len(covs), *music_pg.shape)
+        assert np.array_equal(batched, single)
+        assert np.array_equal(c_spectrum[k][0], single)
+        assert np.array_equal(c_spectrum[k][1], single)
     assert np.array_equal(c_traj.gains, traj.gains)
     assert c_traj.points == traj.points
     assert c_traj.boundary_warning == traj.boundary_warning

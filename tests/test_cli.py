@@ -86,6 +86,8 @@ def test_runtime_failure_exits_three(tmp_path):
         ("rmse_vs_snr.yaml", "isac", "sensing_subcarriers", 99, "isac.sensing_subcarriers"),
         ("squint_deviation.yaml", "grid", "angle_min_rad", 3.141, "grid.angle_max_rad"),
         ("rate_vs_sensing_budget.yaml", "allocation", "sensing_counts", [0, 40], "allocation.sensing_counts[1]"),
+        ("squint_deviation.yaml", "grid", "angle_min_rad", 1.0, "design.angle_rad"),
+        ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.6571, "range_m": 30.0}, "targets[0].range_m"),
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):

@@ -214,6 +214,56 @@ def test_grid_angle_bounds_must_be_ordered():
     assert _issues(lone) == {}
 
 
+def test_design_outside_evaluation_grid_rejected():
+    # the grid the experiment builds must cover the design point, or the
+    # focal search fails at run time
+    data = _shipped("squint_deviation.yaml")
+    design_angle = data["design"]["angle_rad"]
+    data["grid"].update(angle_min_rad=1.0, angle_max_rad=2.0)
+    issues = _issues(data)
+    assert set(issues) == {"design.angle_rad"}
+    assert "[1.0, 2.0]" in issues["design.angle_rad"]
+    # a lone bound spans to the default of the other end
+    del data["grid"]["angle_max_rad"]
+    assert set(_issues(data)) == {"design.angle_rad"}
+    data["grid"]["angle_min_rad"] = design_angle
+    assert _issues(data) == {}
+    # without bounds the angles are the interior of an even split of (0, pi):
+    # pi/4, pi/2, 3pi/4 for three angles, which leaves out pi/6
+    del data["grid"]["angle_min_rad"]
+    data["grid"]["num_angles"] = 3
+    assert set(_issues(data)) == {"design.angle_rad"}
+    data["grid"]["num_angles"] = 5
+    assert _issues(data) == {}
+    data["design"]["range_m"] = 41.0
+    assert set(_issues(data)) == {"design.range_m"}
+
+
+def test_target_outside_calibration_sweep_rejected():
+    # the sweep (wavenumber range_min_m/range_max_m, else the grid's) and the
+    # grid ranges bound the targets; the endpoints themselves are calibrated
+    data = _shipped("music_vs_wavenumber.yaml")
+    for r in (4.0, 20.0):
+        data["targets"][0]["range_m"] = r
+        assert _issues(data) == {}
+    data["targets"][0]["range_m"] = 30.0
+    issues = _issues(data)
+    assert set(issues) == {"targets[0].range_m"}
+    assert "calibration sweep [4.0, 20.0]" in issues["targets[0].range_m"]
+    data["targets"][0]["range_m"] = 60.0
+    issues = _issues(data)
+    assert set(issues) == {"targets[0].range_m"}
+    assert "grid's ranges [4.0, 40.0]" in issues["targets[0].range_m"]
+    del data["wavenumber"]["range_max_m"]
+    data["targets"][0]["range_m"] = 30.0
+    assert _issues(data) == {}
+    data["targets"].append({"angle_rad": 0.01, "range_m": 30.0})
+    assert set(_issues(data)) == {"targets[1].angle_rad"}
+    data["targets"].pop()
+    data["wavenumber"]["range_min_m"] = 40.0
+    assert set(_issues(data)) == {"wavenumber.range_max_m"}
+
+
 def test_infeasible_sensing_counts_rejected():
     data = _shipped("rate_vs_sensing_budget.yaml")
     total = data["allocation"]["total_power_w"]

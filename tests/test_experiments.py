@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+import nfisac.arrays as arrays
 from nfisac.config import EXPERIMENT_SECTIONS, build_config, validate_data
 from nfisac.experiments import EXPERIMENTS, list_experiment_names, run_experiment
 
@@ -85,6 +87,34 @@ def test_unknown_experiment_name_rejected(tmp_path):
 
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_music_trials_do_not_depend_on_trial_count_or_passes(tmp_path, monkeypatch):
+    # trials share one steering pass over the grid; each trial's estimate must
+    # still depend only on its own seed, however many trials share a pass.
+    # At the shipped noise every trial finds the same cell, which would hide a
+    # mix-up, so noise is raised until the estimates vary from trial to trial
+    raw = yaml.safe_load((PKG_ROOT / "configs" / "music_vs_wavenumber.yaml").read_text())
+    raw["targets"].append({"angle_rad": 1.5, "range_m": 8.0})
+    raw["music"] = {"snapshot_count": 16, "noise_power_w": 3.0}
+    grid_points = raw["grid"]["num_angles"] * raw["grid"]["num_ranges"]
+
+    def music_rows(trials, tag):
+        data = dict(raw, experiment=dict(raw["experiment"], trials=trials))
+        run_experiment(_load(data), tmp_path / tag)
+        rows = (tmp_path / tag / "results.csv").read_text().splitlines()[1:]
+        return [r for r in rows if r.startswith("music,")]
+
+    ten = music_rows(10, "ten")
+    assert len(ten) == 20
+    for k in ("0", "1"):
+        assert len({r.split(",", 5)[5] for r in ten if r.split(",")[1] == k}) > 2
+    first_three = [r for r in ten if int(r.split(",")[2]) < 3]
+    assert music_rows(3, "three") == first_three
+    # two trials per pass: 3 trials take 2 passes, 10 take 5
+    monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", 2 * grid_points)
+    assert music_rows(3, "three-split") == first_three
+    assert music_rows(10, "ten-split") == ten
 
 # squint-deviation is left out only to keep the suite fast
 BLAS_CONFIGS = [
