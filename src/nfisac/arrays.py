@@ -138,8 +138,9 @@ def spherical_delay_matrix(
     return np.sqrt(taus * taus + t * t - 2.0 * taus * t * cosines)
 
 
-# chunk rows so a manifold pass never materializes more than ~32 MB of phases
-_CHUNK_ENTRIES = 2_000_000
+# chunk rows so a chunk's delays, steering and subcarrier step (~1.3 MB at
+# 32 K entries) stay in a core's L2 cache while every subcarrier revisits them
+_CHUNK_ENTRIES = 32_768
 
 
 def steering_chunks(geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray):
@@ -148,7 +149,8 @@ def steering_chunks(geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosin
     Yields (lo, hi, delays, steering) for consecutive row ranges lo:hi of the
     1-D taus/cosines arrays: delays is their spherical_delay_matrix and
     steering = exp(-2j*pi*freq_hz*delays). A chunk holds about _CHUNK_ENTRIES
-    entries, which bounds peak memory on large grids, and never a single row
+    entries, sized so that a caller's repeated passes over it run in cache
+    rather than streaming from memory, and never a single row
     unless there is only one point: numpy hands a one-row product to BLAS's
     dot routine, whose last bits differ from the matrix-vector kernel's, so a
     lone row would make a point's gain depend on where the chunks split.

@@ -21,7 +21,8 @@ from .allocation import sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint
 from .constants import SPEED_OF_LIGHT as C
 from .delay_phase import Arc
-from .wavenumber import PlanarArray
+from .errors import AliasingError
+from .wavenumber import PlanarArray, extract_support, upa_polar_snapshot, wavenumber_transform
 
 
 @dataclass(frozen=True)
@@ -422,6 +423,7 @@ def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
             sweep = None
 
     # design and target points must lie inside the grid the experiment builds
+    placed = []  # (path, point) of each point that does
     if grid_ok:
         targets = sections.get("targets")
         points = [("design", sections.get("design"))]
@@ -430,13 +432,34 @@ def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
         for path, point in points:
             if not _passes(_validate_point, path, point):
                 continue
-            _within(rep, f"{path}.angle_rad", point["angle_rad"],
-                    (float(angles[0]), float(angles[-1])), "the evaluation grid's angles")
+            in_angles = _within(rep, f"{path}.angle_rad", point["angle_rad"],
+                                (float(angles[0]), float(angles[-1])), "the evaluation grid's angles")
             in_grid = _within(rep, f"{path}.range_m", point["range_m"],
                               (grid["range_min_m"], grid["range_max_m"]), "the evaluation grid's ranges")
             if in_grid and sweep is not None:
-                _within(rep, f"{path}.range_m", point["range_m"], sweep,
-                        "the wavenumber calibration sweep")
+                in_grid = _within(rep, f"{path}.range_m", point["range_m"], sweep,
+                                  "the wavenumber calibration sweep")
+            if in_angles and in_grid:
+                placed.append((path, point))
+
+    # the planar-array readout of a target is noiseless, so running its
+    # forward step here shows whether the run would find it aliased
+    upa = sections.get("array.upa")
+    wsec = sections.get("wavenumber", {})
+    if (
+        _passes(_validate_upa, upa)
+        and _passes(_validate_carrier, sections.get("carrier"))
+        and _passes(_validate_wavenumber, wsec)
+    ):
+        freq = float(sections["carrier"]["center_hz"])
+        arr = _planar_array(upa, C / freq)
+        frac = float(wsec.get("threshold_frac", 0.1))
+        for path, point in placed:
+            p = PolarPoint(float(point["range_m"]), float(point["angle_rad"]))
+            try:
+                extract_support(wavenumber_transform(upa_polar_snapshot(arr, p, freq)), frac)
+            except AliasingError as exc:
+                rep.add(path, f"the planar array's wavenumber readout aliases here ({exc})")
 
     counts = get("allocation", "sensing_counts")
     total = get("allocation", "total_power_w")
@@ -523,7 +546,10 @@ def validate_data(data: Any) -> ValidationReport:
     for key in data:
         if key in _SECTION_VALIDATORS and key != "experiment" and key in wanted:
             _SECTION_VALIDATORS[key](rep, data[key])
-    _validate_cross_fields(rep, {key: data[key] for key in data if key in wanted})
+    sections = {key: data[key] for key in data if key in wanted}
+    if "array.upa" in present and "array.upa" in wanted:
+        sections["array.upa"] = array.get("upa")
+    _validate_cross_fields(rep, sections)
     return rep
 
 
@@ -576,6 +602,12 @@ def _resolve_spacing(sec: dict, meter_key: str, wl_key: str, wavelength: float) 
     return float(sec[wl_key]) * wavelength
 
 
+def _planar_array(sec: dict, wavelength: float) -> PlanarArray:
+    dx = _resolve_spacing(sec, "dx_m", "dx_wavelengths", wavelength)
+    dz = _resolve_spacing(sec, "dz_m", "dz_wavelengths", wavelength)
+    return PlanarArray(int(sec["nx"]), int(sec["nz"]), dx, dz)
+
+
 def build_config(data: dict) -> ScenarioConfig:
     """Turn validated raw data into domain objects. Call after validation."""
     exp = data["experiment"]
@@ -593,10 +625,7 @@ def build_config(data: dict) -> ScenarioConfig:
         spacing = _resolve_spacing(sec, "spacing_m", "spacing_wavelengths", wavelength)
         ula = ArrayGeometry.ula(int(sec["num_elements"]), spacing)
     if "upa" in array:
-        sec = array["upa"]
-        dx = _resolve_spacing(sec, "dx_m", "dx_wavelengths", wavelength)
-        dz = _resolve_spacing(sec, "dz_m", "dz_wavelengths", wavelength)
-        upa = PlanarArray(int(sec["nx"]), int(sec["nz"]), dx, dz)
+        upa = _planar_array(array["upa"], wavelength)
 
     design = None
     if "design" in data:

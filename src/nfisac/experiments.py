@@ -27,6 +27,7 @@ from .squint import focal_points, squint_deviation
 from .wavenumber import (
     calibrate_radius_range,
     estimate_position,
+    upa_polar_snapshot,
     upa_rayleigh_distance,
     upa_snapshot,
 )
@@ -280,10 +281,7 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
     wn_errs = []
     for k, target in enumerate(targets):
-        src = target.range_m * np.array(
-            [math.cos(target.angle_rad), math.sin(target.angle_rad), 0.0]
-        )
-        snap = upa_snapshot(arr, src, freq)
+        snap = upa_polar_snapshot(arr, target, freq)
         est, _ = estimate_position(arr, freq, snap, table, threshold_frac=frac)
         wn_errs.append((abs(est.angle_rad - target.angle_rad), abs(est.range_m - target.range_m)))
         rows.append(

@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import arrays
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
 from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
+
+# spectrum entries (covariances x grid points) that one steering pass serves
+_PASS_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +111,9 @@ def music_spectra(
     ||E_n^H a||^2 = N - ||E_s^H a||^2 so only the small signal subspace is
     projected. covs may be any iterable, such as a generator of trials: each
     covariance is read once, for its signal subspace, and may be freed after.
-    One steering pass over the grid serves up to _CHUNK_ENTRIES // grid-size
-    covariances, so the spectra of a pass take no more memory than one
-    steering chunk, whatever the number of covariances. Each covariance is
+    One steering pass over the grid serves up to _PASS_ENTRIES // grid-size
+    covariances, so the spectra of a pass hold at most _PASS_ENTRIES floats
+    (16 MB), whatever the number of covariances. Each covariance is
     projected with its own product, so its spectrum has the same bits as when
     it is evaluated alone.
     """
@@ -119,7 +121,7 @@ def music_spectra(
     rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
     taus = (rr / C).ravel()
     cosines = np.cos(aa).ravel()
-    batch = max(1, arrays._CHUNK_ENTRIES // taus.size)
+    batch = max(1, _PASS_ENTRIES // taus.size)
     covs = iter(covs)
     while True:
         subspaces = []

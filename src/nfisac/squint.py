@@ -61,17 +61,21 @@ def focal_points(
 
     best_val = np.full(num_m, -1.0)
     best_idx = np.zeros(num_m, dtype=np.int64)
-    for lo, _, delays, a in steering_chunks(geom, f0, taus, cosines):
+    for lo, hi, delays, a in steering_chunks(geom, f0, taus, cosines):
         step = np.exp(-2j * np.pi * df * delays) if df else None
+        g = np.empty((num_m, hi - lo))
         for m in range(num_m):
-            g = np.abs(a @ wc) ** 2
-            k = int(np.argmax(g))
-            # strict > keeps the earlier (smaller-range) index on exact ties
-            if g[k] > best_val[m]:
-                best_val[m] = g[k]
-                best_idx[m] = lo + k
+            np.abs(a @ wc, out=g[m])
             if step is not None and m + 1 < num_m:
                 a *= step
+        np.square(g, out=g)
+        # first-occurrence argmax within the chunk, and strict > across
+        # chunks, keep the earlier (smaller-range) index on exact ties
+        k = g.argmax(axis=1)
+        val = g[np.arange(num_m), k]
+        better = val > best_val
+        best_val[better] = val[better]
+        best_idx[better] = lo + k[better]
         # free this chunk before the next is built: holding it doubles the
         # live chunk arrays and lets heap fragmentation set peak memory
         del delays, a, step

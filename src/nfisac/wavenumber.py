@@ -10,6 +10,7 @@ the output at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,6 +116,15 @@ def upa_snapshot(
     z = arr.z_positions()[None, :]
     dist = np.sqrt((x - src[0]) ** 2 + src[1] ** 2 + (z - src[2]) ** 2)
     return np.exp(1j * (global_phase_rad - 2.0 * np.pi * freq_hz / C * dist))
+
+
+def upa_polar_snapshot(arr: PlanarArray, p: PolarPoint, freq_hz: float) -> np.ndarray:
+    """upa_snapshot of a source at polar point p in the array's x-y plane.
+
+    The angle is measured from the x axis, as for the linear array.
+    """
+    src = p.range_m * np.array([math.cos(p.angle_rad), math.sin(p.angle_rad), 0.0])
+    return upa_snapshot(arr, src, freq_hz)
 
 
 def upa_rayleigh_distance(arr: PlanarArray, freq_hz: float) -> float:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nfisac.arrays as arrays
+import nfisac.music as music
 from nfisac.arrays import (
     ArrayGeometry,
     CarrierGrid,
@@ -177,7 +178,8 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     def spectra(num_sources):
         # one by one, then batched from a generator: with `rows` set, a pass
         # over the 63-point grid serves 1 (rows 2, 3), 2 (rows 5) or 3 (rows 7)
-        # of the 5 covariances, so the batch splits into several passes
+        # of the 5 covariances, so the batch splits into several passes, each
+        # a steering pass split into chunks of `rows` rows
         single = [music_spectrum(c, geom, grid, music_pg, num_sources).values for c in covs]
         batched = music_spectra(iter(covs), geom, grid, music_pg, num_sources)
         return np.array(single), np.array([s.values for s in batched])
@@ -191,6 +193,7 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
 
     gains, spectrum, traj = evaluate()
     monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", rows * geom.num_elements)
+    monkeypatch.setattr(music, "_PASS_ENTRIES", rows * geom.num_elements)
     c_gains, c_spectrum, c_traj = evaluate()
 
     assert np.array_equal(c_gains, gains)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, including exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,12 +19,18 @@ FAST_CONFIG = {
 }
 
 
+# the child finds the package in this checkout, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "nfisac.cli", *args],
         capture_output=True,
         text=True,
         cwd=PKG_ROOT,
+        env=ENV,
     )
 
 
@@ -88,6 +95,7 @@ def test_runtime_failure_exits_three(tmp_path):
         ("rate_vs_sensing_budget.yaml", "allocation", "sensing_counts", [0, 40], "allocation.sensing_counts[1]"),
         ("squint_deviation.yaml", "grid", "angle_min_rad", 1.0, "design.angle_rad"),
         ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.6571, "range_m": 30.0}, "targets[0].range_m"),
+        ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.2, "range_m": 6.0}, "targets[0]: "),
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):

@@ -264,6 +264,22 @@ def test_target_outside_calibration_sweep_rejected():
     assert set(_issues(data)) == {"wavenumber.range_max_m"}
 
 
+def test_target_aliased_on_planar_array_rejected():
+    # the coarse-pitch planar array reads a target this far from broadside
+    # with its wavenumber support on the spectrum border, which fails the run
+    data = _shipped("music_vs_wavenumber.yaml")
+    data["targets"].append({"angle_rad": 1.2, "range_m": 6.0})
+    issues = _issues(data)
+    assert set(issues) == {"targets[1]"}
+    assert "aliases" in issues["targets[1]"]
+    data["targets"][1]["angle_rad"] = 1.5
+    assert _issues(data) == {}
+    # a finer pitch widens the alias-free window
+    data["targets"][1]["angle_rad"] = 1.2
+    data["array"]["upa"].update(dx_wavelengths=0.5, dz_wavelengths=0.5)
+    assert _issues(data) == {}
+
+
 def test_infeasible_sensing_counts_rejected():
     data = _shipped("rate_vs_sensing_budget.yaml")
     total = data["allocation"]["total_power_w"]

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import nfisac.arrays as arrays
+import nfisac.music as music
 from nfisac.config import EXPERIMENT_SECTIONS, build_config, validate_data
 from nfisac.experiments import EXPERIMENTS, list_experiment_names, run_experiment
 
@@ -113,11 +114,14 @@ def test_music_trials_do_not_depend_on_trial_count_or_passes(tmp_path, monkeypat
     assert music_rows(3, "three") == first_three
     # two trials per pass: 3 trials take 2 passes, 10 take 5
     monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", 2 * grid_points)
+    monkeypatch.setattr(music, "_PASS_ENTRIES", 2 * grid_points)
     assert music_rows(3, "three-split") == first_three
     assert music_rows(10, "ten-split") == ten
 
-# squint-deviation is left out only to keep the suite fast
+# every shipped config; squint-deviation is the one whose matrix-vector
+# products change shape with the chunk size
 BLAS_CONFIGS = [
+    "squint_deviation.yaml",
     "music_vs_wavenumber.yaml",
     "rmse_vs_snr.yaml",
     "rate_vs_sensing_budget.yaml",

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import nfisac.arrays as arrays
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint
-from nfisac.codebook import Beamformer, PolarGrid, dft_codeword, polar_codeword
+from nfisac.codebook import Beamformer, PolarGrid, dft_codeword, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.squint import focal_points, squint_deviation
 
@@ -53,6 +54,27 @@ def test_exact_gain_ties_resolve_to_smaller_angle():
     pg = PolarGrid(np.array([1.0e-12, 2.0e-12]), np.array([5.0, 9.0]))
     traj = focal_points(geom, grid, w, pg)
     assert traj.points[0].angle_rad == 1.0e-12
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_flat_carrier_matches_single_frequency_argmax(monkeypatch, rows):
+    # with spacing_hz 0 every subcarrier sits at f0 and no step is applied, so
+    # each one must report the one-frequency grid argmax bit for bit, whether
+    # the grid is one chunk or split into chunks of `rows` rows
+    geom = ArrayGeometry.ula(64, WL / 2)
+    grid = CarrierGrid(FC, 5, 0.0)
+    w = polar_codeword(geom, grid, PolarPoint(6.0, 1.2))
+    pg = PolarGrid(np.linspace(1.0, 1.4, 41), np.geomspace(3.0, 12.0, 30))
+    aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
+    gains = gains_at_freq(geom, grid.freq(0), (rr / C).ravel(), np.cos(aa).ravel(), w.weights)
+    ir, ia = divmod(int(np.argmax(gains)), pg.angles_rad.size)
+    expected = PolarPoint(float(pg.ranges_m[ir]), float(pg.angles_rad[ia]))
+
+    monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", (rows or gains.size) * geom.num_elements)
+    traj = focal_points(geom, grid, w, pg)
+    assert np.array_equal(traj.gains, np.full(grid.num_subcarriers, gains.max()))
+    assert traj.points == (expected,) * grid.num_subcarriers
+    assert not traj.boundary_warning
 
 
 def test_boundary_peak_sets_warning():
