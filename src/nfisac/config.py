@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -21,8 +22,15 @@ from .allocation import sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint
 from .constants import SPEED_OF_LIGHT as C
 from .delay_phase import Arc
-from .errors import AliasingError
-from .wavenumber import PlanarArray, extract_support, upa_polar_snapshot, wavenumber_transform
+from .errors import AliasingError, CalibrationError, OutOfCalibrationError
+from .wavenumber import (
+    PlanarArray,
+    calibrate_radius_range,
+    estimate_position,
+    extract_support,
+    upa_polar_snapshot,
+    wavenumber_transform,
+)
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,20 @@ def sweep_range_m(sections: dict) -> tuple:
         float(wsec.get("range_min_m", gsec["range_min_m"])),
         float(wsec.get("range_max_m", gsec["range_max_m"])),
     )
+
+
+def wavenumber_calibration(sections: dict) -> tuple:
+    """(direction, range sweep, threshold_frac) of the wavenumber calibration.
+
+    The sweep has wavenumber.num_calibration_points ranges, geometrically
+    spaced over sweep_range_m; the direction is the unit vector in the
+    array's x-y plane at wavenumber.direction_angle_rad from the x axis.
+    """
+    wsec = sections.get("wavenumber") or {}
+    theta = float(wsec.get("direction_angle_rad", math.pi / 2.0))
+    direction = np.array([math.cos(theta), math.sin(theta), 0.0])
+    sweep = np.geomspace(*sweep_range_m(sections), int(wsec.get("num_calibration_points", 9)))
+    return direction, sweep, float(wsec.get("threshold_frac", 0.1))
 
 
 def _is_num(x: Any) -> bool:
@@ -442,24 +464,43 @@ def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
             if in_angles and in_grid:
                 placed.append((path, point))
 
-    # the planar-array readout of a target is noiseless, so running its
-    # forward step here shows whether the run would find it aliased
+    # the planar-array readout of a target is noiseless, so running it here,
+    # calibration included, shows whether the run would fail or misread it
     upa = sections.get("array.upa")
-    wsec = sections.get("wavenumber", {})
     if (
-        _passes(_validate_upa, upa)
+        placed
+        and ("wavenumber" not in sections or sweep is not None)
+        and _passes(_validate_upa, upa)
         and _passes(_validate_carrier, sections.get("carrier"))
-        and _passes(_validate_wavenumber, wsec)
     ):
         freq = float(sections["carrier"]["center_hz"])
         arr = _planar_array(upa, C / freq)
-        frac = float(wsec.get("threshold_frac", 0.1))
+        direction, sweep_m, frac = wavenumber_calibration(sections)
+        try:
+            table = calibrate_radius_range(arr, freq, direction, sweep_m, threshold_frac=frac)
+        except (AliasingError, CalibrationError):
+            table = None  # the run reports the sweep; each target's forward step is still checked
+        cos_bin = C / (freq * arr.nx * arr.dx_m)
         for path, point in placed:
             p = PolarPoint(float(point["range_m"]), float(point["angle_rad"]))
+            snap = upa_polar_snapshot(arr, p, freq)
             try:
-                extract_support(wavenumber_transform(upa_polar_snapshot(arr, p, freq)), frac)
+                if table is None:
+                    extract_support(wavenumber_transform(snap), frac)
+                    continue
+                est, diag = estimate_position(arr, freq, snap, table, threshold_frac=frac)
             except AliasingError as exc:
                 rep.add(path, f"the planar array's wavenumber readout aliases here ({exc})")
+            except OutOfCalibrationError as exc:
+                rep.add(path, f"the wavenumber readout falls outside its range calibration ({exc})")
+            else:
+                if abs(diag["cos_x"] - math.cos(p.angle_rad)) > cos_bin:
+                    rep.add(
+                        path,
+                        f"the planar array's wavenumber readout aliases here: it reads angle "
+                        f"{est.angle_rad:.4f} rad, more than one direction-cosine bin "
+                        f"({cos_bin:.3g}) off",
+                    )
 
     counts = get("allocation", "sensing_counts")
     total = get("allocation", "total_power_w")

@@ -18,7 +18,7 @@ import numpy as np
 from .allocation import SensingRequirement, UserDemand, partition_and_allocate, sensing_subcarriers
 from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
 from .codebook import PolarGrid, angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, ScenarioConfig, grid_angles, sweep_range_m
+from .config import EXPERIMENT_SECTIONS, ScenarioConfig, grid_angles, wavenumber_calibration
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
 from .echoes import peak_angle
@@ -173,14 +173,8 @@ def run_angular_spread(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     arr = cfg.upa
     grid = cfg.carrier
-    sec = cfg.section("wavenumber")
     freq = grid.center_hz
-    npts = int(sec.get("num_calibration_points", 9))
-    frac = float(sec.get("threshold_frac", 0.1))
-    theta = float(sec.get("direction_angle_rad", math.pi / 2.0))
-    direction = np.array([math.cos(theta), math.sin(theta), 0.0])
-
-    sweep = np.geomspace(*sweep_range_m(cfg.raw), npts)
+    direction, sweep, frac = wavenumber_calibration(cfg.raw)
     table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
     write_csv(
         outdir / "calibration.csv",
@@ -206,7 +200,7 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
     summary = {
         "freq_hz": freq,
-        "num_calibration_points": npts,
+        "num_calibration_points": sweep.size,
         "threshold_frac": frac,
         "rayleigh_distance_m": upa_rayleigh_distance(arr, freq),
         "radius_min_bins": float(table.radii_bins[-1]),
@@ -240,7 +234,6 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     grid = cfg.carrier
     pg = _grid_from_section(cfg)
     msec = cfg.section("music")
-    wsec = cfg.section("wavenumber")
     targets = [
         PolarPoint(float(t["range_m"]), float(t["angle_rad"])) for t in cfg.raw["targets"]
     ]
@@ -248,9 +241,6 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     noise_power = float(msec["noise_power_w"])
     trials = cfg.trials
     freq = grid.center_hz
-
-    npts = int(wsec.get("num_calibration_points", 9))
-    frac = float(wsec.get("threshold_frac", 0.1))
 
     rows = []
     music_errs = []
@@ -275,9 +265,7 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
             )
 
     # The planar-array readout is noiseless and deterministic: one row per target.
-    theta = float(wsec.get("direction_angle_rad", math.pi / 2.0))
-    direction = np.array([math.cos(theta), math.sin(theta), 0.0])
-    sweep = np.geomspace(*sweep_range_m(cfg.raw), npts)
+    direction, sweep, frac = wavenumber_calibration(cfg.raw)
     table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
     wn_errs = []
     for k, target in enumerate(targets):

@@ -15,6 +15,10 @@ from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, steering_chunks
 from .codebook import Beamformer, PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 
+# an angle axis is mirror-symmetric when cos(theta_k) + cos(theta_{n-1-k}) is
+# within a few ulps of zero for every k
+_MIRROR_COS_TOL = 4 * np.finfo(float).eps
+
 
 @dataclass(frozen=True, eq=False)
 class SquintTrajectory:
@@ -37,6 +41,12 @@ def focal_points(
     Ties break toward smaller range, then smaller angle. If any subcarrier
     peaks on the grid boundary the trajectory carries a boundary warning,
     meaning the grid is too small to trust that focal point.
+
+    When the array offsets are exactly antisymmetric (as ArrayGeometry.ula
+    builds them) and the angle axis is symmetric about pi/2, the manifold is
+    built only for the angles with cos >= 0; the gain at pi - theta is read
+    as a(theta) . reverse(conj(w)), so the mirrored angles' gains can differ
+    from a direct evaluation in the last bits.
     """
     n_ang, n_rng = pg.angles_rad.size, pg.ranges_m.size
     if n_ang == 0 or n_rng == 0:
@@ -49,8 +59,19 @@ def focal_points(
         ):
             raise ValueError("evaluation grid does not cover the design point")
 
-    # range-major layout so first-occurrence argmax = smallest range, then angle
-    aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
+    # antisymmetric offsets make the delays at -cos(theta) those at cos(theta)
+    # in reverse element order; an asymmetric axis mirrors no angle
+    t = geom.element_offsets_s
+    cos_axis = np.cos(pg.angles_rad)
+    mirror = np.array_equal(t, -t[::-1]) and bool(
+        np.all(np.abs(cos_axis + cos_axis[::-1]) <= _MIRROR_COS_TOL)
+    )
+    n_dir = (n_ang + 1) // 2 if mirror else n_ang  # angles built directly
+    n_mir = n_ang // 2 if mirror else 0  # of those, angles k < n_mir mirrored
+
+    # range-major layout: full-grid index r * n_ang + angle index, so the
+    # smallest full index among exact ties is the smallest range, then angle
+    aa, rr = np.meshgrid(pg.angles_rad[:n_dir], pg.ranges_m, indexing="xy")
     taus = (rr / C).ravel()
     cosines = np.cos(aa).ravel()
 
@@ -58,24 +79,36 @@ def focal_points(
     f0 = grid.freq(0)
     df = grid.spacing_hz
     wc = np.conj(w.weights)
+    wc_rev = np.ascontiguousarray(wc[::-1])
 
     best_val = np.full(num_m, -1.0)
     best_idx = np.zeros(num_m, dtype=np.int64)
     for lo, hi, delays, a in steering_chunks(geom, f0, taus, cosines):
         step = np.exp(-2j * np.pi * df * delays) if df else None
+        r, k = np.divmod(np.arange(lo, hi), n_dir)
+        idx = r * n_ang + k
         g = np.empty((num_m, hi - lo))
+        gm = np.empty((num_m, hi - lo)) if n_mir else None
         for m in range(num_m):
+            # two matrix-vector products, not one GEMM: a GEMM would move the
+            # low bits of the direct gains
             np.abs(a @ wc, out=g[m])
+            if gm is not None:
+                np.abs(a @ wc_rev, out=gm[m])
             if step is not None and m + 1 < num_m:
                 a *= step
+        if gm is not None:
+            has = k < n_mir
+            g = np.concatenate([g, gm[:, has]], axis=1)
+            idx = np.concatenate([idx, (r * n_ang + n_ang - 1 - k)[has]])
         np.square(g, out=g)
-        # first-occurrence argmax within the chunk, and strict > across
-        # chunks, keep the earlier (smaller-range) index on exact ties
-        k = g.argmax(axis=1)
-        val = g[np.arange(num_m), k]
-        better = val > best_val
+        # smallest full index among exact ties, within the chunk and across
+        # chunks (a chunk's mirrored indices can exceed the next chunk's)
+        val = g.max(axis=1)
+        at = np.where(g == val[:, None], idx, np.iinfo(np.int64).max).min(axis=1)
+        better = (val > best_val) | ((val == best_val) & (at < best_idx))
         best_val[better] = val[better]
-        best_idx[better] = lo + k[better]
+        best_idx[better] = at[better]
         # free this chunk before the next is built: holding it doubles the
         # live chunk arrays and lets heap fragmentation set peak memory
         del delays, a, step

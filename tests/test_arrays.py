@@ -21,7 +21,7 @@ from nfisac.arrays import (
     rayleigh_distance,
     spherical_delays,
 )
-from nfisac.codebook import PolarGrid, gains_at_freq, polar_codeword
+from nfisac.codebook import Beamformer, PolarGrid, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.music import collect_snapshots, music_spectra, music_spectrum, sample_covariance
 from nfisac.squint import focal_points
@@ -184,17 +184,37 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         batched = music_spectra(iter(covs), geom, grid, music_pg, num_sources)
         return np.array(single), np.array([s.values for s in batched])
 
+    # symmetric angle axes, where focal_points reads the angles past pi/2
+    # through reversed weights. A broadside codeword whose weights equal their
+    # reverse ties each mirrored angle with its direct twin exactly; at ten
+    # angles its peak is the pair around pi/2 (angle indices 4 and 5)
+    t = geom.element_offsets_s
+    broadside = np.exp(2j * np.pi * FC * np.sqrt((0.2 / C) ** 2 + t * t))
+    w_sym = Beamformer(broadside / np.linalg.norm(broadside))
+    assert np.array_equal(w_sym.weights, w_sym.weights[::-1])
+    sym_pg = PolarGrid(np.linspace(0.0, np.pi, 12)[1:-1], np.geomspace(0.1, 0.4, 6))
+    # two angles sharing a cosine build bit-identical rows, so their mirrors
+    # tie exactly; with the codeword focused past pi/2 the peak is that tie,
+    # at angle indices 3 and 2, and must resolve to index 2. At the centre
+    # subcarrier its rows are half-grid rows 2 and 3, which 3-row chunks
+    # split, leaving the larger index in the earlier chunk
+    b1, b2 = _adjacent_twins(0.1, np.cos)
+    c1 = np.pi - b1
+    twin_pg = PolarGrid(np.array([b1, b2, np.nextafter(c1, 0.0), c1]), np.array([0.08, 0.1, 0.125, 0.16]))
+    w_twin = polar_codeword(geom, grid, PolarPoint(0.1, c1))
+
     def evaluate():
         return (
             gains_at_freq(geom, FC, taus, cosines, w.weights),
             {k: spectra(k) for k in (1, 2)},
-            focal_points(geom, grid, w_tie, focal_pg),
+            [focal_points(geom, grid, v, pg) for v, pg in
+             [(w_tie, focal_pg), (w_sym, sym_pg), (w_twin, twin_pg)]],
         )
 
-    gains, spectrum, traj = evaluate()
+    gains, spectrum, trajs = evaluate()
     monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", rows * geom.num_elements)
     monkeypatch.setattr(music, "_PASS_ENTRIES", rows * geom.num_elements)
-    c_gains, c_spectrum, c_traj = evaluate()
+    c_gains, c_spectrum, c_trajs = evaluate()
 
     assert np.array_equal(c_gains, gains)
     for k in (1, 2):
@@ -203,8 +223,13 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         assert np.array_equal(batched, single)
         assert np.array_equal(c_spectrum[k][0], single)
         assert np.array_equal(c_spectrum[k][1], single)
-    assert np.array_equal(c_traj.gains, traj.gains)
-    assert c_traj.points == traj.points
-    assert c_traj.boundary_warning == traj.boundary_warning
+    for traj, c_traj in zip(trajs, c_trajs):
+        assert np.array_equal(c_traj.gains, traj.gains)
+        assert c_traj.points == traj.points
+        assert c_traj.boundary_warning == traj.boundary_warning
     # the tie resolves to the smaller range, then the smaller angle
-    assert c_traj.points[grid.half_m] == PolarPoint(r1, a1)
+    assert c_trajs[0].points[grid.half_m] == PolarPoint(r1, a1)
+    sym_angles = {p.angle_rad for p in c_trajs[1].points}
+    assert sym_angles == {sym_pg.angles_rad[4]}
+    assert {p.angle_rad for p in c_trajs[2].points} == {twin_pg.angles_rad[2]}
+    assert c_trajs[2].points[grid.half_m] == PolarPoint(0.1, twin_pg.angles_rad[2])

@@ -96,6 +96,14 @@ def test_runtime_failure_exits_three(tmp_path):
         ("squint_deviation.yaml", "grid", "angle_min_rad", 1.0, "design.angle_rad"),
         ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.6571, "range_m": 30.0}, "targets[0].range_m"),
         ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.2, "range_m": 6.0}, "targets[0]: "),
+        # off the calibration direction the nearest calibrated range reads a
+        # support radius above the table's
+        ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.3, "range_m": 4.0}, "targets[0]: "),
+        ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.4, "range_m": 4.0}, "targets[0]: "),
+        ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.55, "range_m": 4.0}, "targets[0]: "),
+        # a direction cosine outside the alias-free window reads 1.651 rad
+        ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.4, "range_m": 12.898362181185576},
+         "targets[0]: "),
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):

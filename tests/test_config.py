@@ -280,6 +280,36 @@ def test_target_aliased_on_planar_array_rejected():
     assert _issues(data) == {}
 
 
+def test_target_misread_by_wavenumber_readout_rejected():
+    # validation runs the experiment's noiseless readout, calibration included:
+    # a target whose support radius falls off the table, or whose direction
+    # cosine reads more than one bin off (it wrapped around the alias-free
+    # window), is rejected; the shipped target reads within the bin
+    data = _shipped("music_vs_wavenumber.yaml")
+    assert _issues(data) == {}
+    data["targets"].append({"angle_rad": 1.4, "range_m": 4.0})
+    data["targets"].append({"angle_rad": 1.4, "range_m": data["targets"][0]["range_m"]})
+    issues = _issues(data)
+    assert set(issues) == {"targets[1]", "targets[2]"}
+    assert "outside calibrated [1.693, 9.253]" in issues["targets[1]"]
+    assert "reads angle 1.6509 rad" in issues["targets[2]"]
+    # along the calibration direction the nearest calibrated range reads back
+    data["targets"][1:] = [{"angle_rad": 1.5707963267948966, "range_m": 4.0}]
+    assert _issues(data) == {}
+
+
+def test_aliased_target_rejected_when_sweep_cannot_be_calibrated():
+    # a 4-40 m sweep has no strictly decreasing support radius, so the run
+    # reports the calibration; each target's forward step is still checked
+    data = _shipped("music_vs_wavenumber.yaml")
+    del data["wavenumber"]["range_max_m"]
+    assert _issues(data) == {}
+    data["targets"].append({"angle_rad": 1.2, "range_m": 6.0})
+    issues = _issues(data)
+    assert set(issues) == {"targets[1]"}
+    assert "aliases" in issues["targets[1]"]
+
+
 def test_infeasible_sensing_counts_rejected():
     data = _shipped("rate_vs_sensing_budget.yaml")
     total = data["allocation"]["total_power_w"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nfisac.arrays as arrays
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint
@@ -130,3 +131,63 @@ def test_wideband_near_field_codeword_drifts_both_coordinates():
     d_ang, d_rng = squint_deviation(traj, design)
     assert np.degrees(d_ang) > 2.0
     assert d_rng > 1.5
+
+
+@st.composite
+def focal_scenarios(draw):
+    """Small random focal searches over symmetric and asymmetric angle axes."""
+    n = draw(st.integers(16, 64))
+    geom = ArrayGeometry.ula(n, WL / 2)
+    num_m = draw(st.sampled_from([1, 3, 5]))
+    grid = CarrierGrid(FC, num_m, draw(st.sampled_from([0.0, 4.6875e8, 1.875e9])))
+    n_ang = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["interior", "centered", "asymmetric"]))
+    if kind == "interior":
+        # the shipped default axis, symmetric about pi/2
+        angles = np.linspace(0.0, np.pi, n_ang + 2)[1:-1]
+    elif kind == "centered":
+        half = draw(st.floats(0.05, 1.4))
+        angles = np.linspace(np.pi / 2 - half, np.pi / 2 + half, n_ang)
+    else:
+        lo = draw(st.floats(0.1, 2.5))
+        angles = np.linspace(lo, draw(st.floats(lo + 0.05, np.pi - 0.1)), n_ang)
+    r_lo = draw(st.floats(0.05, 1.0))
+    ranges = np.geomspace(r_lo, r_lo * draw(st.floats(1.5, 10.0)), draw(st.integers(2, 6)))
+    # a design point on a grid node, the edge nodes included, gives exact and
+    # boundary peaks; broadside gives mirror-symmetric codewords
+    ia = draw(st.integers(0, n_ang - 1))
+    angle = draw(st.sampled_from([float(angles[ia]), float(np.pi / 2)]))
+    if not angles[0] <= angle <= angles[-1]:
+        angle = float(angles[ia])
+    design = PolarPoint(float(ranges[draw(st.integers(0, ranges.size - 1))]), angle)
+    return geom, grid, polar_codeword(geom, grid, design), PolarGrid(angles, ranges)
+
+
+@given(focal_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_focal_points_equal_exhaustive_argmax(scenario):
+    # the fast search (subcarrier recurrence, mirrored half read through
+    # reversed weights) against gains_at_freq on the full grid, subcarrier by
+    # subcarrier. Both round each element's phase differently, which moves a
+    # gain by up to ~5e-13 N (N elements, the largest gain), so exhaustive
+    # gains within 1e-12 N of the max are ties that may go either way
+    geom, grid, w, pg = scenario
+    n_ang, n_rng = pg.shape
+    tol = 1e-12 * geom.num_elements
+    traj = focal_points(geom, grid, w, pg)
+    aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
+    taus, cosines = (rr / C).ravel(), np.cos(aa).ravel()
+    boundary = False
+    for m, p in enumerate(traj.points):
+        gains = gains_at_freq(geom, grid.freq(m), taus, cosines, w.weights)
+        ir = int(np.searchsorted(pg.ranges_m, p.range_m))
+        ia = int(np.searchsorted(pg.angles_rad, p.angle_rad))
+        chosen = ir * n_ang + ia
+        top, second = np.sort(gains)[-2:][::-1]
+        if top - second <= tol:
+            assert gains[chosen] >= top - tol
+        else:
+            assert chosen == int(np.argmax(gains))
+        assert traj.gains[m] == pytest.approx(gains[chosen], rel=0, abs=2 * tol)
+        boundary |= ia in (0, n_ang - 1) or ir in (0, n_rng - 1)
+    assert traj.boundary_warning == boundary
