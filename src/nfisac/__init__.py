@@ -24,6 +24,7 @@ from .delay_phase import (
     apply_delay_phase,
     arc_trajectory_spec,
     fit_trajectory,
+    front_end,
 )
 from .errors import (
     AliasingError,
@@ -87,6 +88,7 @@ __all__ = [
     "far_field_steering",
     "fit_trajectory",
     "focal_points",
+    "front_end",
     "kalman_predict_update",
     "music_localize",
     "music_peaks",

@@ -110,8 +110,13 @@ class CarrierGrid:
             raise IndexError(f"subcarrier index {m} out of range 0..{self.num_subcarriers - 1}")
         return self.center_hz + (m - self.half_m) * self.spacing_hz
 
-    def freqs(self) -> np.ndarray:
+    def freqs(self, ms=None) -> np.ndarray:
         m = np.arange(self.num_subcarriers, dtype=float)
+        if ms is not None:
+            ms = np.asarray(ms, dtype=int)
+            if np.any((ms < 0) | (ms >= m.size)):
+                raise IndexError(f"subcarrier indices {ms.tolist()} out of range 0..{m.size - 1}")
+            m = m[ms]
         return self.center_hz + (m - self.half_m) * self.spacing_hz
 
     def bandwidth_hz(self) -> float:
@@ -143,11 +148,12 @@ def spherical_delay_matrix(
 _CHUNK_ENTRIES = 32_768
 
 
-def steering_chunks(geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray):
+def steering_chunks(geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray, offsets_s=None):
     """Spherical-wavefront steering rows at freq_hz over matched point arrays.
 
     Yields (lo, hi, delays, steering) for consecutive row ranges lo:hi of the
-    1-D taus/cosines arrays: delays is their spherical_delay_matrix and
+    1-D taus/cosines arrays: delays is their spherical_delay_matrix less the
+    per-element offsets_s, if given (a front end's delays), and
     steering = exp(-2j*pi*freq_hz*delays). A chunk holds about _CHUNK_ENTRIES
     entries, sized so that a caller's repeated passes over it run in cache
     rather than streaming from memory, and never a single row
@@ -160,6 +166,8 @@ def steering_chunks(geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosin
     while lo < taus.size:
         hi = taus.size if taus.size - lo <= chunk + 1 else lo + chunk
         delays = spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi])
+        if offsets_s is not None:
+            delays -= offsets_s
         # exp in place: a caller may still hold the previous chunk here
         steering = np.multiply(-2j * np.pi * freq_hz, delays)
         yield lo, hi, delays, np.exp(steering, out=steering)

@@ -1,8 +1,9 @@
-"""Beamforming codewords and polar-grid gain evaluation.
+"""Beamforming front ends and polar-grid gain evaluation.
 
-A codeword is a unit-norm weight vector; its gain at a point is |w^H a|^2
-against the spherical-wavefront steering vector there, which is at most N and
-reaches N exactly when w conjugate-matches the steering vector.
+A front end is unit-norm weights w on per-element delays d; at frequency f
+its gain at a point is |sum_n conj(w_n) exp(-2j*pi*f*(tau_n - d_n))|^2 for
+the point's spherical delays tau, at most N. A phase-only codeword has d = 0,
+so its gain is |w^H a|^2 and reaches N exactly when w conjugate-matches a.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, st
 
 @dataclass(frozen=True, eq=False)
 class Beamformer:
-    """Unit-power beamforming weights and the point they focus on, if any."""
+    """Unit-power weights, per-element delays (None: a phase-only codeword), focus point if any."""
 
     weights: np.ndarray
     design_point: Optional[PolarPoint] = None
+    delays_s: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=complex)
@@ -28,6 +30,8 @@ class Beamformer:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("beamformer weights must have unit l2 norm")
         object.__setattr__(self, "weights", w)
+        if self.delays_s is not None and np.shape(self.delays_s) != w.shape:
+            raise ValueError("delays_s must have one entry per weight")
 
 
 @dataclass(frozen=True, eq=False)

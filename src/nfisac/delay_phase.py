@@ -4,7 +4,9 @@ Each antenna path applies a real delay and a frequency-flat phase, so the
 per-subcarrier weight is exp(-j*(2*pi*f_m*delay_n + phase_n))/sqrt(N). Delays
 make the phase slope track frequency, which lets one configuration point
 different subcarriers at different spatial locations (a beam trajectory);
-phases alone cannot (they are frequency-flat).
+phases alone cannot (they are frequency-flat). As w_m^H a_m equals
+sum_n (exp(j*phase_n)/sqrt(N)) exp(-2j*pi*f_m*(tau_n - delay_n)), a
+configuration is one Beamformer on shifted delays for every subcarrier.
 
 Fitting a requested trajectory reduces to per-antenna linear regression of
 unwrapped target phase against frequency: slope -> delay, intercept -> phase.
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delay_matrix
 from .codebook import Beamformer
 from .errors import HardwareBoundError, IllConditionedSpecError
 
@@ -30,7 +32,8 @@ class DelayPhaseConfig:
     """Fitted per-antenna delays (s) and phase offsets (rad).
 
     Delays are nonnegative; after fitting, the common part is removed so the
-    smallest delay is zero. max_delay_s, when set, is the hardware bound.
+    smallest delay is zero. max_delay_s, when set, is the hardware bound. Both
+    arrays are read-only copies, so the checks hold for the config's lifetime.
     """
 
     delays_s: np.ndarray
@@ -38,8 +41,8 @@ class DelayPhaseConfig:
     max_delay_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.delays_s, dtype=float)
-        p = np.asarray(self.phases_rad, dtype=float)
+        d = np.array(self.delays_s, dtype=float)
+        p = np.array(self.phases_rad, dtype=float)
         if d.shape != p.shape or d.ndim != 1:
             raise ValueError("delays_s and phases_rad must be matching 1-D arrays")
         if np.any(d < 0):
@@ -48,6 +51,7 @@ class DelayPhaseConfig:
             raise HardwareBoundError(
                 f"delay {d.max():.3e} s exceeds hardware bound {self.max_delay_s:.3e} s"
             )
+        d.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "delays_s", d)
         object.__setattr__(self, "phases_rad", p)
 
@@ -114,14 +118,21 @@ def arc_trajectory_spec(
     return TrajectorySpec(tuple(entries))
 
 
+def front_end(cfg: DelayPhaseConfig) -> Beamformer:
+    """The configuration as one Beamformer serving every subcarrier."""
+    weights = np.exp(-1j * cfg.phases_rad) / np.sqrt(cfg.phases_rad.size)
+    return Beamformer(weights, delays_s=cfg.delays_s)
+
+
+def subcarrier_weights(cfg: DelayPhaseConfig, grid: CarrierGrid, ms) -> np.ndarray:
+    """Weights the front end realizes at subcarriers ms, one row per index."""
+    phase = 2.0 * np.pi * grid.freqs(ms)[:, None] * cfg.delays_s + cfg.phases_rad
+    return np.exp(-1j * phase) / np.sqrt(cfg.delays_s.size)
+
+
 def apply_delay_phase(cfg: DelayPhaseConfig, grid: CarrierGrid, m: int) -> Beamformer:
     """Weights the front end realizes at subcarrier m."""
-    if cfg.max_delay_s is not None and np.any(cfg.delays_s > cfg.max_delay_s):
-        raise HardwareBoundError("delay exceeds hardware bound")
-    f = grid.freq(m)
-    n = cfg.delays_s.size
-    phase = 2.0 * np.pi * f * cfg.delays_s + cfg.phases_rad
-    return Beamformer(np.exp(-1j * phase) / np.sqrt(n))
+    return Beamformer(subcarrier_weights(cfg, grid, [m])[0])
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -156,8 +167,8 @@ def fit_trajectory(
     """
     ms = spec.subcarriers()
     pts = spec.points()
-    freqs = np.array([grid.freq(int(m)) for m in ms])
-    dist = np.stack([spherical_delays(geom, p) for p in pts])  # (K, N) seconds
+    freqs = grid.freqs(ms)
+    dist = spherical_delay_matrix(geom, [p.delay_s() for p in pts], np.cos([p.angle_rad for p in pts]))
     targets = 2.0 * np.pi * freqs[:, None] * dist  # ideal continuous phase
     wrapped = _wrap(targets)
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays
-from .delay_phase import DelayPhaseConfig, apply_delay_phase
+from .delay_phase import DelayPhaseConfig, front_end
 
 
 def simulate_echoes(
@@ -36,18 +36,13 @@ def simulate_echoes(
     powers_w = np.asarray(powers_w, dtype=float)
     if powers_w.shape != (len(sensing_m),):
         raise ValueError("one power entry per sensing subcarrier required")
-    dist = spherical_delays(geom, target)
-    echoes = np.empty(len(sensing_m), dtype=complex)
-    for k, m in enumerate(sensing_m):
-        w = apply_delay_phase(cfg, grid, int(m)).weights
-        a = np.exp(-2j * np.pi * grid.freq(int(m)) * dist)
-        gain_amp = abs(np.vdot(w, a))
-        echoes[k] = reflectivity * gain_amp * np.sqrt(powers_w[k])
+    w = front_end(cfg)
+    shifted = spherical_delays(geom, target) - w.delays_s
+    a = np.exp(-2j * np.pi * grid.freqs(sensing_m)[:, None] * shifted)
+    echoes = complex(reflectivity) * np.abs(a @ np.conj(w.weights)) * np.sqrt(powers_w)
     if noise_power_w > 0:
-        noise = rng.standard_normal(len(sensing_m)) + 1j * rng.standard_normal(
-            len(sensing_m)
-        )
-        echoes += np.sqrt(noise_power_w / 2) * noise
+        k = len(sensing_m)
+        echoes += np.sqrt(noise_power_w / 2) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
     return echoes
 
 

@@ -20,7 +20,7 @@ from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
 from .codebook import PolarGrid, angular_spread, polar_codeword
 from .config import EXPERIMENT_SECTIONS, ScenarioConfig, grid_angles, wavenumber_calibration
 from .csvio import write_csv, write_plot_description, write_sidecar
-from .delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
+from .delay_phase import Arc, arc_trajectory_spec, fit_trajectory, subcarrier_weights
 from .echoes import peak_angle
 from .music import collect_snapshots, music_peaks, music_spectra, sample_covariance
 from .squint import focal_points, squint_deviation
@@ -332,7 +332,7 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     # One fitted delay-phase config steers the whole arc across the band.
     spec = arc_trajectory_spec(grid, arc)
     dp_cfg, fit_rms = fit_trajectory(geom, grid, spec)
-    w_ttd = np.stack([apply_delay_phase(dp_cfg, grid, m).weights for m in range(num_m)])
+    w_ttd = subcarrier_weights(dp_cfg, grid, np.arange(num_m))
     arc_angles = np.array([arc.angle_at(m / (num_m - 1)) for m in range(num_m)])
     sense_rel = sensing_subcarriers(num_m, ks)
     sense_angles = arc_angles[sense_rel]

@@ -1,8 +1,8 @@
 """Per-subcarrier beam focal points and squint deviation metrics.
 
-A frequency-flat (or delay-phase) codeword focuses different subcarriers at
-different points; the focal trajectory is the per-subcarrier argmax of
-|w^H a_m| over a polar evaluation grid.
+A frequency-flat codeword or a delay-phase front end focuses different
+subcarriers at different points; the focal trajectory is the per-subcarrier
+argmax of |w_m^H a_m| over a polar evaluation grid.
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ def focal_points(
 ) -> SquintTrajectory:
     """Grid-argmax focal point of w at every subcarrier.
 
+    w may be a delay-phase front end, whose delays_s shift the manifold's.
     Ties break toward smaller range, then smaller angle. If any subcarrier
     peaks on the grid boundary the trajectory carries a boundary warning,
     meaning the grid is too small to trust that focal point.
 
-    When the array offsets are exactly antisymmetric (as ArrayGeometry.ula
-    builds them) and the angle axis is symmetric about pi/2, the manifold is
-    built only for the angles with cos >= 0; the gain at pi - theta is read
-    as a(theta) . reverse(conj(w)), so the mirrored angles' gains can differ
-    from a direct evaluation in the last bits.
+    When the array offsets are exactly antisymmetric (as ArrayGeometry.ula builds them),
+    w's delays equal their reverse and the angle axis is symmetric about pi/2, the manifold
+    is built only for the angles with cos >= 0; the gain at pi - theta is read as
+    a(theta) . reverse(conj(w)), so it can differ from a direct evaluation in the last bits.
     """
     n_ang, n_rng = pg.angles_rad.size, pg.ranges_m.size
     if n_ang == 0 or n_rng == 0:
@@ -59,11 +59,11 @@ def focal_points(
         ):
             raise ValueError("evaluation grid does not cover the design point")
 
-    # antisymmetric offsets make the delays at -cos(theta) those at cos(theta)
-    # in reverse element order; an asymmetric axis mirrors no angle
-    t = geom.element_offsets_s
+    # antisymmetric offsets, shifted by delays d equal to their reverse, make the delays
+    # at -cos(theta) those at cos(theta) in reverse order; an asymmetric axis mirrors none
+    t, d = geom.element_offsets_s, w.delays_s
     cos_axis = np.cos(pg.angles_rad)
-    mirror = np.array_equal(t, -t[::-1]) and bool(
+    mirror = np.array_equal(t, -t[::-1]) and (d is None or np.array_equal(d, d[::-1])) and bool(
         np.all(np.abs(cos_axis + cos_axis[::-1]) <= _MIRROR_COS_TOL)
     )
     n_dir = (n_ang + 1) // 2 if mirror else n_ang  # angles built directly
@@ -83,7 +83,7 @@ def focal_points(
 
     best_val = np.full(num_m, -1.0)
     best_idx = np.zeros(num_m, dtype=np.int64)
-    for lo, hi, delays, a in steering_chunks(geom, f0, taus, cosines):
+    for lo, hi, delays, a in steering_chunks(geom, f0, taus, cosines, d):
         step = np.exp(-2j * np.pi * df * delays) if df else None
         r, k = np.divmod(np.arange(lo, hi), n_dir)
         idx = r * n_ang + k

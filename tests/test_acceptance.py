@@ -24,12 +24,13 @@ from nfisac.arrays import (
     near_field_steering,
     rayleigh_distance,
 )
-from nfisac.codebook import angular_spread, dft_codeword, gains_at_freq
+from nfisac.codebook import PolarGrid, angular_spread, dft_codeword
 from nfisac.config import load_config
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.delay_phase import Arc, TrajectorySpec, apply_delay_phase, arc_trajectory_spec, fit_trajectory
+from nfisac.delay_phase import Arc, TrajectorySpec, arc_trajectory_spec, fit_trajectory, front_end
 from nfisac.experiments import run_experiment
 from nfisac.music import collect_snapshots, music_localize, music_peaks, music_spectra, sample_covariance
+from nfisac.squint import focal_points
 from nfisac.tracking import TrackState, kalman_predict_update, xy_to_polar
 from nfisac.wavenumber import (
     PlanarArray,
@@ -219,7 +220,6 @@ def test_criterion_06_subspace_localization(capsys):
     grid = CarrierGrid(FC, 1, 0.0)
     angles = np.linspace(0.0, np.pi, 183)[1:-1]
     ranges = np.geomspace(4.0, 40.0, 60)
-    from nfisac.codebook import PolarGrid
 
     pg = PolarGrid(angles, ranges)
     truth = PolarPoint(float(ranges[30]), float(angles[120]))
@@ -282,20 +282,13 @@ def test_criterion_07_beam_trajectory_tracking(capsys):
 
     arc = Arc(np.radians(60.0), np.radians(80.0), 20.0)
     cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
-    angles = np.linspace(np.radians(56.0), np.radians(84.0), 261)
-    ranges = np.geomspace(14.0, 28.0, 90)
-    aa, rr = np.meshgrid(angles, ranges, indexing="ij")
-    taus = (rr / C).ravel()
-    cosines = np.cos(aa).ravel()
+    pg = PolarGrid(np.linspace(np.radians(56.0), np.radians(84.0), 261), np.geomspace(14.0, 28.0, 90))
+    traj = focal_points(geom, grid, front_end(cfg), pg)
     m_top = grid.num_subcarriers - 1
-    hits = 0
-    for m in range(grid.num_subcarriers):
-        w = apply_delay_phase(cfg, grid, m).weights
-        g = gains_at_freq(geom, grid.freq(m), taus, cosines, w)
-        ia, ir = divmod(int(np.argmax(g)), ranges.size)
-        want = arc.angle_at(m / m_top)
-        if abs(angles[ia] - want) <= np.radians(1.0) and abs(ranges[ir] - 20.0) <= 1.0:
-            hits += 1
+    hits = sum(
+        abs(p.angle_rad - arc.angle_at(m / m_top)) <= np.radians(1.0) and abs(p.range_m - 20.0) <= 1.0
+        for m, p in zip(traj.subcarriers, traj.points)
+    )
     frac = hits / grid.num_subcarriers
     elapsed = time.monotonic() - t0
     ok = rms_single < 1e-6 and frac >= 0.90 and elapsed < 120.0

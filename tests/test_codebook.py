@@ -53,6 +53,15 @@ def test_beamformer_requires_unit_norm():
         Beamformer(np.ones(4, dtype=complex))
 
 
+def test_beamformer_requires_one_delay_per_weight():
+    # a single delay would broadcast silently over every element
+    w = np.ones(4, dtype=complex) / 2.0
+    for delays in (np.zeros(3), np.zeros(1)):
+        with pytest.raises(ValueError, match="one entry per weight"):
+            Beamformer(w, delays_s=delays)
+    assert Beamformer(w, delays_s=np.zeros(4)).delays_s.shape == (4,)
+
+
 def test_gains_at_freq_peaks_at_design_point():
     p = PolarPoint(6.0, np.pi / 2)
     w = polar_codeword(GEOM, GRID, p)

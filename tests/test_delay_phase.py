@@ -13,6 +13,8 @@ from nfisac.delay_phase import (
     apply_delay_phase,
     arc_trajectory_spec,
     fit_trajectory,
+    front_end,
+    subcarrier_weights,
 )
 from nfisac.errors import HardwareBoundError, IllConditionedSpecError
 
@@ -140,3 +142,40 @@ def test_applied_weights_have_unit_norm():
     cfg = DelayPhaseConfig(np.array([0.0, 1e-12, 2e-12]), np.array([0.1, -0.2, 0.3]))
     w = apply_delay_phase(cfg, CarrierGrid(FC, 5, 1e8), 4)
     assert np.linalg.norm(w.weights) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_spec_subcarrier_indices_are_range_checked():
+    # a negative index must not wrap around to the top of the band
+    p = PolarPoint(9.0, 0.9)
+    for ms in ((-1, 2), (2, GRID.num_subcarriers)):
+        with pytest.raises(IndexError):
+            fit_trajectory(GEOM, GRID, TrajectorySpec(tuple((m, p) for m in ms)))
+
+
+def test_subcarrier_weights_equal_per_subcarrier_rows():
+    # the batched rows are bit-identical to one subcarrier at a time, both
+    # through apply_delay_phase and through the per-subcarrier expression
+    cfg, _ = fit_trajectory(GEOM, GRID, arc_trajectory_spec(GRID, Arc(1.0, 1.3, 15.0)))
+    ms = np.arange(GRID.num_subcarriers)
+    rows = subcarrier_weights(cfg, GRID, ms)
+    for m in ms:
+        phase = 2.0 * np.pi * GRID.freq(int(m)) * cfg.delays_s + cfg.phases_rad
+        assert rows[m].tobytes() == apply_delay_phase(cfg, GRID, int(m)).weights.tobytes()
+        assert rows[m].tobytes() == (np.exp(-1j * phase) / np.sqrt(GEOM.num_elements)).tobytes()
+    for bad in ([-1, 2, 4], [0, GRID.num_subcarriers]):
+        with pytest.raises(IndexError):
+            subcarrier_weights(cfg, GRID, bad)
+
+
+def test_config_arrays_cannot_leave_the_hardware_bound():
+    # the bound is checked once, at construction, on read-only copies, so no
+    # front end built from the config can exceed it later
+    delays = np.array([0.0, 1e-12])
+    cfg = DelayPhaseConfig(delays, np.zeros(2), max_delay_s=2e-12)
+    delays[1] = 3e-12
+    assert cfg.delays_s[1] == 1e-12
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.delays_s[1] = 3e-12
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.phases_rad[0] = 1.0
+    assert np.array_equal(front_end(cfg).delays_s, [0.0, 1e-12])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint
+from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.delay_phase import Arc, arc_trajectory_spec, fit_trajectory
+from nfisac.delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
 from nfisac.echoes import parabolic_refine, sense_from_echoes, simulate_echoes
 
 FC = 3.0e11
@@ -102,3 +102,41 @@ def test_echoes_are_deterministic_given_rng_state():
     e0 = simulate_echoes(*args, 0.05, np.random.default_rng(33))
     e1 = simulate_echoes(*args, 0.05, np.random.default_rng(33))
     assert np.array_equal(e0, e1)
+
+
+def test_noiseless_echoes_match_per_subcarrier_weights():
+    # the one-pass gains on the front end's shifted delays equal the gains of
+    # the weights the front end realizes at each sensing subcarrier against
+    # the steering vector there. At 20 m each element's phase 2 pi f tau is
+    # about 1.3e5 rad, which both forms round to ~1e-11 rad in their own way,
+    # so the difference is absolute, not relative to each echo: against a
+    # 40-digit evaluation both forms stay within 2e-12 sqrt(N), the peak gain
+    geom = ArrayGeometry.ula(128, WL / 2)
+    grid = CarrierGrid(FC, 65, 4.6875e8)
+    arc = Arc(np.pi / 3, np.pi * 4 / 9, 20.0)
+    sensing_m = np.round(np.linspace(0, 64, 16)).astype(int)
+    cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
+    for s in np.linspace(0.0, 1.0, 11):
+        target = PolarPoint(20.0 + 3.0 * s, arc.angle_at(s))
+        echoes = simulate_echoes(
+            geom, grid, cfg, sensing_m, target, 1.0, np.ones(16), 0.0, np.random.default_rng(0)
+        )
+        old = [
+            abs(np.vdot(apply_delay_phase(cfg, grid, int(m)).weights, near_field_steering(geom, target, grid, int(m))))
+            for m in sensing_m
+        ]
+        np.testing.assert_allclose(echoes.real, old, rtol=0.0, atol=4e-12 * np.sqrt(128))
+        assert np.all(echoes.imag == 0.0)
+
+
+def test_sensing_subcarrier_indices_are_range_checked():
+    # a negative index must not wrap around to the top of the band
+    geom = ArrayGeometry.ula(16, WL / 2)
+    grid = CarrierGrid(FC, 5, 1e8)
+    cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, Arc(1.0, 1.2, 10.0)))
+    for sensing_m in ([-1, 2, 4], [0, 2, 5]):
+        with pytest.raises(IndexError):
+            simulate_echoes(
+                geom, grid, cfg, sensing_m, PolarPoint(10.0, 1.1), 1.0,
+                np.ones(3), 0.0, np.random.default_rng(0),
+            )

@@ -1,4 +1,4 @@
-"""Focal-point trajectories of frequency-flat codewords across subcarriers."""
+"""Focal-point trajectories of codewords and delay-phase front ends across subcarriers."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ import nfisac.arrays as arrays
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint
 from nfisac.codebook import Beamformer, PolarGrid, dft_codeword, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
+from nfisac.delay_phase import Arc, DelayPhaseConfig, apply_delay_phase, arc_trajectory_spec, fit_trajectory, front_end
+from nfisac.errors import IllConditionedSpecError
 from nfisac.squint import focal_points, squint_deviation
 
 FC = 3.0e11
@@ -135,7 +137,14 @@ def test_wideband_near_field_codeword_drifts_both_coordinates():
 
 @st.composite
 def focal_scenarios(draw):
-    """Small random focal searches over symmetric and asymmetric angle axes."""
+    """Small random focal searches over symmetric and asymmetric angle axes.
+
+    The front end is a polar codeword (returned with cfg None) or a
+    delay-phase config: fitted to an arc across the grid, or random
+    nonnegative delays and phases, asymmetric (the mirror must switch off
+    even on a symmetric axis) or exactly equal to their reverse (it may
+    stay on).
+    """
     n = draw(st.integers(16, 64))
     geom = ArrayGeometry.ula(n, WL / 2)
     num_m = draw(st.sampled_from([1, 3, 5]))
@@ -160,18 +169,38 @@ def focal_scenarios(draw):
     if not angles[0] <= angle <= angles[-1]:
         angle = float(angles[ia])
     design = PolarPoint(float(ranges[draw(st.integers(0, ranges.size - 1))]), angle)
-    return geom, grid, polar_codeword(geom, grid, design), PolarGrid(angles, ranges)
+    pg = PolarGrid(angles, ranges)
+    front = draw(st.sampled_from(["codeword", "fitted", "random", "symmetric"]))
+    if front == "codeword":
+        return geom, grid, polar_codeword(geom, grid, design), pg, None
+    if front == "fitted":
+        ia, ib = sorted(draw(st.lists(st.integers(0, n_ang - 1), min_size=2, max_size=2, unique=True)))
+        arc = Arc(float(angles[ia]), float(angles[ib]), design.range_m)
+        # a single-tone grid cannot fit a slope; a fast arc cannot be unwrapped
+        try:
+            spec = arc_trajectory_spec(grid, arc, None if grid.spacing_hz else [grid.half_m])
+            cfg, _ = fit_trajectory(geom, grid, spec)
+        except IllConditionedSpecError:
+            cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc, [grid.half_m]))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        delays = rng.uniform(0.0, 2.0 * geom.aperture_m() / C, n)
+        if front == "symmetric":
+            delays = (delays + delays[::-1]) / 2.0
+        cfg = DelayPhaseConfig(delays, rng.uniform(-np.pi, np.pi, n))
+    return geom, grid, front_end(cfg), pg, cfg
 
 
 @given(focal_scenarios())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_focal_points_equal_exhaustive_argmax(scenario):
-    # the fast search (subcarrier recurrence, mirrored half read through
-    # reversed weights) against gains_at_freq on the full grid, subcarrier by
-    # subcarrier. Both round each element's phase differently, which moves a
-    # gain by up to ~5e-13 N (N elements, the largest gain), so exhaustive
-    # gains within 1e-12 N of the max are ties that may go either way
-    geom, grid, w, pg = scenario
+    # the fast search (subcarrier recurrence on shifted delays, mirrored half
+    # read through reversed weights) against gains_at_freq with the weights
+    # the front end realizes at each subcarrier, on the full grid. Both round
+    # each element's phase differently, which moves a gain by up to ~5e-13 N
+    # (N elements, the largest gain), so exhaustive gains within 1e-12 N of
+    # the max are ties that may go either way
+    geom, grid, w, pg, cfg = scenario
     n_ang, n_rng = pg.shape
     tol = 1e-12 * geom.num_elements
     traj = focal_points(geom, grid, w, pg)
@@ -179,7 +208,8 @@ def test_focal_points_equal_exhaustive_argmax(scenario):
     taus, cosines = (rr / C).ravel(), np.cos(aa).ravel()
     boundary = False
     for m, p in enumerate(traj.points):
-        gains = gains_at_freq(geom, grid.freq(m), taus, cosines, w.weights)
+        wm = w.weights if cfg is None else apply_delay_phase(cfg, grid, m).weights
+        gains = gains_at_freq(geom, grid.freq(m), taus, cosines, wm)
         ir = int(np.searchsorted(pg.ranges_m, p.range_m))
         ia = int(np.searchsorted(pg.angles_rad, p.angle_rad))
         chosen = ir * n_ang + ia
