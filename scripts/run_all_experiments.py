@@ -6,7 +6,7 @@ import json
 import sys
 from pathlib import Path
 
-from nfisac.config import load_config
+from nfisac.config import ConfigError, load_config
 from nfisac.experiments import run_experiment
 
 
@@ -24,7 +24,11 @@ def main() -> int:
         return 2
 
     for path in paths:
-        cfg = load_config(path)
+        try:
+            cfg = load_config(path)
+        except ConfigError as exc:
+            print(str(exc.report), file=sys.stderr)
+            return 2
         outdir = out_root / cfg.name
         result = run_experiment(cfg, outdir)
         print(f"[{cfg.name}] -> {outdir}")

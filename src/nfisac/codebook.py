@@ -53,21 +53,6 @@ class PolarGrid:
         object.__setattr__(self, "angles_rad", a)
         object.__setattr__(self, "ranges_m", r)
 
-    @classmethod
-    def regular(
-        cls,
-        range_min_m: float,
-        range_max_m: float,
-        num_angles: int = 721,
-        ranges_per_decade: int = 60,
-    ) -> "PolarGrid":
-        """Default evaluation grid: angles interior to (0, pi), log-spaced ranges."""
-        angles = np.linspace(0.0, np.pi, num_angles + 2)[1:-1]
-        decades = np.log10(range_max_m / range_min_m)
-        num_ranges = max(2, int(np.ceil(ranges_per_decade * decades)) + 1)
-        ranges = np.geomspace(range_min_m, range_max_m, num_ranges)
-        return cls(angles, ranges)
-
     @property
     def shape(self) -> tuple:
         return (self.angles_rad.size, self.ranges_m.size)

@@ -5,13 +5,20 @@ _wavelengths) because unit mistakes are the dominant failure mode in this
 kind of simulation. Validation is all-or-nothing: any unknown key, missing
 key, or unit violation is reported with its full dotted path and nothing is
 partially accepted.
+
+SCHEMA declares every section's keys once: each key's kind (a finite number
+with bounds and unit, an integer with a minimum, an angle in (0, pi), a list)
+and either REQUIRED or its default. _check walks a section against it, and
+the same walk fills in the defaults that build_config hands the experiments.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -20,6 +27,7 @@ import yaml
 
 from .allocation import sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint
+from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 from .delay_phase import Arc
 from .errors import AliasingError, CalibrationError, OutOfCalibrationError
@@ -97,305 +105,302 @@ EXPERIMENT_SECTIONS: Dict[str, Dict[str, tuple]] = {
 }
 
 
+REQUIRED = "required"  # the default of a key that has none
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_num(x: Any) -> bool:
+    """A finite int or float; bools, NaN and infinities are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
+
+
+@dataclass(frozen=True)
+class SameAs:
+    """Default that copies a key of an earlier section."""
+
+    section: str
+    key: str
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Kind:
+    # REQUIRED, a value, a SameAs, or None: optional, and its absence means
+    # something to the code that reads the section
+    default: Any = REQUIRED
+
+
+@dataclass(frozen=True)
+class Num(_Kind):
+    """A finite number above lo (at or above it when closed), below hi if set."""
+
+    lo: float
+    unit: str = ""
+    closed: bool = False
+    hi: Optional[float] = None
+
+    def accepts(self, v: Any) -> bool:
+        if not _is_num(v):
+            return False
+        return (v >= self.lo if self.closed else v > self.lo) and (self.hi is None or v < self.hi)
+
+    @property
+    def message(self) -> str:
+        if self.hi is not None:
+            text = f"must lie in ({self.lo:g}, {self.hi:g})"
+        elif self.closed:
+            text = f"must be a number >= {self.lo:g}"
+        else:
+            text = "must be a positive number"  # every open lower bound is 0
+        return f"{text} ({self.unit})" if self.unit else text
+
+
+@dataclass(frozen=True)
+class Angle(_Kind):
+    """A direction in (0, pi) radians."""
+
+    message = "must lie in (0, pi) (radians)"
+
+    def accepts(self, v: Any) -> bool:
+        return _is_num(v) and 0 < v < math.pi
+
+
+@dataclass(frozen=True)
+class Int(_Kind):
+    """An integer >= minimum, odd when odd is set; note explains the rule."""
+
+    minimum: int
+    note: str = ""
+    odd: bool = False
+
+    def accepts(self, v: Any) -> bool:
+        is_int = isinstance(v, int) and not isinstance(v, bool)
+        return is_int and v >= self.minimum and (not self.odd or v % 2 == 1)
+
+    @property
+    def message(self) -> str:
+        text = f"must be an {'odd ' if self.odd else ''}integer >= {self.minimum}"
+        return f"{text} ({self.note})" if self.note else text
+
+
+@dataclass(frozen=True)
+class Items(_Kind):
+    """A nonempty list whose items are all of kind item."""
+
+    item: Any
+    what: str
+
+    def accepts(self, v: Any) -> bool:
+        return isinstance(v, list) and bool(v) and all(self.item.accepts(x) for x in v)
+
+    @property
+    def message(self) -> str:
+        return f"must be a nonempty list of {self.what}"
+
+
+@dataclass(frozen=True)
+class Name(_Kind):
+    """One of a fixed set of names."""
+
+    known: tuple
+    what: str
+
+    def accepts(self, v: Any) -> bool:
+        return isinstance(v, str) and v in self.known
+
+    @property
+    def message(self) -> str:
+        return f"unknown {self.what} (known: {', '.join(sorted(self.known))})"
+
+
 # grid angle bounds used when a grid sets only one of angle_min_rad/angle_max_rad
 GRID_ANGLE_DEFAULTS_RAD = (1e-3, np.pi - 1e-3)
 
+_POINT = {"angle_rad": Angle(), "range_m": Num(0, "meters")}
+_METERS = Num(0, "meters", default=None)
+_WAVELENGTHS = Num(0, "carrier wavelengths", default=None)
 
-def grid_angles(sec: dict) -> np.ndarray:
-    """Angle axis of the evaluation grid described by a grid section.
+# A section maps each key to its kind; "targets" is a nonempty list of points.
+# Sections are checked in this order, so a SameAs default refers to a
+# section above its own.
+SCHEMA: Dict[str, Any] = {
+    "experiment": {
+        "name": Name(tuple(EXPERIMENT_SECTIONS), "experiment"),
+        "seed": Int(0, "reproducibility seed"),
+        "trials": Int(1, default=1),
+        "snr_db": Items(Num(-math.inf, closed=True), "numbers (dB)", default=()),
+    },
+    "array.ula": {"num_elements": Int(1), "spacing_m": _METERS, "spacing_wavelengths": _WAVELENGTHS},
+    "array.upa": {
+        "nx": Int(8),
+        "nz": Int(8),
+        "dx_m": _METERS,
+        "dx_wavelengths": _WAVELENGTHS,
+        "dz_m": _METERS,
+        "dz_wavelengths": _WAVELENGTHS,
+    },
+    "carrier": {
+        "center_hz": Num(0, "Hz"),
+        "num_subcarriers": Int(1, "M even", odd=True),
+        "spacing_hz": Num(0, "Hz", closed=True),
+    },
+    "design": _POINT,
+    "targets": [_POINT],
+    "arc": {"theta_start_rad": Angle(), "theta_end_rad": Angle(), "range_m": Num(0, "meters")},
+    "grid": {
+        "num_angles": Int(2, default=721),
+        "range_min_m": Num(0, "meters"),
+        "range_max_m": Num(0, "meters"),
+        "angle_min_rad": Angle(default=None),
+        "angle_max_rad": Angle(default=None),
+        # left out: max(2, ceil(60 log10(range_max_m / range_min_m)) + 1)
+        "num_ranges": Int(2, default=None),
+    },
+    "allocation": {
+        "total_power_w": Num(0, "watts"),
+        "noise_power_w": Num(0, "watts"),
+        "sensing_counts": Items(Int(0), "integers >= 0"),
+        "sensing_power_w": Num(0, "watts", closed=True),
+    },
+    "users": {"count": Int(1), "mean_gain": Num(0, "dimensionless", default=1.0)},
+    "isac": {
+        "sensing_subcarriers": Int(3),
+        "conventional_slots": Int(3),
+        "sensing_energy_ratio": Num(1, closed=True),
+        "target_margin_rad": Num(0, "radians", closed=True, default=math.radians(1.0)),
+    },
+    "music": {"snapshot_count": Int(2), "noise_power_w": Num(0, "watts")},
+    "wavenumber": {
+        "num_calibration_points": Int(8, default=9),
+        "direction_angle_rad": Angle(default=math.pi / 2.0),
+        "range_min_m": Num(0, "meters", default=SameAs("grid", "range_min_m")),
+        "range_max_m": Num(0, "meters", default=SameAs("grid", "range_max_m")),
+        "threshold_frac": Num(0, hi=1, default=0.1),
+    },
+}
+
+# keys of which a section gives exactly one: a spacing in meters or in
+# carrier wavelengths
+_EXACTLY_ONE = {
+    "array.ula": (("spacing_m", "spacing_wavelengths"),),
+    "array.upa": (("dx_m", "dx_wavelengths"), ("dz_m", "dz_wavelengths")),
+}
+
+# (low key, high key): after defaults, the first must lie below the second
+_ORDERED = {
+    "arc": (("theta_start_rad", "theta_end_rad"),),
+    "grid": (("range_min_m", "range_max_m"),),
+    "wavenumber": (("range_min_m", "range_max_m"),),
+}
+
+# keys whose kind differs for one experiment
+_EXPERIMENT_KEYS = {
+    "rmse-vs-snr": {
+        "experiment": {"snr_db": dataclasses.replace(SCHEMA["experiment"]["snr_db"], default=REQUIRED)},
+        # the delay-phase fit regresses phase on frequency across subcarriers
+        "carrier": {"spacing_hz": Num(0, "Hz; rmse-vs-snr fits a trajectory across subcarriers")},
+    },
+}
+
+
+def _check(rep: ValidationReport, path: str, value: Any, spec: Any, out: dict) -> None:
+    """Check one section (or list item) against its spec.
+
+    When it passes, out[path] is the section with the spec's defaults filled
+    in; each passing item of a list section is also out[f"{path}[i]"].
+    """
+    if isinstance(spec, list):
+        if not isinstance(value, list) or not value:
+            rep.add(path, "must be a nonempty list of {" + ", ".join(spec[0]) + "}")
+            return
+        paths = [f"{path}[{i}]" for i in range(len(value))]
+        for p, item in zip(paths, value):
+            _check(rep, p, item, spec[0], out)
+        if all(p in out for p in paths):
+            out[path] = [out[p] for p in paths]
+        return
+    if not isinstance(value, dict):
+        rep.add(path, "must be a mapping")
+        return
+    before = len(rep.issues)
+    for key in value:
+        if key not in spec:
+            rep.add(f"{path}.{key}", "unknown key")
+    resolved = {}
+    resolvable = True
+    for key, kind in spec.items():
+        if key in value:
+            resolved[key] = value[key]
+            if not kind.accepts(value[key]):
+                rep.add(f"{path}.{key}", kind.message)
+        elif kind.default is REQUIRED:
+            rep.add(f"{path}.{key}", "missing required key")
+        elif isinstance(kind.default, SameAs):
+            resolvable = resolvable and kind.default.section in out
+            if resolvable:
+                resolved[key] = out[kind.default.section][kind.default.key]
+        elif kind.default is not None:
+            resolved[key] = kind.default
+    for one, other in _EXACTLY_ONE.get(path, ()):
+        if (one in value) == (other in value):
+            rep.add(path, f"exactly one of {one} (m) or {other} required")
+    if len(rep.issues) > before or not resolvable:
+        return
+    for lo, hi in _ORDERED.get(path, ()):
+        if not resolved[lo] < resolved[hi]:
+            rep.add(f"{path}.{hi}", f"must exceed {path}.{lo} ({resolved[lo]})")
+            return
+    if path == "grid":
+        # the axis runs from its first bound to its last, a left-out one included
+        angles = grid_angles(resolved)
+        if not angles[0] < angles[-1]:
+            rep.add("grid.angle_max_rad", f"must exceed grid.angle_min_rad ({angles[0]})")
+            return
+    out[path] = resolved
+
+
+def grid_angles(grid: dict) -> np.ndarray:
+    """Angle axis of the evaluation grid described by a resolved grid section.
 
     With either bound given, num_angles points span [angle_min_rad,
     angle_max_rad] (a missing bound takes its GRID_ANGLE_DEFAULTS_RAD value);
     with neither, they are the interior points of an even split of [0, pi].
     """
-    num_angles = int(sec.get("num_angles", 721))
-    if "angle_min_rad" in sec or "angle_max_rad" in sec:
-        lo = float(sec.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0]))
-        hi = float(sec.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1]))
+    num_angles = int(grid["num_angles"])
+    if "angle_min_rad" in grid or "angle_max_rad" in grid:
+        lo = float(grid.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0]))
+        hi = float(grid.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1]))
         return np.linspace(lo, hi, num_angles)
     return np.linspace(0.0, np.pi, num_angles + 2)[1:-1]
 
 
-def sweep_range_m(sections: dict) -> tuple:
-    """(min, max) range of the wavenumber calibration sweep, in meters.
-
-    wavenumber.range_min_m/range_max_m, each falling back to the grid's bound.
+def evaluation_grid(grid: dict) -> PolarGrid:
+    """Polar evaluation grid of a resolved grid section: grid_angles by
+    num_ranges ranges geometrically spaced over [range_min_m, range_max_m].
     """
-    wsec = sections.get("wavenumber") or {}
-    gsec = sections["grid"]
-    return (
-        float(wsec.get("range_min_m", gsec["range_min_m"])),
-        float(wsec.get("range_max_m", gsec["range_max_m"])),
-    )
+    rmin = float(grid["range_min_m"])
+    rmax = float(grid["range_max_m"])
+    if "num_ranges" in grid:
+        num_ranges = int(grid["num_ranges"])
+    else:
+        num_ranges = max(2, int(np.ceil(60 * np.log10(rmax / rmin))) + 1)
+    return PolarGrid(grid_angles(grid), np.geomspace(rmin, rmax, num_ranges))
 
 
-def wavenumber_calibration(sections: dict) -> tuple:
-    """(direction, range sweep, threshold_frac) of the wavenumber calibration.
+def wavenumber_calibration(wavenumber: dict) -> tuple:
+    """(direction, range sweep, threshold_frac) of a resolved wavenumber section.
 
-    The sweep has wavenumber.num_calibration_points ranges, geometrically
-    spaced over sweep_range_m; the direction is the unit vector in the
-    array's x-y plane at wavenumber.direction_angle_rad from the x axis.
+    The sweep has num_calibration_points ranges, geometrically spaced over
+    [range_min_m, range_max_m]; the direction is the unit vector in the
+    array's x-y plane at direction_angle_rad from the x axis.
     """
-    wsec = sections.get("wavenumber") or {}
-    theta = float(wsec.get("direction_angle_rad", math.pi / 2.0))
+    theta = float(wavenumber["direction_angle_rad"])
     direction = np.array([math.cos(theta), math.sin(theta), 0.0])
-    sweep = np.geomspace(*sweep_range_m(sections), int(wsec.get("num_calibration_points", 9)))
-    return direction, sweep, float(wsec.get("threshold_frac", 0.1))
-
-
-def _is_num(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_keys(rep: ValidationReport, path: str, section: dict, allowed: dict) -> None:
-    for key in section:
-        if key not in allowed:
-            rep.add(f"{path}.{key}", "unknown key")
-    for key, required in allowed.items():
-        if required and key not in section:
-            rep.add(f"{path}.{key}", "missing required key")
-
-
-def _positive(rep: ValidationReport, path: str, value: Any, unit: str) -> None:
-    if not _is_num(value) or value <= 0:
-        rep.add(path, f"must be a positive number ({unit})")
-
-
-def _nonneg(rep: ValidationReport, path: str, value: Any, unit: str) -> None:
-    if not _is_num(value) or value < 0:
-        rep.add(path, f"must be a number >= 0 ({unit})")
-
-
-def _pos_int(rep: ValidationReport, path: str, value: Any, minimum: int = 1) -> None:
-    if not _is_int(value) or value < minimum:
-        rep.add(path, f"must be an integer >= {minimum}")
-
-
-def _spacing(rep: ValidationReport, path: str, section: dict, meter_key: str, wl_key: str) -> None:
-    has_m, has_wl = meter_key in section, wl_key in section
-    if has_m == has_wl:
-        rep.add(path, f"exactly one of {meter_key} (m) or {wl_key} required")
-        return
-    key = meter_key if has_m else wl_key
-    unit = "meters" if has_m else "carrier wavelengths"
-    _positive(rep, f"{path}.{key}", section[key], unit)
-
-
-def _validate_experiment(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("experiment", "must be a mapping")
-        return
-    _check_keys(rep, "experiment", sec, {"name": True, "seed": True, "trials": False, "snr_db": False})
-    name = sec.get("name")
-    if name is not None and name not in EXPERIMENT_SECTIONS:
-        known = ", ".join(sorted(EXPERIMENT_SECTIONS))
-        rep.add("experiment.name", f"unknown experiment (known: {known})")
-    if "seed" in sec and (not _is_int(sec["seed"]) or sec["seed"] < 0):
-        rep.add("experiment.seed", "must be an integer >= 0 (reproducibility seed)")
-    if "trials" in sec:
-        _pos_int(rep, "experiment.trials", sec["trials"])
-    if "snr_db" in sec:
-        v = sec["snr_db"]
-        if not isinstance(v, list) or not v or not all(_is_num(x) for x in v):
-            rep.add("experiment.snr_db", "must be a nonempty list of numbers (dB)")
-
-
-def _validate_ula(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("array.ula", "must be a mapping")
-        return
-    _check_keys(rep, "array.ula", sec, {"num_elements": True, "spacing_m": False, "spacing_wavelengths": False})
-    if "num_elements" in sec:
-        _pos_int(rep, "array.ula.num_elements", sec["num_elements"])
-    _spacing(rep, "array.ula", sec, "spacing_m", "spacing_wavelengths")
-
-
-def _validate_upa(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("array.upa", "must be a mapping")
-        return
-    allowed = {"nx": True, "nz": True, "dx_m": False, "dx_wavelengths": False,
-               "dz_m": False, "dz_wavelengths": False}
-    _check_keys(rep, "array.upa", sec, allowed)
-    for key in ("nx", "nz"):
-        if key in sec:
-            _pos_int(rep, f"array.upa.{key}", sec[key], minimum=8)
-    _spacing(rep, "array.upa", sec, "dx_m", "dx_wavelengths")
-    _spacing(rep, "array.upa", sec, "dz_m", "dz_wavelengths")
-
-
-def _validate_carrier(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("carrier", "must be a mapping")
-        return
-    _check_keys(rep, "carrier", sec, {"center_hz": True, "num_subcarriers": True, "spacing_hz": True})
-    if "center_hz" in sec:
-        _positive(rep, "carrier.center_hz", sec["center_hz"], "Hz")
-    if "num_subcarriers" in sec:
-        v = sec["num_subcarriers"]
-        if not _is_int(v) or v < 1 or v % 2 == 0:
-            rep.add("carrier.num_subcarriers", "must be an odd integer >= 1 (M even)")
-    if "spacing_hz" in sec:
-        v = sec["spacing_hz"]
-        if not _is_num(v) or v < 0:
-            rep.add("carrier.spacing_hz", "must be a number >= 0 (Hz)")
-
-
-def _validate_point(rep: ValidationReport, path: str, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add(path, "must be a mapping")
-        return
-    _check_keys(rep, path, sec, {"angle_rad": True, "range_m": True})
-    if "angle_rad" in sec:
-        v = sec["angle_rad"]
-        if not _is_num(v) or not 0 < v < np.pi:
-            rep.add(f"{path}.angle_rad", "must lie in (0, pi) (radians)")
-    if "range_m" in sec:
-        _positive(rep, f"{path}.range_m", sec["range_m"], "meters")
-
-
-def _validate_arc(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("arc", "must be a mapping")
-        return
-    _check_keys(rep, "arc", sec, {"theta_start_rad": True, "theta_end_rad": True, "range_m": True})
-    ok = True
-    for key in ("theta_start_rad", "theta_end_rad"):
-        v = sec.get(key)
-        if v is None:
-            ok = False
-        elif not _is_num(v) or not 0 < v < np.pi:
-            rep.add(f"arc.{key}", "must lie in (0, pi) (radians)")
-            ok = False
-    if ok and not sec["theta_start_rad"] < sec["theta_end_rad"]:
-        rep.add("arc.theta_start_rad", "must be < arc.theta_end_rad")
-    if "range_m" in sec:
-        _positive(rep, "arc.range_m", sec["range_m"], "meters")
-
-
-def _validate_grid(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("grid", "must be a mapping")
-        return
-    allowed = {"num_angles": False, "range_min_m": True, "range_max_m": True,
-               "angle_min_rad": False, "angle_max_rad": False, "num_ranges": False}
-    _check_keys(rep, "grid", sec, allowed)
-    if "num_angles" in sec:
-        _pos_int(rep, "grid.num_angles", sec["num_angles"], minimum=2)
-    if "num_ranges" in sec:
-        _pos_int(rep, "grid.num_ranges", sec["num_ranges"], minimum=2)
-    for key in ("range_min_m", "range_max_m"):
-        if key in sec:
-            _positive(rep, f"grid.{key}", sec[key], "meters")
-    if _is_num(sec.get("range_min_m")) and _is_num(sec.get("range_max_m")):
-        if not sec["range_min_m"] < sec["range_max_m"]:
-            rep.add("grid.range_max_m", "must exceed grid.range_min_m")
-    for key in ("angle_min_rad", "angle_max_rad"):
-        if key in sec:
-            v = sec[key]
-            if not _is_num(v) or not 0 < v < np.pi:
-                rep.add(f"grid.{key}", "must lie in (0, pi) (radians)")
-
-
-def _validate_allocation(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("allocation", "must be a mapping")
-        return
-    allowed = {"total_power_w": True, "noise_power_w": True,
-               "sensing_counts": True, "sensing_power_w": True}
-    _check_keys(rep, "allocation", sec, allowed)
-    if "total_power_w" in sec:
-        _positive(rep, "allocation.total_power_w", sec["total_power_w"], "watts")
-    if "noise_power_w" in sec:
-        _positive(rep, "allocation.noise_power_w", sec["noise_power_w"], "watts")
-    if "sensing_power_w" in sec:
-        _nonneg(rep, "allocation.sensing_power_w", sec["sensing_power_w"], "watts")
-    if "sensing_counts" in sec:
-        v = sec["sensing_counts"]
-        if not isinstance(v, list) or not v or not all(_is_int(x) and x >= 0 for x in v):
-            rep.add("allocation.sensing_counts", "must be a nonempty list of integers >= 0")
-
-
-def _validate_users(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("users", "must be a mapping")
-        return
-    _check_keys(rep, "users", sec, {"count": True, "mean_gain": False})
-    if "count" in sec:
-        _pos_int(rep, "users.count", sec["count"])
-    if "mean_gain" in sec:
-        _positive(rep, "users.mean_gain", sec["mean_gain"], "dimensionless")
-
-
-def _validate_isac(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("isac", "must be a mapping")
-        return
-    allowed = {"sensing_subcarriers": True, "conventional_slots": True,
-               "sensing_energy_ratio": True, "target_margin_rad": False}
-    _check_keys(rep, "isac", sec, allowed)
-    if "sensing_subcarriers" in sec:
-        _pos_int(rep, "isac.sensing_subcarriers", sec["sensing_subcarriers"], minimum=3)
-    if "conventional_slots" in sec:
-        _pos_int(rep, "isac.conventional_slots", sec["conventional_slots"], minimum=3)
-    if "sensing_energy_ratio" in sec:
-        v = sec["sensing_energy_ratio"]
-        if not _is_num(v) or v < 1:
-            rep.add("isac.sensing_energy_ratio", "must be a number >= 1")
-    if "target_margin_rad" in sec:
-        _nonneg(rep, "isac.target_margin_rad", sec["target_margin_rad"], "radians")
-
-
-def _validate_music(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("music", "must be a mapping")
-        return
-    _check_keys(rep, "music", sec, {"snapshot_count": True, "noise_power_w": True})
-    if "snapshot_count" in sec:
-        _pos_int(rep, "music.snapshot_count", sec["snapshot_count"], minimum=2)
-    if "noise_power_w" in sec:
-        _positive(rep, "music.noise_power_w", sec["noise_power_w"], "watts")
-
-
-def _validate_wavenumber(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, dict):
-        rep.add("wavenumber", "must be a mapping")
-        return
-    allowed = {"num_calibration_points": False, "direction_angle_rad": False,
-               "range_min_m": False, "range_max_m": False, "threshold_frac": False}
-    _check_keys(rep, "wavenumber", sec, allowed)
-    if "num_calibration_points" in sec:
-        _pos_int(rep, "wavenumber.num_calibration_points", sec["num_calibration_points"], minimum=8)
-    if "direction_angle_rad" in sec:
-        v = sec["direction_angle_rad"]
-        if not _is_num(v) or not 0 < v < np.pi:
-            rep.add("wavenumber.direction_angle_rad", "must lie in (0, pi) (radians)")
-    for key in ("range_min_m", "range_max_m"):
-        if key in sec:
-            _positive(rep, f"wavenumber.{key}", sec[key], "meters")
-    if "threshold_frac" in sec:
-        v = sec["threshold_frac"]
-        if not _is_num(v) or not 0 < v < 1:
-            rep.add("wavenumber.threshold_frac", "must lie in (0, 1)")
-
-
-def _validate_targets(rep: ValidationReport, sec: Any) -> None:
-    if not isinstance(sec, list) or not sec:
-        rep.add("targets", "must be a nonempty list of {angle_rad, range_m}")
-        return
-    for i, t in enumerate(sec):
-        _validate_point(rep, f"targets[{i}]", t)
-
-
-def _passes(check, *args) -> bool:
-    """True when a section check finds nothing wrong with these arguments."""
-    scratch = ValidationReport()
-    check(scratch, *args)
-    return scratch.ok
+    sweep = np.geomspace(
+        float(wavenumber["range_min_m"]),
+        float(wavenumber["range_max_m"]),
+        int(wavenumber["num_calibration_points"]),
+    )
+    return direction, sweep, float(wavenumber["threshold_frac"])
 
 
 def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what: str) -> bool:
@@ -406,53 +411,29 @@ def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what:
     return False
 
 
-def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
+def _validate_cross_fields(rep: ValidationReport, res: dict) -> None:
     """Checks that relate keys of different sections.
 
-    sections maps each section the experiment reads to its raw value. A check
-    runs only on values that passed their own section's checks.
+    res maps each section (and targets item) that passed its own checks to
+    its value with defaults filled in; a check reads only those.
     """
-
-    def get(section: str, key: str) -> Any:
-        sec = sections.get(section)
-        return sec.get(key) if isinstance(sec, dict) else None
-
-    num_m = get("carrier", "num_subcarriers")
-    if not (_is_int(num_m) and num_m >= 1 and num_m % 2 == 1):
-        num_m = None
-    count = get("isac", "sensing_subcarriers")
-    if num_m is not None and _is_int(count) and count >= 3:
+    carrier = res.get("carrier")
+    if carrier is not None and "isac" in res:
         try:
-            sensing_subcarriers(num_m, count)
+            sensing_subcarriers(carrier["num_subcarriers"], res["isac"]["sensing_subcarriers"])
         except ValueError as exc:
-            rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {num_m})")
+            rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {carrier['num_subcarriers']})")
 
-    grid = sections.get("grid")
-    grid_ok = _passes(_validate_grid, grid)
-    if isinstance(grid, dict) and ("angle_min_rad" in grid or "angle_max_rad" in grid):
-        lo = grid.get("angle_min_rad", GRID_ANGLE_DEFAULTS_RAD[0])
-        hi = grid.get("angle_max_rad", GRID_ANGLE_DEFAULTS_RAD[1])
-        if all(_is_num(v) and 0 < v < np.pi for v in (lo, hi)) and not lo < hi:
-            rep.add("grid.angle_max_rad", f"must exceed grid.angle_min_rad ({lo})")
-            grid_ok = False
-
-    # a wavenumber section may narrow the calibration sweep below the grid's
-    sweep = None
-    if grid_ok and "wavenumber" in sections and _passes(_validate_wavenumber, sections["wavenumber"]):
-        sweep = sweep_range_m(sections)
-        if not sweep[0] < sweep[1]:
-            rep.add("wavenumber.range_max_m", f"must exceed the sweep's minimum range ({sweep[0]} m)")
-            sweep = None
-
-    # design and target points must lie inside the grid the experiment builds
+    # design and target points must lie inside the grid the experiment builds,
+    # and targets inside the wavenumber calibration sweep
     placed = []  # (path, point) of each point that does
-    if grid_ok:
-        targets = sections.get("targets")
-        points = [("design", sections.get("design"))]
-        points += [(f"targets[{i}]", t) for i, t in enumerate(targets if isinstance(targets, list) else ())]
+    grid = res.get("grid")
+    wsec = res.get("wavenumber")
+    sweep = (wsec["range_min_m"], wsec["range_max_m"]) if wsec is not None else None
+    if grid is not None:
         angles = grid_angles(grid)
-        for path, point in points:
-            if not _passes(_validate_point, path, point):
+        for path, point in res.items():
+            if path != "design" and not path.startswith("targets["):
                 continue
             in_angles = _within(rep, f"{path}.angle_rad", point["angle_rad"],
                                 (float(angles[0]), float(angles[-1])), "the evaluation grid's angles")
@@ -466,16 +447,11 @@ def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
 
     # the planar-array readout of a target is noiseless, so running it here,
     # calibration included, shows whether the run would fail or misread it
-    upa = sections.get("array.upa")
-    if (
-        placed
-        and ("wavenumber" not in sections or sweep is not None)
-        and _passes(_validate_upa, upa)
-        and _passes(_validate_carrier, sections.get("carrier"))
-    ):
-        freq = float(sections["carrier"]["center_hz"])
+    upa = res.get("array.upa")
+    if placed and sweep is not None and upa is not None and carrier is not None:
+        freq = float(carrier["center_hz"])
         arr = _planar_array(upa, C / freq)
-        direction, sweep_m, frac = wavenumber_calibration(sections)
+        direction, sweep_m, frac = wavenumber_calibration(wsec)
         try:
             table = calibrate_radius_range(arr, freq, direction, sweep_m, threshold_frac=frac)
         except (AliasingError, CalibrationError):
@@ -502,57 +478,43 @@ def _validate_cross_fields(rep: ValidationReport, sections: dict) -> None:
                         f"({cos_bin:.3g}) off",
                     )
 
-    counts = get("allocation", "sensing_counts")
-    total = get("allocation", "total_power_w")
-    p_min = get("allocation", "sensing_power_w")
-    powers_ok = _is_num(total) and total > 0 and _is_num(p_min) and p_min >= 0
-    for i, c in enumerate(counts if isinstance(counts, list) else ()):
-        if not _is_int(c) or c <= 0:
-            continue  # 0 is the no-sensing baseline
-        path = f"allocation.sensing_counts[{i}]"
-        if num_m is not None and c >= num_m:
-            rep.add(path, f"must be < carrier.num_subcarriers ({num_m})")
-        elif powers_ok and c * float(p_min) >= float(total):
-            rep.add(
-                path,
-                f"reserves {c} x allocation.sensing_power_w = {c * float(p_min)} W, "
-                f"which must be < allocation.total_power_w ({total} W)",
-            )
+    alloc = res.get("allocation")
+    if alloc is not None:
+        total = float(alloc["total_power_w"])
+        p_min = float(alloc["sensing_power_w"])
+        for i, c in enumerate(alloc["sensing_counts"]):
+            if c == 0:
+                continue  # the no-sensing baseline
+            path = f"allocation.sensing_counts[{i}]"
+            if carrier is not None and c >= carrier["num_subcarriers"]:
+                rep.add(path, f"must be < carrier.num_subcarriers ({carrier['num_subcarriers']})")
+            elif c * p_min >= total:
+                rep.add(
+                    path,
+                    f"reserves {c} x allocation.sensing_power_w = {c * p_min} W, "
+                    f"which must be < allocation.total_power_w ({alloc['total_power_w']} W)",
+                )
 
 
-_SECTION_VALIDATORS = {
-    "experiment": _validate_experiment,
-    "carrier": _validate_carrier,
-    "design": lambda rep, sec: _validate_point(rep, "design", sec),
-    "arc": _validate_arc,
-    "grid": _validate_grid,
-    "allocation": _validate_allocation,
-    "users": _validate_users,
-    "isac": _validate_isac,
-    "music": _validate_music,
-    "wavenumber": _validate_wavenumber,
-    "targets": _validate_targets,
-}
+def _resolve(rep: ValidationReport, data: dict) -> dict:
+    """Check data's sections against the schema, reporting into rep.
 
-
-def validate_data(data: Any) -> ValidationReport:
-    """Schema-check a parsed configuration mapping."""
-    rep = ValidationReport()
-    if not isinstance(data, dict):
-        rep.add("$", "configuration root must be a mapping")
-        return rep
+    Returns each section (and targets item) that passed with its defaults
+    filled in; cross-field checks are left to validate_data.
+    """
+    res: dict = {}
     exp = data.get("experiment")
-    _validate_experiment(rep, exp if exp is not None else {})
     name = exp.get("name") if isinstance(exp, dict) else None
-    if name not in EXPERIMENT_SECTIONS:
-        return rep  # cannot judge section usage without a valid name
+    known = isinstance(name, str) and name in EXPERIMENT_SECTIONS
+    override = _EXPERIMENT_KEYS.get(name, {}) if known else {}
+    schema = {path: {**spec, **override[path]} if path in override else spec for path, spec in SCHEMA.items()}
+    _check(rep, "experiment", exp if exp is not None else {}, schema["experiment"], res)
+    if not known:
+        return res  # cannot judge section usage without a valid name
 
     rules = EXPERIMENT_SECTIONS[name]
     wanted = set(rules["required"]) | set(rules["optional"])
-    if name == "rmse-vs-snr" and isinstance(exp, dict) and "snr_db" not in exp:
-        rep.add("experiment.snr_db", f"required by experiment '{name}' but missing")
-
-    present = set()
+    values = {}  # path -> value of each section present
     for key, value in data.items():
         if key == "array":
             if not isinstance(value, dict):
@@ -562,15 +524,15 @@ def validate_data(data: Any) -> ValidationReport:
                 if sub not in ("ula", "upa"):
                     rep.add(f"array.{sub}", "unknown key")
                 else:
-                    present.add(f"array.{sub}")
-        elif key in _SECTION_VALIDATORS:
-            present.add(key)
+                    values[f"array.{sub}"] = value[sub]
+        elif key in SCHEMA and "." not in key:
+            values[key] = value
         else:
             rep.add(key, "unknown section")
 
-    for section in sorted(set(rules["required"]) - present):
+    for section in sorted(set(rules["required"]) - set(values)):
         rep.add(section, f"required by experiment '{name}' but missing")
-    for section in sorted(present - wanted):
+    for section in sorted(set(values) - wanted):
         conflict = ""
         if section.startswith("array."):
             used = [s for s in wanted if s.startswith("array.")]
@@ -578,19 +540,23 @@ def validate_data(data: Any) -> ValidationReport:
                 conflict = f" (conflicts with {', '.join(sorted(used))})"
         rep.add(section, f"not used by experiment '{name}'{conflict}")
 
-    array = data.get("array", {})
-    if isinstance(array, dict):
-        if "array.ula" in present and "array.ula" in wanted:
-            _validate_ula(rep, array.get("ula"))
-        if "array.upa" in present and "array.upa" in wanted:
-            _validate_upa(rep, array.get("upa"))
-    for key in data:
-        if key in _SECTION_VALIDATORS and key != "experiment" and key in wanted:
-            _SECTION_VALIDATORS[key](rep, data[key])
-    sections = {key: data[key] for key in data if key in wanted}
-    if "array.upa" in present and "array.upa" in wanted:
-        sections["array.upa"] = array.get("upa")
-    _validate_cross_fields(rep, sections)
+    for path, spec in schema.items():
+        if path == "experiment" or path not in wanted:
+            continue
+        if path in values:
+            _check(rep, path, values[path], spec, res)
+        elif path in rules["optional"]:
+            _check(rep, path, {}, spec, res)  # all defaults
+    return res
+
+
+def validate_data(data: Any) -> ValidationReport:
+    """Schema-check a parsed configuration mapping."""
+    rep = ValidationReport()
+    if not isinstance(data, dict):
+        rep.add("$", "configuration root must be a mapping")
+        return rep
+    _validate_cross_fields(rep, _resolve(rep, data))
     return rep
 
 
@@ -616,9 +582,14 @@ def validate_config(path: str) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Validated configuration with domain objects built from the raw data."""
+    """Validated configuration with domain objects built from the raw data.
+
+    raw is the data as read (config_hash covers it); sections holds each
+    section the experiment reads with the schema's defaults filled in.
+    """
 
     raw: dict
+    sections: dict
     name: str
     seed: int
     trials: int
@@ -629,8 +600,8 @@ class ScenarioConfig:
     design: Optional[PolarPoint]
     arc: Optional[Arc]
 
-    def section(self, key: str) -> dict:
-        return self.raw.get(key, {})
+    def section(self, key: str) -> Any:
+        return self.sections.get(key, {})
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -651,38 +622,39 @@ def _planar_array(sec: dict, wavelength: float) -> PlanarArray:
 
 def build_config(data: dict) -> ScenarioConfig:
     """Turn validated raw data into domain objects. Call after validation."""
-    exp = data["experiment"]
+    res = _resolve(ValidationReport(), data)
+    exp = res["experiment"]
     carrier = None
-    if "carrier" in data:
-        c = data["carrier"]
+    if "carrier" in res:
+        c = res["carrier"]
         carrier = CarrierGrid(float(c["center_hz"]), int(c["num_subcarriers"]), float(c["spacing_hz"]))
     wavelength = C / carrier.center_hz if carrier else None
 
     ula = None
     upa = None
-    array = data.get("array", {})
-    if "ula" in array:
-        sec = array["ula"]
+    if "array.ula" in res:
+        sec = res["array.ula"]
         spacing = _resolve_spacing(sec, "spacing_m", "spacing_wavelengths", wavelength)
         ula = ArrayGeometry.ula(int(sec["num_elements"]), spacing)
-    if "upa" in array:
-        upa = _planar_array(array["upa"], wavelength)
+    if "array.upa" in res:
+        upa = _planar_array(res["array.upa"], wavelength)
 
     design = None
-    if "design" in data:
-        d = data["design"]
+    if "design" in res:
+        d = res["design"]
         design = PolarPoint(float(d["range_m"]), float(d["angle_rad"]))
     arc = None
-    if "arc" in data:
-        a = data["arc"]
+    if "arc" in res:
+        a = res["arc"]
         arc = Arc(float(a["theta_start_rad"]), float(a["theta_end_rad"]), float(a["range_m"]))
 
     return ScenarioConfig(
         raw=data,
+        sections=res,
         name=exp["name"],
         seed=int(exp["seed"]),
-        trials=int(exp.get("trials", 1)),
-        snr_db=tuple(float(x) for x in exp.get("snr_db", ())),
+        trials=int(exp["trials"]),
+        snr_db=tuple(float(x) for x in exp["snr_db"]),
         ula=ula,
         upa=upa,
         carrier=carrier,

@@ -45,6 +45,8 @@ class DelayPhaseConfig:
         p = np.array(self.phases_rad, dtype=float)
         if d.shape != p.shape or d.ndim != 1:
             raise ValueError("delays_s and phases_rad must be matching 1-D arrays")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(p))):
+            raise ValueError("delays_s and phases_rad must be finite")
         if np.any(d < 0):
             raise HardwareBoundError("delays must be nonnegative")
         if self.max_delay_s is not None and np.any(d > self.max_delay_s):
@@ -194,6 +196,10 @@ def fit_trajectory(
     xm = x.mean()
     xc = x - xm
     denom = float(xc @ xc)
+    if denom == 0.0:
+        raise IllConditionedSpecError(
+            f"all {len(ms)} spec subcarriers share one frequency; no delay can be fit"
+        )
     slopes = (xc @ unwrapped) / denom
     intercepts = unwrapped.mean(axis=0) - slopes * xm  # value at f = f_c
     delays = slopes / (2.0 * np.pi)

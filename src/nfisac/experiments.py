@@ -17,8 +17,8 @@ import numpy as np
 
 from .allocation import SensingRequirement, UserDemand, partition_and_allocate, sensing_subcarriers
 from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
-from .codebook import PolarGrid, angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, ScenarioConfig, grid_angles, wavenumber_calibration
+from .codebook import angular_spread, polar_codeword
+from .config import EXPERIMENT_SECTIONS, ScenarioConfig, evaluation_grid, wavenumber_calibration
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import Arc, arc_trajectory_spec, fit_trajectory, subcarrier_weights
 from .echoes import peak_angle
@@ -50,18 +50,6 @@ def _complex_normal(rng: np.random.Generator, shape, power: float = 1.0) -> np.n
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _grid_from_section(cfg: ScenarioConfig) -> PolarGrid:
-    sec = cfg.section("grid")
-    rmin = float(sec["range_min_m"])
-    rmax = float(sec["range_max_m"])
-    angles = grid_angles(sec)
-    if "num_ranges" in sec:
-        ranges = np.geomspace(rmin, rmax, int(sec["num_ranges"]))
-        return PolarGrid(angles, ranges)
-    pg = PolarGrid.regular(rmin, rmax, num_angles=angles.size)
-    return PolarGrid(angles, pg.ranges_m)
-
-
 # ---------------------------------------------------------------------------
 # squint-deviation: focal-point drift of a fixed polar codeword across the band
 # ---------------------------------------------------------------------------
@@ -71,7 +59,7 @@ def run_squint_deviation(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     geom = cfg.ula
     grid = cfg.carrier
     design = cfg.design
-    pg = _grid_from_section(cfg)
+    pg = evaluation_grid(cfg.section("grid"))
     w = polar_codeword(geom, grid, design)
     traj = focal_points(geom, grid, w, pg)
     dev_angle, dev_range = squint_deviation(traj, design)
@@ -174,7 +162,7 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     arr = cfg.upa
     grid = cfg.carrier
     freq = grid.center_hz
-    direction, sweep, frac = wavenumber_calibration(cfg.raw)
+    direction, sweep, frac = wavenumber_calibration(cfg.section("wavenumber"))
     table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
     write_csv(
         outdir / "calibration.csv",
@@ -232,10 +220,10 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     geom = cfg.ula
     arr = cfg.upa
     grid = cfg.carrier
-    pg = _grid_from_section(cfg)
+    pg = evaluation_grid(cfg.section("grid"))
     msec = cfg.section("music")
     targets = [
-        PolarPoint(float(t["range_m"]), float(t["angle_rad"])) for t in cfg.raw["targets"]
+        PolarPoint(float(t["range_m"]), float(t["angle_rad"])) for t in cfg.section("targets")
     ]
     snap_count = int(msec["snapshot_count"])
     noise_power = float(msec["noise_power_w"])
@@ -265,7 +253,7 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
             )
 
     # The planar-array readout is noiseless and deterministic: one row per target.
-    direction, sweep, frac = wavenumber_calibration(cfg.raw)
+    direction, sweep, frac = wavenumber_calibration(cfg.section("wavenumber"))
     table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
     wn_errs = []
     for k, target in enumerate(targets):
@@ -324,8 +312,8 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
     ks = int(isec["sensing_subcarriers"])
     kc = int(isec["conventional_slots"])
-    e_ratio = float(isec.get("sensing_energy_ratio", 2.0))
-    margin = float(isec.get("target_margin_rad", math.radians(1.0)))
+    e_ratio = float(isec["sensing_energy_ratio"])
+    margin = float(isec["target_margin_rad"])
     trials = cfg.trials
     snrs = [float(s) for s in cfg.snr_db]
 
@@ -430,7 +418,7 @@ def run_rate_vs_sensing_budget(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     usec = cfg.section("users")
     num_m = grid.num_subcarriers
     num_users = int(usec["count"])
-    mean_gain = float(usec.get("mean_gain", 1.0))
+    mean_gain = float(usec["mean_gain"])
     total_power = float(asec["total_power_w"])
     noise_power = float(asec["noise_power_w"])
     p_min = float(asec["sensing_power_w"])

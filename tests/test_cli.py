@@ -104,6 +104,16 @@ def test_runtime_failure_exits_three(tmp_path):
         # a direction cosine outside the alias-free window reads 1.651 rad
         ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.4, "range_m": 12.898362181185576},
          "targets[0]: "),
+        # only finite numbers pass: NaN slips past "> 0" and infinity past
+        # every lower bound, and either would run to a wrong result or a crash
+        ("music_vs_wavenumber.yaml", "music", "noise_power_w", float("nan"), "music.noise_power_w"),
+        ("rate_vs_sensing_budget.yaml", "allocation", "noise_power_w", float("nan"), "allocation.noise_power_w"),
+        ("rate_vs_sensing_budget.yaml", "users", "mean_gain", float("inf"), "users.mean_gain"),
+        ("rmse_vs_snr.yaml", "isac", "target_margin_rad", float("nan"), "isac.target_margin_rad"),
+        ("rmse_vs_snr.yaml", "arc", "range_m", float("nan"), "arc.range_m"),
+        ("angular_spread.yaml", "carrier", "center_hz", float("inf"), "carrier.center_hz"),
+        # rmse-vs-snr fits a delay-phase trajectory across its subcarriers
+        ("rmse_vs_snr.yaml", "carrier", "spacing_hz", 0.0, "carrier.spacing_hz"),
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):
@@ -115,6 +125,23 @@ def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key
         proc = run_cli(*args, "--config", str(cfg_path))
         assert proc.returncode == 2
         assert path in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_all_experiments_reports_invalid_config(tmp_path):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    data = yaml.safe_load((CONFIG_DIR / "angular_spread.yaml").read_text())
+    data["carrier"]["center_hz"] = -1.0
+    (configs / "bad.yaml").write_text(yaml.safe_dump(data))
+    proc = subprocess.run(
+        [sys.executable, str(PKG_ROOT / "scripts" / "run_all_experiments.py"),
+         "--configs", str(configs), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=PKG_ROOT, env=ENV,
+    )
+    assert proc.returncode == 2
+    assert "carrier.center_hz" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,10 @@
 """Configuration schema validation and typed loading."""
 
 import copy
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -11,9 +13,11 @@ from nfisac.config import (
     EXPERIMENT_SECTIONS,
     ScenarioConfig,
     build_config,
+    evaluation_grid,
     load_config,
     validate_config,
     validate_data,
+    wavenumber_calibration,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -319,3 +323,124 @@ def test_infeasible_sensing_counts_rejected():
     assert set(issues) == {"allocation.sensing_counts[2]", "allocation.sensing_counts[3]"}
     assert "allocation.total_power_w" in issues["allocation.sensing_counts[2]"]
     assert "carrier.num_subcarriers" in issues["allocation.sensing_counts[3]"]
+
+
+MISSING = object()
+
+# (shipped config, dotted path, bad value): each value is past its key's
+# bound, a bool, a string, or left out, and is reported at that path alone.
+# The table is written out here rather than read from the schema, so a wrong
+# bound in the schema cannot agree with it.
+BAD_KEYS = [
+    ("angular_spread.yaml", "experiment.name", True),
+    ("squint_deviation.yaml", "experiment.seed", -1),
+    ("squint_deviation.yaml", "experiment.seed", True),
+    ("squint_deviation.yaml", "experiment.trials", 0),
+    ("rmse_vs_snr.yaml", "experiment.snr_db", [0, "high"]),
+    ("rmse_vs_snr.yaml", "experiment.snr_db", MISSING),
+    ("squint_deviation.yaml", "array.ula.num_elements", 0),
+    ("squint_deviation.yaml", "array.ula.spacing_wavelengths", 0.0),
+    ("music_vs_wavenumber.yaml", "array.upa.nx", 7),
+    ("music_vs_wavenumber.yaml", "array.upa.nx", True),
+    ("music_vs_wavenumber.yaml", "array.upa.nx", "64"),
+    ("music_vs_wavenumber.yaml", "array.upa.nz", MISSING),
+    ("music_vs_wavenumber.yaml", "array.upa.dz_wavelengths", 0.0),
+    ("squint_deviation.yaml", "carrier.center_hz", "300 GHz"),
+    ("squint_deviation.yaml", "carrier.num_subcarriers", True),
+    ("wavenumber_calibration.yaml", "carrier.spacing_hz", -1.0),
+    ("squint_deviation.yaml", "design.range_m", -10.0),
+    ("music_vs_wavenumber.yaml", "targets[0].angle_rad", 3.2),
+    ("music_vs_wavenumber.yaml", "targets[0].range_m", MISSING),
+    ("rmse_vs_snr.yaml", "arc.theta_end_rad", 3.2),
+    ("rmse_vs_snr.yaml", "arc.range_m", 0.0),
+    ("squint_deviation.yaml", "grid.num_angles", 1),
+    ("squint_deviation.yaml", "grid.num_ranges", 1),
+    ("squint_deviation.yaml", "grid.range_min_m", MISSING),
+    ("squint_deviation.yaml", "grid.angle_min_rad", 0.0),
+    ("rate_vs_sensing_budget.yaml", "allocation.total_power_w", MISSING),
+    ("rate_vs_sensing_budget.yaml", "allocation.sensing_power_w", -0.5),
+    ("rate_vs_sensing_budget.yaml", "allocation.sensing_counts", [0, -4]),
+    ("rate_vs_sensing_budget.yaml", "allocation.sensing_counts", [0, True]),
+    ("rate_vs_sensing_budget.yaml", "allocation.sensing_counts", []),
+    ("rate_vs_sensing_budget.yaml", "users.count", 0),
+    ("rate_vs_sensing_budget.yaml", "users.count", MISSING),
+    ("rate_vs_sensing_budget.yaml", "users.mean_gain", 0.0),
+    ("rate_vs_sensing_budget.yaml", "users.mean_gain", True),
+    ("rate_vs_sensing_budget.yaml", "users.mean_gain", "1.0"),
+    ("rmse_vs_snr.yaml", "isac.sensing_subcarriers", 2),
+    ("rmse_vs_snr.yaml", "isac.conventional_slots", 2),
+    ("rmse_vs_snr.yaml", "isac.sensing_energy_ratio", 0.99),
+    ("rmse_vs_snr.yaml", "isac.sensing_energy_ratio", True),
+    ("rmse_vs_snr.yaml", "isac.sensing_energy_ratio", MISSING),
+    ("rmse_vs_snr.yaml", "isac.target_margin_rad", -0.01),
+    ("rmse_vs_snr.yaml", "isac.target_margin_rad", "1 deg"),
+    ("music_vs_wavenumber.yaml", "music.snapshot_count", 1),
+    ("music_vs_wavenumber.yaml", "music.snapshot_count", 256.0),
+    ("music_vs_wavenumber.yaml", "music.snapshot_count", MISSING),
+    ("music_vs_wavenumber.yaml", "music.noise_power_w", 0.0),
+    ("music_vs_wavenumber.yaml", "wavenumber.num_calibration_points", 7),
+    ("music_vs_wavenumber.yaml", "wavenumber.num_calibration_points", 9.0),
+    ("music_vs_wavenumber.yaml", "wavenumber.num_calibration_points", True),
+    ("music_vs_wavenumber.yaml", "wavenumber.direction_angle_rad", 0.0),
+    ("music_vs_wavenumber.yaml", "wavenumber.range_min_m", -4.0),
+    ("music_vs_wavenumber.yaml", "wavenumber.threshold_frac", 1.0),
+    ("music_vs_wavenumber.yaml", "wavenumber.threshold_frac", 0.0),
+    ("music_vs_wavenumber.yaml", "wavenumber.threshold_frac", True),
+]
+
+
+@pytest.mark.parametrize("name, path, value", BAD_KEYS)
+def test_each_key_bound_is_reported_at_its_path(name, path, value):
+    data = _shipped(name)
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    sec = data
+    for p in parents:
+        sec = sec[int(p)] if isinstance(sec, list) else sec[p]
+    if value is MISSING:
+        del sec[key]
+    else:
+        sec[key] = value
+    issues = _issues(data)
+    assert set(issues) == {path}
+    assert issues[path]
+
+
+def test_config_hash_covers_the_file_not_the_defaults():
+    explicit = copy.deepcopy(BASE)
+    explicit["experiment"]["trials"] = 1
+    explicit, implicit = build_config(explicit), build_config(copy.deepcopy(BASE))
+    assert explicit.trials == implicit.trials == 1
+    assert explicit.config_hash() != implicit.config_hash()
+
+
+def test_minimal_configs_resolve_every_default():
+    # each shipped config without its optional keys and sections
+    optional = {"experiment": ("trials",), "grid": ("num_angles", "num_ranges"),
+                "users": ("mean_gain",), "isac": ("target_margin_rad",)}
+    ranges_by_default = {"squint-deviation": 80, "music-vs-wavenumber": 61, "wavenumber-calibration": 56}
+    for p in sorted(CONFIG_DIR.glob("*.yaml")):
+        data = _shipped(p.name)
+        data.pop("wavenumber", None)
+        for section, keys in optional.items():
+            for key in keys:
+                data.get(section, {}).pop(key, None)
+        assert _issues(data) == {}, p.name
+        cfg = build_config(data)
+        assert cfg.trials == 1
+        if "users" in data:
+            assert cfg.section("users")["mean_gain"] == 1.0
+        if "isac" in data:
+            assert cfg.section("isac")["target_margin_rad"] == math.radians(1.0)
+        if "grid" in data:
+            grid = evaluation_grid(cfg.section("grid"))
+            assert cfg.section("grid")["num_angles"] == 721
+            assert np.array_equal(grid.angles_rad, np.linspace(0.0, np.pi, 723)[1:-1])
+            assert grid.ranges_m.size == ranges_by_default[cfg.name]
+        if cfg.name in ("wavenumber-calibration", "music-vs-wavenumber"):
+            wsec = cfg.section("wavenumber")
+            assert (wsec["num_calibration_points"], wsec["direction_angle_rad"], wsec["threshold_frac"]) == (
+                9, math.pi / 2, 0.1)
+            direction, sweep, frac = wavenumber_calibration(wsec)
+            assert np.array_equal(direction, [math.cos(math.pi / 2), 1.0, 0.0])
+            assert (sweep.size, sweep[0], sweep[-1]) == (9, data["grid"]["range_min_m"], data["grid"]["range_max_m"])
+            assert frac == 0.1

@@ -62,6 +62,23 @@ def test_too_fast_trajectory_raises_ill_conditioned():
         fit_trajectory(geom, grid, spec)
 
 
+def test_single_frequency_spec_raises_ill_conditioned():
+    # with zero subcarrier spacing every spec entry sits at the centre
+    # frequency, so there is no slope to fit a delay to
+    grid = CarrierGrid(FC, 5, 0.0)
+    spec = arc_trajectory_spec(grid, Arc(1.0, 1.2, 10.0))
+    with pytest.raises(IllConditionedSpecError, match="one frequency"):
+        fit_trajectory(ArrayGeometry.ula(16, WL / 2), grid, spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_delays_or_phases_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DelayPhaseConfig(np.array([0.0, bad]), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        DelayPhaseConfig(np.zeros(2), np.array([0.0, bad]))
+
+
 def test_negative_delay_rejected():
     with pytest.raises(HardwareBoundError, match="nonnegative"):
         DelayPhaseConfig(np.array([0.0, -1e-12]), np.zeros(2))
