@@ -15,6 +15,7 @@ import numpy as np
 
 from .arrays import PolarPoint
 from .delay_phase import Arc
+from .music import is_psd
 
 _ANGLE_EPS = 1e-9
 
@@ -33,11 +34,11 @@ class TrackState:
             raise ValueError("state must be length 4 with a 4x4 covariance")
         if np.abs(p - p.T).max() > 1e-9 * max(1.0, np.abs(p).max()):
             raise ValueError("covariance must be symmetric")
-        eig = np.linalg.eigvalsh((p + p.T) / 2)
-        if eig[0] < -1e-9 * max(eig[-1], 1.0):
+        p = (p + p.T) / 2
+        if not is_psd(p, scale_floor=1.0):
             raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "state", s)
-        object.__setattr__(self, "covariance", (p + p.T) / 2)
+        object.__setattr__(self, "covariance", p)
 
 
 def _cv_model(dt: float, process_noise: float) -> Tuple[np.ndarray, np.ndarray]:

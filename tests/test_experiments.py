@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -117,6 +118,23 @@ def test_music_trials_do_not_depend_on_trial_count_or_passes(tmp_path, monkeypat
     monkeypatch.setattr(music, "_PASS_ENTRIES", 2 * grid_points)
     assert music_rows(3, "three-split") == first_three
     assert music_rows(10, "ten-split") == ten
+
+
+def test_shipped_music_run_never_falls_back_to_eigh(tmp_path, monkeypatch):
+    # at the shipped SNR the signal subspace is far from the noise floor, so
+    # subspace iteration converges for every trial without a full eigh
+    raw = yaml.safe_load((PKG_ROOT / "configs" / "music_vs_wavenumber.yaml").read_text())
+    eigh = np.linalg.eigh
+    eigh_calls = []
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    run_experiment(_load(raw), tmp_path / "out")
+    assert eigh_calls == []
+
 
 # every shipped config; squint-deviation is the one whose matrix-vector
 # products change shape with the chunk size

@@ -1,8 +1,11 @@
 """Subspace localization: covariance statistics, spectra, peak picking."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import nfisac.music as music
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays
 from nfisac.codebook import PolarGrid
 from nfisac.constants import SPEED_OF_LIGHT as C
@@ -11,6 +14,7 @@ from nfisac.music import (
     SampleCovariance,
     collect_snapshots,
     music_localize,
+    music_peaks,
     music_spectrum,
     sample_covariance,
 )
@@ -134,3 +138,99 @@ def test_flat_spectrum_plateau_yields_single_boundary_peak():
     with pytest.warns(BoundaryPeakWarning):
         peaks = music_localize(cov, geom, GRID1, pg, 1)
     assert len(peaks) == 1
+
+
+# largest relative spectrum difference allowed between the subspace-iteration
+# path and a full eigh; the scenarios below reach about 2e-11
+SPECTRUM_RTOL = 1e-8
+DIFF_GEOM = ArrayGeometry.ula(32, WL / 2)
+DIFF_GRID = PolarGrid(np.linspace(1.0, 2.1, 45), np.geomspace(0.3, 3.0, 16))
+
+
+def _random_covariances(count, seed):
+    # k = 1..3 sources, SNR -15..30 dB, k + 2 .. 4N snapshots
+    rng = np.random.default_rng(seed)
+    n = DIFF_GEOM.num_elements
+    for _ in range(count):
+        k = int(rng.integers(1, 4))
+        snr_db = rng.uniform(-15.0, 30.0)
+        snapshots = int(rng.integers(k + 2, 4 * n + 1))
+        sources = [
+            PolarPoint(float(rng.uniform(0.4, 2.5)), float(rng.uniform(1.1, 2.0)))
+            for _ in range(k)
+        ]
+        x = collect_snapshots(
+            DIFF_GEOM, GRID1, sources, snapshots, 10 ** (-snr_db / 10), int(rng.integers(2**31))
+        )
+        yield k, sample_covariance(x)
+
+
+def _spectra_and_peaks(scenarios):
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryPeakWarning)
+        for k, cov in scenarios:
+            spec = music_spectrum(cov, DIFF_GEOM, GRID1, DIFF_GRID, k)
+            out.append((spec.values, music_peaks(spec)))
+    return out
+
+
+def test_signal_subspace_spectra_match_full_eigh(monkeypatch):
+    # the spectrum reads only the projector onto the signal subspace, so any
+    # orthonormal basis of it gives the same peaks and, to rounding, values
+    scenarios = list(_random_covariances(150, seed=2024))
+    eigh = np.linalg.eigh
+    fallbacks = []
+
+    def counted_eigh(a, *args, **kwargs):
+        fallbacks.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    iterated = _spectra_and_peaks(scenarios)
+    iterated_fallbacks = len(fallbacks)
+    monkeypatch.setattr(music, "_SUBSPACE_ITERATIONS", 1)
+    forced = _spectra_and_peaks(scenarios)
+    forced_fallbacks = len(fallbacks) - iterated_fallbacks
+    monkeypatch.setattr(
+        music, "signal_subspace", lambda r, k: eigh(r)[1][:, r.shape[0] - k:]
+    )
+    reference = _spectra_and_peaks(scenarios)
+
+    # the iteration converged on most scenarios; with a budget of one, every
+    # scenario fell back to eigh
+    assert iterated_fallbacks < len(scenarios) // 4
+    assert forced_fallbacks == len(scenarios)
+    for (it_vals, it_peaks), (fb_vals, fb_peaks), (ref_vals, ref_peaks) in zip(
+        iterated, forced, reference
+    ):
+        assert it_peaks == ref_peaks
+        np.testing.assert_allclose(it_vals, ref_vals, rtol=SPECTRUM_RTOL, atol=0)
+        assert fb_peaks == ref_peaks
+        assert np.array_equal(fb_vals, ref_vals)
+
+
+def _hermitian_with_spectrum(eigenvalues, seed):
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    r = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return (r + r.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_covariance_psd_boundary(n):
+    # the check tolerates rounding-sized negative eigenvalues and nothing more
+    lam_max = 250.0
+
+    def spectrum(rel):
+        return np.r_[-rel * lam_max, np.linspace(0.05, 1.0, n - 1) * lam_max]
+
+    tiny = _hermitian_with_spectrum(spectrum(1e-12), seed=n)
+    assert np.linalg.eigvalsh(tiny)[0] == pytest.approx(-1e-12 * lam_max, rel=1e-2)
+    SampleCovariance(tiny, 10)
+    SampleCovariance(np.zeros((n, n), dtype=complex), 10)
+    x = collect_snapshots(ArrayGeometry.ula(n, WL / 2), GRID1, [PolarPoint(1.0, 1.2)], 8, 0.0, seed=4)
+    SampleCovariance(sample_covariance(x).matrix, 8)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        SampleCovariance(_hermitian_with_spectrum(spectrum(1e-6), seed=n), 10)

@@ -130,3 +130,20 @@ def test_step_input_validation():
         kalman_predict_update(ts, 0.1, PolarPoint(1.0, 1.0), 0.0, (-0.1, 0.0))
     with pytest.raises(ValueError, match="half_width"):
         predict_arc(ts, 0.1, 0.0)
+
+
+def test_track_state_psd_boundary():
+    # rounding-sized negative eigenvalues pass, anything larger is rejected
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+
+    def with_smallest(rel):
+        p = (q * np.array([-rel * 4.0, 0.5, 1.0, 4.0])) @ q.T
+        return (p + p.T) / 2
+
+    TrackState(np.zeros(4), with_smallest(1e-12))
+    TrackState(np.zeros(4), np.zeros((4, 4)))
+    v = np.array([1.0, 2.0, 0.5, 0.1])
+    TrackState(np.zeros(4), np.outer(v, v))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        TrackState(np.zeros(4), with_smallest(1e-6))
