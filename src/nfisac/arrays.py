@@ -5,6 +5,11 @@ valid arbitrarily close to the array; the planar model linearizes the distance
 in the element offset and is the classical far-field approximation. Both are
 pure phase models: element amplitudes are identically one.
 
+Single steering vectors use np.exp. Grid searches evaluate the manifold
+exp(-2j*pi*f*tau) chunk by chunk through steering_chunks, whose unit
+phasors come from a table lookup and a short series (phasors) rather than
+a complex exp per entry.
+
 All quantities are SI (Hz, m, s, rad). Angles are measured from the array
 axis, so broadside is pi/2.
 """
@@ -131,48 +136,137 @@ def spherical_delays(geom: ArrayGeometry, p: PolarPoint) -> np.ndarray:
 
 
 def spherical_delay_matrix(
-    geom: ArrayGeometry, taus: np.ndarray, cosines: np.ndarray
+    geom: ArrayGeometry, taus: np.ndarray, cosines: np.ndarray, out=None, work=None
 ) -> np.ndarray:
     """Per-element delays for many points at once, shape (len(taus), N).
 
     taus and cosines are matched 1-D arrays of point delays r/c and cos(angle).
+    If out is given, the delays are written into it, with work as the one
+    full-size intermediate (both float arrays of that shape), in the same
+    operation order, so to the same bits, as without them.
     """
     t = geom.element_offsets_s[None, :]
     taus = np.asarray(taus, dtype=float)[:, None]
     cosines = np.asarray(cosines, dtype=float)[:, None]
-    return np.sqrt(taus * taus + t * t - 2.0 * taus * t * cosines)
+    if out is None:
+        return np.sqrt(taus * taus + t * t - 2.0 * taus * t * cosines)
+    np.add(taus * taus, t * t, out=out)
+    np.multiply(2.0 * taus, t, out=work)
+    np.multiply(work, cosines, out=work)
+    np.subtract(out, work, out=out)
+    return np.sqrt(out, out=out)
+
+
+# entry k is exp(-2j*pi*k/_TURN_STEPS), the unit phasor k whole steps into a
+# turn; k past the half turn is taken as k - _TURN_STEPS, so every angle lies
+# in [-pi, pi) and rounds by at most half an ulp of pi
+_TURN_STEPS = 4096
+_PHASOR_TABLE = np.exp(
+    -2j * np.pi * ((np.arange(_TURN_STEPS) + _TURN_STEPS // 2) % _TURN_STEPS - _TURN_STEPS // 2) / _TURN_STEPS
+)
+# adding 1.5 * 2**52 rounds a |t| < 2**51 to the nearest integer j (ties to
+# even) and leaves j's two's-complement low bits in the sum's low bits
+_ROUND_MAGIC = 1.5 * 2.0**52
+# exp(-2j*pi*r/_TURN_STEPS) for |r| <= 1/2 is 1 + u, u = q*(_C2 + _C4*q) +
+# i*r*(_S1 + _S3*q) with q = r*r; the terms left out are below 3e-18
+_K = 2.0 * np.pi / _TURN_STEPS
+_C2, _C4, _S1, _S3 = -_K * _K / 2.0, _K**4 / 24.0, -_K, _K**3 / 6.0
+
+
+def phasors(freq_hz: float, delays: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """exp(-2j*pi*freq_hz*delays) into out, with no complex exp per entry.
+
+    t = (freq_hz * _TURN_STEPS) * delays (scaling by a power of two is exact)
+    is split into the nearest integer j and the remainder r = t - j, which is
+    exact, and the result is _PHASOR_TABLE[j mod _TURN_STEPS] times a short
+    series for exp(-2j*pi*r/_TURN_STEPS). The one rounding that matters is
+    that of freq_hz * delays, which np.exp's argument has too: the two agree
+    to within a few ulps of that product in phase, and every entry's modulus
+    is within 4e-16 of one. Valid for |freq_hz * delays| < 2**39 turns,
+    negative delays included.
+
+    out is a C-contiguous complex array shaped like delays and scratch a
+    float array of at least 4 * delays.size entries. out doubles as work
+    space, so it must not overlap delays.
+    """
+    d = delays.reshape(-1)
+    n = d.size
+    flat = out.reshape(-1)
+    t, q = flat.view(float)[:n], flat.view(float)[n:]
+    e = scratch[: 2 * n].view(complex)
+    idx = scratch[2 * n : 3 * n].view(np.int64)
+    tmp = scratch[3 * n : 4 * n]
+    np.multiply(d, freq_hz * _TURN_STEPS, out=t)
+    np.add(t, _ROUND_MAGIC, out=q)
+    np.bitwise_and(q.view(np.int64), _TURN_STEPS - 1, out=idx)
+    np.subtract(q, _ROUND_MAGIC, out=q)
+    r = np.subtract(t, q, out=t)
+    np.multiply(r, r, out=q)
+    np.multiply(q, _C4, out=tmp)
+    np.add(tmp, _C2, out=tmp)
+    np.multiply(tmp, q, out=e.real)
+    np.multiply(q, _S3, out=tmp)
+    np.add(tmp, _S1, out=tmp)
+    np.multiply(tmp, r, out=e.imag)
+    # the indices are already reduced mod _TURN_STEPS; mode "wrap" then only
+    # compares them, which is faster than the default mode's checked path
+    np.take(_PHASOR_TABLE, idx, out=flat, mode="wrap")
+    # table * (1 + u) as table + table * u: the last step rounds once, so
+    # the modulus stays within 4e-16 of one
+    np.multiply(e, flat, out=e)
+    np.add(flat, e, out=flat)
+    return out
 
 
 # chunk rows so a chunk's delays, steering and subcarrier step (~1.3 MB at
-# 32 K entries) stay in a core's L2 cache while every subcarrier revisits them
+# 32 K entries; the 1 MB phasor scratch is touched only while they are
+# built) stay in a core's L2 cache while every subcarrier revisits them
 _CHUNK_ENTRIES = 32_768
 
 
-def steering_chunks(geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray, offsets_s=None):
+def chunk_rows(num_elements: int, num_points: int) -> int:
+    """Rows in the largest chunk steering_chunks yields over num_points points."""
+    return min(num_points, max(2, _CHUNK_ENTRIES // num_elements) + 1)
+
+
+def steering_chunks(
+    geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray, offsets_s=None, scratch=None
+):
     """Spherical-wavefront steering rows at freq_hz over matched point arrays.
 
     Yields (lo, hi, delays, steering) for consecutive row ranges lo:hi of the
     1-D taus/cosines arrays: delays is their spherical_delay_matrix less the
     per-element offsets_s, if given (a front end's delays), and
-    steering = exp(-2j*pi*freq_hz*delays). A chunk holds about _CHUNK_ENTRIES
+    steering = phasors(freq_hz, delays). A chunk holds about _CHUNK_ENTRIES
     entries, sized so that a caller's repeated passes over it run in cache
     rather than streaming from memory, and never a single row
     unless there is only one point: numpy hands a one-row product to BLAS's
     dot routine, whose last bits differ from the matrix-vector kernel's, so a
     lone row would make a point's gain depend on where the chunks split.
+
+    Every chunk is computed into buffers allocated once per call, so the
+    yielded arrays are valid only until the next iteration; a caller may
+    modify them in place. scratch, the phasors work space, may be passed in
+    as a float array of at least 4 * chunk_rows(N, taus.size) * N entries;
+    it is free between iterations, for a caller's own phasors calls.
     """
-    chunk = max(2, _CHUNK_ENTRIES // geom.num_elements)
+    n = geom.num_elements
+    chunk = max(2, _CHUNK_ENTRIES // n)
+    cap = chunk_rows(n, taus.size)
+    delay_buf = np.empty((cap, n))
+    steering_buf = np.empty((cap, n), dtype=complex)
+    if scratch is None:
+        scratch = np.empty(4 * cap * n)
     lo = 0
     while lo < taus.size:
         hi = taus.size if taus.size - lo <= chunk + 1 else lo + chunk
-        delays = spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi])
+        rows = hi - lo
+        delays = delay_buf[:rows]
+        work = scratch[: rows * n].reshape(rows, n)
+        spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi], out=delays, work=work)
         if offsets_s is not None:
             delays -= offsets_s
-        # exp in place: a caller may still hold the previous chunk here
-        steering = np.multiply(-2j * np.pi * freq_hz, delays)
-        yield lo, hi, delays, np.exp(steering, out=steering)
-        # hold no reference here, so a caller that drops its chunk frees it
-        del delays, steering
+        yield lo, hi, delays, phasors(freq_hz, delays, steering_buf[:rows], scratch)
         lo = hi
 
 

@@ -140,6 +140,66 @@ def test_spherical_delay_matches_law_of_cosines():
     np.testing.assert_allclose(taus, expected, rtol=1e-14)
 
 
+def test_delay_matrix_into_buffers_has_the_same_bits():
+    geom = make_ula(16, 0.002)
+    rng = np.random.default_rng(5)
+    taus = rng.uniform(0.05, 5.0, 7) / C
+    cosines = np.cos(rng.uniform(0.1, np.pi - 0.1, 7))
+    out, work = np.empty((7, 16)), np.empty((7, 16))
+    got = arrays.spherical_delay_matrix(geom, taus, cosines, out=out, work=work)
+    assert got is out
+    assert np.array_equal(out, arrays.spherical_delay_matrix(geom, taus, cosines))
+
+
+# a power-of-two frequency: at d = k / (_TURN_STEPS * _F_EXACT), f * d is
+# exactly k table steps, whole or half, with no rounding anywhere
+_F_EXACT = 2.0**38
+
+
+@st.composite
+def phasor_points(draw):
+    """(freq_hz, delays): any delays, or whole and half table steps, zero included."""
+    kind = draw(st.sampled_from(["any", "step", "half"]))
+    if kind == "any":
+        f = draw(st.sampled_from([0.0, 4.0e11]) | st.floats(0.0, 4.0e11))
+        d = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2.0e-7, 2.0e-7), min_size=1, max_size=16))
+        return f, np.array(d)
+    # j whole steps of 1/_TURN_STEPS turn, negative j included; a half step
+    # puts t = j + 1/2 on a rounding tie, which goes to the even neighbour
+    top = int(2.0e-7 * arrays._TURN_STEPS * _F_EXACT)
+    j = np.array(draw(st.lists(st.integers(-top, top) | st.sampled_from([0, -1, 1, 2047, 2048, 4095, 4096]),
+                                min_size=1, max_size=16)), dtype=float)
+    return _F_EXACT, (j + (0.5 if kind == "half" else 0.0)) / (arrays._TURN_STEPS * _F_EXACT)
+
+
+def _exact_phasor(f, d):
+    turns = mpmath.mpf(f) * mpmath.mpf(d)  # exact: 106 bits fit the working precision
+    return complex(mpmath.expjpi(-2 * (turns - mpmath.nint(turns))))
+
+
+@given(phasor_points())
+@settings(max_examples=300, deadline=None)
+def test_phasors_match_exp_within_the_argument_rounding(point):
+    # phasors rounds only the product f * d, as np.exp's argument does, so
+    # both sit within a few ulps of that product (in turns, times 2 pi) of the
+    # exact value; the table and the series add a few 1e-16 at most
+    f, d = point
+    z = arrays.phasors(f, d, np.empty(d.shape, dtype=complex), np.full(4 * d.size + 3, np.nan))
+    ulp = np.spacing(np.abs(f * d))
+    assert np.all(np.abs(np.abs(z) - 1.0) <= 4e-16)
+    with mpmath.workprec(160):
+        exact = np.array([_exact_phasor(f, x) for x in d])
+    assert np.all(np.abs(z - exact) <= 2 * np.pi * ulp + 1e-15)
+    # np.exp's argument -2 pi f d rounds three times (pi, * f, * d)
+    reference = np.exp(-2j * np.pi * f * d)
+    assert np.all(np.abs(z - reference) <= 2 * np.pi * (ulp + 4 * np.abs(f * d) * 2.0**-53) + 2e-15)
+    if f == _F_EXACT:
+        # a whole step has no remainder and is the table entry, bit for bit
+        t = d * (arrays._TURN_STEPS * f)
+        whole = t == np.round(t)
+        steps = t[whole].astype(np.int64) % arrays._TURN_STEPS
+        assert np.array_equal(z[whole], arrays._PHASOR_TABLE[steps])
+
 
 def _adjacent_twins(x, f):
     """First two adjacent doubles from x upward that f maps to the same float."""
