@@ -141,15 +141,16 @@ def spherical_delay_matrix(
     """Per-element delays for many points at once, shape (len(taus), N).
 
     taus and cosines are matched 1-D arrays of point delays r/c and cos(angle).
-    If out is given, the delays are written into it, with work as the one
-    full-size intermediate (both float arrays of that shape), in the same
-    operation order, so to the same bits, as without them.
+    out, which receives the delays, and work, the one full-size intermediate,
+    are float arrays of that shape, allocated here when not given.
     """
     t = geom.element_offsets_s[None, :]
     taus = np.asarray(taus, dtype=float)[:, None]
     cosines = np.asarray(cosines, dtype=float)[:, None]
-    if out is None:
-        return np.sqrt(taus * taus + t * t - 2.0 * taus * t * cosines)
+    shape = (taus.shape[0], t.shape[1])
+    out = np.empty(shape) if out is None else out
+    work = np.empty(shape) if work is None else work
+    # sqrt(tau^2 + t^2 - 2 tau t cos), rounded in that order
     np.add(taus * taus, t * t, out=out)
     np.multiply(2.0 * taus, t, out=work)
     np.multiply(work, cosines, out=work)
@@ -159,11 +160,13 @@ def spherical_delay_matrix(
 
 # entry k is exp(-2j*pi*k/_TURN_STEPS), the unit phasor k whole steps into a
 # turn; k past the half turn is taken as k - _TURN_STEPS, so every angle lies
-# in [-pi, pi) and rounds by at most half an ulp of pi
+# in [-pi, pi) and rounds by at most half an ulp of pi. It is built in place:
+# temporaries made at import would stay in the process's peak memory
 _TURN_STEPS = 4096
-_PHASOR_TABLE = np.exp(
-    -2j * np.pi * ((np.arange(_TURN_STEPS) + _TURN_STEPS // 2) % _TURN_STEPS - _TURN_STEPS // 2) / _TURN_STEPS
-)
+_PHASOR_TABLE = np.arange(_TURN_STEPS, dtype=complex)
+_PHASOR_TABLE[_TURN_STEPS // 2 :] -= _TURN_STEPS
+_PHASOR_TABLE *= -2j * np.pi / _TURN_STEPS
+np.exp(_PHASOR_TABLE, out=_PHASOR_TABLE)
 # adding 1.5 * 2**52 rounds a |t| < 2**51 to the nearest integer j (ties to
 # even) and leaves j's two's-complement low bits in the sum's low bits
 _ROUND_MAGIC = 1.5 * 2.0**52
@@ -224,39 +227,34 @@ def phasors(freq_hz: float, delays: np.ndarray, out: np.ndarray, scratch: np.nda
 _CHUNK_ENTRIES = 32_768
 
 
-def chunk_rows(num_elements: int, num_points: int) -> int:
-    """Rows in the largest chunk steering_chunks yields over num_points points."""
-    return min(num_points, max(2, _CHUNK_ENTRIES // num_elements) + 1)
-
-
 def steering_chunks(
-    geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray, offsets_s=None, scratch=None
+    geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray, offsets_s=None, step_hz=0.0
 ):
     """Spherical-wavefront steering rows at freq_hz over matched point arrays.
 
-    Yields (lo, hi, delays, steering) for consecutive row ranges lo:hi of the
-    1-D taus/cosines arrays: delays is their spherical_delay_matrix less the
-    per-element offsets_s, if given (a front end's delays), and
-    steering = phasors(freq_hz, delays). A chunk holds about _CHUNK_ENTRIES
-    entries, sized so that a caller's repeated passes over it run in cache
-    rather than streaming from memory, and never a single row
+    Yields (lo, hi, steering, step) for consecutive row ranges lo:hi of the
+    1-D taus/cosines arrays. With delays their spherical_delay_matrix less
+    the per-element offsets_s, if given (a front end's delays),
+    steering = phasors(freq_hz, delays) and step = phasors(step_hz, delays),
+    the factor that takes steering to freq_hz + step_hz; step is None when
+    step_hz is 0. A chunk holds about _CHUNK_ENTRIES entries, sized so
+    that a caller's repeated passes over it run in cache rather than
+    streaming from memory, and never a single row
     unless there is only one point: numpy hands a one-row product to BLAS's
     dot routine, whose last bits differ from the matrix-vector kernel's, so a
     lone row would make a point's gain depend on where the chunks split.
 
     Every chunk is computed into buffers allocated once per call, so the
     yielded arrays are valid only until the next iteration; a caller may
-    modify them in place. scratch, the phasors work space, may be passed in
-    as a float array of at least 4 * chunk_rows(N, taus.size) * N entries;
-    it is free between iterations, for a caller's own phasors calls.
+    modify them in place.
     """
     n = geom.num_elements
     chunk = max(2, _CHUNK_ENTRIES // n)
-    cap = chunk_rows(n, taus.size)
+    cap = min(taus.size, chunk + 1)  # rows of the largest chunk
     delay_buf = np.empty((cap, n))
     steering_buf = np.empty((cap, n), dtype=complex)
-    if scratch is None:
-        scratch = np.empty(4 * cap * n)
+    step_buf = np.empty((cap, n), dtype=complex) if step_hz else None
+    scratch = np.empty(4 * cap * n)  # phasors' work space, and the delays'
     lo = 0
     while lo < taus.size:
         hi = taus.size if taus.size - lo <= chunk + 1 else lo + chunk
@@ -266,7 +264,8 @@ def steering_chunks(
         spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi], out=delays, work=work)
         if offsets_s is not None:
             delays -= offsets_s
-        yield lo, hi, delays, phasors(freq_hz, delays, steering_buf[:rows], scratch)
+        step = phasors(step_hz, delays, step_buf[:rows], scratch) if step_hz else None
+        yield lo, hi, phasors(freq_hz, delays, steering_buf[:rows], scratch), step
         lo = hi
 
 

@@ -90,7 +90,7 @@ def gains_at_freq(
     cosines = np.asarray(cosines, dtype=float)
     out = np.empty(taus.size, dtype=float)
     wc = np.conj(weights)
-    for lo, hi, _, a in steering_chunks(geom, freq_hz, taus, cosines):
+    for lo, hi, a, _ in steering_chunks(geom, freq_hz, taus, cosines):
         out[lo:hi] = np.abs(a @ wc) ** 2
     return out
 

@@ -179,7 +179,7 @@ def music_spectra(
         if not subspaces:
             return
         den = np.empty((len(subspaces), taus.size), dtype=float)
-        for lo, hi, _, a in steering_chunks(geom, fc, taus, cosines):
+        for lo, hi, a, _ in steering_chunks(geom, fc, taus, cosines):
             for row, (n, es_conj) in zip(den, subspaces):
                 proj = np.abs(a @ es_conj) ** 2
                 row[lo:hi] = n - proj.sum(axis=1)

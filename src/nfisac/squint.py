@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, chunk_rows, phasors, steering_chunks
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, steering_chunks
 from .codebook import Beamformer, PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 
@@ -81,15 +81,9 @@ def focal_points(
     wc = np.conj(w.weights)
     wc_rev = np.ascontiguousarray(wc[::-1])
 
-    # one workspace for the whole search: the subcarrier step goes into one
-    # buffer, computed with the phasor scratch that steering_chunks shares
-    rows = chunk_rows(geom.num_elements, taus.size)
-    scratch = np.empty(4 * rows * geom.num_elements)
-    step_buf = np.empty((rows, geom.num_elements), dtype=complex) if df else None
     best_val = np.full(num_m, -1.0)
     best_idx = np.zeros(num_m, dtype=np.int64)
-    for lo, hi, delays, a in steering_chunks(geom, f0, taus, cosines, d, scratch):
-        step = phasors(df, delays, step_buf[: hi - lo], scratch) if df else None
+    for lo, hi, a, step in steering_chunks(geom, f0, taus, cosines, d, df):
         r, k = np.divmod(np.arange(lo, hi), n_dir)
         idx = r * n_ang + k
         g = np.empty((num_m, hi - lo))

@@ -141,14 +141,21 @@ def test_spherical_delay_matches_law_of_cosines():
 
 
 def test_delay_matrix_into_buffers_has_the_same_bits():
-    geom = make_ula(16, 0.002)
+    # the law of cosines rounded in the order written, whether the delays go
+    # into given buffers (here full of NaN) or into ones allocated inside.
+    # Points within a few apertures make the cross term large enough that
+    # another rounding order changes some of the 3200 delays
+    geom = make_ula()
     rng = np.random.default_rng(5)
-    taus = rng.uniform(0.05, 5.0, 7) / C
-    cosines = np.cos(rng.uniform(0.1, np.pi - 0.1, 7))
-    out, work = np.empty((7, 16)), np.empty((7, 16))
+    taus = rng.uniform(0.02, 0.5, 50) / C
+    cosines = np.cos(rng.uniform(0.1, np.pi - 0.1, 50))
+    t, tau, cos = geom.element_offsets_s, taus[:, None], cosines[:, None]
+    expected = np.sqrt(tau * tau + t * t - 2.0 * tau * t * cos)
+    out, work = np.full((50, 64), np.nan), np.full((50, 64), np.nan)
     got = arrays.spherical_delay_matrix(geom, taus, cosines, out=out, work=work)
     assert got is out
-    assert np.array_equal(out, arrays.spherical_delay_matrix(geom, taus, cosines))
+    assert np.array_equal(out, expected)
+    assert np.array_equal(arrays.spherical_delay_matrix(geom, taus, cosines), expected)
 
 
 # a power-of-two frequency: at d = k / (_TURN_STEPS * _F_EXACT), f * d is
