@@ -478,6 +478,20 @@ def _validate_cross_fields(rep: ValidationReport, res: dict) -> None:
                         f"({cos_bin:.3g}) off",
                     )
 
+    # a linear array evaluated over the grid needs every grid range past its
+    # half-aperture, as a steering vector's source does: closer in, the
+    # point-source phase model breaks down
+    ula = res.get("array.ula")
+    if grid is not None and ula is not None and ("spacing_m" in ula or carrier is not None):
+        wavelength = C / carrier["center_hz"] if carrier is not None else None
+        spacing = _resolve_spacing(ula, "spacing_m", "spacing_wavelengths", wavelength)
+        half_aperture = (ula["num_elements"] - 1) * spacing / 2
+        if grid["range_min_m"] <= half_aperture:
+            rep.add(
+                "grid.range_min_m",
+                f"must exceed the linear array's half-aperture (N-1)*d/2 = {half_aperture:.6g} m",
+            )
+
     alloc = res.get("allocation")
     if alloc is not None:
         total = float(alloc["total_power_w"])

@@ -241,6 +241,13 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     r1, r2 = _adjacent_twins(0.1, lambda r: r / C)
     focal_pg = PolarGrid(np.array([0.05, a1, a2, 0.15]), np.array([0.08, r1, r2, 0.125]))
     w_tie = polar_codeword(geom, grid, PolarPoint(r1, a1))
+    # the same tie at ranges 9 and 10 of 19, between the screen's fully
+    # evaluated ranges 8 and 16: both its 7-row passes at those ranges and
+    # the passes over the points it keeps between them split into chunks
+    screen_pg = PolarGrid(
+        np.array([0.05, a1, a2, 0.15, 0.2, 0.3, 0.45]),
+        np.concatenate([np.geomspace(0.05, 0.095, 9), [r1, r2], np.geomspace(0.105, 0.3, 8)]),
+    )
 
     def spectra(num_sources):
         # one by one, then batched from a generator: with `rows` set, a pass
@@ -275,7 +282,7 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
             gains_at_freq(geom, FC, taus, cosines, w.weights),
             {k: spectra(k) for k in (1, 2)},
             [focal_points(geom, grid, v, pg) for v, pg in
-             [(w_tie, focal_pg), (w_sym, sym_pg), (w_twin, twin_pg)]],
+             [(w_tie, focal_pg), (w_sym, sym_pg), (w_twin, twin_pg), (w_tie, screen_pg)]],
         )
 
     gains, spectrum, trajs = evaluate()
@@ -300,3 +307,5 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     assert sym_angles == {sym_pg.angles_rad[4]}
     assert {p.angle_rad for p in c_trajs[2].points} == {twin_pg.angles_rad[2]}
     assert c_trajs[2].points[grid.half_m] == PolarPoint(0.1, twin_pg.angles_rad[2])
+    assert c_trajs[3].points[grid.half_m] == PolarPoint(r1, a1)
+    assert c_trajs[3].evaluated_points < screen_pg.angles_rad.size * screen_pg.ranges_m.size

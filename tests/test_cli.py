@@ -94,6 +94,8 @@ def test_runtime_failure_exits_three(tmp_path):
         ("squint_deviation.yaml", "grid", "angle_min_rad", 3.141, "grid.angle_max_rad"),
         ("rate_vs_sensing_budget.yaml", "allocation", "sensing_counts", [0, 40], "allocation.sensing_counts[1]"),
         ("squint_deviation.yaml", "grid", "angle_min_rad", 1.0, "design.angle_rad"),
+        # a grid that starts inside the linear array's 0.128 m half-aperture
+        ("squint_deviation.yaml", "grid", "range_min_m", 0.05, "grid.range_min_m"),
         ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.6571, "range_m": 30.0}, "targets[0].range_m"),
         ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.2, "range_m": 6.0}, "targets[0]: "),
         # off the calibration direction the nearest calibrated range reads a

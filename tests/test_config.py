@@ -218,6 +218,32 @@ def test_grid_angle_bounds_must_be_ordered():
     assert _issues(lone) == {}
 
 
+def test_grid_inside_the_linear_arrays_aperture_rejected():
+    # squint-deviation and music-vs-wavenumber evaluate their linear array at
+    # every grid point; at or inside its half-aperture (N-1)*d/2 (0.128 m for
+    # the shipped 512 elements) the point-source model does not hold, the
+    # rule a steering vector's source obeys too
+    data = _shipped("squint_deviation.yaml")
+    data["grid"].update(range_min_m=0.05, num_ranges=40, num_angles=61)
+    data["design"]["range_m"] = 0.1
+    issues = _issues(data)
+    assert set(issues) == {"grid.range_min_m"}
+    assert "half-aperture (N-1)*d/2 = 0.127662 m" in issues["grid.range_min_m"]
+    half = build_config(_shipped("squint_deviation.yaml")).ula.aperture_m() / 2
+    data["grid"]["range_min_m"] = half
+    data["design"]["range_m"] = 0.2
+    assert set(_issues(data)) == {"grid.range_min_m"}
+    data["grid"]["range_min_m"] = float(np.nextafter(half, np.inf))
+    assert _issues(data) == {}
+    # a spacing in meters needs no carrier to resolve
+    data["array"]["ula"] = {"num_elements": 512, "spacing_m": 1.0e-3}
+    assert set(_issues(data)) == {"grid.range_min_m"}
+
+    music = _shipped("music_vs_wavenumber.yaml")
+    music["grid"]["range_min_m"] = 0.05
+    assert "grid.range_min_m" in _issues(music)
+
+
 def test_design_outside_evaluation_grid_rejected():
     # the grid the experiment builds must cover the design point, or the
     # focal search fails at run time

@@ -1,19 +1,104 @@
 """Focal-point trajectories of codewords and delay-phase front ends across subcarriers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nfisac.arrays as arrays
-from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint
+import nfisac.squint as squint
+from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, steering_chunks
 from nfisac.codebook import Beamformer, PolarGrid, dft_codeword, gains_at_freq, polar_codeword
+from nfisac.config import evaluation_grid, load_config
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.delay_phase import Arc, DelayPhaseConfig, apply_delay_phase, arc_trajectory_spec, fit_trajectory, front_end
+from nfisac.delay_phase import Arc, DelayPhaseConfig, arc_trajectory_spec, fit_trajectory, front_end
 from nfisac.errors import IllConditionedSpecError
-from nfisac.squint import focal_points, squint_deviation
+from nfisac.squint import SquintTrajectory, focal_points, squint_deviation
 
 FC = 3.0e11
 WL = C / FC
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def exhaustive_focal_points(geom, grid, w, pg):
+    """The unscreened search: every grid point at every subcarrier.
+
+    The reference for focal_points' range screen, which must return its
+    points, gains and boundary flag bit for bit. It walks the grid in
+    range-major order through the same steering rows, subcarrier recurrence
+    and matrix-vector products (the mirrored half read through reversed
+    weights), so only the screen differs.
+    """
+    n_ang, n_rng = pg.shape
+    t, d = geom.element_offsets_s, w.delays_s
+    cos_axis = np.cos(pg.angles_rad)
+    mirror = np.array_equal(t, -t[::-1]) and (d is None or np.array_equal(d, d[::-1])) and bool(
+        np.all(np.abs(cos_axis + cos_axis[::-1]) <= squint._MIRROR_COS_TOL)
+    )
+    n_dir = (n_ang + 1) // 2 if mirror else n_ang
+    n_mir = n_ang // 2 if mirror else 0
+    aa, rr = np.meshgrid(pg.angles_rad[:n_dir], pg.ranges_m, indexing="xy")
+    taus = (rr / C).ravel()
+    cosines = np.cos(aa).ravel()
+    num_m = grid.num_subcarriers
+    wc = np.conj(w.weights)
+    wc_rev = np.ascontiguousarray(wc[::-1])
+    best_val = np.full(num_m, -1.0)
+    best_idx = np.zeros(num_m, dtype=np.int64)
+    for lo, hi, a, step in steering_chunks(geom, grid.freq(0), taus, cosines, d, grid.spacing_hz):
+        r, k = np.divmod(np.arange(lo, hi), n_dir)
+        idx = r * n_ang + k
+        g = np.empty((num_m, hi - lo))
+        gm = np.empty((num_m, hi - lo)) if n_mir else None
+        for m in range(num_m):
+            np.abs(a @ wc, out=g[m])
+            if gm is not None:
+                np.abs(a @ wc_rev, out=gm[m])
+            if step is not None and m + 1 < num_m:
+                a *= step
+        if gm is not None:
+            has = k < n_mir
+            g = np.concatenate([g, gm[:, has]], axis=1)
+            idx = np.concatenate([idx, (r * n_ang + n_ang - 1 - k)[has]])
+        np.square(g, out=g)
+        val = g.max(axis=1)
+        at = np.where(g == val[:, None], idx, np.iinfo(np.int64).max).min(axis=1)
+        better = (val > best_val) | ((val == best_val) & (at < best_idx))
+        best_val[better] = val[better]
+        best_idx[better] = at[better]
+    ir, ia = np.divmod(best_idx, n_ang)
+    points = tuple(PolarPoint(float(pg.ranges_m[r]), float(pg.angles_rad[a])) for r, a in zip(ir, ia))
+    on_boundary = bool(np.any((ia == 0) | (ia == n_ang - 1) | (ir == 0) | (ir == n_rng - 1)))
+    return SquintTrajectory(np.arange(num_m), points, best_val, on_boundary, n_ang * n_rng)
+
+
+def assert_matches_exhaustive(geom, grid, w, pg):
+    """focal_points against the unscreened reference, bit for bit; returns it."""
+    traj = focal_points(geom, grid, w, pg)
+    ref = exhaustive_focal_points(geom, grid, w, pg)
+    assert np.array_equal(traj.gains, ref.gains)
+    assert traj.points == ref.points
+    assert traj.boundary_warning == ref.boundary_warning
+    assert 0 < traj.evaluated_points <= pg.angles_rad.size * pg.ranges_m.size
+    return traj
+
+
+def direct_exp_gains(geom, freq_hz, pg, w):
+    """|w^H a|^2 over the whole grid, range-major, from a plain np.exp per entry.
+
+    The delays are recomputed here, less w's delays if it has any, and their
+    phase f * tau is reduced to a fraction of a turn before the exp, so the
+    exp's argument rounds no worse than the one product f * tau.
+    """
+    aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
+    tau, cosines, t = (rr / C).reshape(-1, 1), np.cos(aa).reshape(-1, 1), geom.element_offsets_s
+    delays = np.sqrt(tau * tau + t * t - 2.0 * tau * t * cosines)
+    if w.delays_s is not None:
+        delays = delays - w.delays_s
+    turns = freq_hz * delays
+    turns -= np.round(turns)
+    return np.abs(np.exp(-2j * np.pi * turns) @ np.conj(w.weights)) ** 2
 
 
 def test_far_field_squint_follows_analytic_law():
@@ -84,9 +169,9 @@ def test_flat_carrier_matches_single_frequency_argmax(monkeypatch, rows):
 def test_wideband_search_matches_direct_exp_evaluation(front):
     # the table-driven manifold and subcarrier recurrence against np.exp
     # evaluated afresh at every subcarrier: the same argmax at every
-    # subcarrier, gains within 1e-11 relative (about 3e-12 is seen here; the
-    # recurrence alone moves them as far). The codeword's symmetric angle
-    # axis takes the mirrored path, the front end's shifted delays do not
+    # subcarrier, gains within 1e-11 relative (at most 1.04e-12 is seen
+    # here). The codeword's symmetric angle axis takes the mirrored path,
+    # the front end's shifted delays do not
     geom = ArrayGeometry.ula(64, WL / 2)
     grid = CarrierGrid(FC, 9, 1.875e9)
     if front == "codeword":
@@ -97,17 +182,11 @@ def test_wideband_search_matches_direct_exp_evaluation(front):
         front_delays = rng.uniform(0.0, 2.0 * geom.aperture_m() / C, 64)
         w = front_end(DelayPhaseConfig(front_delays, rng.uniform(-np.pi, np.pi, 64)))
         pg = PolarGrid(np.linspace(0.3, 2.2, 57), np.geomspace(0.5, 6.0, 35))
-    traj = focal_points(geom, grid, w, pg)
-
+    traj = assert_matches_exhaustive(geom, grid, w, pg)
     n_ang, n_rng = pg.shape
-    aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
-    tau, cosines, t = (rr / C).reshape(-1, 1), np.cos(aa).reshape(-1, 1), geom.element_offsets_s
-    delays = np.sqrt(tau * tau + t * t - 2.0 * tau * t * cosines)
-    if w.delays_s is not None:
-        delays = delays - w.delays_s
     boundary = False
     for m, p in enumerate(traj.points):
-        gains = np.abs(np.exp(-2j * np.pi * grid.freq(m) * delays) @ np.conj(w.weights)) ** 2
+        gains = direct_exp_gains(geom, grid.freq(m), pg, w)
         ir, ia = divmod(int(np.argmax(gains)), n_ang)
         assert p == PolarPoint(float(pg.ranges_m[ir]), float(pg.angles_rad[ia]))
         assert traj.gains[m] == pytest.approx(gains.max(), rel=1e-11, abs=0)
@@ -147,10 +226,8 @@ def test_empty_grid_rejected():
 
 
 def test_squint_deviation_is_max_abs_offset():
-    from nfisac.squint import SquintTrajectory
-
     pts = (PolarPoint(9.0, 1.00), PolarPoint(11.5, 1.04), PolarPoint(10.2, 0.97))
-    traj = SquintTrajectory(np.arange(3), pts, np.ones(3), False)
+    traj = SquintTrajectory(np.arange(3), pts, np.ones(3), False, 3)
     d_ang, d_rng = squint_deviation(traj, PolarPoint(10.0, 1.0))
     assert d_ang == pytest.approx(0.04)
     assert d_rng == pytest.approx(1.5)
@@ -174,11 +251,12 @@ def test_wideband_near_field_codeword_drifts_both_coordinates():
 def focal_scenarios(draw):
     """Small random focal searches over symmetric and asymmetric angle axes.
 
-    The front end is a polar codeword (returned with cfg None) or a
-    delay-phase config: fitted to an arc across the grid, or random
-    nonnegative delays and phases, asymmetric (the mirror must switch off
-    even on a symmetric axis) or exactly equal to their reverse (it may
-    stay on).
+    The front end is a polar codeword or a delay-phase config: fitted to an
+    arc across the grid, or random nonnegative delays and phases,
+    asymmetric (the mirror must switch off even on a symmetric axis) or
+    exactly equal to their reverse (it may stay on). Up to 40 ranges give
+    the range screen several intervals to prune; the nearest ranges can sit
+    inside the array's half-aperture, where it evaluates everything.
     """
     n = draw(st.integers(16, 64))
     geom = ArrayGeometry.ula(n, WL / 2)
@@ -195,8 +273,8 @@ def focal_scenarios(draw):
     else:
         lo = draw(st.floats(0.1, 2.5))
         angles = np.linspace(lo, draw(st.floats(lo + 0.05, np.pi - 0.1)), n_ang)
-    r_lo = draw(st.floats(0.05, 1.0))
-    ranges = np.geomspace(r_lo, r_lo * draw(st.floats(1.5, 10.0)), draw(st.integers(2, 6)))
+    r_lo = draw(st.floats(0.01, 1.0))
+    ranges = np.geomspace(r_lo, r_lo * draw(st.floats(1.5, 10.0)), draw(st.integers(2, 40)))
     # a design point on a grid node, the edge nodes included, gives exact and
     # boundary peaks; broadside gives mirror-symmetric codewords
     ia = draw(st.integers(0, n_ang - 1))
@@ -207,7 +285,7 @@ def focal_scenarios(draw):
     pg = PolarGrid(angles, ranges)
     front = draw(st.sampled_from(["codeword", "fitted", "random", "symmetric"]))
     if front == "codeword":
-        return geom, grid, polar_codeword(geom, grid, design), pg, None
+        return geom, grid, polar_codeword(geom, grid, design), pg
     if front == "fitted":
         ia, ib = sorted(draw(st.lists(st.integers(0, n_ang - 1), min_size=2, max_size=2, unique=True)))
         arc = Arc(float(angles[ia]), float(angles[ib]), design.range_m)
@@ -223,28 +301,26 @@ def focal_scenarios(draw):
         if front == "symmetric":
             delays = (delays + delays[::-1]) / 2.0
         cfg = DelayPhaseConfig(delays, rng.uniform(-np.pi, np.pi, n))
-    return geom, grid, front_end(cfg), pg, cfg
+    return geom, grid, front_end(cfg), pg
 
 
 @given(focal_scenarios())
 @settings(max_examples=300, deadline=None)
 def test_focal_points_equal_exhaustive_argmax(scenario):
-    # the fast search (subcarrier recurrence on shifted delays, mirrored half
-    # read through reversed weights) against gains_at_freq with the weights
-    # the front end realizes at each subcarrier, on the full grid. Both round
-    # each element's phase differently, which moves a gain by up to ~5e-13 N
-    # (N elements, the largest gain), so exhaustive gains within 1e-12 N of
-    # the max are ties that may go either way
-    geom, grid, w, pg, cfg = scenario
+    # the screened search (range screen, subcarrier recurrence on shifted
+    # delays, mirrored half read through reversed weights) is bit for bit the
+    # unscreened one, and both agree with a plain np.exp evaluation of every
+    # grid point at every subcarrier. The two round each element's phase
+    # differently, which moves a gain by up to ~5e-13 N (N elements, the
+    # largest gain), so np.exp gains within 1e-12 N of the max are ties that
+    # may go either way
+    geom, grid, w, pg = scenario
     n_ang, n_rng = pg.shape
     tol = 1e-12 * geom.num_elements
-    traj = focal_points(geom, grid, w, pg)
-    aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
-    taus, cosines = (rr / C).ravel(), np.cos(aa).ravel()
+    traj = assert_matches_exhaustive(geom, grid, w, pg)
     boundary = False
     for m, p in enumerate(traj.points):
-        wm = w.weights if cfg is None else apply_delay_phase(cfg, grid, m).weights
-        gains = gains_at_freq(geom, grid.freq(m), taus, cosines, wm)
+        gains = direct_exp_gains(geom, grid.freq(m), pg, w)
         ir = int(np.searchsorted(pg.ranges_m, p.range_m))
         ia = int(np.searchsorted(pg.angles_rad, p.angle_rad))
         chosen = ir * n_ang + ia
@@ -256,3 +332,90 @@ def test_focal_points_equal_exhaustive_argmax(scenario):
         assert traj.gains[m] == pytest.approx(gains[chosen], rel=0, abs=2 * tol)
         boundary |= ia in (0, n_ang - 1) or ir in (0, n_rng - 1)
     assert traj.boundary_warning == boundary
+
+
+def _random_front(geom, seed, symmetric):
+    rng = np.random.default_rng(seed)
+    delays = rng.uniform(0.0, 2.0 * geom.aperture_m() / C, geom.num_elements)
+    if symmetric:
+        delays = (delays + delays[::-1]) / 2.0
+    return front_end(DelayPhaseConfig(delays, rng.uniform(-np.pi, np.pi, geom.num_elements)))
+
+
+def _screen_case(name):
+    geom = ArrayGeometry.ula(64, WL / 2)
+    grid = CarrierGrid(FC, 5, 1.875e9)
+    sym_axis = np.linspace(0.0, np.pi, 63)[1:-1]
+    near = np.geomspace(0.5, 6.0, 40)
+    if name == "far-design":
+        # 40-200 m is far beyond the 2 m Rayleigh distance: gains plateau in
+        # range, so near-ties are everywhere and little is screened away
+        pg = PolarGrid(sym_axis, np.geomspace(40.0, 200.0, 33))
+        return geom, grid, polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[20]), 1.2)), pg
+    if name == "asymmetric-axis":
+        pg = PolarGrid(np.linspace(0.4, 1.9, 37), near)
+        return geom, grid, polar_codeword(geom, grid, PolarPoint(float(near[13]), 1.15)), pg
+    if name in ("one-range", "two-range"):
+        ranges = np.array([2.0]) if name == "one-range" else np.array([1.5, 3.0])
+        pg = PolarGrid(sym_axis, ranges)
+        return geom, grid, polar_codeword(geom, grid, PolarPoint(float(ranges[-1]), 1.3)), pg
+    if name == "flat-carrier":
+        grid = CarrierGrid(FC, 5, 0.0)
+        pg = PolarGrid(sym_axis, near)
+        return geom, grid, polar_codeword(geom, grid, PolarPoint(float(near[21]), 1.0)), pg
+    if name in ("delay-phase", "symmetric-delay"):
+        return geom, grid, _random_front(geom, 4, name == "symmetric-delay"), PolarGrid(sym_axis, near)
+    assert name == "straddles-aperture"
+    # the first ranges lie inside the 16 mm half-aperture, where the bound
+    # does not hold and the screen must evaluate every point
+    half = geom.aperture_m() / 2
+    pg = PolarGrid(sym_axis, np.geomspace(0.3 * half, 40.0 * half, 40))
+    return geom, grid, polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[25]), 1.1)), pg
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["far-design", "asymmetric-axis", "one-range", "two-range", "flat-carrier",
+     "delay-phase", "symmetric-delay", "straddles-aperture"],
+)
+def test_screened_search_matches_exhaustive_reference(name):
+    geom, grid, w, pg = _screen_case(name)
+    traj = assert_matches_exhaustive(geom, grid, w, pg)
+    if pg.ranges_m.size <= 2:
+        # no range lies between two evaluated ones
+        assert traj.evaluated_points == pg.angles_rad.size * pg.ranges_m.size
+
+
+def test_lone_survivor_row_keeps_its_bits(monkeypatch):
+    # two angles, eleven ranges: ranges 0, 8 and 10 are evaluated in full,
+    # the screen keeps all 7 points at angle 1.0 between ranges 0 and 8, and
+    # between 8 and 10 it keeps only the design point at range 9, which peaks
+    # every subcarrier. Evaluated alone its one-row product would go to
+    # BLAS's dot and change its gain's last bits, so no steering pass may
+    # see a single row
+    geom = ArrayGeometry.ula(32, WL / 2)
+    grid = CarrierGrid(FC, 3, 4.6875e8)
+    pg = PolarGrid(np.array([1.0, 1.3]), np.geomspace(0.1, 0.2, 11))
+    w = polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[9]), 1.0))
+    passes = []
+
+    def recorded(geom, freq_hz, taus, *args):
+        passes.append(taus.size)
+        return steering_chunks(geom, freq_hz, taus, *args)
+
+    monkeypatch.setattr(squint, "steering_chunks", recorded)
+    traj = assert_matches_exhaustive(geom, grid, w, pg)
+    assert traj.evaluated_points == 3 * 2 + 7 + 1
+    assert set(traj.points) == {PolarPoint(float(pg.ranges_m[9]), 1.0)}
+    assert passes and min(passes) >= 2
+
+
+def test_shipped_squint_scenario_evaluates_under_a_quarter_of_the_grid():
+    # the squint-deviation experiment's search: 721 x 120 points, 512
+    # elements, 65 subcarriers; the screen keeps its bits and skips most of it
+    cfg = load_config(str(CONFIG_DIR / "squint_deviation.yaml"))
+    pg = evaluation_grid(cfg.section("grid"))
+    w = polar_codeword(cfg.ula, cfg.carrier, cfg.design)
+    traj = assert_matches_exhaustive(cfg.ula, cfg.carrier, w, pg)
+    assert pg.shape == (721, 120)
+    assert traj.evaluated_points < 0.25 * 721 * 120
