@@ -25,6 +25,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def tree_hashes(root) -> dict:
+    """{"<experiment>/<file>": sha256 hex} of every artifact under root."""
+    root = Path(root)
+    return {
+        f.relative_to(root).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.glob("*/*"))
+    }
+
+
+def read_hashes(path) -> dict:
+    """{"<experiment>/<file>": sha256 hex} of a saved hash list."""
+    lines = Path(path).read_text().splitlines()
+    return {name: digest for digest, name in (line.split(maxsplit=1) for line in lines if line.strip())}
+
+
+def mismatches(hashes: dict, expected: dict) -> list:
+    """Sorted names whose hash differs, or that only one side has."""
+    return [name for name in sorted(set(hashes) | set(expected)) if hashes.get(name) != expected.get(name)]
+
+
 def artifact_hashes() -> dict:
     """{"<experiment>/<file>": sha256 hex} over every shipped config."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -34,10 +54,7 @@ def artifact_hashes() -> dict:
              "--configs", str(ROOT / "configs"), "--out", tmp],
             env=env, check=True, stdout=subprocess.DEVNULL,
         )
-        return {
-            str(f.relative_to(tmp)): hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted(Path(tmp).glob("*/*"))
-        }
+        return tree_hashes(tmp)
 
 
 def main() -> int:
@@ -51,9 +68,8 @@ def main() -> int:
     if args.check is None:
         return 0
 
-    lines = Path(args.check).read_text().splitlines()
-    expected = {name: digest for digest, name in (line.split(maxsplit=1) for line in lines if line.strip())}
-    bad = [name for name in sorted(set(hashes) | set(expected)) if hashes.get(name) != expected.get(name)]
+    expected = read_hashes(args.check)
+    bad = mismatches(hashes, expected)
     for name in bad:
         print(f"MISMATCH {name}: {hashes.get(name, 'not produced')} != {expected.get(name, 'not listed')}",
               file=sys.stderr)

@@ -9,7 +9,7 @@ is water-filled to maximize the communication sum rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,44 +60,70 @@ class AllocationPlan:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.powers_w, dtype=float)
-        num = p.size
-        sensing = set(self.sensing_set)
-        comm = set(self.comm_assignment)
-        if sensing & comm:
-            raise ValueError("sensing and communication sets must be disjoint")
-        if any(not 0 <= m < num for m in sensing | comm):
-            raise ValueError("subcarrier indices out of range")
-        if np.any(p < 0):
-            raise ValueError("powers must be >= 0")
-        if p.sum() > self.total_power_w * (1 + 1e-9):
-            raise ValueError("powers exceed the total budget")
-        for m in sensing:
-            if p[m] < self.min_sensing_power_w * (1 - 1e-12):
-                raise ValueError("sensing subcarrier below its power floor")
+        sensing = np.array(sorted(set(self.sensing_set)), dtype=int)
+        comm = np.array(sorted(set(self.comm_assignment)), dtype=int)
+        _check_allocation(sensing, comm, p, self.total_power_w, self.min_sensing_power_w)
         object.__setattr__(self, "powers_w", p)
 
 
+def _check_allocation(
+    sensing: np.ndarray,
+    comm: np.ndarray,
+    powers_w: np.ndarray,
+    total_power_w: float,
+    min_sensing_power_w: float,
+) -> None:
+    """Raise ValueError unless the allocation(s) are a valid plan.
+
+    sensing and comm are subcarrier index arrays shared by every allocation;
+    powers_w has shape (..., M), one power vector per allocation.
+    """
+    num = powers_w.shape[-1]
+    if np.intersect1d(sensing, comm).size:
+        raise ValueError("sensing and communication sets must be disjoint")
+    both = np.concatenate([sensing, comm])
+    if np.any((both < 0) | (both >= num)):
+        raise ValueError("subcarrier indices out of range")
+    if np.any(powers_w < 0):
+        raise ValueError("powers must be >= 0")
+    if np.any(powers_w.sum(axis=-1) > total_power_w * (1 + 1e-9)):
+        raise ValueError("powers exceed the total budget")
+    if np.any(powers_w[..., sensing] < min_sensing_power_w * (1 - 1e-12)):
+        raise ValueError("sensing subcarrier below its power floor")
+
+
 def water_fill(
-    gains: np.ndarray, budget_w: float, noise_power_w: float, rel_tol: float = 1e-10
+    gains: np.ndarray, budget_w, noise_power_w: float, rel_tol: float = 1e-10
 ) -> np.ndarray:
-    """Water-filling powers p_i = max(0, mu - sigma^2/g_i), mu by bisection."""
+    """Water-filling powers p_i = max(0, mu - sigma^2/g_i), mu by bisection.
+
+    gains is one channel vector (n,) or a stack of them (rows, n), and
+    budget_w a scalar or one budget per row. Each row runs its own
+    bisection and is frozen once its bracket has converged, so a row's
+    powers are those of filling it alone.
+    """
     g = np.asarray(gains, dtype=float)
     if noise_power_w <= 0:
         raise ValueError("noise_power_w must be > 0")
-    if g.size == 0 or budget_w <= 0:
+    if g.size == 0:
         return np.zeros_like(g)
+    rows = g.reshape(-1, g.shape[-1])
+    budget = np.broadcast_to(np.asarray(budget_w, dtype=float), rows.shape[:1])
     with np.errstate(divide="ignore"):
-        floor = np.where(g > 0, noise_power_w / g, np.inf)
-    if not np.any(np.isfinite(floor)):
-        return np.zeros_like(g)
-    lo, hi = 0.0, budget_w + float(floor[np.isfinite(floor)].max())
-    while hi - lo > rel_tol * hi:
+        floor = np.where(rows > 0, noise_power_w / rows, np.inf)
+    finite = np.isfinite(floor)
+    # a row with no usable channel or no budget keeps lo = hi = 0: all zeros
+    live = finite.any(axis=1) & (budget > 0)
+    lo = np.zeros(rows.shape[0])
+    hi = np.where(live, budget + np.where(finite, floor, -np.inf).max(axis=1), 0.0)
+    active = hi - lo > rel_tol * hi
+    while active.any():
         mu = 0.5 * (lo + hi)
-        if np.maximum(0.0, mu - floor).sum() > budget_w:
-            hi = mu
-        else:
-            lo = mu
-    return np.maximum(0.0, lo - floor)
+        over = np.maximum(0.0, mu[:, None] - floor).sum(axis=1) > budget
+        hi = np.where(active & over, mu, hi)
+        lo = np.where(active & ~over, mu, lo)
+        active &= hi - lo > rel_tol * hi
+    return np.maximum(0.0, lo[:, None] - floor).reshape(g.shape)
 
 
 def sensing_subcarriers(num_subcarriers: int, count: int) -> np.ndarray:
@@ -118,34 +144,43 @@ def sensing_subcarriers(num_subcarriers: int, count: int) -> np.ndarray:
     return idx
 
 
-def partition_and_allocate(
-    users: Sequence[UserDemand],
+class Allocations(NamedTuple):
+    """Plans for a stack of channel draws, as allocate returns them."""
+
+    sensing: np.ndarray  # reserved subcarriers, shared by every draw
+    comm: np.ndarray  # the other subcarriers, ascending
+    best_user: np.ndarray  # (..., comm.size): index of the user each goes to; 0s with no users
+    powers_w: np.ndarray  # (..., M)
+    rates: np.ndarray  # (...): communication sum rate per draw
+
+
+def allocate(
+    gains: np.ndarray,
     sreq: Optional[SensingRequirement],
     total_power_w: float,
     noise_power_w: float,
-    num_subcarriers: Optional[int] = None,
-) -> tuple:
-    """Build an AllocationPlan and return (plan, communication sum rate).
+) -> Allocations:
+    """Partition subcarriers and allocate power for every draw of a stack.
 
-    sreq=None reserves nothing for sensing. With no users, all non-sensing
-    power stays unallocated and the rate is 0. num_subcarriers is inferred
-    from the users when omitted.
+    gains has shape (..., U, M): user u's gain on subcarrier m, users in
+    ascending id order. Sensing takes sreq's subcarriers at its floor power
+    (sreq=None reserves none); every other subcarrier goes to the user with
+    the best gain there, the first on ties, and the remaining power is
+    water-filled over those gains. With no users the rate is 0 and the
+    communication power stays unallocated. Each draw's plan is checked as
+    an AllocationPlan checks its own.
     """
-    users = sorted(users, key=lambda u: u.user_id)
-    ids = [u.user_id for u in users]
-    if len(set(ids)) != len(ids):
-        raise ValueError("user ids must be unique")
-    if num_subcarriers is None:
-        if not users:
-            raise ValueError("num_subcarriers required when there are no users")
-        num_subcarriers = users[0].gains.size
-    for u in users:
-        if u.gains.size != num_subcarriers:
-            raise ValueError("all users must cover the same subcarriers")
+    g = np.asarray(gains, dtype=float)
+    if g.ndim < 2 or g.shape[-1] == 0:
+        raise ValueError("gains must have shape (..., users, subcarriers) with subcarriers > 0")
+    if not np.all(np.isfinite(g)) or np.any(g < 0):
+        raise ValueError("gains must be finite and >= 0")
     if total_power_w <= 0:
         raise ValueError("total_power_w must be > 0")
     if noise_power_w <= 0:
         raise ValueError("noise_power_w must be > 0")
+    num_users, num_subcarriers = g.shape[-2:]
+    lead = g.shape[:-2]
 
     if sreq is None:
         k_s, p_min = 0, 0.0
@@ -160,29 +195,56 @@ def partition_and_allocate(
             )
         sensing = sensing_subcarriers(num_subcarriers, k_s)
 
-    powers = np.zeros(num_subcarriers)
-    powers[sensing] = p_min
-    comm_idx = np.setdiff1d(np.arange(num_subcarriers), sensing)
-    assignment: dict = {}
-    rate = 0.0
-    if users and comm_idx.size:
-        gain_matrix = np.stack([u.gains for u in users])  # (U, M+1)
-        comm_gains = gain_matrix[:, comm_idx]
-        best_user = np.argmax(comm_gains, axis=0)  # first max wins: lowest id
-        best_gain = comm_gains[best_user, np.arange(comm_idx.size)]
-        budget = total_power_w - k_s * p_min
-        comm_powers = water_fill(best_gain, budget, noise_power_w)
-        powers[comm_idx] = comm_powers
-        assignment = {
-            int(m): users[int(u)].user_id for m, u in zip(comm_idx, best_user)
-        }
-        rate = float(
-            np.log2(1.0 + comm_powers * best_gain / noise_power_w).sum()
-        )
+    comm = np.setdiff1d(np.arange(num_subcarriers), sensing)
+    powers = np.zeros(lead + (num_subcarriers,))
+    powers[..., sensing] = p_min
+    best_user = np.zeros(lead + (comm.size,), dtype=int)
+    rates = np.zeros(lead)
+    if num_users and comm.size:
+        comm_gains = g[..., comm]  # (..., U, comm.size)
+        best_user = np.argmax(comm_gains, axis=-2)  # first max wins: lowest id
+        best_gain = np.take_along_axis(comm_gains, best_user[..., None, :], axis=-2)[..., 0, :]
+        comm_powers = water_fill(best_gain, total_power_w - k_s * p_min, noise_power_w)
+        powers[..., comm] = comm_powers
+        rates = np.log2(1.0 + comm_powers * best_gain / noise_power_w).sum(axis=-1)
+    _check_allocation(sensing, comm, powers, total_power_w, p_min)
+    return Allocations(sensing, comm, best_user, powers, rates)
+
+
+def partition_and_allocate(
+    users: Sequence[UserDemand],
+    sreq: Optional[SensingRequirement],
+    total_power_w: float,
+    noise_power_w: float,
+    num_subcarriers: Optional[int] = None,
+) -> tuple:
+    """Build an AllocationPlan and return (plan, communication sum rate).
+
+    sreq=None reserves nothing for sensing. With no users, all non-sensing
+    power stays unallocated and the rate is 0. num_subcarriers is inferred
+    from the users when omitted. The plan is allocate's for one draw.
+    """
+    users = sorted(users, key=lambda u: u.user_id)
+    ids = [u.user_id for u in users]
+    if len(set(ids)) != len(ids):
+        raise ValueError("user ids must be unique")
+    if num_subcarriers is None:
+        if not users:
+            raise ValueError("num_subcarriers required when there are no users")
+        num_subcarriers = users[0].gains.size
+    for u in users:
+        if u.gains.size != num_subcarriers:
+            raise ValueError("all users must cover the same subcarriers")
+    gain_matrix = np.stack([u.gains for u in users]) if users else np.zeros((0, num_subcarriers))
+    out = allocate(gain_matrix, sreq, total_power_w, noise_power_w)
+    assignment = {}
+    if users:
+        assignment = {int(m): users[int(u)].user_id for m, u in zip(out.comm, out.best_user)}
     plan = AllocationPlan(
-        tuple(int(m) for m in sensing), assignment, powers, total_power_w, p_min
+        tuple(int(m) for m in out.sensing), assignment, out.powers_w, total_power_w,
+        0.0 if sreq is None else sreq.min_power_w,
     )
-    return plan, rate
+    return plan, float(out.rates)
 
 
 def plan_sum_rate(

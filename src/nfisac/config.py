@@ -454,7 +454,11 @@ def _validate_cross_fields(rep: ValidationReport, res: dict) -> None:
         direction, sweep_m, frac = wavenumber_calibration(wsec)
         try:
             table = calibrate_radius_range(arr, freq, direction, sweep_m, threshold_frac=frac)
-        except (AliasingError, CalibrationError):
+        except CalibrationError as exc:
+            # the sweep runs past the window where radii fall with range
+            rep.add("wavenumber.range_max_m", f"the calibration sweep cannot be calibrated ({exc})")
+            table = None
+        except AliasingError:
             table = None  # the run reports the sweep; each target's forward step is still checked
         cos_bin = C / (freq * arr.nx * arr.dx_m)
         for path, point in placed:

@@ -46,33 +46,54 @@ def simulate_echoes(
     return echoes
 
 
-def parabolic_refine(values: np.ndarray, k: int) -> float:
+def _at(values: np.ndarray, k):
+    """values[..., k] for each leading index: k has the leading shape."""
+    # a single vector is indexed directly: the tracking loop estimates one
+    # per step, and take_along_axis costs several microseconds a call
+    if values.ndim == 1:
+        return values[k]
+    return np.take_along_axis(values, k[..., None], axis=-1)[..., 0]
+
+
+def parabolic_refine(values: np.ndarray, k):
     """Sub-sample peak offset in index units, clipped to [-0.5, 0.5].
 
-    Uses the three points around k; returns 0 at the edges or when the
-    curvature is not a maximum.
+    values has shape (..., K) and k, an index along the last axis, the
+    leading shape: every leading index is refined at once, and a single
+    vector gives a float. Uses the three points around k; the offset is 0
+    at the edges or when the curvature is not a maximum.
     """
-    if k == 0 or k == len(values) - 1:
-        return 0.0
-    den = values[k - 1] - 2.0 * values[k] + values[k + 1]
-    if den >= 0:
-        return 0.0
-    off = 0.5 * (values[k - 1] - values[k + 1]) / den
-    return float(np.clip(off, -0.5, 0.5))
+    values = np.asarray(values, dtype=float)
+    size = values.shape[-1]
+    # the neighbours wrap round (as negative indices) at the edges, where no
+    # offset is taken
+    v0 = _at(values, k - 1)
+    v1 = _at(values, k)
+    v2 = _at(values, k + (1 - size))
+    den = v0 - 2.0 * v1 + v2
+    # not "den < 0": a NaN curvature is divided, as a scalar test would
+    refine = (k > 0) & (k < size - 1) & ~(den >= 0)
+    off = np.divide(0.5 * (v0 - v2), den, out=np.zeros(den.shape), where=refine)
+    off.clip(-0.5, 0.5, out=off)
+    return float(off) if off.ndim == 0 else off
 
 
-def peak_angle(angles: np.ndarray, stat: np.ndarray) -> float:
+def peak_angle(angles: np.ndarray, stat: np.ndarray):
     """Angle of the largest statistic, refined by parabolic_refine.
 
-    The index offset is scaled by the local half-spacing of the two
+    stat has shape (..., K), one statistic per angle along the last axis:
+    every leading index is estimated at once, and a single vector gives a
+    float. The index offset is scaled by the local half-spacing of the two
     neighboring angles, so unevenly spaced angles are handled; a peak at
     either end is not refined.
     """
-    k = int(np.argmax(stat))
+    angles = np.asarray(angles, dtype=float)
+    stat = np.asarray(stat, dtype=float)
+    size = angles.size
+    k = stat.argmax(axis=-1)
     off = parabolic_refine(stat, k)
-    if off == 0.0:
-        return float(angles[k])
-    return float(angles[k] + off * ((angles[k + 1] - angles[k - 1]) / 2.0))
+    est = angles[k] + off * ((angles[k + (1 - size)] - angles[k - 1]) / 2.0)
+    return float(est) if est.ndim == 0 else est
 
 
 def sense_from_echoes(

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocation import SensingRequirement, UserDemand, partition_and_allocate, sensing_subcarriers
+from .allocation import SensingRequirement, allocate, sensing_subcarriers
 from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
 from .codebook import angular_spread, polar_codeword
 from .config import EXPERIMENT_SECTIONS, ScenarioConfig, evaluation_grid, wavenumber_calibration
@@ -301,6 +301,18 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+# trials whose estimates are formed together; each keeps its own stream
+_TRIAL_BLOCK = 8
+_SCHEMES = ("isac", "sensing-only", "conventional")
+
+
+def _echo_power(y: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """|y + noise|^2 per probe, y's echoes overwritten in place."""
+    y += noise
+    power = np.abs(y)
+    return np.square(power, out=power)
+
+
 def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     geom = cfg.ula
     grid = cfg.carrier
@@ -336,48 +348,65 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
     lo = arc.theta_start_rad + margin
     hi = arc.theta_end_rad - margin
-    sq_err = {(s, scheme): 0.0 for s in snrs for scheme in ("isac", "sensing-only", "conventional")}
+    # per-SNR energies, each a scalar expression as a single trial would take it
+    e_isac = np.array([10.0 ** (s / 10.0) / n for s in snrs])
+    e_sense = e_ratio * e_isac
+    e_slot = e_isac
+    e_conv = e_slot / num_m
+    amp = {scheme: np.sqrt(e) for scheme, e in zip(_SCHEMES, (e_isac, e_sense, e_conv))}
+    sq_err = {(s, scheme): 0.0 for s in snrs for scheme in _SCHEMES}
 
-    for tr in range(trials):
-        rng = _trial_rng(cfg.seed, tr)
-        th_t = lo + (hi - lo) * rng.random()
-        beta = np.exp(2j * np.pi * rng.random())
-        n_i = _complex_normal(rng, ks)
-        n_s = _complex_normal(rng, num_m)
-        n_c = _complex_normal(rng, (kc, num_m))
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = range(start, min(start + _TRIAL_BLOCK, trials))
+        b = len(block)
+        th_t = np.empty(b)
+        beta = np.empty(b, dtype=complex)
+        n_i = np.empty((b, ks), dtype=complex)
+        n_s = np.empty((b, num_m), dtype=complex)
+        n_c = np.empty((b, kc, num_m), dtype=complex)
+        g_ttd = np.empty((b, num_m))
+        g_ps = np.empty((b, kc, num_m))
+        for j, tr in enumerate(block):
+            rng = _trial_rng(cfg.seed, tr)
+            th_t[j] = lo + (hi - lo) * rng.random()
+            beta[j] = np.exp(2j * np.pi * rng.random())
+            n_i[j] = _complex_normal(rng, ks)
+            n_s[j] = _complex_normal(rng, num_m)
+            n_c[j] = _complex_normal(rng, (kc, num_m))
+            taus = spherical_delays(geom, PolarPoint(arc.range_m, float(th_t[j])))
+            a_all = np.exp(-2j * np.pi * freqs[:, None] * taus[None, :])
+            g_ttd[j] = np.abs(np.einsum("mn,mn->m", np.conj(w_ttd), a_all))
+            g_ps[j] = np.abs(np.conj(w_ps) @ a_all.T)
 
-        target = PolarPoint(arc.range_m, float(th_t))
-        taus = spherical_delays(geom, target)
-        a_all = np.exp(-2j * np.pi * freqs[:, None] * taus[None, :])
-        g_ttd = np.abs(np.einsum("mn,mn->m", np.conj(w_ttd), a_all))
-        g_ps = np.abs(np.conj(w_ps) @ a_all.T)
+        # every trial x SNR at once: axes (trial, SNR, ...)
+        beta = beta[:, None, None]
+        # ISAC: the arc is probed only on the sensing subcarrier subset.
+        stat = _echo_power(beta * g_ttd[:, None, sense_rel] * amp["isac"][:, None], n_i[:, None])
+        stat /= e_isac[:, None]
+        est_i = peak_angle(sense_angles, stat)
+        # Sensing-only: every subcarrier probes the arc at higher energy.
+        stat = _echo_power(beta * g_ttd[:, None] * amp["sensing-only"][:, None], n_s[:, None])
+        stat /= e_sense[:, None]
+        est_s = peak_angle(arc_angles, stat)
+        # Conventional: kc narrowband slots, energy split across the band;
+        # one SNR at a time keeps the (trial, slot, subcarrier) echoes small.
+        stat = np.empty((b, len(snrs), kc))
+        for i in range(len(snrs)):
+            y = beta * g_ps
+            y *= amp["conventional"][i]
+            stat[:, i] = _echo_power(y, n_c).sum(axis=-1) / e_slot[i]
+        est_c = peak_angle(slot_angles, stat)
 
-        for snr_db in snrs:
-            s_lin = 10.0 ** (snr_db / 10.0)
-            e_isac = s_lin / n
-            e_sense = e_ratio * e_isac
-            e_slot = e_isac
-            e_conv = e_slot / num_m
-
-            # ISAC: the arc is probed only on the sensing subcarrier subset.
-            y = beta * g_ttd[sense_rel] * math.sqrt(e_isac) + n_i
-            est = peak_angle(sense_angles, np.abs(y) ** 2 / e_isac)
-            sq_err[(snr_db, "isac")] += (est - th_t) ** 2
-
-            # Sensing-only: every subcarrier probes the arc at higher energy.
-            y = beta * g_ttd * math.sqrt(e_sense) + n_s
-            est = peak_angle(arc_angles, np.abs(y) ** 2 / e_sense)
-            sq_err[(snr_db, "sensing-only")] += (est - th_t) ** 2
-
-            # Conventional: kc narrowband slots, energy split across the band.
-            y = beta * g_ps * math.sqrt(e_conv) + n_c
-            est = peak_angle(slot_angles, np.sum(np.abs(y) ** 2, axis=1) / e_slot)
-            sq_err[(snr_db, "conventional")] += (est - th_t) ** 2
+        # squared errors summed in trial order, as one trial at a time would
+        for th, *ests in zip(th_t.tolist(), est_i.tolist(), est_s.tolist(), est_c.tolist()):
+            for scheme, row in zip(_SCHEMES, ests):
+                for snr_db, est in zip(snrs, row):
+                    sq_err[(snr_db, scheme)] += (est - th) ** 2
 
     rows = []
     rmse = {}
     for snr_db in snrs:
-        for scheme in ("isac", "sensing-only", "conventional"):
+        for scheme in _SCHEMES:
             val = math.sqrt(sq_err[(snr_db, scheme)] / trials)
             rmse[(snr_db, scheme)] = val
             rows.append((snr_db, scheme, val, math.degrees(val), trials))
@@ -425,26 +454,23 @@ def run_rate_vs_sensing_budget(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     counts = [int(c) for c in asec["sensing_counts"]]
     trials = cfg.trials
 
-    sums = {c: 0.0 for c in counts}
-    ratios = {c: [] for c in counts}
-    for tr in range(trials):
-        rng = _trial_rng(cfg.seed, tr)
-        gains = rng.exponential(mean_gain, size=(num_users, num_m))
-        users = [UserDemand(u, gains[u]) for u in range(num_users)]
-        # comm-only baseline: full band and full power to communication
-        _, base_rate = partition_and_allocate(
-            users, None, total_power, noise_power, num_subcarriers=num_m
-        )
-        for c in counts:
-            if c == 0:
-                rate = base_rate
-            else:
-                sreq = SensingRequirement(arc, c, p_min)
-                _, rate = partition_and_allocate(
-                    users, sreq, total_power, noise_power, num_subcarriers=num_m
-                )
+    gains = np.stack(
+        [_trial_rng(cfg.seed, tr).exponential(mean_gain, size=(num_users, num_m)) for tr in range(trials)]
+    )
+    # comm-only baseline: full band and full power to communication
+    base = allocate(gains, None, total_power, noise_power).rates.tolist()
+    sums = {}
+    ratios = {}
+    for c in counts:
+        rates = base
+        if c != 0:
+            sreq = SensingRequirement(arc, c, p_min)
+            rates = allocate(gains, sreq, total_power, noise_power).rates.tolist()
+        # summed in trial order, as one trial at a time would
+        sums[c] = 0.0
+        for rate in rates:
             sums[c] += rate
-            ratios[c].append(rate / base_rate)
+        ratios[c] = [rate / b for rate, b in zip(rates, base)]
 
     rows = []
     for c in counts:

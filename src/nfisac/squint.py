@@ -76,7 +76,8 @@ def focal_points(
     tie-break holds. An interval whose lower range is not clear of X, by
     one part in 1e6, is evaluated in full. Evaluated points run through the
     same steering rows and products as in a full evaluation (never a lone
-    row: see steering_chunks), so their gains keep their bits.
+    row: see steering_chunks), so their gains keep their bits; a kept row
+    whose mirror point is screened out skips the mirrored product.
     """
     n_ang, n_rng = pg.angles_rad.size, pg.ranges_m.size
     if n_ang == 0 or n_rng == 0:
@@ -109,11 +110,12 @@ def focal_points(
     best_idx = np.zeros(num_m, dtype=np.int64)
     evaluated = 0
 
-    def evaluate(r, k, row=None):
-        # exact gains of the direct-half points (range index r, angle index k),
-        # folded into the running best; with row, a range's |g| by angle index
+    def evaluate(r, k, row=None, mirrored=True):
+        # exact gains of the direct-half points (range index r, angle index k)
+        # and, if mirrored, of their mirror points, folded into the running
+        # best; with row, a range's |g| by angle index
         nonlocal evaluated
-        evaluated += r.size + int(np.count_nonzero(k < n_mir))
+        evaluated += r.size + (int(np.count_nonzero(k < n_mir)) if mirrored else 0)
         if r.size == 1 and n_rng * n_dir > 1:
             # numpy hands a one-row product to BLAS's dot, whose last bits
             # differ from the matrix-vector kernel's; a duplicate keeps two rows
@@ -126,7 +128,7 @@ def focal_points(
             kc = k[lo:hi]
             idx = full[lo:hi] + kc
             g = np.empty((num_m, hi - lo))
-            gm = np.empty((num_m, hi - lo)) if n_mir else None
+            gm = np.empty((num_m, hi - lo)) if n_mir and mirrored else None
             for m in range(num_m):
                 # two matrix-vector products, not one GEMM: a GEMM would move the
                 # low bits of the direct gains
@@ -181,14 +183,18 @@ def focal_points(
             h = 1.0 / (pg.ranges_m[c0 : c1 + 1] - half_ap)
             floor = np.sqrt(best_val) - margin
             hit = _reachable(lower, upper, slope, sin2, h[0] - h[1:-1], h[1:-1] - h[-1], floor)
-            # a direct row also yields its mirror's gain
-            keep = hit[:, :n_dir]
-            keep[:, :n_mir] |= hit[:, ::-1][:, :n_mir]
+            # a direct row whose mirror is kept yields both gains; one whose
+            # mirror is not skips the mirrored product
+            with_mirror = np.zeros((inner.size, n_dir), dtype=bool)
+            with_mirror[:, :n_mir] = hit[:, ::-1][:, :n_mir]
+            direct_only = hit[:, :n_dir] & ~with_mirror
         else:  # the bound holds only past the half-aperture
-            keep = np.ones((inner.size, n_dir), dtype=bool)
-        ri, ki = np.nonzero(keep)
-        if ri.size:
-            evaluate(inner[ri], ki)
+            with_mirror = np.ones((inner.size, n_dir), dtype=bool)
+            direct_only = np.zeros_like(with_mirror)
+        for keep, mirrored in ((direct_only, False), (with_mirror, True)):
+            ri, ki = np.nonzero(keep)
+            if ri.size:
+                evaluate(inner[ri], ki, mirrored=mirrored)
         lower, upper = upper, lower
 
     ir, ia = np.divmod(best_idx, n_ang)

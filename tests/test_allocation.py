@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nfisac.allocation import (
     AllocationPlan,
@@ -85,6 +86,67 @@ def test_water_fill_is_a_stationary_point(seed):
             q[i] -= eps
             q[j] += eps
             assert rate(q) <= base + 1e-9
+
+
+def row_water_fill(gains, budget, noise, rel_tol=1e-10):
+    """One row's bisection with Python-float brackets: the reference.
+
+    Returns (powers, bisection steps)."""
+    g = np.asarray(gains, dtype=float)
+    if g.size == 0 or budget <= 0:
+        return np.zeros_like(g), 0
+    with np.errstate(divide="ignore"):
+        floor = np.where(g > 0, noise / g, np.inf)
+    if not np.any(np.isfinite(floor)):
+        return np.zeros_like(g), 0
+    lo, hi = 0.0, budget + float(floor[np.isfinite(floor)].max())
+    steps = 0
+    while hi - lo > rel_tol * hi:
+        mu = 0.5 * (lo + hi)
+        if np.maximum(0.0, mu - floor).sum() > budget:
+            hi = mu
+        else:
+            lo = mu
+        steps += 1
+    return np.maximum(0.0, lo - floor), steps
+
+
+@st.composite
+def water_fill_stacks(draw):
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    gains = draw(arrays(float, (rows, n), elements=st.one_of(st.just(0.0), st.floats(1e-3, 5.0))))
+    if draw(st.booleans()):
+        gains[draw(st.integers(0, rows - 1))] = 0.0  # a dead row
+    # budgets over six decades give rows of different bisection lengths
+    budgets = draw(arrays(float, rows, elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3))))
+    return gains, budgets
+
+
+@given(water_fill_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_water_fill_equals_per_row_calls(case):
+    # each row of a stack is filled bit for bit as it would be alone
+    gains, budgets = case
+    got = water_fill(gains, budgets, 1.0)
+    assert got.shape == gains.shape
+    for r in range(gains.shape[0]):
+        alone = water_fill(gains[r], float(budgets[r]), 1.0)
+        assert got[r].tobytes() == alone.tobytes()
+        assert alone.tobytes() == row_water_fill(gains[r], float(budgets[r]), 1.0)[0].tobytes()
+
+
+def test_stacked_water_fill_freezes_converged_rows():
+    # rows that converge after different numbers of bisection steps, a dead
+    # row and a zero budget in one stack; a scalar budget applies to every row
+    gains = np.array([[1e-3, 5.0, 0.0], [1.0, 4.0, 3.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    budgets = np.array([0.01, 1e3, 5.0, 0.0])
+    want = [row_water_fill(g, b, 1.0) for g, b in zip(gains, budgets)]
+    assert want[0][1] != want[1][1] and want[2][1] == want[3][1] == 0
+    got = water_fill(gains, budgets, 1.0)
+    assert got.tobytes() == np.stack([p for p, _ in want]).tobytes()
+    assert np.all(got[2:] == 0.0)
+    same = water_fill(gains[:2], 7.0, 1.0)
+    assert same.tobytes() == np.stack([row_water_fill(g, 7.0, 1.0)[0] for g in gains[:2]]).tobytes()
 
 
 def test_water_fill_input_validation():

@@ -3,14 +3,75 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
-from nfisac.echoes import parabolic_refine, sense_from_echoes, simulate_echoes
+from nfisac.echoes import parabolic_refine, peak_angle, sense_from_echoes, simulate_echoes
 
 FC = 3.0e11
 WL = C / FC
+
+
+def scalar_parabolic_refine(values, k):
+    """One vector's offset as scalar arithmetic: the reference."""
+    if k == 0 or k == len(values) - 1:
+        return 0.0
+    den = values[k - 1] - 2.0 * values[k] + values[k + 1]
+    if den >= 0:
+        return 0.0
+    return float(np.clip(0.5 * (values[k - 1] - values[k + 1]) / den, -0.5, 0.5))
+
+
+def scalar_peak_angle(angles, stat):
+    """One vector's refined peak angle as scalar arithmetic: the reference."""
+    k = int(np.argmax(stat))
+    off = scalar_parabolic_refine(stat, k)
+    if off == 0.0:
+        return float(angles[k])
+    return float(angles[k] + off * ((angles[k + 1] - angles[k - 1]) / 2.0))
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# small integers make ties, plateaus and edge peaks common; the floats do not
+stat_values = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def stat_stacks(draw):
+    """(angles, stat, k): uneven ascending angles, a (B, S, K) statistic
+    with K >= 3, and an arbitrary index per vector (so non-concave triples)."""
+    b, s, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(3, 9))
+    angles = np.cumsum(draw(arrays(float, k, elements=st.floats(1e-3, 0.5)))) + 0.5
+    stat = draw(arrays(float, (b, s, k), elements=stat_values))
+    if draw(st.booleans()):  # force a peak onto an edge of some vectors
+        stat[..., draw(st.sampled_from([0, k - 1]))] = 2e3
+    idx = draw(arrays(np.intp, (b, s), elements=st.integers(0, k - 1)))
+    return angles, stat, idx
+
+
+@given(stat_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_peak_angle_equals_per_vector_calls(case):
+    # the trial-blocked experiments estimate (trial, SNR, K) stacks at once;
+    # each estimate must be bit for bit the single vector's, and that the
+    # scalar reference's
+    angles, stat, idx = case
+    got = peak_angle(angles, stat)
+    off = parabolic_refine(stat, idx)
+    assert got.shape == off.shape == stat.shape[:2]
+    for i in np.ndindex(*stat.shape[:2]):
+        one = peak_angle(angles, stat[i])
+        assert isinstance(one, float)
+        assert same_bits(got[i], one)
+        assert same_bits(one, scalar_peak_angle(angles, stat[i]))
+        one_off = parabolic_refine(stat[i], int(idx[i]))
+        assert same_bits(off[i], one_off)
+        assert same_bits(one_off, scalar_parabolic_refine(stat[i], int(idx[i])))
 
 
 def test_parabolic_refine_recovers_sampled_quadratic_peak():

@@ -11,9 +11,19 @@ import numpy as np
 import pytest
 import yaml
 
+import importlib.util
+import math
+
 import nfisac.arrays as arrays
+import nfisac.experiments as experiments
 import nfisac.music as music
-from nfisac.config import EXPERIMENT_SECTIONS, build_config, validate_data
+from nfisac.allocation import SensingRequirement, UserDemand, partition_and_allocate, sensing_subcarriers
+from nfisac.arrays import PolarPoint, spherical_delays
+from nfisac.codebook import polar_codeword
+from nfisac.config import EXPERIMENT_SECTIONS, build_config, load_config, validate_data
+from nfisac.csvio import write_csv
+from nfisac.delay_phase import arc_trajectory_spec, fit_trajectory, subcarrier_weights
+from nfisac.echoes import peak_angle
 from nfisac.experiments import EXPERIMENTS, list_experiment_names, run_experiment
 
 SPREAD = {
@@ -169,3 +179,132 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
     assert len(default) == 3 * len(BLAS_CONFIGS) + 1  # wavenumber-calibration writes two CSVs
     assert sorted(single) == sorted(default)
     assert [rel for rel in default if single[rel] != default[rel]] == []
+
+
+# ---------------------------------------------------------------------------
+# trial-blocked ISAC experiments against one-trial-at-a-time references
+# ---------------------------------------------------------------------------
+
+
+def per_trial_rmse_csv(cfg, path):
+    """rmse-vs-snr one trial and one SNR at a time: the reference.
+
+    Every estimate is a single-vector peak_angle call, and the squared
+    errors are summed in trial order.
+    """
+    geom, grid, arc, isec = cfg.ula, cfg.carrier, cfg.arc, cfg.section("isac")
+    n, num_m, freqs = geom.num_elements, grid.num_subcarriers, grid.freqs()
+    ks, kc = int(isec["sensing_subcarriers"]), int(isec["conventional_slots"])
+    e_ratio, margin = float(isec["sensing_energy_ratio"]), float(isec["target_margin_rad"])
+    snrs = [float(s) for s in cfg.snr_db]
+    dp_cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
+    w_ttd = subcarrier_weights(dp_cfg, grid, np.arange(num_m))
+    arc_angles = np.array([arc.angle_at(m / (num_m - 1)) for m in range(num_m)])
+    sense_rel = sensing_subcarriers(num_m, ks)
+    sense_angles = arc_angles[sense_rel]
+    slot_angles = np.linspace(arc.theta_start_rad, arc.theta_end_rad, kc)
+    w_ps = np.stack(
+        [polar_codeword(geom, grid, PolarPoint(arc.range_m, float(th))).weights for th in slot_angles]
+    )
+    lo, hi = arc.theta_start_rad + margin, arc.theta_end_rad - margin
+    schemes = ("isac", "sensing-only", "conventional")
+    sq_err = {(s, scheme): 0.0 for s in snrs for scheme in schemes}
+    for tr in range(cfg.trials):
+        rng = experiments._trial_rng(cfg.seed, tr)
+        th_t = lo + (hi - lo) * rng.random()
+        beta = np.exp(2j * np.pi * rng.random())
+        n_i = experiments._complex_normal(rng, ks)
+        n_s = experiments._complex_normal(rng, num_m)
+        n_c = experiments._complex_normal(rng, (kc, num_m))
+        taus = spherical_delays(geom, PolarPoint(arc.range_m, float(th_t)))
+        a_all = np.exp(-2j * np.pi * freqs[:, None] * taus[None, :])
+        g_ttd = np.abs(np.einsum("mn,mn->m", np.conj(w_ttd), a_all))
+        g_ps = np.abs(np.conj(w_ps) @ a_all.T)
+        for snr_db in snrs:
+            e_isac = 10.0 ** (snr_db / 10.0) / n
+            e_sense = e_ratio * e_isac
+            e_conv = e_isac / num_m
+            y = beta * g_ttd[sense_rel] * math.sqrt(e_isac) + n_i
+            sq_err[(snr_db, "isac")] += (peak_angle(sense_angles, np.abs(y) ** 2 / e_isac) - th_t) ** 2
+            y = beta * g_ttd * math.sqrt(e_sense) + n_s
+            sq_err[(snr_db, "sensing-only")] += (peak_angle(arc_angles, np.abs(y) ** 2 / e_sense) - th_t) ** 2
+            y = beta * g_ps * math.sqrt(e_conv) + n_c
+            est = peak_angle(slot_angles, np.sum(np.abs(y) ** 2, axis=1) / e_isac)
+            sq_err[(snr_db, "conventional")] += (est - th_t) ** 2
+    rows = []
+    for snr_db in snrs:
+        for scheme in schemes:
+            val = math.sqrt(sq_err[(snr_db, scheme)] / cfg.trials)
+            rows.append((snr_db, scheme, val, math.degrees(val), cfg.trials))
+    write_csv(path, ["snr_db", "scheme", "rmse_rad", "rmse_deg", "trials"], rows)
+
+
+def per_trial_rate_csv(cfg, path):
+    """rate-vs-sensing-budget one trial at a time through partition_and_allocate:
+    the reference. Rates are summed in trial order."""
+    asec, usec, num_m = cfg.section("allocation"), cfg.section("users"), cfg.carrier.num_subcarriers
+    total, noise, p_min = (float(asec[k]) for k in ("total_power_w", "noise_power_w", "sensing_power_w"))
+    counts = [int(c) for c in asec["sensing_counts"]]
+    sums = {c: 0.0 for c in counts}
+    ratios = {c: [] for c in counts}
+    for tr in range(cfg.trials):
+        rng = experiments._trial_rng(cfg.seed, tr)
+        gains = rng.exponential(float(usec["mean_gain"]), size=(int(usec["count"]), num_m))
+        users = [UserDemand(u, g) for u, g in enumerate(gains)]
+        _, base = partition_and_allocate(users, None, total, noise, num_subcarriers=num_m)
+        for c in counts:
+            rate = base
+            if c:
+                _, rate = partition_and_allocate(
+                    users, SensingRequirement(cfg.arc, c, p_min), total, noise, num_subcarriers=num_m
+                )
+            sums[c] += rate
+            ratios[c].append(rate / base)
+    rows = [(c, sums[c] / cfg.trials, min(ratios[c]), sum(ratios[c]) / len(ratios[c])) for c in counts]
+    write_csv(path, ["sensing_count", "mean_sum_rate_bps_hz", "min_rate_ratio", "mean_rate_ratio"], rows)
+
+
+@pytest.mark.parametrize(
+    "name, csv, reference",
+    [("rmse_vs_snr.yaml", "rmse.csv", per_trial_rmse_csv),
+     ("rate_vs_sensing_budget.yaml", "rate.csv", per_trial_rate_csv)],
+)
+@pytest.mark.parametrize("trials", [1, 17, None])
+def test_blocked_isac_experiments_equal_per_trial_reference(tmp_path, name, csv, reference, trials):
+    # blocks of trials share their estimation and water-filling, but every
+    # trial keeps its own stream and the sums run in trial order, so the CSV
+    # has the reference's bytes; 17 trials are not a whole number of blocks,
+    # None is the shipped count
+    raw = yaml.safe_load((PKG_ROOT / "configs" / name).read_text())
+    if trials is not None:
+        raw["experiment"]["trials"] = trials
+    cfg = _load(raw)
+    run_experiment(cfg, tmp_path / "blocked")
+    reference(cfg, tmp_path / "reference.csv")
+    assert (tmp_path / "blocked" / csv).read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _artifact_hashes_module():
+    spec = importlib.util.spec_from_file_location("artifact_hashes", PKG_ROOT / "scripts" / "artifact_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fast_shipped_artifacts_match_committed_hashes(tmp_path):
+    # every shipped config but squint-deviation (the one slow run) writes the
+    # bytes listed in scripts/artifacts.sha256
+    hashes = _artifact_hashes_module()
+    names = set()
+    for path in sorted((PKG_ROOT / "configs").glob("*.yaml")):
+        cfg = load_config(path)
+        if cfg.name == "squint-deviation":
+            continue
+        names.add(cfg.name)
+        run_experiment(cfg, tmp_path / cfg.name)
+    assert len(names) == 5
+    expected = {
+        k: v for k, v in hashes.read_hashes(PKG_ROOT / "scripts" / "artifacts.sha256").items()
+        if k.split("/")[0] in names
+    }
+    assert hashes.mismatches(hashes.tree_hashes(tmp_path), expected) == []

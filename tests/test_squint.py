@@ -419,3 +419,35 @@ def test_shipped_squint_scenario_evaluates_under_a_quarter_of_the_grid():
     traj = assert_matches_exhaustive(cfg.ula, cfg.carrier, w, pg)
     assert pg.shape == (721, 120)
     assert traj.evaluated_points < 0.25 * 721 * 120
+
+
+def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
+    # a kept row whose mirror point the screen rules out computes only its
+    # direct gain, and evaluated_points counts exactly the gains computed:
+    # every angle at the fully evaluated ranges, the direct point of each
+    # kept row, and the mirror point of each row whose mirror was kept
+    cfg = load_config(str(CONFIG_DIR / "squint_deviation.yaml"))
+    pg = evaluation_grid(cfg.section("grid"))
+    w = polar_codeword(cfg.ula, cfg.carrier, cfg.design)
+    n_ang, n_rng = pg.shape
+    n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
+    hits = []
+    reachable = squint._reachable
+
+    def recorded(*args):
+        hits.append(reachable(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(squint, "_reachable", recorded)
+    traj = focal_points(cfg.ula, cfg.carrier, w, pg)
+    coarse = len(set(range(0, n_rng, squint._RANGE_STRIDE)) | {n_rng - 1})
+    assert len(hits) == coarse - 1  # every interval is clear of the half-aperture
+    direct = mirrored = 0
+    for hit in hits:
+        rows = hit[:, :n_dir].copy()
+        rows[:, :n_mir] |= hit[:, ::-1][:, :n_mir]
+        direct += int(np.count_nonzero(rows))
+        mirrored += int(np.count_nonzero(hit[:, n_ang - n_mir:]))
+    assert traj.evaluated_points == coarse * n_ang + direct + mirrored
+    # most kept rows need only their direct point
+    assert mirrored < direct / 2
