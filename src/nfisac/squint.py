@@ -7,6 +7,7 @@ argmax of |w_m^H a_m| over a polar evaluation grid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,8 @@ from .constants import SPEED_OF_LIGHT as C
 # an angle axis is mirror-symmetric when cos(theta_k) + cos(theta_{n-1-k}) is
 # within a few ulps of zero for every k
 _MIRROR_COS_TOL = 4 * np.finfo(float).eps
-# every _RANGE_STRIDE-th range, and the last, is evaluated at every angle; the
-# ranges between are bounded from those two and evaluated only where it counts
-_RANGE_STRIDE = 8
-# a bounded point is evaluated when its bound comes within this fraction of
-# sum |w_n|, the largest |g| can be, of a subcarrier's best; see focal_points
+# a point is evaluated when its interval's bound comes within this fraction
+# of sum |w_n|, the largest |g| can be, of a subcarrier's best; see _RangeBound
 _SCREEN_MARGIN = 1e-9
 
 
@@ -56,28 +54,21 @@ def focal_points(
     a(theta) . reverse(conj(w)), so it can differ from a direct evaluation in the last bits.
 
     Most of the grid is screened rather than evaluated, and the result is bit
-    for bit that of evaluating every point. With x_n the element positions,
-    X = max |x_n| the half-aperture and g_m(p) = sum_n conj(w_n)
-    exp(-2j pi f_m (tau_n(p) - d_n)), two points at one angle theta and
-    ranges X < r1 < r2 satisfy
-
-        | |g_m(p1)| - |g_m(p2)| | <= (pi f_m sin^2(theta) / c)
-                                     * sum_n |w_n| x_n^2 * (h(r1) - h(r2)),
-
-    h(r) = 1 / (r - X): |g| ignores the common delay r/c, the front end's
-    delays d_n cancel, and the rest of tau_n moves with r at most
-    x_n^2 sin^2(theta) / (2 c (r - X)^2). Every _RANGE_STRIDE-th range and
-    the last are evaluated at every angle, in ascending order. A range
-    between two such is bounded at each angle and subcarrier by the smaller
-    of the bounds from its two neighbours, and a point is evaluated when
-    that bound reaches the best gain of some subcarrier so far, less a
-    margin for rounding in the computed gains and the bound. The test is
-    inclusive, so a point that ties the final best is evaluated and the
-    tie-break holds. An interval whose lower range is not clear of X, by
-    one part in 1e6, is evaluated in full. Evaluated points run through the
-    same steering rows and products as in a full evaluation (never a lone
-    row: see steering_chunks), so their gains keep their bits; a kept row
-    whose mirror point is screened out skips the mirrored product.
+    for bit that of evaluating every point. The first and last ranges are
+    evaluated at every angle; then ranges are bisected, coarse intervals
+    before fine ones. An interval between two evaluated ranges bounds every
+    range inside it at each angle and subcarrier (_RangeBound.peak), and its
+    middle range is evaluated only at the angles where that bound reaches
+    the best gain of some subcarrier so far, less a margin for rounding in
+    the computed gains and the bound. Both halves are then bisected on those
+    angles alone, so an angle screened out of an interval is screened out of
+    every range in it. The test is inclusive, so a point that ties the final
+    best is evaluated and the tie-break holds. An interval whose lower range
+    is not clear of the half-aperture, by one part in 1e6, keeps every angle.
+    Evaluated points run through the same steering rows and products as in
+    a full evaluation (never a lone row: see steering_chunks), so their
+    gains keep their bits; a kept row whose mirror point is screened out
+    skips the mirrored product.
     """
     n_ang, n_rng = pg.angles_rad.size, pg.ranges_m.size
     if n_ang == 0 or n_rng == 0:
@@ -109,11 +100,12 @@ def focal_points(
     best_val = np.full(num_m, -1.0)
     best_idx = np.zeros(num_m, dtype=np.int64)
     evaluated = 0
+    row = np.empty((num_m, n_ang))  # one range's |g| by angle index, reused
 
-    def evaluate(r, k, row=None, mirrored=True):
+    def evaluate(r, k, mirrored):
         # exact gains of the direct-half points (range index r, angle index k)
         # and, if mirrored, of their mirror points, folded into the running
-        # best; with row, a range's |g| by angle index
+        # best; their |g| go into row
         nonlocal evaluated
         evaluated += r.size + (int(np.count_nonzero(k < n_mir)) if mirrored else 0)
         if r.size == 1 and n_rng * n_dir > 1:
@@ -139,12 +131,10 @@ def focal_points(
                     a *= step
             if gm is not None:
                 has = kc < n_mir
-                if row is not None:
-                    row[:, n_ang - 1 - kc[has]] = gm[:, has]
+                row[:, n_ang - 1 - kc[has]] = gm[:, has]
                 g = np.concatenate([g, gm[:, has]], axis=1)
                 idx = np.concatenate([idx, (full[lo:hi] + n_ang - 1 - kc)[has]])
-            if row is not None:
-                row[:, kc] = g[:, : hi - lo]
+            row[:, kc] = g[:, : hi - lo]
             np.square(g, out=g)
             # smallest full index among exact ties, within the chunk and across
             # chunks (a chunk's mirrored indices can exceed the next chunk's)
@@ -154,48 +144,39 @@ def focal_points(
             best_val[better] = val[better]
             best_idx[better] = at[better]
 
-    # the bound's constants: half-aperture X, its per-subcarrier slope factor
-    # pi f_m sum_n |w_n| x_n^2 / c, and sin^2 per angle
-    x = t * C
-    half_ap = float(np.max(np.abs(x)))
-    w_abs = np.abs(w.weights)
-    freqs = grid.freqs()
-    slope = np.pi * freqs * float(w_abs @ (x * x)) / C
-    sin2 = np.sin(pg.angles_rad) ** 2
-    # a computed |g| differs from the exact one by at most sum |w_n| times a
-    # few ulps of f * delay in phase (the phasors, the recurrence's steps)
-    # plus the products' rounding; the margin allows hundreds of ulps of
-    # each, and _SCREEN_MARGIN the bound's own rounding
-    max_delay = (pg.ranges_m[-1] + half_ap) / C + (0.0 if d is None else float(np.max(np.abs(d))))
-    w_sum = float(w_abs.sum())
-    margin = w_sum * (_SCREEN_MARGIN + 2.0**-44 * (freqs[-1] * max_delay + geom.num_elements + num_m))
+    def measure(r, angles):
+        # |g| (subcarrier by angle) at range index r and the given ascending
+        # angle indices, which are evaluated with the direct-half rows they need
+        hit = np.zeros(n_ang, dtype=bool)
+        hit[angles] = True
+        direct_only, with_mirror = _mirror_rows(hit, n_dir, n_mir)
+        for k, mirrored in ((direct_only, False), (with_mirror, True)):
+            if k.size:
+                evaluate(np.full(k.size, r), k, mirrored)
+        return row[:, angles]
 
-    direct = np.arange(n_dir)
-    coarse = sorted(set(range(0, n_rng, _RANGE_STRIDE)) | {n_rng - 1})
-    lower = np.empty((num_m, n_ang))  # |g| at the evaluated range below, then above
-    upper = np.empty((num_m, n_ang))
-    evaluate(np.full(n_dir, coarse[0]), direct, lower)
-    for c0, c1 in zip(coarse, coarse[1:]):
-        evaluate(np.full(n_dir, c1), direct, upper)
-        inner = np.arange(c0 + 1, c1)
-        r0 = pg.ranges_m[c0]
-        if r0 - half_ap > 1e-6 * r0:
-            h = 1.0 / (pg.ranges_m[c0 : c1 + 1] - half_ap)
-            floor = np.sqrt(best_val) - margin
-            hit = _reachable(lower, upper, slope, sin2, h[0] - h[1:-1], h[1:-1] - h[-1], floor)
-            # a direct row whose mirror is kept yields both gains; one whose
-            # mirror is not skips the mirrored product
-            with_mirror = np.zeros((inner.size, n_dir), dtype=bool)
-            with_mirror[:, :n_mir] = hit[:, ::-1][:, :n_mir]
-            direct_only = hit[:, :n_dir] & ~with_mirror
-        else:  # the bound holds only past the half-aperture
-            with_mirror = np.ones((inner.size, n_dir), dtype=bool)
-            direct_only = np.zeros_like(with_mirror)
-        for keep, mirrored in ((direct_only, False), (with_mirror, True)):
-            ri, ki = np.nonzero(keep)
-            if ri.size:
-                evaluate(inner[ri], ki, mirrored=mirrored)
-        lower, upper = upper, lower
+    bound = _RangeBound(geom, grid, w, pg)
+    every = np.arange(n_ang)
+    # intervals (c0, c1, angles, |g| at c0, |g| at c1) whose ranges between
+    # are still to be screened, |g| only at their angles; first in, first out
+    pending = deque()
+    lowest = measure(0, every)
+    if n_rng > 1:
+        pending.append((0, n_rng - 1, every, lowest, measure(n_rng - 1, every)))
+    while pending:
+        c0, c1, k, lower, upper = pending.popleft()
+        if c1 - c0 < 2:
+            continue
+        if bound.clear(c0):
+            floor = np.sqrt(best_val) - bound.margin
+            reach = np.any(bound.peak(lower, upper, k, c0, c1) >= floor[:, None], axis=0)
+            if not reach.any():
+                continue
+            k, lower, upper = k[reach], lower[:, reach], upper[:, reach]
+        mid = (c0 + c1) // 2
+        middle = measure(mid, k)
+        pending.append((c0, mid, k, lower, middle))
+        pending.append((mid, c1, k, middle, upper))
 
     ir, ia = np.divmod(best_idx, n_ang)
     points = tuple(
@@ -208,30 +189,68 @@ def focal_points(
     return SquintTrajectory(np.arange(num_m), points, best_val, on_boundary, evaluated)
 
 
-def _reachable(lower, upper, slope, sin2, rise_lo, rise_hi, floor) -> np.ndarray:
-    """Which points between two fully evaluated ranges may reach floor.
+def _mirror_rows(hit, n_dir, n_mir) -> tuple:
+    """Direct-half angle indices that evaluate the angles in hit.
 
-    lower and upper are |g| (subcarrier by angle) at the ranges below and
-    above. At the j-th range between, |g| exceeds lower by at most
-    slope_m sin2_k rise_lo[j] and upper by at most slope_m sin2_k
-    rise_hi[j]; a point is kept when both bounds reach floor_m at some
-    subcarrier. Returns a bool array, range between by angle.
+    hit is a bool array by angle index. Returns (direct_only, with_mirror):
+    the rows k whose mirror n_ang - 1 - k is in hit yield both gains, and
+    the other rows in hit skip the mirrored product.
     """
-    out = np.empty((rise_lo.size, sin2.size), dtype=bool)
-    bound = np.empty(lower.shape)
-    reach = np.empty(lower.shape, dtype=bool)
-    reach_hi = np.empty(lower.shape, dtype=bool)
-    floor = floor[:, None]
-    for j in range(rise_lo.size):
-        np.multiply(slope[:, None], sin2 * rise_lo[j], out=bound)
-        np.add(bound, lower, out=bound)
-        np.greater_equal(bound, floor, out=reach)
-        np.multiply(slope[:, None], sin2 * rise_hi[j], out=bound)
-        np.add(bound, upper, out=bound)
-        np.greater_equal(bound, floor, out=reach_hi)
-        np.logical_and(reach, reach_hi, out=reach)
-        np.any(reach, axis=0, out=out[j])
-    return out
+    with_mirror = np.zeros(n_dir, dtype=bool)
+    with_mirror[:n_mir] = hit[::-1][:n_mir]
+    return np.flatnonzero(hit[:n_dir] & ~with_mirror), np.flatnonzero(with_mirror)
+
+
+class _RangeBound:
+    """The certified bound that screens focal_points' ranges.
+
+    With x_n the element positions, X = max |x_n| the half-aperture and
+    g_m(p) = sum_n conj(w_n) exp(-2j pi f_m (tau_n(p) - d_n)), two points at
+    one angle theta and ranges X < r1 < r2 satisfy
+
+        | |g_m(p1)| - |g_m(p2)| | <= slope_m sin^2(theta) (h(r1) - h(r2)),
+
+    slope_m = pi f_m sum_n |w_n| x_n^2 / c and h(r) = 1 / (r - X): |g|
+    ignores the common delay r/c, the front end's delays d_n cancel, and the
+    rest of tau_n moves with r at most x_n^2 sin^2(theta) / (2 c (r - X)^2).
+    """
+
+    def __init__(self, geom: ArrayGeometry, grid: CarrierGrid, w: Beamformer, pg: PolarGrid):
+        x = geom.element_offsets_s * C
+        self.half_ap = float(np.max(np.abs(x)))
+        w_abs = np.abs(w.weights)
+        freqs = grid.freqs()
+        self.slope = np.pi * freqs * float(w_abs @ (x * x)) / C
+        self.sin2 = np.sin(pg.angles_rad) ** 2
+        self.ranges = pg.ranges_m
+        # a computed |g| differs from the exact one by at most sum |w_n| times a
+        # few ulps of f * delay in phase (the phasors, the recurrence's steps)
+        # plus the products' rounding; the margin allows hundreds of ulps of
+        # each, and _SCREEN_MARGIN the bound's own rounding
+        d = w.delays_s
+        max_delay = (pg.ranges_m[-1] + self.half_ap) / C + (0.0 if d is None else float(np.max(np.abs(d))))
+        self.margin = float(w_abs.sum()) * (
+            _SCREEN_MARGIN + 2.0**-44 * (freqs[-1] * max_delay + geom.num_elements + grid.num_subcarriers)
+        )
+
+    def clear(self, c: int) -> bool:
+        """Whether range index c is clear of the half-aperture, where the bound holds."""
+        r = self.ranges[c]
+        return r - self.half_ap > 1e-6 * r
+
+    def peak(self, lower: np.ndarray, upper: np.ndarray, angles: np.ndarray, c0: int, c1: int) -> np.ndarray:
+        """Bound on |g| at every range strictly between range indices c0 < c1.
+
+        lower and upper are |g| (subcarrier by angle) at c0 and c1 at the
+        given angle indices; c0 must be clear. At a range r between, |g| is
+        at most lower + s (h0 - h(r)) and at most upper + s (h(r) - h1),
+        with s = slope_m sin^2(theta) and h0, h1 = h at c0, c1. The two
+        bounds sum to lower + upper + s (h0 - h1) whatever r is, so their
+        mean bounds their minimum (the Piyavskii peak): it holds even when
+        rounding puts lower and upper further apart than the slope allows.
+        """
+        h0, h1 = 1.0 / (self.ranges[[c0, c1]] - self.half_ap)
+        return (lower + upper + np.multiply.outer(self.slope, self.sin2[angles] * (h0 - h1))) / 2
 
 
 def squint_deviation(traj: SquintTrajectory, design: PolarPoint) -> tuple:

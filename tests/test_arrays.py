@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import nfisac.arrays as arrays
 import nfisac.music as music
+import nfisac.squint as squint
 from nfisac.arrays import (
     ArrayGeometry,
     CarrierGrid,
@@ -241,13 +242,19 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     r1, r2 = _adjacent_twins(0.1, lambda r: r / C)
     focal_pg = PolarGrid(np.array([0.05, a1, a2, 0.15]), np.array([0.08, r1, r2, 0.125]))
     w_tie = polar_codeword(geom, grid, PolarPoint(r1, a1))
-    # the same tie at ranges 9 and 10 of 19, between the screen's fully
-    # evaluated ranges 8 and 16: both its 7-row passes at those ranges and
-    # the passes over the points it keeps between them split into chunks
+    # the same tie at ranges 9 and 10 of 19, which the screen's bisection
+    # reaches at the angles it keeps, more than 8 of the 13 (checked below):
+    # its passes at the end ranges and at the tie ranges split into chunks
     screen_pg = PolarGrid(
-        np.array([0.05, a1, a2, 0.15, 0.2, 0.3, 0.45]),
+        np.array([0.05, 0.07, 0.08, 0.09, a1, a2, 0.11, 0.12, 0.13, 0.15, 0.2, 0.3, 0.45]),
         np.concatenate([np.geomspace(0.05, 0.095, 9), [r1, r2], np.geomspace(0.105, 0.3, 8)]),
     )
+    screen_passes = []
+
+    def recorded(geom, freq_hz, taus, *args):
+        if taus.size and taus[0] == r1 / C:
+            screen_passes.append(taus.size)
+        return arrays.steering_chunks(geom, freq_hz, taus, *args)
 
     def spectra(num_sources):
         # one by one, then batched from a generator: with `rows` set, a pass
@@ -286,6 +293,10 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         )
 
     gains, spectrum, trajs = evaluate()
+    with monkeypatch.context() as m:
+        m.setattr(squint, "steering_chunks", recorded)
+        focal_points(geom, grid, w_tie, screen_pg)
+    assert len(screen_passes) == 2 and min(screen_passes) > 8
     monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", rows * geom.num_elements)
     monkeypatch.setattr(music, "_PASS_ENTRIES", rows * geom.num_elements)
     c_gains, c_spectrum, c_trajs = evaluate()

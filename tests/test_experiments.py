@@ -292,19 +292,13 @@ def _artifact_hashes_module():
 
 
 def test_fast_shipped_artifacts_match_committed_hashes(tmp_path):
-    # every shipped config but squint-deviation (the one slow run) writes the
-    # bytes listed in scripts/artifacts.sha256
+    # every shipped config writes the bytes listed in scripts/artifacts.sha256
     hashes = _artifact_hashes_module()
     names = set()
     for path in sorted((PKG_ROOT / "configs").glob("*.yaml")):
         cfg = load_config(path)
-        if cfg.name == "squint-deviation":
-            continue
         names.add(cfg.name)
         run_experiment(cfg, tmp_path / cfg.name)
-    assert len(names) == 5
-    expected = {
-        k: v for k, v in hashes.read_hashes(PKG_ROOT / "scripts" / "artifacts.sha256").items()
-        if k.split("/")[0] in names
-    }
+    assert len(names) == 6
+    expected = hashes.read_hashes(PKG_ROOT / "scripts" / "artifacts.sha256")
     assert hashes.mismatches(hashes.tree_hashes(tmp_path), expected) == []

@@ -1,10 +1,11 @@
 """Focal-point trajectories of codewords and delay-phase front ends across subcarriers."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nfisac.arrays as arrays
 import nfisac.squint as squint
@@ -387,67 +388,103 @@ def test_screened_search_matches_exhaustive_reference(name):
 
 
 def test_lone_survivor_row_keeps_its_bits(monkeypatch):
-    # two angles, eleven ranges: ranges 0, 8 and 10 are evaluated in full,
-    # the screen keeps all 7 points at angle 1.0 between ranges 0 and 8, and
-    # between 8 and 10 it keeps only the design point at range 9, which peaks
-    # every subcarrier. Evaluated alone its one-row product would go to
-    # BLAS's dot and change its gain's last bits, so no steering pass may
-    # see a single row
+    # two angles, eleven ranges: ranges 0 and 10 are evaluated at both
+    # angles, and the screen rules angle 1.3 out of the interval between
+    # them, so each of ranges 1-9 is bisected at angle 1.0 alone, the design
+    # point at range 9, which peaks every subcarrier, among them. Evaluated
+    # alone a one-row product would go to BLAS's dot and change its gain's
+    # last bits, so no steering pass may see a single row
     geom = ArrayGeometry.ula(32, WL / 2)
     grid = CarrierGrid(FC, 3, 4.6875e8)
     pg = PolarGrid(np.array([1.0, 1.3]), np.geomspace(0.1, 0.2, 11))
     w = polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[9]), 1.0))
     passes = []
 
-    def recorded(geom, freq_hz, taus, *args):
-        passes.append(taus.size)
-        return steering_chunks(geom, freq_hz, taus, *args)
+    def recorded(geom, freq_hz, taus, cosines, *args):
+        passes.append((taus.size, frozenset(cosines)))
+        return steering_chunks(geom, freq_hz, taus, cosines, *args)
 
     monkeypatch.setattr(squint, "steering_chunks", recorded)
     traj = assert_matches_exhaustive(geom, grid, w, pg)
-    assert traj.evaluated_points == 3 * 2 + 7 + 1
+    assert traj.evaluated_points == 2 * 2 + 9
     assert set(traj.points) == {PolarPoint(float(pg.ranges_m[9]), 1.0)}
-    assert passes and min(passes) >= 2
+    assert min(size for size, _ in passes) >= 2
+    # nine passes, one per lone survivor, each its one row twice
+    assert [cos for _, cos in passes].count(frozenset(np.cos(pg.angles_rad[:1]))) == 9
 
 
-def test_shipped_squint_scenario_evaluates_under_a_quarter_of_the_grid():
+def _shipped_squint_search():
+    cfg = load_config(str(CONFIG_DIR / "squint_deviation.yaml"))
+    return cfg.ula, cfg.carrier, polar_codeword(cfg.ula, cfg.carrier, cfg.design), evaluation_grid(cfg.section("grid"))
+
+
+def test_shipped_squint_scenario_evaluates_under_8_percent_of_the_grid():
     # the squint-deviation experiment's search: 721 x 120 points, 512
     # elements, 65 subcarriers; the screen keeps its bits and skips most of it
-    cfg = load_config(str(CONFIG_DIR / "squint_deviation.yaml"))
-    pg = evaluation_grid(cfg.section("grid"))
-    w = polar_codeword(cfg.ula, cfg.carrier, cfg.design)
-    traj = assert_matches_exhaustive(cfg.ula, cfg.carrier, w, pg)
+    geom, grid, w, pg = _shipped_squint_search()
+    traj = assert_matches_exhaustive(geom, grid, w, pg)
     assert pg.shape == (721, 120)
-    assert traj.evaluated_points < 0.25 * 721 * 120
+    assert traj.evaluated_points < 0.08 * 721 * 120
+
+
+def test_shipped_squint_search_peaks_under_8_mb():
+    # the bisection keeps |g| only at the angles each pending interval still
+    # reaches, never a whole range's 65 x 721 row per evaluated range
+    search = _shipped_squint_search()
+    tracemalloc.start()
+    try:
+        focal_points(*search)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     # a kept row whose mirror point the screen rules out computes only its
     # direct gain, and evaluated_points counts exactly the gains computed:
-    # every angle at the fully evaluated ranges, the direct point of each
-    # kept row, and the mirror point of each row whose mirror was kept
-    cfg = load_config(str(CONFIG_DIR / "squint_deviation.yaml"))
-    pg = evaluation_grid(cfg.section("grid"))
-    w = polar_codeword(cfg.ula, cfg.carrier, cfg.design)
+    # every angle at the two end ranges, the direct point of each kept row,
+    # and the mirror point of each row whose mirror was kept
+    geom, grid, w, pg = _shipped_squint_search()
     n_ang, n_rng = pg.shape
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
     hits = []
-    reachable = squint._reachable
+    mirror_rows = squint._mirror_rows
 
-    def recorded(*args):
-        hits.append(reachable(*args))
-        return hits[-1]
+    def recorded(hit, *args):
+        hits.append(hit.copy())
+        return mirror_rows(hit, *args)
 
-    monkeypatch.setattr(squint, "_reachable", recorded)
-    traj = focal_points(cfg.ula, cfg.carrier, w, pg)
-    coarse = len(set(range(0, n_rng, squint._RANGE_STRIDE)) | {n_rng - 1})
-    assert len(hits) == coarse - 1  # every interval is clear of the half-aperture
+    monkeypatch.setattr(squint, "_mirror_rows", recorded)
+    traj = focal_points(geom, grid, w, pg)
+    # the two end ranges first, then at most one record per other range
+    assert hits[0].all() and hits[1].all()
+    assert 2 < len(hits) <= n_rng
     direct = mirrored = 0
-    for hit in hits:
-        rows = hit[:, :n_dir].copy()
-        rows[:, :n_mir] |= hit[:, ::-1][:, :n_mir]
+    for hit in hits[2:]:
+        rows = hit[:n_dir].copy()
+        rows[:n_mir] |= hit[::-1][:n_mir]
         direct += int(np.count_nonzero(rows))
-        mirrored += int(np.count_nonzero(hit[:, n_ang - n_mir:]))
-    assert traj.evaluated_points == coarse * n_ang + direct + mirrored
+        mirrored += int(np.count_nonzero(hit[n_ang - n_mir :]))
+    assert traj.evaluated_points == 2 * n_ang + direct + mirrored
     # most kept rows need only their direct point
     assert mirrored < direct / 2
+
+
+@given(focal_scenarios(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_interval_peak_bounds_every_range_between(scenario, data):
+    # the certificate behind the range screen: from exact |g| at two ranges
+    # clear of the half-aperture, the interval's peak bounds |g| at every
+    # range between, at every angle and subcarrier, within the margin
+    geom, grid, w, pg = scenario
+    bound = squint._RangeBound(geom, grid, w, pg)
+    clear = [c for c in range(pg.ranges_m.size) if bound.clear(c)]
+    assume(len(clear) >= 2)
+    c0, c1 = sorted(data.draw(st.lists(st.sampled_from(clear), min_size=2, max_size=2, unique=True)))
+    angles = np.arange(pg.angles_rad.size)
+    between = PolarGrid(pg.angles_rad, pg.ranges_m[c0 : c1 + 1])
+    g = np.array([np.sqrt(direct_exp_gains(geom, grid.freq(m), between, w)) for m in range(grid.num_subcarriers)])
+    g = g.reshape(grid.num_subcarriers, c1 - c0 + 1, angles.size)
+    peak = bound.peak(g[:, 0], g[:, -1], angles, c0, c1)
+    assert np.all(g[:, 1:-1] <= peak[:, None, :] + bound.margin)
