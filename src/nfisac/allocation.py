@@ -3,34 +3,20 @@
 Sensing reserves a small set of subcarriers whose beam-trajectory angles
 uniformly cover a requested arc, each at a fixed minimum power; every other
 subcarrier goes to the user with the best gain on it and the remaining power
-is water-filled to maximize the communication sum rate.
+is water-filled to maximize the communication sum rate. partition_and_allocate
+plans a whole stack of channel draws at once, a single draw being a stack of
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .delay_phase import Arc
 from .errors import InfeasibleAllocationError
-
-
-@dataclass(frozen=True, eq=False)
-class UserDemand:
-    """Per-subcarrier effective channel gains for one user."""
-
-    user_id: int
-    gains: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gains, dtype=float)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("gains must be a nonempty 1-D array")
-        if not np.all(np.isfinite(g)) or np.any(g < 0):
-            raise ValueError("gains must be finite and >= 0")
-        object.__setattr__(self, "gains", g)
 
 
 @dataclass(frozen=True)
@@ -46,24 +32,6 @@ class SensingRequirement:
             raise ValueError("min_subcarriers must be >= 1")
         if self.min_power_w < 0:
             raise ValueError("min_power_w must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class AllocationPlan:
-    """Disjoint sensing/communication subcarrier sets with per-subcarrier power."""
-
-    sensing_set: tuple
-    comm_assignment: dict  # subcarrier -> user_id
-    powers_w: np.ndarray
-    total_power_w: float
-    min_sensing_power_w: float
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.powers_w, dtype=float)
-        sensing = np.array(sorted(set(self.sensing_set)), dtype=int)
-        comm = np.array(sorted(set(self.comm_assignment)), dtype=int)
-        _check_allocation(sensing, comm, p, self.total_power_w, self.min_sensing_power_w)
-        object.__setattr__(self, "powers_w", p)
 
 
 def _check_allocation(
@@ -145,7 +113,11 @@ def sensing_subcarriers(num_subcarriers: int, count: int) -> np.ndarray:
 
 
 class Allocations(NamedTuple):
-    """Plans for a stack of channel draws, as allocate returns them."""
+    """Plans for a stack of channel draws, as partition_and_allocate returns them.
+
+    Draw i gives comm[j] to user best_user[i, j] and subcarrier m the power
+    powers_w[i, m]; its sum rate is rates[i].
+    """
 
     sensing: np.ndarray  # reserved subcarriers, shared by every draw
     comm: np.ndarray  # the other subcarriers, ascending
@@ -154,7 +126,7 @@ class Allocations(NamedTuple):
     rates: np.ndarray  # (...): communication sum rate per draw
 
 
-def allocate(
+def partition_and_allocate(
     gains: np.ndarray,
     sreq: Optional[SensingRequirement],
     total_power_w: float,
@@ -167,8 +139,8 @@ def allocate(
     (sreq=None reserves none); every other subcarrier goes to the user with
     the best gain there, the first on ties, and the remaining power is
     water-filled over those gains. With no users the rate is 0 and the
-    communication power stays unallocated. Each draw's plan is checked as
-    an AllocationPlan checks its own.
+    communication power stays unallocated. Every draw's plan is checked
+    (_check_allocation) before it is returned.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim < 2 or g.shape[-1] == 0:
@@ -209,51 +181,3 @@ def allocate(
         rates = np.log2(1.0 + comm_powers * best_gain / noise_power_w).sum(axis=-1)
     _check_allocation(sensing, comm, powers, total_power_w, p_min)
     return Allocations(sensing, comm, best_user, powers, rates)
-
-
-def partition_and_allocate(
-    users: Sequence[UserDemand],
-    sreq: Optional[SensingRequirement],
-    total_power_w: float,
-    noise_power_w: float,
-    num_subcarriers: Optional[int] = None,
-) -> tuple:
-    """Build an AllocationPlan and return (plan, communication sum rate).
-
-    sreq=None reserves nothing for sensing. With no users, all non-sensing
-    power stays unallocated and the rate is 0. num_subcarriers is inferred
-    from the users when omitted. The plan is allocate's for one draw.
-    """
-    users = sorted(users, key=lambda u: u.user_id)
-    ids = [u.user_id for u in users]
-    if len(set(ids)) != len(ids):
-        raise ValueError("user ids must be unique")
-    if num_subcarriers is None:
-        if not users:
-            raise ValueError("num_subcarriers required when there are no users")
-        num_subcarriers = users[0].gains.size
-    for u in users:
-        if u.gains.size != num_subcarriers:
-            raise ValueError("all users must cover the same subcarriers")
-    gain_matrix = np.stack([u.gains for u in users]) if users else np.zeros((0, num_subcarriers))
-    out = allocate(gain_matrix, sreq, total_power_w, noise_power_w)
-    assignment = {}
-    if users:
-        assignment = {int(m): users[int(u)].user_id for m, u in zip(out.comm, out.best_user)}
-    plan = AllocationPlan(
-        tuple(int(m) for m in out.sensing), assignment, out.powers_w, total_power_w,
-        0.0 if sreq is None else sreq.min_power_w,
-    )
-    return plan, float(out.rates)
-
-
-def plan_sum_rate(
-    plan: AllocationPlan, users: Sequence[UserDemand], noise_power_w: float
-) -> float:
-    """Communication sum rate of an arbitrary plan on the given channels."""
-    by_id = {u.user_id: u for u in users}
-    rate = 0.0
-    for m, uid in plan.comm_assignment.items():
-        g = by_id[uid].gains[m]
-        rate += float(np.log2(1.0 + plan.powers_w[m] * g / noise_power_w))
-    return rate

@@ -25,16 +25,18 @@ from .constants import SPEED_OF_LIGHT as C
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Uniform linear array on a line, described by signed element offsets.
+    """Uniform linear array on a line, centered on the origin.
 
-    element_offsets_s[n] is the signed propagation time from the array center
-    to element n along the array axis; offsets are symmetric about zero and
-    strictly increasing.
+    element_offsets_s[n] = (n - (N-1)/2) * d / c is the signed propagation
+    time from the array center to element n along the array axis. It is
+    derived, never passed, so the offsets are strictly increasing and
+    exactly antisymmetric: every rounding in that expression is symmetric
+    in sign, so element N-1-n's offset is exactly minus element n's.
     """
 
     num_elements: int
     spacing_m: float
-    element_offsets_s: np.ndarray = field(repr=False)
+    element_offsets_s: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, d = self.num_elements, self.spacing_m
@@ -42,25 +44,13 @@ class ArrayGeometry:
             raise ValueError("num_elements must be >= 1")
         if d <= 0:
             raise ValueError("spacing_m must be > 0")
-        t = np.asarray(self.element_offsets_s, dtype=float)
-        if t.shape != (n,):
-            raise ValueError("element_offsets_s must have one entry per element")
-        if abs(float(t.sum())) > 1e-15:
-            raise ValueError("element offsets must be symmetric about zero")
-        if n > 1:
-            steps = np.diff(t)
-            if np.any(steps <= 0):
-                raise ValueError("element offsets must be strictly increasing")
-            if np.any(np.abs(steps - d / C) > 1e-12 * d / C):
-                raise ValueError("adjacent offset difference must equal spacing_m/c")
+        t = (np.arange(n, dtype=float) - (n - 1) / 2.0) * d / C
         object.__setattr__(self, "element_offsets_s", t)
 
     @classmethod
     def ula(cls, num_elements: int, spacing_m: float) -> "ArrayGeometry":
-        """Centered ULA: offset of element n is (n - (N-1)/2) * d / c."""
-        n = np.arange(num_elements, dtype=float)
-        t = (n - (num_elements - 1) / 2.0) * spacing_m / C
-        return cls(num_elements, spacing_m, t)
+        """Centered ULA of num_elements elements spacing_m apart."""
+        return cls(num_elements, spacing_m)
 
     def aperture_m(self) -> float:
         return (self.num_elements - 1) * self.spacing_m

@@ -18,7 +18,11 @@ from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, st
 
 @dataclass(frozen=True, eq=False)
 class Beamformer:
-    """Unit-power weights, per-element delays (None: a phase-only codeword), focus point if any."""
+    """Unit-power weights, per-element delays, focus point if any.
+
+    delays_s defaults to zeros: a phase-only codeword is a front end whose
+    delays are zero.
+    """
 
     weights: np.ndarray
     design_point: Optional[PolarPoint] = None
@@ -30,7 +34,9 @@ class Beamformer:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("beamformer weights must have unit l2 norm")
         object.__setattr__(self, "weights", w)
-        if self.delays_s is not None and np.shape(self.delays_s) != w.shape:
+        if self.delays_s is None:
+            object.__setattr__(self, "delays_s", np.zeros(w.shape))
+        elif np.shape(self.delays_s) != w.shape:
             raise ValueError("delays_s must have one entry per weight")
 
 

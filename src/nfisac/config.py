@@ -445,21 +445,23 @@ def _validate_cross_fields(rep: ValidationReport, res: dict) -> None:
             if in_angles and in_grid:
                 placed.append((path, point))
 
-    # the planar-array readout of a target is noiseless, so running it here,
-    # calibration included, shows whether the run would fail or misread it
+    # the planar-array readout is noiseless, so running it here, the sweep's
+    # calibration and then each target's estimate, shows whether the run
+    # would fail or misread it
     upa = res.get("array.upa")
-    if placed and sweep is not None and upa is not None and carrier is not None:
+    if sweep is not None and upa is not None and carrier is not None:
         freq = float(carrier["center_hz"])
         arr = _planar_array(upa, C / freq)
         direction, sweep_m, frac = wavenumber_calibration(wsec)
+        table = None  # each target's forward step is still checked without one
         try:
             table = calibrate_radius_range(arr, freq, direction, sweep_m, threshold_frac=frac)
         except CalibrationError as exc:
             # the sweep runs past the window where radii fall with range
             rep.add("wavenumber.range_max_m", f"the calibration sweep cannot be calibrated ({exc})")
-            table = None
-        except AliasingError:
-            table = None  # the run reports the sweep; each target's forward step is still checked
+        except AliasingError as exc:
+            # the nearest ranges' support disks are the widest
+            rep.add("wavenumber.range_min_m", f"the calibration sweep's wavenumber readout aliases ({exc})")
         cos_bin = C / (freq * arr.nx * arr.dx_m)
         for path, point in placed:
             p = PolarPoint(float(point["range_m"]), float(point["angle_rad"]))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocation import SensingRequirement, allocate, sensing_subcarriers
+from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
 from .codebook import angular_spread, polar_codeword
 from .config import EXPERIMENT_SECTIONS, ScenarioConfig, evaluation_grid, wavenumber_calibration
@@ -458,14 +458,14 @@ def run_rate_vs_sensing_budget(cfg: ScenarioConfig, outdir) -> ExperimentResult:
         [_trial_rng(cfg.seed, tr).exponential(mean_gain, size=(num_users, num_m)) for tr in range(trials)]
     )
     # comm-only baseline: full band and full power to communication
-    base = allocate(gains, None, total_power, noise_power).rates.tolist()
+    base = partition_and_allocate(gains, None, total_power, noise_power).rates.tolist()
     sums = {}
     ratios = {}
     for c in counts:
         rates = base
         if c != 0:
             sreq = SensingRequirement(arc, c, p_min)
-            rates = allocate(gains, sreq, total_power, noise_power).rates.tolist()
+            rates = partition_and_allocate(gains, sreq, total_power, noise_power).rates.tolist()
         # summed in trial order, as one trial at a time would
         sums[c] = 0.0
         for rate in rates:

@@ -48,10 +48,11 @@ def focal_points(
     peaks on the grid boundary the trajectory carries a boundary warning,
     meaning the grid is too small to trust that focal point.
 
-    When the array offsets are exactly antisymmetric (as ArrayGeometry.ula builds them),
-    w's delays equal their reverse and the angle axis is symmetric about pi/2, the manifold
-    is built only for the angles with cos >= 0; the gain at pi - theta is read as
-    a(theta) . reverse(conj(w)), so it can differ from a direct evaluation in the last bits.
+    When w's delays equal their reverse (a codeword's are all zero) and the
+    angle axis is symmetric about pi/2, the manifold is built only for the
+    angles with cos >= 0, since ArrayGeometry's offsets are exactly
+    antisymmetric; the gain at pi - theta is read as a(theta) .
+    reverse(conj(w)), so it can differ from a direct evaluation in the last bits.
 
     Most of the grid is screened rather than evaluated, and the result is bit
     for bit that of evaluating every point. The first and last ranges are
@@ -65,10 +66,11 @@ def focal_points(
     every range in it. The test is inclusive, so a point that ties the final
     best is evaluated and the tie-break holds. An interval whose lower range
     is not clear of the half-aperture, by one part in 1e6, keeps every angle.
-    Evaluated points run through the same steering rows and products as in
-    a full evaluation (never a lone row: see steering_chunks), so their
-    gains keep their bits; a kept row whose mirror point is screened out
-    skips the mirrored product.
+    Each measured range is one steering pass over the direct-half rows it
+    needs, and only the rows whose mirror point is kept take the mirrored
+    product. Evaluated points run through the same steering rows and
+    products as in a full evaluation (never a lone row: see
+    steering_chunks), so their gains keep their bits.
     """
     n_ang, n_rng = pg.angles_rad.size, pg.ranges_m.size
     if n_ang == 0 or n_rng == 0:
@@ -81,13 +83,12 @@ def focal_points(
         ):
             raise ValueError("evaluation grid does not cover the design point")
 
-    # antisymmetric offsets, shifted by delays d equal to their reverse, make the delays
-    # at -cos(theta) those at cos(theta) in reverse order; an asymmetric axis mirrors none
-    t, d = geom.element_offsets_s, w.delays_s
+    # ArrayGeometry's offsets are antisymmetric, so with delays d equal to their
+    # reverse the delays at -cos(theta) are those at cos(theta) in reverse
+    # order; an asymmetric axis mirrors none
+    d = w.delays_s
     cos_axis = np.cos(pg.angles_rad)
-    mirror = np.array_equal(t, -t[::-1]) and (d is None or np.array_equal(d, d[::-1])) and bool(
-        np.all(np.abs(cos_axis + cos_axis[::-1]) <= _MIRROR_COS_TOL)
-    )
+    mirror = np.array_equal(d, d[::-1]) and bool(np.all(np.abs(cos_axis + cos_axis[::-1]) <= _MIRROR_COS_TOL))
     n_dir = (n_ang + 1) // 2 if mirror else n_ang  # angles built directly
     n_mir = n_ang // 2 if mirror else 0  # of those, angles k < n_mir mirrored
 
@@ -102,39 +103,49 @@ def focal_points(
     evaluated = 0
     row = np.empty((num_m, n_ang))  # one range's |g| by angle index, reused
 
-    def evaluate(r, k, mirrored):
-        # exact gains of the direct-half points (range index r, angle index k)
-        # and, if mirrored, of their mirror points, folded into the running
-        # best; their |g| go into row
+    def measure(r, angles):
+        # |g| (subcarrier by angle) at range index r and the given ascending
+        # angle indices, from one steering pass over the direct-half rows
+        # they need: first the j rows whose mirror angle is wanted, which
+        # also take the mirrored product, then the rest. Every gain computed
+        # is exact and folded into the running best
         nonlocal evaluated
-        evaluated += r.size + (int(np.count_nonzero(k < n_mir)) if mirrored else 0)
-        if r.size == 1 and n_rng * n_dir > 1:
+        hit = np.zeros(n_ang, dtype=bool)
+        hit[angles] = True
+        both = np.zeros(n_dir, dtype=bool)
+        both[:n_mir] = hit[::-1][:n_mir]
+        k = np.concatenate([np.flatnonzero(both), np.flatnonzero(hit[:n_dir] & ~both)])
+        j = int(np.count_nonzero(both))
+        evaluated += k.size + j
+        if k.size == 1 and n_rng * n_dir > 1:
             # numpy hands a one-row product to BLAS's dot, whose last bits
             # differ from the matrix-vector kernel's; a duplicate keeps two rows
-            r, k = np.repeat(r, 2), np.repeat(k, 2)
-        taus, cosines = pg.ranges_m[r] / C, cos_axis[k]
-        # full-grid index r * n_ang + angle index, so the smallest full index
-        # among exact ties is the smallest range, then angle
-        full = r * n_ang
-        for lo, hi, a, step in steering_chunks(geom, f0, taus, cosines, d, df):
+            k = np.repeat(k, 2)
+        taus = np.full(k.size, pg.ranges_m[r] / C)
+        for lo, hi, a, step in steering_chunks(geom, f0, taus, cos_axis[k], d, df):
             kc = k[lo:hi]
-            idx = full[lo:hi] + kc
+            jc = min(max(j - lo, 0), hi - lo)  # rows of the chunk that mirror
+            # the mirrored product runs on the chunk's leading rows, never on
+            # one row alone unless the chunk has one; an extra row's gain is
+            # dropped
             g = np.empty((num_m, hi - lo))
-            gm = np.empty((num_m, hi - lo)) if n_mir and mirrored else None
+            gm = np.empty((num_m, min(max(jc, 2), hi - lo))) if jc else None
             for m in range(num_m):
                 # two matrix-vector products, not one GEMM: a GEMM would move the
                 # low bits of the direct gains
                 np.abs(a @ wc, out=g[m])
                 if gm is not None:
-                    np.abs(a @ wc_rev, out=gm[m])
+                    np.abs(a[: gm.shape[1]] @ wc_rev, out=gm[m])
                 if step is not None and m + 1 < num_m:
                     a *= step
+            # full-grid index r * n_ang + angle index, so the smallest full
+            # index among exact ties is the smallest range, then angle
+            idx = r * n_ang + kc
+            row[:, kc] = g
             if gm is not None:
-                has = kc < n_mir
-                row[:, n_ang - 1 - kc[has]] = gm[:, has]
-                g = np.concatenate([g, gm[:, has]], axis=1)
-                idx = np.concatenate([idx, (full[lo:hi] + n_ang - 1 - kc)[has]])
-            row[:, kc] = g[:, : hi - lo]
+                row[:, n_ang - 1 - kc[:jc]] = gm[:, :jc]
+                g = np.concatenate([g, gm[:, :jc]], axis=1)
+                idx = np.concatenate([idx, r * n_ang + n_ang - 1 - kc[:jc]])
             np.square(g, out=g)
             # smallest full index among exact ties, within the chunk and across
             # chunks (a chunk's mirrored indices can exceed the next chunk's)
@@ -143,16 +154,6 @@ def focal_points(
             better = (val > best_val) | ((val == best_val) & (at < best_idx))
             best_val[better] = val[better]
             best_idx[better] = at[better]
-
-    def measure(r, angles):
-        # |g| (subcarrier by angle) at range index r and the given ascending
-        # angle indices, which are evaluated with the direct-half rows they need
-        hit = np.zeros(n_ang, dtype=bool)
-        hit[angles] = True
-        direct_only, with_mirror = _mirror_rows(hit, n_dir, n_mir)
-        for k, mirrored in ((direct_only, False), (with_mirror, True)):
-            if k.size:
-                evaluate(np.full(k.size, r), k, mirrored)
         return row[:, angles]
 
     bound = _RangeBound(geom, grid, w, pg)
@@ -189,18 +190,6 @@ def focal_points(
     return SquintTrajectory(np.arange(num_m), points, best_val, on_boundary, evaluated)
 
 
-def _mirror_rows(hit, n_dir, n_mir) -> tuple:
-    """Direct-half angle indices that evaluate the angles in hit.
-
-    hit is a bool array by angle index. Returns (direct_only, with_mirror):
-    the rows k whose mirror n_ang - 1 - k is in hit yield both gains, and
-    the other rows in hit skip the mirrored product.
-    """
-    with_mirror = np.zeros(n_dir, dtype=bool)
-    with_mirror[:n_mir] = hit[::-1][:n_mir]
-    return np.flatnonzero(hit[:n_dir] & ~with_mirror), np.flatnonzero(with_mirror)
-
-
 class _RangeBound:
     """The certified bound that screens focal_points' ranges.
 
@@ -227,8 +216,7 @@ class _RangeBound:
         # few ulps of f * delay in phase (the phasors, the recurrence's steps)
         # plus the products' rounding; the margin allows hundreds of ulps of
         # each, and _SCREEN_MARGIN the bound's own rounding
-        d = w.delays_s
-        max_delay = (pg.ranges_m[-1] + self.half_ap) / C + (0.0 if d is None else float(np.max(np.abs(d))))
+        max_delay = (pg.ranges_m[-1] + self.half_ap) / C + float(np.max(np.abs(w.delays_s)))
         self.margin = float(w_abs.sum()) * (
             _SCREEN_MARGIN + 2.0**-44 * (freqs[-1] * max_delay + geom.num_elements + grid.num_subcarriers)
         )

@@ -12,7 +12,6 @@ import pytest
 
 from nfisac.allocation import (
     SensingRequirement,
-    UserDemand,
     partition_and_allocate,
     sensing_subcarriers,
 )
@@ -371,11 +370,10 @@ def test_criterion_10_allocation_exactness(capsys):
             [0.6, 0.9, 1.2, 0.7, 1.1, 0.8],
         ]
     )
-    users = [UserDemand(0, gains[0]), UserDemand(1, gains[1])]
     arc = Arc(1.0471975511965976, 1.3962634015954636, 20.0)
     sreq = SensingRequirement(arc, 2, 1.0)
     total, noise = 12.0, 1.0
-    _, rate = partition_and_allocate(users, sreq, total, noise)
+    rate = float(partition_and_allocate(gains, sreq, total, noise).rates)
 
     def exact_water_fill(g, budget):
         floors = np.sort(noise / g)

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nfisac.allocation import (
-    AllocationPlan,
     SensingRequirement,
-    UserDemand,
+    _check_allocation,
     partition_and_allocate,
-    plan_sum_rate,
     sensing_subcarriers,
     water_fill,
 )
@@ -170,10 +168,9 @@ def test_partition_matches_exhaustive_assignment_search():
     # fix the sensing set the partitioner would pick, then try every
     # user-per-subcarrier assignment with optimal (closed form) water-filled
     # power; the shipped greedy-plus-bisection rate must match the best
-    users = [UserDemand(0, TOY_GAINS[0]), UserDemand(1, TOY_GAINS[1])]
     sreq = SensingRequirement(ARC, 2, 1.0)
     total, noise = 12.0, 1.0
-    plan, rate = partition_and_allocate(users, sreq, total, noise)
+    out = partition_and_allocate(TOY_GAINS, sreq, total, noise)
 
     sensing = set(sensing_subcarriers(6, 2).tolist())
     comm = [m for m in range(6) if m not in sensing]
@@ -184,80 +181,75 @@ def test_partition_matches_exhaustive_assignment_search():
         g = np.array([TOY_GAINS[u][m] for u, m in zip(owners, comm)])
         p = exact_water_fill(g, budget, noise)
         best = max(best, np.log2(1.0 + p * g / noise).sum())
-    assert rate == pytest.approx(best, rel=1e-9)
-    assert rate == pytest.approx(plan_sum_rate(plan, users, noise), rel=1e-12)
+    assert float(out.rates) == pytest.approx(best, rel=1e-9)
+    # the rate is that of the plan's own powers on its users' channels
+    g = TOY_GAINS[out.best_user, out.comm]
+    assert float(out.rates) == pytest.approx(np.log2(1.0 + out.powers_w[out.comm] * g / noise).sum(), rel=1e-12)
 
 
 def test_partition_reserves_floor_power_on_sensing_set():
-    users = [UserDemand(0, TOY_GAINS[0]), UserDemand(1, TOY_GAINS[1])]
-    sreq = SensingRequirement(ARC, 2, 1.5)
-    plan, _ = partition_and_allocate(users, sreq, 12.0, 1.0)
-    assert plan.sensing_set == (0, 5)
-    for m in plan.sensing_set:
-        assert plan.powers_w[m] == pytest.approx(1.5)
-    assert plan.powers_w.sum() == pytest.approx(12.0)
-    assert set(plan.comm_assignment) == {1, 2, 3, 4}
+    out = partition_and_allocate(TOY_GAINS, SensingRequirement(ARC, 2, 1.5), 12.0, 1.0)
+    assert out.sensing.tolist() == [0, 5]
+    for m in out.sensing:
+        assert out.powers_w[m] == pytest.approx(1.5)
+    assert out.powers_w.sum() == pytest.approx(12.0)
+    assert out.comm.tolist() == [1, 2, 3, 4]
+    # with no users only the sensing floor is allocated, and the rate is 0
+    alone = partition_and_allocate(np.zeros((0, 6)), SensingRequirement(ARC, 2, 1.5), 12.0, 1.0)
+    assert float(alone.rates) == 0.0
+    assert alone.powers_w.tolist() == [1.5, 0.0, 0.0, 0.0, 0.0, 1.5]
 
 
 def test_equal_gains_go_to_lowest_user_id():
-    g = np.array([1.0, 2.0])
-    users = [UserDemand(4, g), UserDemand(2, g)]
-    plan, _ = partition_and_allocate(users, None, 4.0, 1.0)
-    assert set(plan.comm_assignment.values()) == {2}
+    # users are in ascending id order, so the first on a tie has the lowest id
+    g = np.array([[1.0, 2.0], [1.0, 2.0]])
+    out = partition_and_allocate(g, None, 4.0, 1.0)
+    assert out.best_user.tolist() == [0, 0]
 
 
 def test_infeasible_when_budget_not_above_sensing_floor():
-    users = [UserDemand(0, TOY_GAINS[0])]
     sreq = SensingRequirement(ARC, 2, 1.0)
     with pytest.raises(InfeasibleAllocationError, match="sensing"):
-        partition_and_allocate(users, sreq, 2.0, 1.0)
+        partition_and_allocate(TOY_GAINS[:1], sreq, 2.0, 1.0)
 
 
 def test_sum_rate_never_increases_with_sensing_count():
-    users = [UserDemand(0, TOY_GAINS[0]), UserDemand(1, TOY_GAINS[1])]
     rates = []
     for k_s in [0, 1, 2, 3]:
         sreq = SensingRequirement(ARC, k_s, 1.0) if k_s else None
-        _, rate = partition_and_allocate(users, sreq, 12.0, 1.0)
-        rates.append(rate)
+        rates.append(float(partition_and_allocate(TOY_GAINS, sreq, 12.0, 1.0).rates))
     assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def test_sum_rate_nondecreasing_in_total_power():
-    users = [UserDemand(0, TOY_GAINS[0]), UserDemand(1, TOY_GAINS[1])]
     sreq = SensingRequirement(ARC, 2, 1.0)
-    rates = [partition_and_allocate(users, sreq, p, 1.0)[1] for p in [3.0, 6.0, 12.0, 24.0]]
+    rates = [float(partition_and_allocate(TOY_GAINS, sreq, p, 1.0).rates) for p in [3.0, 6.0, 12.0, 24.0]]
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def test_plan_validation():
+    none = np.array([], dtype=int)
     with pytest.raises(ValueError, match="disjoint"):
-        AllocationPlan((0,), {0: 1}, np.ones(3), 3.0, 0.5)
+        _check_allocation(np.array([0]), np.array([0]), np.ones(3), 3.0, 0.5)
     with pytest.raises(ValueError, match="out of range"):
-        AllocationPlan((5,), {}, np.ones(3), 3.0, 0.5)
+        _check_allocation(np.array([5]), none, np.ones(3), 3.0, 0.5)
     with pytest.raises(ValueError, match="budget"):
-        AllocationPlan((), {}, np.ones(3), 2.0, 0.0)
+        _check_allocation(none, none, np.ones(3), 2.0, 0.0)
     with pytest.raises(ValueError, match="floor"):
-        AllocationPlan((0,), {}, np.array([0.1, 0.0, 0.0]), 3.0, 0.5)
+        _check_allocation(np.array([0]), none, np.array([0.1, 0.0, 0.0]), 3.0, 0.5)
     with pytest.raises(ValueError, match=">= 0"):
-        AllocationPlan((), {}, np.array([-0.1, 0.0]), 3.0, 0.0)
-
-
-def test_user_demand_validation():
-    with pytest.raises(ValueError, match="1-D"):
-        UserDemand(0, np.ones((2, 2)))
-    with pytest.raises(ValueError, match="finite"):
-        UserDemand(0, np.array([1.0, np.nan]))
-    with pytest.raises(ValueError, match="finite"):
-        UserDemand(0, np.array([1.0, -0.5]))
+        _check_allocation(none, none, np.array([-0.1, 0.0]), 3.0, 0.0)
+    # one invalid draw in a stack fails the whole stack
+    with pytest.raises(ValueError, match="budget"):
+        _check_allocation(none, none, np.array([[1.0, 1.0], [1.0, 2.5]]), 3.0, 0.0)
 
 
 def test_partition_input_validation():
-    users = [UserDemand(0, np.ones(4)), UserDemand(0, np.ones(4))]
-    with pytest.raises(ValueError, match="unique"):
-        partition_and_allocate(users, None, 4.0, 1.0)
-    mixed = [UserDemand(0, np.ones(4)), UserDemand(1, np.ones(5))]
-    with pytest.raises(ValueError, match="same subcarriers"):
-        partition_and_allocate(mixed, None, 4.0, 1.0)
-    with pytest.raises(ValueError, match="num_subcarriers"):
-        partition_and_allocate([], None, 4.0, 1.0)
+    with pytest.raises(ValueError, match="subcarriers"):
+        partition_and_allocate(np.ones(4), None, 4.0, 1.0)
+    with pytest.raises(ValueError, match="subcarriers"):
+        partition_and_allocate(np.ones((2, 0)), None, 4.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        partition_and_allocate(np.array([[1.0, np.nan]]), None, 4.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        partition_and_allocate(np.array([[1.0, -0.5]]), None, 4.0, 1.0)

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 import yaml
 
+from nfisac import cli, experiments
+
 PKG_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = PKG_ROOT / "configs"
 
@@ -69,22 +71,17 @@ def test_run_writes_artifacts_and_summary(tmp_path):
     assert meta["seed"] == 9
 
 
-def test_runtime_failure_exits_three(tmp_path):
-    # validates fine, but the calibration sweep sits past the usable window
-    # where support radii plateau, so the run itself must fail
-    cfg = {
-        "experiment": {"name": "wavenumber-calibration", "seed": 1},
-        "array": {"upa": {"nx": 64, "nz": 64, "dx_wavelengths": 4, "dz_wavelengths": 4}},
-        "carrier": {"center_hz": 3.0e11, "num_subcarriers": 1, "spacing_hz": 0.0},
-        "grid": {"range_min_m": 60.0, "range_max_m": 200.0},
-    }
-    cfg_path = tmp_path / "plateau.yaml"
-    cfg_path.write_text(yaml.safe_dump(cfg))
-    proc = run_cli("validate", "--config", str(cfg_path))
-    assert proc.returncode == 0
-    proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
-    assert proc.returncode == 3
-    assert "CalibrationError" in proc.stderr
+def test_runtime_failure_exits_three(tmp_path, monkeypatch, capsys):
+    # a failure inside a valid config's run exits 3 with its traceback
+    def fails(cfg, outdir):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "angular-spread", fails)
+    cfg_path = tmp_path / "fast.yaml"
+    cfg_path.write_text(yaml.safe_dump(FAST_CONFIG))
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert "RuntimeError: injected failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -106,6 +103,12 @@ def test_runtime_failure_exits_three(tmp_path):
         # a direction cosine outside the alias-free window reads 1.651 rad
         ("music_vs_wavenumber.yaml", "targets", 0, {"angle_rad": 1.4, "range_m": 12.898362181185576},
          "targets[0]: "),
+        # calibration sweeps are run at validate, targets or not: past the
+        # near-field window support radii plateau, and at 0.5 m the nearest
+        # support disk touches the spectrum border
+        ("wavenumber_calibration.yaml", "grid", "range_max_m", 200.0, "wavenumber.range_max_m"),
+        ("wavenumber_calibration.yaml", "grid", "range_min_m", 0.5, "wavenumber.range_min_m"),
+        ("music_vs_wavenumber.yaml", "wavenumber", "range_min_m", 0.5, "wavenumber.range_min_m"),
         # only finite numbers pass: NaN slips past "> 0" and infinity past
         # every lower bound, and either would run to a wrong result or a crash
         ("music_vs_wavenumber.yaml", "music", "noise_power_w", float("nan"), "music.noise_power_w"),

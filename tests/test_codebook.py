@@ -60,6 +60,8 @@ def test_beamformer_requires_one_delay_per_weight():
         with pytest.raises(ValueError, match="one entry per weight"):
             Beamformer(w, delays_s=delays)
     assert Beamformer(w, delays_s=np.zeros(4)).delays_s.shape == (4,)
+    # a phase-only codeword is a front end whose delays are zero
+    assert np.array_equal(Beamformer(w).delays_s, np.zeros(4))
 
 
 def test_gains_at_freq_peaks_at_design_point():

@@ -17,7 +17,7 @@ import math
 import nfisac.arrays as arrays
 import nfisac.experiments as experiments
 import nfisac.music as music
-from nfisac.allocation import SensingRequirement, UserDemand, partition_and_allocate, sensing_subcarriers
+from nfisac.allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from nfisac.arrays import PolarPoint, spherical_delays
 from nfisac.codebook import polar_codeword
 from nfisac.config import EXPERIMENT_SECTIONS, build_config, load_config, validate_data
@@ -240,8 +240,9 @@ def per_trial_rmse_csv(cfg, path):
 
 
 def per_trial_rate_csv(cfg, path):
-    """rate-vs-sensing-budget one trial at a time through partition_and_allocate:
-    the reference. Rates are summed in trial order."""
+    """rate-vs-sensing-budget one trial at a time, each trial's (users,
+    subcarriers) gains planned alone: the reference. Rates are summed in
+    trial order."""
     asec, usec, num_m = cfg.section("allocation"), cfg.section("users"), cfg.carrier.num_subcarriers
     total, noise, p_min = (float(asec[k]) for k in ("total_power_w", "noise_power_w", "sensing_power_w"))
     counts = [int(c) for c in asec["sensing_counts"]]
@@ -250,14 +251,11 @@ def per_trial_rate_csv(cfg, path):
     for tr in range(cfg.trials):
         rng = experiments._trial_rng(cfg.seed, tr)
         gains = rng.exponential(float(usec["mean_gain"]), size=(int(usec["count"]), num_m))
-        users = [UserDemand(u, g) for u, g in enumerate(gains)]
-        _, base = partition_and_allocate(users, None, total, noise, num_subcarriers=num_m)
+        base = float(partition_and_allocate(gains, None, total, noise).rates)
         for c in counts:
             rate = base
             if c:
-                _, rate = partition_and_allocate(
-                    users, SensingRequirement(cfg.arc, c, p_min), total, noise, num_subcarriers=num_m
-                )
+                rate = float(partition_and_allocate(gains, SensingRequirement(cfg.arc, c, p_min), total, noise).rates)
             sums[c] += rate
             ratios[c].append(rate / base)
     rows = [(c, sums[c] / cfg.trials, min(ratios[c]), sum(ratios[c]) / len(ratios[c])) for c in counts]
@@ -289,6 +287,18 @@ def _artifact_hashes_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_trace_list_names_existing_functions():
+    # perfbench traces these functions by name; a renamed or removed one
+    # would make every --trace 1 run fail or report a layer that never runs
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PKG_ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = [(m, f) for m, f in layers.LAYERS if m.startswith("nfisac.")]
+    assert names
+    for module, func in names:
+        assert callable(getattr(importlib.import_module(module), func, None)), f"{module}.{func}"
 
 
 def test_fast_shipped_artifacts_match_committed_hashes(tmp_path):

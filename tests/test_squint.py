@@ -34,7 +34,7 @@ def exhaustive_focal_points(geom, grid, w, pg):
     n_ang, n_rng = pg.shape
     t, d = geom.element_offsets_s, w.delays_s
     cos_axis = np.cos(pg.angles_rad)
-    mirror = np.array_equal(t, -t[::-1]) and (d is None or np.array_equal(d, d[::-1])) and bool(
+    mirror = np.array_equal(t, -t[::-1]) and np.array_equal(d, d[::-1]) and bool(
         np.all(np.abs(cos_axis + cos_axis[::-1]) <= squint._MIRROR_COS_TOL)
     )
     n_dir = (n_ang + 1) // 2 if mirror else n_ang
@@ -88,15 +88,13 @@ def assert_matches_exhaustive(geom, grid, w, pg):
 def direct_exp_gains(geom, freq_hz, pg, w):
     """|w^H a|^2 over the whole grid, range-major, from a plain np.exp per entry.
 
-    The delays are recomputed here, less w's delays if it has any, and their
+    The delays are recomputed here, less w's delays (zeros for a codeword), and their
     phase f * tau is reduced to a fraction of a turn before the exp, so the
     exp's argument rounds no worse than the one product f * tau.
     """
     aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
     tau, cosines, t = (rr / C).reshape(-1, 1), np.cos(aa).reshape(-1, 1), geom.element_offsets_s
-    delays = np.sqrt(tau * tau + t * t - 2.0 * tau * t * cosines)
-    if w.delays_s is not None:
-        delays = delays - w.delays_s
+    delays = np.sqrt(tau * tau + t * t - 2.0 * tau * t * cosines) - w.delays_s
     turns = freq_hz * delays
     turns -= np.round(turns)
     return np.abs(np.exp(-2j * np.pi * turns) @ np.conj(w.weights)) ** 2
@@ -441,32 +439,35 @@ def test_shipped_squint_search_peaks_under_8_mb():
 
 
 def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
-    # a kept row whose mirror point the screen rules out computes only its
-    # direct gain, and evaluated_points counts exactly the gains computed:
-    # every angle at the two end ranges, the direct point of each kept row,
-    # and the mirror point of each row whose mirror was kept
+    # each measured range is one steering pass over the direct-half rows it
+    # needs, and evaluated_points counts exactly the gains computed: every
+    # angle at the two end ranges, each row passed, and the mirror point of
+    # each row whose mirror was kept
     geom, grid, w, pg = _shipped_squint_search()
     n_ang, n_rng = pg.shape
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
-    hits = []
-    mirror_rows = squint._mirror_rows
+    passes = []
 
-    def recorded(hit, *args):
-        hits.append(hit.copy())
-        return mirror_rows(hit, *args)
+    def recorded(geom, freq_hz, taus, cosines, *args):
+        passes.append((taus.copy(), cosines.copy()))
+        return steering_chunks(geom, freq_hz, taus, cosines, *args)
 
-    monkeypatch.setattr(squint, "_mirror_rows", recorded)
+    monkeypatch.setattr(squint, "steering_chunks", recorded)
     traj = focal_points(geom, grid, w, pg)
-    # the two end ranges first, then at most one record per other range
-    assert hits[0].all() and hits[1].all()
-    assert 2 < len(hits) <= n_rng
-    direct = mirrored = 0
-    for hit in hits[2:]:
-        rows = hit[:n_dir].copy()
-        rows[:n_mir] |= hit[::-1][:n_mir]
-        direct += int(np.count_nonzero(rows))
-        mirrored += int(np.count_nonzero(hit[n_ang - n_mir :]))
-    assert traj.evaluated_points == 2 * n_ang + direct + mirrored
+    # one range per pass, and no range passed twice
+    ranges = [np.unique(taus) for taus, _ in passes]
+    assert all(r.size == 1 for r in ranges)
+    assert len({float(r[0]) for r in ranges}) == len(passes) <= 80
+    # the two end ranges first, each at every direct-half angle
+    assert [float(r[0]) for r in ranges[:2]] == [pg.ranges_m[0] / C, pg.ranges_m[-1] / C]
+    rows = [np.unique(cosines).size for _, cosines in passes]  # a lone row's duplicate once
+    assert rows[:2] == [n_dir, n_dir]
+    direct = sum(rows[2:])
+    # only rows k < n_mir, whose cosines are at least angle n_mir - 1's, have a mirror
+    lowest = np.cos(pg.angles_rad[n_mir - 1])
+    mirrorable = sum(int(np.count_nonzero(np.unique(cosines) >= lowest)) for _, cosines in passes[2:])
+    mirrored = traj.evaluated_points - 2 * n_ang - direct
+    assert 0 <= mirrored <= mirrorable
     # most kept rows need only their direct point
     assert mirrored < direct / 2
 
