@@ -27,6 +27,7 @@ from .constants import SPEED_OF_LIGHT as C
 class ArrayGeometry:
     """Uniform linear array on a line, centered on the origin.
 
+    Build one with ArrayGeometry.ula(num_elements, spacing_m).
     element_offsets_s[n] = (n - (N-1)/2) * d / c is the signed propagation
     time from the array center to element n along the array axis. It is
     derived, never passed, so the offsets are strictly increasing and

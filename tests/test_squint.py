@@ -441,18 +441,24 @@ def test_shipped_squint_search_peaks_under_8_mb():
 def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     # each measured range is one steering pass over the direct-half rows it
     # needs, and evaluated_points counts exactly the gains computed: every
-    # angle at the two end ranges, each row passed, and the mirror point of
-    # each row whose mirror was kept
+    # angle at the two end ranges, then at each middle range its direct rows
+    # and the mirror point of each angle kept in the mirrored half
     geom, grid, w, pg = _shipped_squint_search()
     n_ang, n_rng = pg.shape
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
-    passes = []
+    passes, intervals = [], []
 
     def recorded(geom, freq_hz, taus, cosines, *args):
         passes.append((taus.copy(), cosines.copy()))
         return steering_chunks(geom, freq_hz, taus, cosines, *args)
 
+    class RecordedDeque(squint.deque):
+        def append(self, item):
+            intervals.append(item[:3])
+            super().append(item)
+
     monkeypatch.setattr(squint, "steering_chunks", recorded)
+    monkeypatch.setattr(squint, "deque", RecordedDeque)
     traj = focal_points(geom, grid, w, pg)
     # one range per pass, and no range passed twice
     ranges = [np.unique(taus) for taus, _ in passes]
@@ -462,13 +468,24 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     assert [float(r[0]) for r in ranges[:2]] == [pg.ranges_m[0] / C, pg.ranges_m[-1] / C]
     rows = [np.unique(cosines).size for _, cosines in passes]  # a lone row's duplicate once
     assert rows[:2] == [n_dir, n_dir]
-    direct = sum(rows[2:])
-    # only rows k < n_mir, whose cosines are at least angle n_mir - 1's, have a mirror
-    lowest = np.cos(pg.angles_rad[n_mir - 1])
-    mirrorable = sum(int(np.count_nonzero(np.unique(cosines) >= lowest)) for _, cosines in passes[2:])
-    mirrored = traj.evaluated_points - 2 * n_ang - direct
-    assert 0 <= mirrored <= mirrorable
-    # most kept rows need only their direct point
+    # the end ranges' interval, then two halves per measured middle range,
+    # each carrying the angle indices that range was measured at
+    assert intervals[0][:2] == (0, n_rng - 1)
+    assert len(intervals) == 1 + 2 * (len(passes) - 2)
+    direct = mirrored = 0
+    for (_, mid, k), (lo, _, k_up), (taus, cosines) in zip(intervals[1::2], intervals[2::2], passes[2:]):
+        assert lo == mid and np.array_equal(k, k_up)
+        assert np.all(taus == pg.ranges_m[mid] / C)
+        # angle a >= n_ang - n_mir is read from direct row n_ang - 1 - a
+        mirror_of = k[k >= n_ang - n_mir]
+        needed = np.union1d(k[k < n_dir], n_ang - 1 - mirror_of)
+        assert np.array_equal(np.sort(np.cos(pg.angles_rad[needed])), np.unique(cosines))
+        direct += needed.size
+        mirrored += mirror_of.size
+    assert direct == sum(rows[2:])
+    assert traj.evaluated_points == 2 * n_ang + direct + mirrored
+    # the shipped figures, and most kept rows need only their direct point
+    assert (traj.evaluated_points, direct, mirrored) == (5689, 3117, 1130)
     assert mirrored < direct / 2
 
 
