@@ -141,11 +141,27 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _unwrap_seeded(wrapped: np.ndarray, seed_row: int) -> np.ndarray:
-    """Unwrap along axis 0 outward from seed_row, leaving that row unchanged."""
-    lower = np.unwrap(wrapped[: seed_row + 1][::-1], axis=0)[::-1]
-    upper = np.unwrap(wrapped[seed_row:], axis=0)
-    return np.concatenate([lower[:-1], upper], axis=0)
+def _unwrap_seeded(wrapped: np.ndarray, dd: np.ndarray, steps: np.ndarray, seed_row: int) -> np.ndarray:
+    """Unwrap along axis 0 outward from seed_row, leaving that row unchanged.
+
+    dd = np.diff(wrapped, axis=0) and steps = _wrap(dd), every |step| below
+    pi. Each half is what np.unwrap returns on its rows (the lower half's
+    reversed), without recomputing the differences: np.unwrap's wrapped
+    difference is _wrap of the difference, and steps never reach its
+    boundary case -pi. The reversed rows' differences are exactly -dd, but
+    their wrap is taken afresh, since -_wrap(dd) can differ in the last bits.
+    """
+    out = np.empty_like(wrapped)
+    out[seed_row] = wrapped[seed_row]
+    up = dd[seed_row:]
+    correct = steps[seed_row:] - up
+    correct[np.abs(up) < np.pi] = 0.0
+    np.add(wrapped[seed_row + 1 :], correct.cumsum(axis=0), out=out[seed_row + 1 :])
+    down = -dd[:seed_row][::-1]
+    correct = _wrap(down) - down
+    correct[np.abs(down) < np.pi] = 0.0
+    np.add(wrapped[:seed_row][::-1], correct.cumsum(axis=0), out=out[:seed_row][::-1])
+    return out
 
 
 def fit_trajectory(
@@ -183,14 +199,15 @@ def fit_trajectory(
     mid = len(ms) // 2
     trend = 2.0 * np.pi * freqs[:, None] * dist[mid][None, :]
     detrended = _wrap(wrapped - _wrap(trend))
-    steps = _wrap(np.diff(detrended, axis=0))
+    dd = np.diff(detrended, axis=0)
+    steps = _wrap(dd)
     worst = float(np.abs(steps).max())
     if worst >= _UNWRAP_GUARD:
         raise IllConditionedSpecError(
             f"adjacent-subcarrier phase step {worst:.3f} rad is too close to pi; "
             "trajectory varies too fast for reliable unwrapping"
         )
-    unwrapped = _unwrap_seeded(detrended, mid) + trend
+    unwrapped = _unwrap_seeded(detrended, dd, steps, mid) + trend
 
     x = freqs - grid.center_hz
     xm = x.mean()

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, phasors, spherical_delays
 from .delay_phase import DelayPhaseConfig, front_end
 
 
@@ -37,8 +37,10 @@ def simulate_echoes(
     if powers_w.shape != (len(sensing_m),):
         raise ValueError("one power entry per sensing subcarrier required")
     w = front_end(cfg)
-    shifted = spherical_delays(geom, target) - w.delays_s
-    a = np.exp(-2j * np.pi * grid.freqs(sensing_m)[:, None] * shifted)
+    # f_m * (tau_n - d_n) in turns; sensing subcarriers need not be evenly
+    # spaced, so each row takes its own table phasors
+    turns = np.multiply.outer(grid.freqs(sensing_m), spherical_delays(geom, target) - w.delays_s)
+    a = phasors(1.0, turns, np.empty(turns.shape, dtype=complex), np.empty(4 * turns.size))
     echoes = complex(reflectivity) * np.abs(a @ np.conj(w.weights)) * np.sqrt(powers_w)
     if noise_power_w > 0:
         k = len(sensing_m)

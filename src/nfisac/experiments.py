@@ -16,9 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
-from .arrays import CarrierGrid, PolarPoint, rayleigh_distance, spherical_delays
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, rayleigh_distance, steering_chunks
 from .codebook import angular_spread, polar_codeword
 from .config import EXPERIMENT_SECTIONS, ScenarioConfig, evaluation_grid, wavenumber_calibration
+from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import Arc, arc_trajectory_spec, fit_trajectory, subcarrier_weights
 from .echoes import peak_angle
@@ -313,6 +314,40 @@ def _echo_power(y: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return np.square(power, out=power)
 
 
+def _beam_gains(
+    geom: ArrayGeometry, grid: CarrierGrid, w_ttd: np.ndarray, w_ps: np.ndarray, range_m: float, angles
+) -> np.ndarray:
+    """|w^H a_m| at the points (range_m, angle) for every subcarrier m.
+
+    w_ttd holds one weight row per subcarrier (a front end's weights there)
+    and w_ps the rows of frequency-flat codewords. Returns shape
+    (len(angles), 1 + len(w_ps), M): along axis 1 the gain of w_ttd[m], then
+    of each codeword. The manifold comes from steering_chunks, one phasor
+    pass at the lowest subcarrier and a recurrence across the band, and each
+    subcarrier takes one product of the points' steering rows with its
+    (N, 1 + len(w_ps)) weight columns. A single point is passed as two
+    equal rows, never a lone row (see steering_chunks), so every point's
+    gains keep their bits however the points are grouped.
+    """
+    angles = np.asarray(angles, dtype=float)
+    num_m = grid.num_subcarriers
+    cosines = np.cos(np.repeat(angles, 2) if angles.size == 1 else angles)
+    taus = np.full(cosines.size, range_m / C)
+    wcols = np.empty((geom.num_elements, 1 + len(w_ps)), dtype=complex)
+    np.conj(w_ps.T, out=wcols[:, 1:])
+    wc_ttd = np.conj(w_ttd)
+    g = np.empty((num_m, cosines.size, wcols.shape[1]))
+    for lo, hi, a, step in steering_chunks(geom, grid.freq(0), taus, cosines, step_hz=grid.spacing_hz):
+        for m in range(num_m):
+            wcols[:, 0] = wc_ttd[m]
+            np.abs(a @ wcols, out=g[m, lo:hi])
+            if step is not None and m + 1 < num_m:
+                a *= step
+    # (point, weight, subcarrier) in C order: sums over subcarriers then run
+    # along contiguous rows, as they do on one point's gains
+    return np.ascontiguousarray(g[:, : angles.size].transpose(1, 2, 0))
+
+
 def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     geom = cfg.ula
     grid = cfg.carrier
@@ -320,7 +355,6 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     isec = cfg.section("isac")
     n = geom.num_elements
     num_m = grid.num_subcarriers
-    freqs = grid.freqs()
 
     ks = int(isec["sensing_subcarriers"])
     kc = int(isec["conventional_slots"])
@@ -364,8 +398,6 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
         n_i = np.empty((b, ks), dtype=complex)
         n_s = np.empty((b, num_m), dtype=complex)
         n_c = np.empty((b, kc, num_m), dtype=complex)
-        g_ttd = np.empty((b, num_m))
-        g_ps = np.empty((b, kc, num_m))
         for j, tr in enumerate(block):
             rng = _trial_rng(cfg.seed, tr)
             th_t[j] = lo + (hi - lo) * rng.random()
@@ -373,10 +405,8 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
             n_i[j] = _complex_normal(rng, ks)
             n_s[j] = _complex_normal(rng, num_m)
             n_c[j] = _complex_normal(rng, (kc, num_m))
-            taus = spherical_delays(geom, PolarPoint(arc.range_m, float(th_t[j])))
-            a_all = np.exp(-2j * np.pi * freqs[:, None] * taus[None, :])
-            g_ttd[j] = np.abs(np.einsum("mn,mn->m", np.conj(w_ttd), a_all))
-            g_ps[j] = np.abs(np.conj(w_ps) @ a_all.T)
+        gains = _beam_gains(geom, grid, w_ttd, w_ps, arc.range_m, th_t)
+        g_ttd, g_ps = gains[:, 0], gains[:, 1:]
 
         # every trial x SNR at once: axes (trial, SNR, ...)
         beta = beta[:, None, None]

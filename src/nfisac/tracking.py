@@ -105,7 +105,9 @@ def predict_arc(ts: TrackState, dt: float, half_width_rad: float) -> Arc:
 
     Width is the larger of the configured floor and the 3-sigma angular spread
     from projecting the propagated position covariance onto the tangential
-    direction. The arc is clipped to (0, pi).
+    direction. The arc is clipped to (0, pi); a predicted position with
+    y <= 0, not in front of the array, raises ValueError when nothing of
+    the arc is left.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -123,4 +125,9 @@ def predict_arc(ts: TrackState, dt: float, half_width_rad: float) -> Arc:
     width = max(half_width_rad, 3.0 * sigma_tan / r)
     lo = max(theta - width, _ANGLE_EPS)
     hi = min(theta + width, np.pi - _ANGLE_EPS)
+    if not lo < hi:
+        raise ValueError(
+            f"predicted angle {theta:.6g} rad leaves no arc in (0, pi): "
+            "the predicted position is not in front of the array (y <= 0)"
+        )
     return Arc(lo, hi, r)

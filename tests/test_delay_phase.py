@@ -1,9 +1,12 @@
 """Delay-plus-phase front end: fitting, hardware bounds, gauge freedom."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import nfisac.delay_phase as delay_phase
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.delay_phase import (
@@ -196,3 +199,56 @@ def test_config_arrays_cannot_leave_the_hardware_bound():
     with pytest.raises(ValueError, match="read-only"):
         cfg.phases_rad[0] = 1.0
     assert np.array_equal(front_end(cfg).delays_s, [0.0, 1e-12])
+
+
+def np_unwrap_seeded(wrapped, dd, steps, seed_row):
+    """The seeded unwrap as two np.unwrap calls, outward from seed_row: the
+    reference for delay_phase._unwrap_seeded, which reuses dd and steps."""
+    lower = np.unwrap(wrapped[: seed_row + 1][::-1], axis=0)[::-1]
+    upper = np.unwrap(wrapped[seed_row:], axis=0)
+    return np.concatenate([lower[:-1], upper], axis=0)
+
+
+@given(
+    subset=st.lists(st.integers(0, GRID.num_subcarriers - 1), min_size=2, max_size=GRID.num_subcarriers, unique=True),
+    theta=st.floats(0.3, 2.5),
+    width=st.floats(0.01, 0.5),
+    range_m=st.floats(3.0, 60.0),
+)
+@example(subset=[10, 40], theta=1.2, width=0.05, range_m=20.0)
+@example(subset=[0, 32, 64], theta=0.9, width=0.3, range_m=8.0)
+@example(subset=list(range(65)), theta=np.pi / 3, width=np.pi / 9, range_m=20.0)
+@settings(max_examples=150, deadline=None)
+def test_seeded_unwrap_equals_np_unwrap_bit_for_bit(subset, theta, width, range_m):
+    # K = 2, 3 and the full band among the examples: closed-loop specs are
+    # 16-subcarrier subsets of a 65-subcarrier band
+    spec = arc_trajectory_spec(GRID, Arc(theta, min(theta + width, 3.0), range_m), sorted(subset))
+    try:
+        cfg, rms = fit_trajectory(GEOM, GRID, spec)
+    except IllConditionedSpecError:
+        assume(False)
+    with mock.patch.object(delay_phase, "_unwrap_seeded", np_unwrap_seeded):
+        ref_cfg, ref_rms = fit_trajectory(GEOM, GRID, spec)
+    assert cfg.delays_s.tobytes() == ref_cfg.delays_s.tobytes()
+    assert cfg.phases_rad.tobytes() == ref_cfg.phases_rad.tobytes()
+    assert rms == ref_rms
+
+
+@given(
+    rows=st.integers(2, 40),
+    cols=st.integers(1, 8),
+    seed_frac=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_seeded_unwrap_equals_np_unwrap_on_random_phases(rows, cols, seed_frac, seed):
+    # phases that wind through many turns in steps of up to 2.9 rad, seeded
+    # at any row: fitted specs rarely hit the differences' last bits, where
+    # _wrap(-dd) and -_wrap(dd) part
+    rng = np.random.default_rng(seed)
+    wrapped = delay_phase._wrap(np.cumsum(rng.uniform(-2.9, 2.9, (rows, cols)), axis=0) + rng.uniform(-50, 50, cols))
+    dd = np.diff(wrapped, axis=0)
+    steps = delay_phase._wrap(dd)
+    seed_row = int(seed_frac * rows)
+    got = delay_phase._unwrap_seeded(wrapped, dd, steps, seed_row)
+    assert got.tobytes() == np_unwrap_seeded(wrapped, dd, steps, seed_row).tobytes()

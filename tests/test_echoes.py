@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering
+from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering, spherical_delays
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
+from nfisac.delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory, front_end
 from nfisac.echoes import parabolic_refine, peak_angle, sense_from_echoes, simulate_echoes
 
 FC = 3.0e11
@@ -188,6 +188,32 @@ def test_noiseless_echoes_match_per_subcarrier_weights():
         ]
         np.testing.assert_allclose(echoes.real, old, rtol=0.0, atol=4e-12 * np.sqrt(128))
         assert np.all(echoes.imag == 0.0)
+
+
+def test_noiseless_echoes_match_exp_on_shifted_delays():
+    # simulate_echoes takes table phasors of f_m (tau_n - d_n) rather than
+    # np.exp(-2j pi f_m (tau_n - d_n)); both round a phase of ~1e5 rad to
+    # ~1e-11 rad, so on random arcs, uneven sensing subsets and powers the
+    # beam gains agree within 1e-11 of sqrt(N), the peak
+    geom = ArrayGeometry.ula(128, WL / 2)
+    grid = CarrierGrid(FC, 65, 4.6875e8)
+    rng = np.random.default_rng(4)
+    for _ in range(8):
+        sensing_m = np.sort(rng.choice(grid.num_subcarriers, 16, replace=False))
+        theta = rng.uniform(0.6, 2.4)
+        arc = Arc(theta, theta + 0.05, rng.uniform(8.0, 40.0))
+        cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc, sensing_m))
+        w = front_end(cfg)
+        powers = rng.uniform(0.5, 2.0, 16)
+        for s in np.linspace(0.0, 1.0, 5):
+            target = PolarPoint(arc.range_m + rng.uniform(-1.0, 1.0), arc.angle_at(s))
+            echoes = simulate_echoes(geom, grid, cfg, sensing_m, target, 1.0, powers, 0.0, rng)
+            shifted = spherical_delays(geom, target) - w.delays_s
+            a = np.exp(-2j * np.pi * grid.freqs(sensing_m)[:, None] * shifted)
+            np.testing.assert_allclose(
+                echoes.real / np.sqrt(powers), np.abs(a @ np.conj(w.weights)), rtol=0.0, atol=1e-11 * np.sqrt(128)
+            )
+            assert np.all(echoes.imag == 0.0)
 
 
 def test_sensing_subcarrier_indices_are_range_checked():

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from nfisac.arrays import PolarPoint, spherical_delays
 from nfisac.codebook import polar_codeword
 from nfisac.config import EXPERIMENT_SECTIONS, build_config, load_config, validate_data
 from nfisac.csvio import write_csv
-from nfisac.delay_phase import arc_trajectory_spec, fit_trajectory, subcarrier_weights
+from nfisac.delay_phase import Arc, arc_trajectory_spec, fit_trajectory, subcarrier_weights
 from nfisac.echoes import peak_angle
 from nfisac.experiments import EXPERIMENTS, list_experiment_names, run_experiment
 
@@ -189,11 +190,13 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
 def per_trial_rmse_csv(cfg, path):
     """rmse-vs-snr one trial and one SNR at a time: the reference.
 
-    Every estimate is a single-vector peak_angle call, and the squared
-    errors are summed in trial order.
+    Each trial's gains are _beam_gains on that trial's angle alone, which
+    test_beam_gains_match_a_per_point_exp_evaluation pins to np.exp; every
+    estimate is a single-vector peak_angle call, and the squared errors are
+    summed in trial order.
     """
     geom, grid, arc, isec = cfg.ula, cfg.carrier, cfg.arc, cfg.section("isac")
-    n, num_m, freqs = geom.num_elements, grid.num_subcarriers, grid.freqs()
+    n, num_m = geom.num_elements, grid.num_subcarriers
     ks, kc = int(isec["sensing_subcarriers"]), int(isec["conventional_slots"])
     e_ratio, margin = float(isec["sensing_energy_ratio"]), float(isec["target_margin_rad"])
     snrs = [float(s) for s in cfg.snr_db]
@@ -216,10 +219,8 @@ def per_trial_rmse_csv(cfg, path):
         n_i = experiments._complex_normal(rng, ks)
         n_s = experiments._complex_normal(rng, num_m)
         n_c = experiments._complex_normal(rng, (kc, num_m))
-        taus = spherical_delays(geom, PolarPoint(arc.range_m, float(th_t)))
-        a_all = np.exp(-2j * np.pi * freqs[:, None] * taus[None, :])
-        g_ttd = np.abs(np.einsum("mn,mn->m", np.conj(w_ttd), a_all))
-        g_ps = np.abs(np.conj(w_ps) @ a_all.T)
+        gains = experiments._beam_gains(geom, grid, w_ttd, w_ps, arc.range_m, [th_t])[0]
+        g_ttd, g_ps = gains[0], gains[1:]
         for snr_db in snrs:
             e_isac = 10.0 ** (snr_db / 10.0) / n
             e_sense = e_ratio * e_isac
@@ -280,6 +281,58 @@ def test_blocked_isac_experiments_equal_per_trial_reference(tmp_path, name, csv,
     run_experiment(cfg, tmp_path / "blocked")
     reference(cfg, tmp_path / "reference.csv")
     assert (tmp_path / "blocked" / csv).read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_beam_gains_match_a_per_point_exp_evaluation():
+    # _beam_gains' table phasors and subcarrier recurrence against np.exp at
+    # every point and subcarrier, on random arcs and target angles: both
+    # round 2 pi f tau (~1e5 rad at 20 m) to ~1e-11 rad in their own way, so
+    # the bound is absolute, 1e-11 of sqrt(N), the peak gain. Each point of
+    # a block also has the bits of that point passed alone
+    cfg = load_config(PKG_ROOT / "configs" / "rmse_vs_snr.yaml")
+    geom, grid = cfg.ula, cfg.carrier
+    n, num_m = geom.num_elements, grid.num_subcarriers
+    rng = np.random.default_rng(15)
+    for b in (1, 2, 8, 8):
+        th0 = rng.uniform(0.4, 2.3)
+        arc = Arc(th0, th0 + rng.uniform(0.05, 0.4), rng.uniform(10.0, 40.0))
+        dp_cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
+        w_ttd = subcarrier_weights(dp_cfg, grid, np.arange(num_m))
+        w_ps = np.stack([
+            polar_codeword(geom, grid, PolarPoint(arc.range_m, float(th))).weights
+            for th in np.linspace(arc.theta_start_rad, arc.theta_end_rad, 3)
+        ])
+        angles = rng.uniform(arc.theta_start_rad, arc.theta_end_rad, b)
+        gains = experiments._beam_gains(geom, grid, w_ttd, w_ps, arc.range_m, angles)
+        assert gains.shape == (b, 1 + len(w_ps), num_m)
+        for j, th in enumerate(angles):
+            taus = spherical_delays(geom, PolarPoint(arc.range_m, float(th)))
+            want = np.empty((1 + len(w_ps), num_m))
+            for m in range(num_m):
+                a = np.exp(-2j * np.pi * grid.freq(m) * taus)
+                want[:, m] = [abs(np.vdot(w, a)) for w in (w_ttd[m], *w_ps)]
+            np.testing.assert_allclose(gains[j], want, rtol=0.0, atol=1e-11 * math.sqrt(n))
+            alone = experiments._beam_gains(geom, grid, w_ttd, w_ps, arc.range_m, angles[j : j + 1])
+            assert np.array_equal(alone[0], gains[j])
+
+
+def test_shipped_rmse_run_peaks_under_1_25_mb(tmp_path):
+    # gains are taken one subcarrier at a time from (N, 1 + slots) weight
+    # columns; stacking every subcarrier's weights into one (M, N, 1 + slots)
+    # tensor would add about 1.5 MB to the traced peak (0.75 MB at 400
+    # trials). A one-trial run first does the imports a first run makes
+    raw = yaml.safe_load((PKG_ROOT / "configs" / "rmse_vs_snr.yaml").read_text())
+    raw["experiment"]["trials"] = 1
+    run_experiment(_load(raw), tmp_path / "warm")
+    raw["experiment"]["trials"] = 400
+    cfg = _load(raw)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25e6
 
 
 def _artifact_hashes_module():

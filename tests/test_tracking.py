@@ -147,3 +147,22 @@ def test_track_state_psd_boundary():
     TrackState(np.zeros(4), np.outer(v, v))
     with pytest.raises(ValueError, match="positive semidefinite"):
         TrackState(np.zeros(4), with_smallest(1e-6))
+
+
+def test_track_predicted_behind_the_array_names_the_angle():
+    # clipped to (0, pi), the arc around a predicted angle of -0.05 rad is
+    # empty: the error says why rather than the arc's own ordering message
+    ts = TrackState(np.array([20.0, -1.0, 0.0, 0.0]), 0.01 * np.eye(4))
+    with pytest.raises(ValueError, match=r"predicted angle -0\.04995.*not in front of the array \(y <= 0\)"):
+        predict_arc(ts, 0.05, np.radians(1.5))
+
+
+def test_near_edge_prediction_keeps_its_clipped_arc():
+    # slightly behind the array, the arc still reaches into (0, pi) and is
+    # clipped at its lower edge
+    ts = TrackState(np.array([20.0, -0.02, 0.0, 0.0]), 0.01 * np.eye(4))
+    arc = predict_arc(ts, 0.05, np.radians(1.5))
+    theta = np.arctan2(-0.02, 20.0)
+    assert arc.theta_start_rad == 1e-9
+    assert arc.theta_end_rad == theta + np.radians(1.5)
+    assert arc.range_m == np.hypot(20.0, -0.02)
