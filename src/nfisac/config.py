@@ -33,6 +33,7 @@ from .delay_phase import Arc
 from .errors import AliasingError, CalibrationError, OutOfCalibrationError
 from .wavenumber import (
     PlanarArray,
+    RadiusRangeTable,
     calibrate_radius_range,
     estimate_position,
     extract_support,
@@ -411,116 +412,19 @@ def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what:
     return False
 
 
-def _validate_cross_fields(rep: ValidationReport, res: dict) -> None:
-    """Checks that relate keys of different sections.
-
-    res maps each section (and targets item) that passed its own checks to
-    its value with defaults filled in; a check reads only those.
-    """
-    carrier = res.get("carrier")
-    if carrier is not None and "isac" in res:
-        try:
-            sensing_subcarriers(carrier["num_subcarriers"], res["isac"]["sensing_subcarriers"])
-        except ValueError as exc:
-            rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {carrier['num_subcarriers']})")
-
-    # design and target points must lie inside the grid the experiment builds,
-    # and targets inside the wavenumber calibration sweep
-    placed = []  # (path, point) of each point that does
-    grid = res.get("grid")
-    wsec = res.get("wavenumber")
-    sweep = (wsec["range_min_m"], wsec["range_max_m"]) if wsec is not None else None
-    if grid is not None:
-        angles = grid_angles(grid)
-        for path, point in res.items():
-            if path != "design" and not path.startswith("targets["):
-                continue
-            in_angles = _within(rep, f"{path}.angle_rad", point["angle_rad"],
-                                (float(angles[0]), float(angles[-1])), "the evaluation grid's angles")
-            in_grid = _within(rep, f"{path}.range_m", point["range_m"],
-                              (grid["range_min_m"], grid["range_max_m"]), "the evaluation grid's ranges")
-            if in_grid and sweep is not None:
-                in_grid = _within(rep, f"{path}.range_m", point["range_m"], sweep,
-                                  "the wavenumber calibration sweep")
-            if in_angles and in_grid:
-                placed.append((path, point))
-
-    # the planar-array readout is noiseless, so running it here, the sweep's
-    # calibration and then each target's estimate, shows whether the run
-    # would fail or misread it
-    upa = res.get("array.upa")
-    if sweep is not None and upa is not None and carrier is not None:
-        freq = float(carrier["center_hz"])
-        arr = _planar_array(upa, C / freq)
-        direction, sweep_m, frac = wavenumber_calibration(wsec)
-        table = None  # each target's forward step is still checked without one
-        try:
-            table = calibrate_radius_range(arr, freq, direction, sweep_m, threshold_frac=frac)
-        except CalibrationError as exc:
-            # the sweep runs past the window where radii fall with range
-            rep.add("wavenumber.range_max_m", f"the calibration sweep cannot be calibrated ({exc})")
-        except AliasingError as exc:
-            # the nearest ranges' support disks are the widest
-            rep.add("wavenumber.range_min_m", f"the calibration sweep's wavenumber readout aliases ({exc})")
-        cos_bin = C / (freq * arr.nx * arr.dx_m)
-        for path, point in placed:
-            p = PolarPoint(float(point["range_m"]), float(point["angle_rad"]))
-            snap = upa_polar_snapshot(arr, p, freq)
-            try:
-                if table is None:
-                    extract_support(wavenumber_transform(snap), frac)
-                    continue
-                est, diag = estimate_position(arr, freq, snap, table, threshold_frac=frac)
-            except AliasingError as exc:
-                rep.add(path, f"the planar array's wavenumber readout aliases here ({exc})")
-            except OutOfCalibrationError as exc:
-                rep.add(path, f"the wavenumber readout falls outside its range calibration ({exc})")
-            else:
-                if abs(diag["cos_x"] - math.cos(p.angle_rad)) > cos_bin:
-                    rep.add(
-                        path,
-                        f"the planar array's wavenumber readout aliases here: it reads angle "
-                        f"{est.angle_rad:.4f} rad, more than one direction-cosine bin "
-                        f"({cos_bin:.3g}) off",
-                    )
-
-    # a linear array evaluated over the grid needs every grid range past its
-    # half-aperture, as a steering vector's source does: closer in, the
-    # point-source phase model breaks down
-    ula = res.get("array.ula")
-    if grid is not None and ula is not None and ("spacing_m" in ula or carrier is not None):
-        wavelength = C / carrier["center_hz"] if carrier is not None else None
-        spacing = _resolve_spacing(ula, "spacing_m", "spacing_wavelengths", wavelength)
-        half_aperture = (ula["num_elements"] - 1) * spacing / 2
-        if grid["range_min_m"] <= half_aperture:
-            rep.add(
-                "grid.range_min_m",
-                f"must exceed the linear array's half-aperture (N-1)*d/2 = {half_aperture:.6g} m",
-            )
-
-    alloc = res.get("allocation")
-    if alloc is not None:
-        total = float(alloc["total_power_w"])
-        p_min = float(alloc["sensing_power_w"])
-        for i, c in enumerate(alloc["sensing_counts"]):
-            if c == 0:
-                continue  # the no-sensing baseline
-            path = f"allocation.sensing_counts[{i}]"
-            if carrier is not None and c >= carrier["num_subcarriers"]:
-                rep.add(path, f"must be < carrier.num_subcarriers ({carrier['num_subcarriers']})")
-            elif c * p_min >= total:
-                rep.add(
-                    path,
-                    f"reserves {c} x allocation.sensing_power_w = {c * p_min} W, "
-                    f"which must be < allocation.total_power_w ({alloc['total_power_w']} W)",
-                )
+def _spacing(sec: dict, axis: str, wavelength: Optional[float]) -> Optional[float]:
+    """An array section's spacing along axis in meters: {axis}_m, or
+    {axis}_wavelengths carrier wavelengths (None without a carrier)."""
+    if f"{axis}_m" in sec:
+        return float(sec[f"{axis}_m"])
+    return None if wavelength is None else float(sec[f"{axis}_wavelengths"]) * wavelength
 
 
 def _resolve(rep: ValidationReport, data: dict) -> dict:
     """Check data's sections against the schema, reporting into rep.
 
     Returns each section (and targets item) that passed with its defaults
-    filled in; cross-field checks are left to validate_data.
+    filled in; cross-field checks are left to _scenario.
     """
     res: dict = {}
     exp = data.get("experiment")
@@ -572,32 +476,27 @@ def _resolve(rep: ValidationReport, data: dict) -> dict:
 
 def validate_data(data: Any) -> ValidationReport:
     """Schema-check a parsed configuration mapping."""
-    rep = ValidationReport()
-    if not isinstance(data, dict):
-        rep.add("$", "configuration root must be a mapping")
-        return rep
-    _validate_cross_fields(rep, _resolve(rep, data))
-    return rep
+    return _scenario(data)[0]
 
 
 def _read_config(path: str) -> tuple:
-    """Parse a YAML file once; returns (data, validation report)."""
+    """Parse a YAML file once and build its scenario: (report, config or None)."""
     rep = ValidationReport()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         rep.add("$", f"file not found: {path}")
-        return None, rep
+        return rep, None
     except yaml.YAMLError as exc:
         rep.add("$", f"not valid YAML: {exc}")
-        return None, rep
-    return data, validate_data(data)
+        return rep, None
+    return _scenario(data)
 
 
 def validate_config(path: str) -> ValidationReport:
     """Parse and schema-check a YAML configuration file."""
-    return _read_config(path)[1]
+    return _read_config(path)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,7 +504,10 @@ class ScenarioConfig:
     """Validated configuration with domain objects built from the raw data.
 
     raw is the data as read (config_hash covers it); sections holds each
-    section the experiment reads with the schema's defaults filled in.
+    section the experiment reads with the schema's defaults filled in. Each
+    object, the evaluation grid, the targets and the wavenumber sweep's
+    radius-to-range table among them, is the one validation checked, or
+    None where its sections are absent or failed.
     """
 
     raw: dict
@@ -619,6 +521,9 @@ class ScenarioConfig:
     carrier: Optional[CarrierGrid]
     design: Optional[PolarPoint]
     arc: Optional[Arc]
+    grid: Optional[PolarGrid]
+    targets: Optional[tuple]
+    table: Optional[RadiusRangeTable]
 
     def section(self, key: str) -> Any:
         return self.sections.get(key, {})
@@ -628,47 +533,139 @@ class ScenarioConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _resolve_spacing(sec: dict, meter_key: str, wl_key: str, wavelength: float) -> float:
-    if meter_key in sec:
-        return float(sec[meter_key])
-    return float(sec[wl_key]) * wavelength
+def _scenario(data: Any) -> tuple:
+    """Check data and build its scenario in one pass: (report, config).
 
+    Each domain object is built once from the sections that passed, and the
+    checks that relate sections run on those objects, so a run uses what
+    validation checked. The config is None only when the experiment section
+    fails; cross-field issues leave it built.
+    """
+    rep = ValidationReport()
+    if not isinstance(data, dict):
+        rep.add("$", "configuration root must be a mapping")
+        return rep, None
+    res = _resolve(rep, data)
+    exp = res.get("experiment")
+    if exp is None:
+        return rep, None
 
-def _planar_array(sec: dict, wavelength: float) -> PlanarArray:
-    dx = _resolve_spacing(sec, "dx_m", "dx_wavelengths", wavelength)
-    dz = _resolve_spacing(sec, "dz_m", "dz_wavelengths", wavelength)
-    return PlanarArray(int(sec["nx"]), int(sec["nz"]), dx, dz)
-
-
-def build_config(data: dict) -> ScenarioConfig:
-    """Turn validated raw data into domain objects. Call after validation."""
-    res = _resolve(ValidationReport(), data)
-    exp = res["experiment"]
     carrier = None
     if "carrier" in res:
         c = res["carrier"]
         carrier = CarrierGrid(float(c["center_hz"]), int(c["num_subcarriers"]), float(c["spacing_hz"]))
-    wavelength = C / carrier.center_hz if carrier else None
-
-    ula = None
-    upa = None
+    wavelength = C / carrier.center_hz if carrier is not None else None
+    ula = upa = None
     if "array.ula" in res:
         sec = res["array.ula"]
-        spacing = _resolve_spacing(sec, "spacing_m", "spacing_wavelengths", wavelength)
-        ula = ArrayGeometry.ula(int(sec["num_elements"]), spacing)
+        spacing = _spacing(sec, "spacing", wavelength)
+        if spacing is not None:
+            ula = ArrayGeometry.ula(int(sec["num_elements"]), spacing)
     if "array.upa" in res:
-        upa = _planar_array(res["array.upa"], wavelength)
-
-    design = None
-    if "design" in res:
-        d = res["design"]
-        design = PolarPoint(float(d["range_m"]), float(d["angle_rad"]))
+        sec = res["array.upa"]
+        dx, dz = _spacing(sec, "dx", wavelength), _spacing(sec, "dz", wavelength)
+        if dx is not None and dz is not None:
+            upa = PlanarArray(int(sec["nx"]), int(sec["nz"]), dx, dz)
     arc = None
     if "arc" in res:
         a = res["arc"]
         arc = Arc(float(a["theta_start_rad"]), float(a["theta_end_rad"]), float(a["range_m"]))
+    grid = evaluation_grid(res["grid"]) if "grid" in res else None
+    # the design point and each target item that passed, by path
+    points = {
+        path: PolarPoint(float(p["range_m"]), float(p["angle_rad"]))
+        for path, p in res.items()
+        if path == "design" or path.startswith("targets[")
+    }
 
-    return ScenarioConfig(
+    if carrier is not None and "isac" in res:
+        try:
+            sensing_subcarriers(carrier.num_subcarriers, res["isac"]["sensing_subcarriers"])
+        except ValueError as exc:
+            rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {carrier.num_subcarriers})")
+
+    # design and target points must lie inside the grid the experiment builds,
+    # and targets inside the wavenumber calibration sweep
+    placed = []  # (path, point) of each point that does
+    wsec = res.get("wavenumber")
+    sweep = (wsec["range_min_m"], wsec["range_max_m"]) if wsec is not None else None
+    if grid is not None:
+        angles = (float(grid.angles_rad[0]), float(grid.angles_rad[-1]))
+        ranges = (res["grid"]["range_min_m"], res["grid"]["range_max_m"])
+        for path, point in points.items():
+            sec = res[path]
+            in_angles = _within(rep, f"{path}.angle_rad", sec["angle_rad"], angles, "the evaluation grid's angles")
+            in_grid = _within(rep, f"{path}.range_m", sec["range_m"], ranges, "the evaluation grid's ranges")
+            if in_grid and sweep is not None:
+                in_grid = _within(rep, f"{path}.range_m", sec["range_m"], sweep, "the wavenumber calibration sweep")
+            if in_angles and in_grid:
+                placed.append((path, point))
+
+    # the planar-array readout is noiseless, so running it here, the sweep's
+    # calibration and then each target's estimate, shows whether the run
+    # would fail or misread it
+    table = None
+    if sweep is not None and upa is not None and carrier is not None:
+        freq = carrier.center_hz
+        direction, sweep_m, frac = wavenumber_calibration(wsec)
+        try:
+            table = calibrate_radius_range(upa, freq, direction, sweep_m, threshold_frac=frac)
+        except CalibrationError as exc:
+            # the sweep runs past the window where radii fall with range
+            rep.add("wavenumber.range_max_m", f"the calibration sweep cannot be calibrated ({exc})")
+        except AliasingError as exc:
+            # the nearest ranges' support disks are the widest
+            rep.add("wavenumber.range_min_m", f"the calibration sweep's wavenumber readout aliases ({exc})")
+        cos_bin = C / (freq * upa.nx * upa.dx_m)
+        for path, p in placed:
+            snap = upa_polar_snapshot(upa, p, freq)
+            try:
+                if table is None:  # each target's forward step is still checked
+                    extract_support(wavenumber_transform(snap), frac)
+                    continue
+                est, diag = estimate_position(upa, freq, snap, table, threshold_frac=frac)
+            except AliasingError as exc:
+                rep.add(path, f"the planar array's wavenumber readout aliases here ({exc})")
+            except OutOfCalibrationError as exc:
+                rep.add(path, f"the wavenumber readout falls outside its range calibration ({exc})")
+            else:
+                if abs(diag["cos_x"] - math.cos(p.angle_rad)) > cos_bin:
+                    rep.add(
+                        path,
+                        f"the planar array's wavenumber readout aliases here: it reads angle "
+                        f"{est.angle_rad:.4f} rad, more than one direction-cosine bin "
+                        f"({cos_bin:.3g}) off",
+                    )
+
+    # a linear array evaluated over the grid needs every grid range past its
+    # half-aperture, as a steering vector's source does: closer in, the
+    # point-source phase model breaks down
+    if ula is not None and "grid" in res:
+        half_aperture = ula.aperture_m() / 2
+        if res["grid"]["range_min_m"] <= half_aperture:
+            rep.add(
+                "grid.range_min_m",
+                f"must exceed the linear array's half-aperture (N-1)*d/2 = {half_aperture:.6g} m",
+            )
+
+    alloc = res.get("allocation")
+    if alloc is not None:
+        total = float(alloc["total_power_w"])
+        p_min = float(alloc["sensing_power_w"])
+        for i, c in enumerate(alloc["sensing_counts"]):
+            if c == 0:
+                continue  # the no-sensing baseline
+            path = f"allocation.sensing_counts[{i}]"
+            if carrier is not None and c >= carrier.num_subcarriers:
+                rep.add(path, f"must be < carrier.num_subcarriers ({carrier.num_subcarriers})")
+            elif c * p_min >= total:
+                rep.add(
+                    path,
+                    f"reserves {c} x allocation.sensing_power_w = {c * p_min} W, "
+                    f"which must be < allocation.total_power_w ({alloc['total_power_w']} W)",
+                )
+
+    return rep, ScenarioConfig(
         raw=data,
         sections=res,
         name=exp["name"],
@@ -678,14 +675,22 @@ def build_config(data: dict) -> ScenarioConfig:
         ula=ula,
         upa=upa,
         carrier=carrier,
-        design=design,
+        design=points.get("design"),
         arc=arc,
+        grid=grid,
+        targets=tuple(p for path, p in points.items() if path != "design") if "targets" in res else None,
+        table=table,
     )
 
 
+def build_config(data: dict) -> ScenarioConfig:
+    """Raw data's scenario, built from the sections that pass validation."""
+    return _scenario(data)[1]
+
+
 def load_config(path: str) -> ScenarioConfig:
-    """Validate then build; raises ConfigError with the full report on failure."""
-    data, report = _read_config(path)
+    """Validate and build; raises ConfigError with the full report on failure."""
+    report, cfg = _read_config(path)
     if not report.ok:
         raise ConfigError(report)
-    return build_config(data)
+    return cfg

@@ -18,20 +18,14 @@ import numpy as np
 from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, rayleigh_distance, steering_chunks
 from .codebook import angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, ScenarioConfig, evaluation_grid, wavenumber_calibration
+from .config import EXPERIMENT_SECTIONS, ScenarioConfig, wavenumber_calibration
 from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import Arc, arc_trajectory_spec, fit_trajectory, subcarrier_weights
 from .echoes import peak_angle
 from .music import collect_snapshots, music_peaks, music_spectra, sample_covariance
 from .squint import focal_points, squint_deviation
-from .wavenumber import (
-    calibrate_radius_range,
-    estimate_position,
-    upa_polar_snapshot,
-    upa_rayleigh_distance,
-    upa_snapshot,
-)
+from .wavenumber import estimate_position, upa_polar_snapshot, upa_rayleigh_distance, upa_snapshot
 
 
 @dataclass
@@ -60,9 +54,8 @@ def run_squint_deviation(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     geom = cfg.ula
     grid = cfg.carrier
     design = cfg.design
-    pg = evaluation_grid(cfg.section("grid"))
     w = polar_codeword(geom, grid, design)
-    traj = focal_points(geom, grid, w, pg)
+    traj = focal_points(geom, grid, w, cfg.grid)
     dev_angle, dev_range = squint_deviation(traj, design)
 
     rows = []
@@ -164,7 +157,7 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     grid = cfg.carrier
     freq = grid.center_hz
     direction, sweep, frac = wavenumber_calibration(cfg.section("wavenumber"))
-    table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
+    table = cfg.table
     write_csv(
         outdir / "calibration.csv",
         ["range_m", "radius_bins"],
@@ -221,11 +214,8 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     geom = cfg.ula
     arr = cfg.upa
     grid = cfg.carrier
-    pg = evaluation_grid(cfg.section("grid"))
     msec = cfg.section("music")
-    targets = [
-        PolarPoint(float(t["range_m"]), float(t["angle_rad"])) for t in cfg.section("targets")
-    ]
+    targets = cfg.targets
     snap_count = int(msec["snapshot_count"])
     noise_power = float(msec["noise_power_w"])
     trials = cfg.trials
@@ -244,7 +234,7 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
             )
             for tr in range(trials)
         )
-        for tr, spec in enumerate(music_spectra(covs, geom, grid, pg, num_sources=1)):
+        for tr, spec in enumerate(music_spectra(covs, geom, grid, cfg.grid, num_sources=1)):
             est = music_peaks(spec)[0]
             err_r = abs(est.range_m - target.range_m)
             err_a = abs(est.angle_rad - target.angle_rad)
@@ -254,12 +244,11 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
             )
 
     # The planar-array readout is noiseless and deterministic: one row per target.
-    direction, sweep, frac = wavenumber_calibration(cfg.section("wavenumber"))
-    table = calibrate_radius_range(arr, freq, direction, sweep, threshold_frac=frac)
+    frac = float(cfg.section("wavenumber")["threshold_frac"])
     wn_errs = []
     for k, target in enumerate(targets):
         snap = upa_polar_snapshot(arr, target, freq)
-        est, _ = estimate_position(arr, freq, snap, table, threshold_frac=frac)
+        est, _ = estimate_position(arr, freq, snap, cfg.table, threshold_frac=frac)
         wn_errs.append((abs(est.angle_rad - target.angle_rad), abs(est.range_m - target.range_m)))
         rows.append(
             ("wavenumber", k, 0, target.angle_rad, target.range_m, est.angle_rad, est.range_m)
