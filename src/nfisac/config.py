@@ -29,8 +29,8 @@ from .allocation import sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint
 from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
-from .delay_phase import Arc
-from .errors import AliasingError, CalibrationError, OutOfCalibrationError
+from .delay_phase import Arc, arc_trajectory_spec, fit_trajectory
+from .errors import AliasingError, CalibrationError, IllConditionedSpecError, OutOfCalibrationError
 from .wavenumber import (
     PlanarArray,
     RadiusRangeTable,
@@ -420,6 +420,15 @@ def _spacing(sec: dict, axis: str, wavelength: Optional[float]) -> Optional[floa
     return None if wavelength is None else float(sec[f"{axis}_wavelengths"]) * wavelength
 
 
+def _built(rep: ValidationReport, path: str, make, *args) -> Any:
+    """make(*args), or None with the ValueError it raises reported at path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        rep.add(path, str(exc))
+        return None
+
+
 def _resolve(rep: ValidationReport, data: dict) -> dict:
     """Check data's sections against the schema, reporting into rep.
 
@@ -505,9 +514,9 @@ class ScenarioConfig:
 
     raw is the data as read (config_hash covers it); sections holds each
     section the experiment reads with the schema's defaults filled in. Each
-    object, the evaluation grid, the targets and the wavenumber sweep's
-    radius-to-range table among them, is the one validation checked, or
-    None where its sections are absent or failed.
+    object, the evaluation grid, the targets, the wavenumber sweep's
+    radius-to-range table and the arc's delay-phase fit among them, is the
+    one validation checked, or None where its sections are absent or failed.
     """
 
     raw: dict
@@ -524,6 +533,7 @@ class ScenarioConfig:
     grid: Optional[PolarGrid]
     targets: Optional[tuple]
     table: Optional[RadiusRangeTable]
+    fit: Optional[tuple]  # (DelayPhaseConfig, rms residual in rad) along the arc
 
     def section(self, key: str) -> Any:
         return self.sections.get(key, {})
@@ -553,7 +563,8 @@ def _scenario(data: Any) -> tuple:
     carrier = None
     if "carrier" in res:
         c = res["carrier"]
-        carrier = CarrierGrid(float(c["center_hz"]), int(c["num_subcarriers"]), float(c["spacing_hz"]))
+        args = float(c["center_hz"]), int(c["num_subcarriers"]), float(c["spacing_hz"])
+        carrier = _built(rep, "carrier", CarrierGrid, *args)  # its band may reach 0 Hz
     wavelength = C / carrier.center_hz if carrier is not None else None
     ula = upa = None
     if "array.ula" in res:
@@ -570,7 +581,8 @@ def _scenario(data: Any) -> tuple:
     if "arc" in res:
         a = res["arc"]
         arc = Arc(float(a["theta_start_rad"]), float(a["theta_end_rad"]), float(a["range_m"]))
-    grid = evaluation_grid(res["grid"]) if "grid" in res else None
+    # too many points for its bounds collapse neighbouring grid lines
+    grid = _built(rep, "grid", evaluation_grid, res["grid"]) if "grid" in res else None
     # the design point and each target item that passed, by path
     points = {
         path: PolarPoint(float(p["range_m"]), float(p["angle_rad"]))
@@ -582,7 +594,8 @@ def _scenario(data: Any) -> tuple:
         try:
             sensing_subcarriers(carrier.num_subcarriers, res["isac"]["sensing_subcarriers"])
         except ValueError as exc:
-            rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {carrier.num_subcarriers})")
+            m = carrier.num_subcarriers
+            rep.add("isac.sensing_subcarriers", f"{exc} (carrier.num_subcarriers is {m})")
 
     # design and target points must lie inside the grid the experiment builds,
     # and targets inside the wavenumber calibration sweep
@@ -593,11 +606,11 @@ def _scenario(data: Any) -> tuple:
         angles = (float(grid.angles_rad[0]), float(grid.angles_rad[-1]))
         ranges = (res["grid"]["range_min_m"], res["grid"]["range_max_m"])
         for path, point in points.items():
-            sec = res[path]
-            in_angles = _within(rep, f"{path}.angle_rad", sec["angle_rad"], angles, "the evaluation grid's angles")
-            in_grid = _within(rep, f"{path}.range_m", sec["range_m"], ranges, "the evaluation grid's ranges")
+            angle, r = res[path]["angle_rad"], res[path]["range_m"]
+            in_angles = _within(rep, f"{path}.angle_rad", angle, angles, "the evaluation grid's angles")
+            in_grid = _within(rep, f"{path}.range_m", r, ranges, "the evaluation grid's ranges")
             if in_grid and sweep is not None:
-                in_grid = _within(rep, f"{path}.range_m", sec["range_m"], sweep, "the wavenumber calibration sweep")
+                in_grid = _within(rep, f"{path}.range_m", r, sweep, "the wavenumber calibration sweep")
             if in_angles and in_grid:
                 placed.append((path, point))
 
@@ -637,15 +650,31 @@ def _scenario(data: Any) -> tuple:
                         f"({cos_bin:.3g}) off",
                     )
 
-    # a linear array evaluated over the grid needs every grid range past its
-    # half-aperture, as a steering vector's source does: closer in, the
-    # point-source phase model breaks down
-    if ula is not None and "grid" in res:
-        half_aperture = ula.aperture_m() / 2
-        if res["grid"]["range_min_m"] <= half_aperture:
+    # a linear array evaluated over the grid, or steered along the arc, needs
+    # every such range past its half-aperture, as a steering vector's source
+    # does: closer in, the point-source phase model breaks down
+    fit = None
+    if ula is not None:
+        half = ula.aperture_m() / 2
+        for sec, key in (("grid", "range_min_m"), ("arc", "range_m")):
+            if sec in res and res[sec][key] <= half:
+                rep.add(f"{sec}.{key}", f"must exceed the linear array's half-aperture (N-1)*d/2 = {half:.6g} m")
+        # the delay-phase front end that steers the arc across the band
+        if arc is not None and carrier is not None and arc.range_m > half:
+            try:
+                fit = fit_trajectory(ula, carrier, arc_trajectory_spec(carrier, arc))
+            except IllConditionedSpecError as exc:
+                rep.add("arc", f"cannot be fit by a delay-phase front end across the band ({exc})")
+
+    if arc is not None and "isac" in res:
+        # trial targets are drawn from [start + margin, end - margin]
+        margin = float(res["isac"]["target_margin_rad"])
+        lo, hi = arc.theta_start_rad + margin, arc.theta_end_rad - margin
+        if lo > hi:
             rep.add(
-                "grid.range_min_m",
-                f"must exceed the linear array's half-aperture (N-1)*d/2 = {half_aperture:.6g} m",
+                "isac.target_margin_rad",
+                f"leaves no target angles on the arc: arc.theta_start_rad + margin ({lo}) "
+                f"exceeds arc.theta_end_rad - margin ({hi})",
             )
 
     alloc = res.get("allocation")
@@ -680,6 +709,7 @@ def _scenario(data: Any) -> tuple:
         grid=grid,
         targets=tuple(p for path, p in points.items() if path != "design") if "targets" in res else None,
         table=table,
+        fit=fit,
     )
 
 

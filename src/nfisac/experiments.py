@@ -21,7 +21,7 @@ from .codebook import angular_spread, polar_codeword
 from .config import EXPERIMENT_SECTIONS, ScenarioConfig, wavenumber_calibration
 from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
-from .delay_phase import Arc, arc_trajectory_spec, fit_trajectory, subcarrier_weights
+from .delay_phase import subcarrier_weights
 from .echoes import peak_angle
 from .music import collect_snapshots, music_peaks, music_spectra, sample_covariance
 from .squint import focal_points, squint_deviation
@@ -353,8 +353,7 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     snrs = [float(s) for s in cfg.snr_db]
 
     # One fitted delay-phase config steers the whole arc across the band.
-    spec = arc_trajectory_spec(grid, arc)
-    dp_cfg, fit_rms = fit_trajectory(geom, grid, spec)
+    dp_cfg, fit_rms = cfg.fit
     w_ttd = subcarrier_weights(dp_cfg, grid, np.arange(num_m))
     arc_angles = np.array([arc.angle_at(m / (num_m - 1)) for m in range(num_m)])
     sense_rel = sensing_subcarriers(num_m, ks)

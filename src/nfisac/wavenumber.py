@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -209,7 +208,7 @@ def estimate_position(
     freq_hz: float,
     snapshot: np.ndarray,
     table: RadiusRangeTable,
-    threshold_frac: Optional[float] = None,
+    threshold_frac: float = 0.1,
 ) -> tuple:
     """Invert the calibrated map: snapshot -> (PolarPoint estimate, diagnostics).
 
@@ -217,8 +216,7 @@ def estimate_position(
     array convention. Any global phase or timing offset on the snapshot leaves
     the result bit-identical.
     """
-    frac = 0.1 if threshold_frac is None else threshold_frac
-    circle = extract_support(wavenumber_transform(snapshot), frac)
+    circle = extract_support(wavenumber_transform(snapshot), threshold_frac)
     u0, v0 = circle.center_bins
     cos_x = C * u0 / (freq_hz * arr.nx * arr.dx_m)
     cos_z = C * v0 / (freq_hz * arr.nz * arr.dz_m)

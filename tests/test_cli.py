@@ -119,6 +119,15 @@ def test_runtime_failure_exits_three(tmp_path, monkeypatch, capsys):
         ("angular_spread.yaml", "carrier", "center_hz", float("inf"), "carrier.center_hz"),
         # rmse-vs-snr fits a delay-phase trajectory across its subcarriers
         ("rmse_vs_snr.yaml", "carrier", "spacing_hz", 0.0, "carrier.spacing_hz"),
+        # at this width the arc's adjacent-subcarrier phase step reaches pi,
+        # so its delay-phase fit fails
+        ("rmse_vs_snr.yaml", "arc", "theta_start_rad", 0.4, "arc: "),
+        # a margin wider than half the 0.349 rad arc would draw targets off it
+        ("rmse_vs_snr.yaml", "isac", "target_margin_rad", 0.5, "isac.target_margin_rad"),
+        # inside the 128-element linear array's 0.0317 m half-aperture
+        ("rmse_vs_snr.yaml", "arc", "range_m", 0.01, "arc.range_m"),
+        # 32 subcarriers of 10 GHz below a 300 GHz center reach below 0 Hz
+        ("squint_deviation.yaml", "carrier", "spacing_hz", 1.0e10, "carrier: "),
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):

@@ -269,6 +269,18 @@ def test_design_outside_evaluation_grid_rejected():
     assert set(_issues(data)) == {"design.range_m"}
 
 
+def test_grid_too_fine_for_its_bounds_rejected():
+    # more grid lines than distinct floats between the bounds would repeat a
+    # line, which the run's evaluation grid refuses
+    data = _shipped("squint_deviation.yaml")
+    data["grid"].update(range_min_m=9.999999999999998, range_max_m=10.000000000000002)
+    assert _issues(data) == {"grid": "ranges_m must be strictly increasing"}
+    data = _shipped("squint_deviation.yaml")
+    angle = data["design"]["angle_rad"]
+    data["grid"].update(angle_min_rad=angle, angle_max_rad=float(np.nextafter(angle, np.inf)))
+    assert _issues(data) == {"grid": "angles_rad must be strictly increasing"}
+
+
 def test_target_outside_calibration_sweep_rejected():
     # the sweep (wavenumber range_min_m/range_max_m, else the grid's) and the
     # grid ranges bound the targets; the endpoints themselves are calibrated
@@ -469,6 +481,9 @@ def test_minimal_configs_resolve_every_default():
             assert cfg.section("isac")["target_margin_rad"] == math.radians(1.0)
         if "grid" in data:
             grid = evaluation_grid(cfg.section("grid"))
+            # the run's grid is the one validation built
+            assert np.array_equal(cfg.grid.angles_rad, grid.angles_rad)
+            assert np.array_equal(cfg.grid.ranges_m, grid.ranges_m)
             assert cfg.section("grid")["num_angles"] == 721
             assert np.array_equal(grid.angles_rad, np.linspace(0.0, np.pi, 723)[1:-1])
             assert grid.ranges_m.size == ranges_by_default[cfg.name]

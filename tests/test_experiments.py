@@ -147,6 +147,32 @@ def test_shipped_music_run_never_falls_back_to_eigh(tmp_path, monkeypatch):
     assert eigh_calls == []
 
 
+@pytest.mark.parametrize(
+    "name, module, func",
+    [
+        ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
+        ("wavenumber_calibration.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
+        ("rmse_vs_snr.yaml", "nfisac.delay_phase", "fit_trajectory"),
+    ],
+)
+def test_load_and_run_calibrate_and_fit_once(tmp_path, monkeypatch, name, module, func):
+    # validation calibrates the wavenumber sweep and fits the arc, and the run
+    # uses those results instead of deriving them again
+    original = getattr(sys.modules[module], func)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every package module that imported the function by name
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("nfisac") and getattr(mod, func, None) is original:
+            monkeypatch.setattr(mod, func, counted)
+    run_experiment(load_config(str(PKG_ROOT / "configs" / name)), tmp_path / "out")
+    assert len(calls) == 1
+
+
 # every shipped config; squint-deviation is the one whose matrix-vector
 # products change shape with the chunk size
 BLAS_CONFIGS = [
