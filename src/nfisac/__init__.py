@@ -43,6 +43,8 @@ from .music import (
     music_spectra,
     music_spectrum,
     sample_covariance,
+    signal_subspace,
+    snapshot_subspace,
 )
 from .squint import SquintTrajectory, focal_points, squint_deviation
 from .tracking import TrackState, kalman_predict_update, predict_arc
@@ -99,6 +101,8 @@ __all__ = [
     "predict_arc",
     "rayleigh_distance",
     "sample_covariance",
+    "signal_subspace",
+    "snapshot_subspace",
     "squint_deviation",
     "upa_snapshot",
     "wavenumber_transform",

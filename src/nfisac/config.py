@@ -300,7 +300,18 @@ _EXPERIMENT_KEYS = {
         # the delay-phase fit regresses phase on frequency across subcarriers
         "carrier": {"spacing_hz": Num(0, "Hz; rmse-vs-snr fits a trajectory across subcarriers")},
     },
+    # MUSIC splits the elements into a one-source signal and a noise subspace
+    "music-vs-wavenumber": {"array.ula": {"num_elements": Int(2, "MUSIC needs a noise subspace")}},
+    # one element has no aperture, so its Rayleigh distance 2 D^2 / lambda is 0
+    "angular-spread": {"array.ula": {"num_elements": Int(2, "the Rayleigh distance needs an aperture")}},
 }
+
+# smallest mean SNR users.mean_gain * total_power_w / noise_power_w: water
+# filling resolves its water level to 1e-10 of its height, so a draw whose
+# best full-power SNR lies below about 6e-11 gets no power and a zero
+# comm-only rate, which every rate ratio divides by. At 1e-6 (-60 dB) a draw's
+# best exponential gain must fall about four decades below its mean for that
+MIN_MEAN_SNR = 1e-6
 
 
 def _check(rep: ValidationReport, path: str, value: Any, spec: Any, out: dict) -> None:
@@ -681,6 +692,13 @@ def _scenario(data: Any) -> tuple:
     if alloc is not None:
         total = float(alloc["total_power_w"])
         p_min = float(alloc["sensing_power_w"])
+        snr = res["users"]["mean_gain"] * total / alloc["noise_power_w"] if "users" in res else math.inf
+        if snr < MIN_MEAN_SNR:
+            rep.add(
+                "users.mean_gain",
+                f"gives a mean SNR mean_gain x allocation.total_power_w / allocation.noise_power_w "
+                f"of {snr:.3g}, below {MIN_MEAN_SNR:g}: the comm-only baseline rate can round to 0",
+            )
         for i, c in enumerate(alloc["sensing_counts"]):
             if c == 0:
                 continue  # the no-sensing baseline

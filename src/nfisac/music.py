@@ -18,11 +18,11 @@ from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
 
-# spectrum entries (covariances x grid points) that one steering pass serves
+# spectrum entries (signal bases x grid points) that one steering pass serves
 _PASS_ENTRIES = 2_000_000
 # subspace iteration stops once ||R V - V (V^H R V)||_F <= _SUBSPACE_TOL * ||V^H R V||_F
 _SUBSPACE_TOL = 1e-12
-# iterations before signal_subspace falls back to a full eigendecomposition;
+# iterations before a signal subspace falls back to a full eigendecomposition;
 # at N = 256, k = 1 a fallback then costs about 1.5x the eigh alone
 _SUBSPACE_ITERATIONS = 150
 
@@ -70,28 +70,61 @@ class SampleCovariance:
         object.__setattr__(self, "matrix", r)
 
 
-def signal_subspace(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal N x k basis of a Hermitian PSD matrix's top-k eigenspace.
+def _top_subspace(apply, start: np.ndarray, k: int, covariance) -> np.ndarray:
+    """Orthonormal N x k basis of a Hermitian PSD matrix R's top-k eigenspace.
 
-    Block subspace iteration V <- qr(R V), started from the k columns of R
-    with the largest diagonal (ties to the smaller index), so the result
-    depends on R alone. It stops once the residual ||R V - V (V^H R V)||
-    falls under _SUBSPACE_TOL times ||V^H R V||; a subspace that has not
-    converged within _SUBSPACE_ITERATIONS (eigenvalues k and k+1 too close,
-    as at low SNR) comes from np.linalg.eigh instead. The basis differs from
+    apply(V) returns R V, start holds k columns of R, and covariance() builds
+    R itself. Block subspace iteration V <- qr(R V) starts from qr(start) and
+    stops once the residual ||R V - V (V^H R V)|| falls under _SUBSPACE_TOL
+    times ||V^H R V||; a subspace that has not converged within
+    _SUBSPACE_ITERATIONS (eigenvalues k and k+1 too close, as at low SNR)
+    comes from np.linalg.eigh(covariance()) instead. The basis differs from
     eigh's, but the projector V V^H, all MUSIC reads, agrees to rounding.
     """
-    r = np.asarray(matrix)
-    n = r.shape[0]
-    start = np.argsort(-r.diagonal().real, kind="stable")[:k]
-    v = np.linalg.qr(r[:, start])[0]
+    n = start.shape[0]
+    if not 0 < k < n:
+        raise ValueError("num_sources must lie in 1..N-1")
+    v = np.linalg.qr(start)[0]
     for _ in range(_SUBSPACE_ITERATIONS):
-        w = r @ v
+        w = apply(v)
         h = v.conj().T @ w
         if np.linalg.norm(w - v @ h) <= _SUBSPACE_TOL * np.linalg.norm(h):
             return v
         v = np.linalg.qr(w)[0]
-    return np.linalg.eigh(r)[1][:, n - k:]
+    return np.linalg.eigh(covariance())[1][:, n - k:]
+
+
+def signal_subspace(matrix: np.ndarray, k: int) -> np.ndarray:
+    """Top-k eigenspace basis of a Hermitian PSD matrix R; see _top_subspace.
+
+    The iteration starts from the k columns of R with the largest diagonal
+    (ties to the smaller index), so the result depends on R alone.
+    """
+    r = np.asarray(matrix)
+    start = np.argsort(-r.diagonal().real, kind="stable")[:k]
+    return _top_subspace(lambda v: r @ v, r[:, start], k, lambda: r)
+
+
+def snapshot_subspace(snapshots: np.ndarray, k: int) -> np.ndarray:
+    """Top-k eigenspace basis of the sample covariance of row-snapshots X (T x N).
+
+    The same iteration as signal_subspace on R = X^T conj(X) / T, with R
+    applied through X, R V = X^T conj(X conj(V)) / T, and never formed. It
+    starts from the k columns of R whose sum_t |x_tj|^2 is largest (ties to
+    the smaller index). Only a subspace that does not converge builds
+    sample_covariance(X), so its eigh has the bits of the covariance path's
+    fallback.
+    """
+    x = np.asarray(snapshots, dtype=complex)
+    t_count = x.shape[0]
+    power = (x.real ** 2 + x.imag ** 2).sum(axis=0)
+    start = np.argsort(-power, kind="stable")[:k]
+    return _top_subspace(
+        lambda v: x.T @ (x @ v.conj()).conj() / t_count,
+        x.T @ x[:, start].conj() / t_count,
+        k,
+        lambda: sample_covariance(x).matrix,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,22 +177,17 @@ def sample_covariance(snapshots: np.ndarray) -> SampleCovariance:
     return SampleCovariance(r, t_count)
 
 
-def music_spectra(
-    covs,
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    pg: PolarGrid,
-    num_sources: int,
-):
-    """Yield the MUSIC spectrum of each covariance in covs, in order.
+def music_spectra(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: PolarGrid):
+    """Yield the MUSIC spectrum of each signal basis in bases, in order.
 
-    Spectra are evaluated on the polar grid at the center frequency, using
-    ||E_n^H a||^2 = N - ||E_s^H a||^2 so only the small signal subspace is
-    projected. covs may be any iterable, such as a generator of trials: each
-    covariance is read once, for its signal subspace, and may be freed after.
-    One steering pass over the grid serves up to _PASS_ENTRIES // grid-size
-    covariances, so the spectra of a pass hold at most _PASS_ENTRIES floats
-    (16 MB), whatever the number of covariances. Each covariance is
+    Each basis is an orthonormal N x k basis of a signal subspace, k being
+    the spectrum's num_sources, as signal_subspace and snapshot_subspace
+    return it. Spectra are evaluated on the polar grid at the center
+    frequency, using ||E_n^H a||^2 = N - ||E_s^H a||^2 so only the small
+    signal subspace is projected. bases may be any iterable, such as a
+    generator of trials. One steering pass over the grid serves up to
+    _PASS_ENTRIES // grid-size bases, so the spectra of a pass hold at most
+    _PASS_ENTRIES floats (16 MB), whatever the number of bases. Each basis is
     projected with its own product, so its spectrum has the same bits as when
     it is evaluated alone.
     """
@@ -168,24 +196,19 @@ def music_spectra(
     taus = (rr / C).ravel()
     cosines = np.cos(aa).ravel()
     batch = max(1, _PASS_ENTRIES // taus.size)
-    covs = iter(covs)
+    bases = iter(bases)
     while True:
-        subspaces = []
-        for cov in itertools.islice(covs, batch):
-            n = cov.matrix.shape[0]
-            if not 0 < num_sources < n:
-                raise ValueError("num_sources must lie in 1..N-1")
-            subspaces.append((n, signal_subspace(cov.matrix, num_sources).conj()))
-        if not subspaces:
+        conj = [np.conj(es) for es in itertools.islice(bases, batch)]
+        if not conj:
             return
-        den = np.empty((len(subspaces), taus.size), dtype=float)
+        den = np.empty((len(conj), taus.size), dtype=float)
         for lo, hi, a, _ in steering_chunks(geom, fc, taus, cosines):
-            for row, (n, es_conj) in zip(den, subspaces):
+            for row, es_conj in zip(den, conj):
                 proj = np.abs(a @ es_conj) ** 2
-                row[lo:hi] = n - proj.sum(axis=1)
+                row[lo:hi] = es_conj.shape[0] - proj.sum(axis=1)
         den = np.maximum(den, np.finfo(float).tiny)
-        for row in den:
-            yield MusicSpectrum((1.0 / row).reshape(pg.shape), pg, num_sources)
+        for row, es_conj in zip(den, conj):
+            yield MusicSpectrum((1.0 / row).reshape(pg.shape), pg, es_conj.shape[1])
 
 
 def music_spectrum(
@@ -195,8 +218,8 @@ def music_spectrum(
     pg: PolarGrid,
     num_sources: int,
 ) -> MusicSpectrum:
-    """The MUSIC spectrum of one covariance; see music_spectra."""
-    return next(music_spectra([cov], geom, grid, pg, num_sources))
+    """The MUSIC spectrum of one covariance's signal_subspace; see music_spectra."""
+    return next(music_spectra([signal_subspace(cov.matrix, num_sources)], geom, grid, pg))
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:

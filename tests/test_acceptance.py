@@ -28,7 +28,14 @@ from nfisac.config import load_config
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.delay_phase import Arc, TrajectorySpec, arc_trajectory_spec, fit_trajectory, front_end
 from nfisac.experiments import run_experiment
-from nfisac.music import collect_snapshots, music_localize, music_peaks, music_spectra, sample_covariance
+from nfisac.music import (
+    collect_snapshots,
+    music_localize,
+    music_peaks,
+    music_spectra,
+    sample_covariance,
+    snapshot_subspace,
+)
 from nfisac.squint import focal_points
 from nfisac.tracking import TrackState, kalman_predict_update, xy_to_polar
 from nfisac.wavenumber import (
@@ -233,14 +240,14 @@ def test_criterion_06_subspace_localization(capsys):
         and exact[0].range_m == truth.range_m
     )
 
-    covs = (
-        sample_covariance(
-            collect_snapshots(geom, grid, [truth], 256, 0.01, seed=np.random.SeedSequence((11, tr)))
+    bases = (
+        snapshot_subspace(
+            collect_snapshots(geom, grid, [truth], 256, 0.01, seed=np.random.SeedSequence((11, tr))), 1
         )
         for tr in range(100)
     )
     errs = []
-    for spec in music_spectra(covs, geom, grid, pg, 1):
+    for spec in music_spectra(bases, geom, grid, pg):
         peak = music_peaks(spec)[0]
         errs.append((peak.angle_rad - truth.angle_rad, peak.range_m - truth.range_m))
     errs = np.array(errs)

@@ -24,7 +24,7 @@ from nfisac.arrays import (
 )
 from nfisac.codebook import Beamformer, PolarGrid, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.music import collect_snapshots, music_spectra, music_spectrum, sample_covariance
+from nfisac.music import collect_snapshots, music_spectra, music_spectrum, sample_covariance, signal_subspace
 from nfisac.squint import focal_points
 
 FC = 3.0e11
@@ -268,12 +268,14 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         return arrays.steering_chunks(geom, freq_hz, taus, *args)
 
     def spectra(num_sources):
-        # one by one, then batched from a generator: with `rows` set, a pass
-        # over the 63-point grid serves 1 (rows 2, 3), 2 (rows 5) or 3 (rows 7)
-        # of the 5 covariances, so the batch splits into several passes, each
-        # a steering pass split into chunks of `rows` rows
+        # one covariance at a time, then batched from a generator of their
+        # signal bases: with `rows` set, a pass over the 63-point grid serves
+        # 1 (rows 2, 3), 2 (rows 5) or 3 (rows 7) of the 5 bases, so the batch
+        # splits into several passes, each a steering pass split into chunks
+        # of `rows` rows
         single = [music_spectrum(c, geom, grid, music_pg, num_sources).values for c in covs]
-        batched = music_spectra(iter(covs), geom, grid, music_pg, num_sources)
+        bases = (signal_subspace(c.matrix, num_sources) for c in covs)
+        batched = music_spectra(bases, geom, grid, music_pg)
         return np.array(single), np.array([s.values for s in batched])
 
     # symmetric angle axes, where focal_points reads the angles past pi/2

@@ -128,6 +128,14 @@ def test_runtime_failure_exits_three(tmp_path, monkeypatch, capsys):
         ("rmse_vs_snr.yaml", "arc", "range_m", 0.01, "arc.range_m"),
         # 32 subcarriers of 10 GHz below a 300 GHz center reach below 0 Hz
         ("squint_deviation.yaml", "carrier", "spacing_hz", 1.0e10, "carrier: "),
+        # one element leaves MUSIC no noise subspace, and angular-spread a
+        # Rayleigh distance of 0
+        ("music_vs_wavenumber.yaml", "array", "ula", {"num_elements": 1, "spacing_wavelengths": 0.5},
+         "array.ula.num_elements"),
+        ("angular_spread.yaml", "array", "ula", {"num_elements": 1, "spacing_wavelengths": 0.5},
+         "array.ula.num_elements"),
+        # every comm-only baseline rate rounds to 0, and the rate ratios divide by it
+        ("rate_vs_sensing_budget.yaml", "users", "mean_gain", 1e-300, "users.mean_gain"),
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):

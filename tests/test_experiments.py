@@ -173,6 +173,56 @@ def test_load_and_run_calibrate_and_fit_once(tmp_path, monkeypatch, name, module
     assert len(calls) == 1
 
 
+def test_shipped_music_run_builds_no_covariance(tmp_path, monkeypatch):
+    # each trial's signal subspace comes from its snapshots; no covariance is
+    # formed or checked while every trial's iteration converges
+    original = music.sample_covariance
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append("sample_covariance")
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("nfisac") and getattr(mod, "sample_covariance", None) is original:
+            monkeypatch.setattr(mod, "sample_covariance", counted)
+    post_init = music.SampleCovariance.__post_init__
+
+    def counted_post_init(self):
+        calls.append("SampleCovariance")
+        post_init(self)
+
+    monkeypatch.setattr(music.SampleCovariance, "__post_init__", counted_post_init)
+    run_experiment(load_config(str(PKG_ROOT / "configs" / "music_vs_wavenumber.yaml")), tmp_path / "out")
+    assert calls == []
+    # the counters see the covariance path when it runs
+    music.sample_covariance(np.ones((3, 2), dtype=complex))
+    assert calls == ["sample_covariance", "SampleCovariance"]
+
+
+def test_shipped_music_run_peaks_under_one_covariance_past_its_snapshots(tmp_path):
+    # beyond drawing one trial's snapshots, the run holds less than one N x N
+    # complex matrix: no trial forms its covariance. Forming it, symmetrizing
+    # and checking it lifted the traced peak about 2.5 MB (2.4 N^2 x 16 bytes)
+    # past the draw. A first run does the imports a first run makes
+    cfg = load_config(str(PKG_ROOT / "configs" / "music_vs_wavenumber.yaml"))
+    run_experiment(cfg, tmp_path / "warm")
+    n = cfg.ula.num_elements
+    msec = cfg.section("music")
+    tracemalloc.start()
+    try:
+        music.collect_snapshots(
+            cfg.ula, cfg.carrier, cfg.targets[:1], msec["snapshot_count"], msec["noise_power_w"], 0
+        )
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_experiment(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - draw_peak < 16 * n * n
+
+
 # every shipped config; squint-deviation is the one whose matrix-vector
 # products change shape with the chunk size
 BLAS_CONFIGS = [

@@ -15,8 +15,11 @@ from nfisac.music import (
     collect_snapshots,
     music_localize,
     music_peaks,
+    music_spectra,
     music_spectrum,
     sample_covariance,
+    signal_subspace,
+    snapshot_subspace,
 )
 
 FC = 3.0e11
@@ -81,6 +84,9 @@ def test_num_sources_must_be_below_element_count():
         music_spectrum(cov, geom, GRID1, pg, 16)
     with pytest.raises(ValueError, match="1..N-1"):
         music_spectrum(cov, geom, GRID1, pg, 0)
+    for k in (0, 16):
+        with pytest.raises(ValueError, match="1..N-1"):
+            snapshot_subspace(x, k)
 
 
 def test_peak_on_grid_boundary_warns():
@@ -147,7 +153,7 @@ DIFF_GEOM = ArrayGeometry.ula(32, WL / 2)
 DIFF_GRID = PolarGrid(np.linspace(1.0, 2.1, 45), np.geomspace(0.3, 3.0, 16))
 
 
-def _random_covariances(count, seed):
+def _random_snapshots(count, seed):
     # k = 1..3 sources, SNR -15..30 dB, k + 2 .. 4N snapshots
     rng = np.random.default_rng(seed)
     n = DIFF_GEOM.num_elements
@@ -162,6 +168,11 @@ def _random_covariances(count, seed):
         x = collect_snapshots(
             DIFF_GEOM, GRID1, sources, snapshots, 10 ** (-snr_db / 10), int(rng.integers(2**31))
         )
+        yield k, x
+
+
+def _random_covariances(count, seed):
+    for k, x in _random_snapshots(count, seed):
         yield k, sample_covariance(x)
 
 
@@ -208,6 +219,100 @@ def test_signal_subspace_spectra_match_full_eigh(monkeypatch):
         np.testing.assert_allclose(it_vals, ref_vals, rtol=SPECTRUM_RTOL, atol=0)
         assert fb_peaks == ref_peaks
         assert np.array_equal(fb_vals, ref_vals)
+
+
+# largest entry difference allowed between the projectors of the snapshot
+# and covariance paths; the scenarios below reach 6.3e-14, and their spectra
+# differ by at most 3.9e-12 relative, well inside SPECTRUM_RTOL
+PROJECTOR_ATOL = 1e-12
+
+
+def _snapshot_scenarios():
+    # (k, snapshots): fewer snapshots than elements, three sources and -15 dB,
+    # alone and together, then random draws as in _random_snapshots
+    edges = [(3, -15.0, 5), (1, -15.0, 3), (3, 30.0, 5), (3, -15.0, 128), (2, 0.0, 16)]
+    scenarios = []
+    for seed, (k, snr_db, snapshots) in enumerate(edges):
+        sources = [PolarPoint(0.6 + 0.7 * j, 1.2 + 0.3 * j) for j in range(k)]
+        x = collect_snapshots(DIFF_GEOM, GRID1, sources, snapshots, 10 ** (-snr_db / 10), seed)
+        scenarios.append((k, x))
+    return scenarios + list(_random_snapshots(60, seed=77))
+
+
+def _snapshot_spectra_and_peaks(scenarios):
+    bases = (snapshot_subspace(x, k) for k, x in scenarios)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryPeakWarning)
+        return [
+            (spec.values, music_peaks(spec))
+            for spec in music_spectra(bases, DIFF_GEOM, GRID1, DIFF_GRID)
+        ]
+
+
+def _covariance_spectra_and_peaks(scenarios):
+    return _spectra_and_peaks((k, sample_covariance(x)) for k, x in scenarios)
+
+
+def test_snapshot_subspace_projector_matches_covariance_path():
+    n = DIFF_GEOM.num_elements
+    for k, x in _snapshot_scenarios():
+        v = snapshot_subspace(x, k)
+        ref = signal_subspace(sample_covariance(x).matrix, k)
+        assert v.shape == (n, k)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(k), rtol=0, atol=1e-12)
+        diff = np.abs(v @ v.conj().T - ref @ ref.conj().T).max()
+        assert diff <= PROJECTOR_ATOL
+
+
+def test_snapshot_spectra_match_covariance_path():
+    scenarios = _snapshot_scenarios()
+    for (vals, peaks), (ref_vals, ref_peaks) in zip(
+        _snapshot_spectra_and_peaks(scenarios), _covariance_spectra_and_peaks(scenarios), strict=True
+    ):
+        assert peaks == ref_peaks
+        np.testing.assert_allclose(vals, ref_vals, rtol=SPECTRUM_RTOL, atol=0)
+
+
+def test_snapshot_fallback_has_the_covariance_paths_bits(monkeypatch):
+    # with a budget of one step no scenario converges, and the fallback's eigh
+    # runs on the covariance the covariance path decomposes
+    scenarios = _snapshot_scenarios()
+    eigh = np.linalg.eigh
+    fallbacks = []
+
+    def counted_eigh(a, *args, **kwargs):
+        fallbacks.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(music, "_SUBSPACE_ITERATIONS", 1)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    forced = _snapshot_spectra_and_peaks(scenarios)
+    assert len(fallbacks) == len(scenarios)
+    reference = _covariance_spectra_and_peaks(scenarios)
+    assert len(fallbacks) == 2 * len(scenarios)
+    for (vals, peaks), (ref_vals, ref_peaks) in zip(forced, reference, strict=True):
+        assert peaks == ref_peaks
+        assert np.array_equal(vals, ref_vals)
+
+
+def test_snapshot_spectra_do_not_depend_on_trial_order_or_passes(monkeypatch):
+    # a trial's spectrum is the same whichever trials come before it and
+    # however many share its steering pass
+    scenarios = _snapshot_scenarios()[:12]
+
+    def spectra(trials):
+        bases = (snapshot_subspace(x, k) for k, x in trials)
+        return [spec.values for spec in music_spectra(bases, DIFF_GEOM, GRID1, DIFF_GRID)]
+
+    together = spectra(scenarios)
+    backwards = spectra(scenarios[::-1])[::-1]
+    alone = [spectra([trial])[0] for trial in scenarios]
+    monkeypatch.setattr(music, "_PASS_ENTRIES", 2 * DIFF_GRID.angles_rad.size * DIFF_GRID.ranges_m.size)
+    pairs = spectra(scenarios)
+    for got in (backwards, alone, pairs):
+        assert len(got) == len(together)
+        for a, b in zip(got, together):
+            assert np.array_equal(a, b)
 
 
 def _hermitian_with_spectrum(eigenvalues, seed):
