@@ -44,6 +44,7 @@ from .music import (
     music_spectrum,
     sample_covariance,
     signal_subspace,
+    single_source_peaks,
     snapshot_subspace,
 )
 from .squint import SquintTrajectory, focal_points, squint_deviation
@@ -102,6 +103,7 @@ __all__ = [
     "rayleigh_distance",
     "sample_covariance",
     "signal_subspace",
+    "single_source_peaks",
     "snapshot_subspace",
     "squint_deviation",
     "upa_snapshot",

@@ -68,7 +68,13 @@ def water_fill(
     gains is one channel vector (n,) or a stack of them (rows, n), and
     budget_w a scalar or one budget per row. Each row runs its own
     bisection and is frozen once its bracket has converged, so a row's
-    powers are those of filling it alone.
+    powers are those of filling it alone. The bracket resolves mu to
+    rel_tol of itself, which is coarse when the budget is far below the
+    floors sigma^2/g_i: a row whose powers then sum to less than
+    (1 - rel_tol) of its budget is solved again for its level above its
+    smallest floor, on [0, budget] and to rel_tol of the budget. Every row
+    with a budget and a usable channel thus spends its budget within
+    rel_tol, and a row that already did keeps its powers' bits.
     """
     g = np.asarray(gains, dtype=float)
     if noise_power_w <= 0:
@@ -84,14 +90,31 @@ def water_fill(
     live = finite.any(axis=1) & (budget > 0)
     lo = np.zeros(rows.shape[0])
     hi = np.where(live, budget + np.where(finite, floor, -np.inf).max(axis=1), 0.0)
-    active = hi - lo > rel_tol * hi
+    powers = np.maximum(0.0, _water_level(floor, budget, lo, hi, rel_tol)[:, None] - floor)
+    short = live & (powers.sum(axis=1) < budget * (1 - rel_tol))
+    if short.any():
+        # levels above the smallest floor, to rel_tol / 2 of the budget shared
+        # over the row's channels: the powers then fall short by at most that
+        above = floor[short] - floor[short].min(axis=1, keepdims=True)
+        b = budget[short]
+        scale = b / (2 * finite[short].sum(axis=1))
+        level = _water_level(above, b, np.zeros(b.size), b.copy(), rel_tol, scale)
+        powers[short] = np.maximum(0.0, level[:, None] - above)
+    return powers.reshape(g.shape)
+
+
+def _water_level(floor, budget, lo, hi, rel_tol, scale=None):
+    """Each row's water level: the bisected mu in [lo, hi] whose powers
+    max(0, mu - floor) sum to at most budget, to rel_tol of scale (of hi by
+    default). Rows whose bracket is already that narrow keep lo."""
+    active = hi - lo > rel_tol * (hi if scale is None else scale)
     while active.any():
         mu = 0.5 * (lo + hi)
         over = np.maximum(0.0, mu[:, None] - floor).sum(axis=1) > budget
         hi = np.where(active & over, mu, hi)
         lo = np.where(active & ~over, mu, lo)
-        active &= hi - lo > rel_tol * hi
-    return np.maximum(0.0, lo[:, None] - floor).reshape(g.shape)
+        active &= hi - lo > rel_tol * (hi if scale is None else scale)
+    return lo
 
 
 def sensing_subcarriers(num_subcarriers: int, count: int) -> np.ndarray:
@@ -178,6 +201,9 @@ def partition_and_allocate(
         best_gain = np.take_along_axis(comm_gains, best_user[..., None, :], axis=-2)[..., 0, :]
         comm_powers = water_fill(best_gain, total_power_w - k_s * p_min, noise_power_w)
         powers[..., comm] = comm_powers
-        rates = np.log2(1.0 + comm_powers * best_gain / noise_power_w).sum(axis=-1)
+        snr = comm_powers * best_gain / noise_power_w
+        # log2(1 + snr) loses a positive snr whole once 1 + snr rounds to 1;
+        # there snr / ln 2 is its value to rounding
+        rates = np.where(1.0 + snr > 1.0, np.log2(1.0 + snr), snr / np.log(2.0)).sum(axis=-1)
     _check_allocation(sensing, comm, powers, total_power_w, p_min)
     return Allocations(sensing, comm, best_user, powers, rates)

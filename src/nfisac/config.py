@@ -306,11 +306,11 @@ _EXPERIMENT_KEYS = {
     "angular-spread": {"array.ula": {"num_elements": Int(2, "the Rayleigh distance needs an aperture")}},
 }
 
-# smallest mean SNR users.mean_gain * total_power_w / noise_power_w: water
-# filling resolves its water level to 1e-10 of its height, so a draw whose
-# best full-power SNR lies below about 6e-11 gets no power and a zero
-# comm-only rate, which every rate ratio divides by. At 1e-6 (-60 dB) a draw's
-# best exponential gain must fall about four decades below its mean for that
+# smallest mean SNR users.mean_gain * total_power_w / noise_power_w. Every
+# rate ratio divides by a draw's comm-only rate; water-filling spends the
+# whole budget however far below the noise floor it lies, so that rate is
+# positive unless the SNR underflows, and -60 dB keeps the scenario in the
+# regime the experiment models
 MIN_MEAN_SNR = 1e-6
 
 

@@ -23,7 +23,7 @@ from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import subcarrier_weights
 from .echoes import peak_angle
-from .music import collect_snapshots, music_peaks, music_spectra, snapshot_subspace
+from .music import collect_snapshots, single_source_peaks, snapshot_subspace
 from .squint import focal_points, squint_deviation
 from .wavenumber import estimate_position, upa_polar_snapshot, upa_rayleigh_distance, upa_snapshot
 
@@ -224,8 +224,8 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     rows = []
     music_errs = []
     for k, target in enumerate(targets):
-        # trials stream into one steering pass over the grid per target, each
-        # as the one-source signal subspace of its snapshots
+        # trials stream into one certified peak search per target, each as
+        # the one-source signal subspace of its snapshots
         bases = (
             snapshot_subspace(
                 collect_snapshots(
@@ -236,8 +236,7 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
             )
             for tr in range(trials)
         )
-        for tr, spec in enumerate(music_spectra(bases, geom, grid, cfg.grid)):
-            est = music_peaks(spec)[0]
+        for tr, (est, _) in enumerate(single_source_peaks(bases, geom, grid, cfg.grid)):
             err_r = abs(est.range_m - target.range_m)
             err_a = abs(est.angle_rad - target.angle_rad)
             music_errs.append((err_a, err_r))

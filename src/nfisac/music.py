@@ -3,6 +3,16 @@
 The spherical-wavefront manifold depends on range as well as angle below the
 near/far boundary, so scanning the MUSIC spectrum over a polar grid estimates
 both jointly. The number of sources is an input; no model-order selection.
+
+With one source the spectrum 1 / (N - |e^H a|^2) grows with the beam gain
+|e^H a| of the signal basis e, so its peak is a focal point of w = e:
+single_source_peaks finds it with focal_points' certified grid search
+(squint.screened_argmax) and builds no spectrum. It compares the spectrum
+value itself, as music_spectra computes it, and breaks exact ties toward the
+smaller range, then the smaller angle, so its peak is music_peaks' first, bit
+for bit. With more sources the spectrum is built (music_spectra) and its
+local maxima ranked (music_peaks): a bound on the global maximum cannot
+certify the second-largest local maximum.
 """
 
 from __future__ import annotations
@@ -17,9 +27,15 @@ from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, st
 from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
+from .squint import screened_argmax
 
 # spectrum entries (signal bases x grid points) that one steering pass serves
 _PASS_ENTRIES = 2_000_000
+# one-source bases whose peaks one screened search finds together: each
+# steering pass costs about as much Python overhead as a dozen bases'
+# products, so passes are shared widely; the search's saved gains grow with
+# it, to about 87 KB per basis on a 181 x 60 grid
+_SEARCH_BLOCK = 64
 # subspace iteration stops once ||R V - V (V^H R V)||_F <= _SUBSPACE_TOL * ||V^H R V||_F
 _SUBSPACE_TOL = 1e-12
 # iterations before a signal subspace falls back to a full eigendecomposition;
@@ -247,17 +263,52 @@ def music_peaks(spec: MusicSpectrum) -> list:
         range(ia.size),
         key=lambda k: (-values[ia[k], ir[k]], pg.ranges_m[ir[k]], pg.angles_rad[ia[k]]),
     )
-    picked = order[:spec.num_sources]
+    return [_grid_peak(pg, int(ia[k]), int(ir[k])) for k in order[:spec.num_sources]]
+
+
+def _grid_peak(pg: PolarGrid, a_i: int, r_i: int) -> PolarPoint:
+    """The grid node (angle index a_i, range index r_i) as a MUSIC peak.
+
+    A peak on the grid boundary triggers a BoundaryPeakWarning, since the
+    true maximum may lie outside the grid.
+    """
     n_ang, n_rng = pg.shape
-    results = []
-    for k in picked:
-        a_i, r_i = int(ia[k]), int(ir[k])
-        if a_i in (0, n_ang - 1) or r_i in (0, n_rng - 1):
-            warnings.warn(
-                "MUSIC peak on the evaluation grid boundary", BoundaryPeakWarning
-            )
-        results.append(PolarPoint(float(pg.ranges_m[r_i]), float(pg.angles_rad[a_i])))
-    return results
+    if a_i in (0, n_ang - 1) or r_i in (0, n_rng - 1):
+        warnings.warn("MUSIC peak on the evaluation grid boundary", BoundaryPeakWarning)
+    return PolarPoint(float(pg.ranges_m[r_i]), float(pg.angles_rad[a_i]))
+
+
+def single_source_peaks(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: PolarGrid):
+    """Yield (peak, value) for each one-source basis in bases, in order.
+
+    Each basis is an orthonormal N x 1 signal basis e, as
+    snapshot_subspace(X, 1) returns it. peak is music_peaks(spec)[0] and
+    value spec's value there, for spec the basis's music_spectra spectrum,
+    and a peak on the grid boundary warns the same way; but no spectrum is
+    built. The peak is the grid argmax of the spectrum value
+    1 / max(N - |e^H a|^2, tiny), computed with music_spectra's steering
+    rows and products at the center frequency (direct rows only: a
+    mirrored product would move the low bits), ties to the smaller range,
+    then the smaller angle. That point is a local maximum under music_peaks'
+    plateau rule and the first it ranks. squint.screened_argmax finds it
+    with its certified range screen: up to _SEARCH_BLOCK bases are columns
+    of one search, each with its own products and running best, so a peak
+    depends neither on the order of bases nor on which share its search.
+    """
+    center = CarrierGrid(grid.center_hz, 1, 0.0)
+    no_delays = np.zeros(geom.num_elements)
+    bases = iter(bases)
+    while True:
+        block = list(itertools.islice(bases, _SEARCH_BLOCK))
+        if not block:
+            return
+        if any(np.shape(e) != (geom.num_elements, 1) for e in block):
+            raise ValueError("each basis must be N x 1: one source")
+        weights = np.array([np.asarray(e)[:, 0] for e in block])
+        values, at, _ = screened_argmax(geom, center, weights, no_delays, pg, music=True)
+        for value, i in zip(values, at):
+            r_i, a_i = divmod(int(i), pg.angles_rad.size)
+            yield _grid_peak(pg, a_i, r_i), float(value)
 
 
 def music_localize(

@@ -31,9 +31,8 @@ from nfisac.experiments import run_experiment
 from nfisac.music import (
     collect_snapshots,
     music_localize,
-    music_peaks,
-    music_spectra,
     sample_covariance,
+    single_source_peaks,
     snapshot_subspace,
 )
 from nfisac.squint import focal_points
@@ -247,8 +246,7 @@ def test_criterion_06_subspace_localization(capsys):
         for tr in range(100)
     )
     errs = []
-    for spec in music_spectra(bases, geom, grid, pg):
-        peak = music_peaks(spec)[0]
+    for peak, _ in single_source_peaks(bases, geom, grid, pg):
         errs.append((peak.angle_rad - truth.angle_rad, peak.range_m - truth.range_m))
     errs = np.array(errs)
     rmse_angle = float(np.sqrt(np.mean(errs[:, 0] ** 2)))
@@ -290,8 +288,9 @@ def test_criterion_07_beam_trajectory_tracking(capsys):
     cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
     pg = PolarGrid(np.linspace(np.radians(56.0), np.radians(84.0), 261), np.geomspace(14.0, 28.0, 90))
     traj = focal_points(geom, grid, front_end(cfg), pg)
-    # the range screen skips most of the grid (8 446 of 23 490 points evaluated)
+    # the range screen skips most of the grid: 8 446 of 23 490 points evaluated
     assert traj.evaluated_points < 12_120
+    assert traj.evaluated_points == 8446
     m_top = grid.num_subcarriers - 1
     hits = sum(
         abs(p.angle_rad - arc.angle_at(m / m_top)) <= np.radians(1.0) and abs(p.range_m - 20.0) <= 1.0

@@ -106,13 +106,29 @@ def row_water_fill(gains, budget, noise, rel_tol=1e-10):
         else:
             lo = mu
         steps += 1
-    return np.maximum(0.0, lo - floor), steps
+    powers = np.maximum(0.0, lo - floor)
+    if powers.sum() < budget * (1 - rel_tol):
+        # short of the budget: the level above the smallest floor, on
+        # [0, budget], to rel_tol / 2 of the budget over the row's channels
+        above = floor - floor.min()
+        lo, hi = 0.0, budget
+        scale = budget / (2 * np.isfinite(floor).sum())
+        while hi - lo > rel_tol * scale:
+            nu = 0.5 * (lo + hi)
+            if np.maximum(0.0, nu - above).sum() > budget:
+                hi = nu
+            else:
+                lo = nu
+            steps += 1
+        powers = np.maximum(0.0, lo - above)
+    return powers, steps
 
 
 @st.composite
 def water_fill_stacks(draw):
     rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    gains = draw(arrays(float, (rows, n), elements=st.one_of(st.just(0.0), st.floats(1e-3, 5.0))))
+    # gains down to 1e-20 put some floors far above the budget
+    gains = draw(arrays(float, (rows, n), elements=st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(1e-20, 1e-8))))
     if draw(st.booleans()):
         gains[draw(st.integers(0, rows - 1))] = 0.0  # a dead row
     # budgets over six decades give rows of different bisection lengths
@@ -145,6 +161,19 @@ def test_stacked_water_fill_freezes_converged_rows():
     assert np.all(got[2:] == 0.0)
     same = water_fill(gains[:2], 7.0, 1.0)
     assert same.tobytes() == np.stack([row_water_fill(g, 7.0, 1.0)[0] for g in gains[:2]]).tobytes()
+
+
+def test_budget_far_below_the_noise_floor_is_spent():
+    # a budget far below every floor noise/g is spent all the same: the
+    # powers sum to it within rel_tol, and the sum rate is positive
+    for gain in np.logspace(-20, -8, 49):
+        for gains in (np.array([gain]), np.array([gain, 0.5 * gain, 0.0]), np.array([gain, 1e-3])):
+            p = water_fill(gains, 1.0, 1.0)
+            assert np.all(p >= 0)
+            assert abs(p.sum() - 1.0) <= 1e-10
+        alloc = partition_and_allocate(np.array([[gain]]), None, 1.0, 1.0)
+        assert abs(alloc.powers_w.sum() - 1.0) <= 1e-10
+        assert alloc.rates[()] > 0
 
 
 def test_water_fill_input_validation():

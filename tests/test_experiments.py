@@ -200,6 +200,34 @@ def test_shipped_music_run_builds_no_covariance(tmp_path, monkeypatch):
     assert calls == ["sample_covariance", "SampleCovariance"]
 
 
+def test_shipped_music_run_searches_without_the_spectrum(tmp_path, monkeypatch):
+    # one certified search per target finds every trial's peak: no spectrum
+    # is built, and the search steers at most 1 200 of the grid's 10 860
+    # points per target, where the spectra steered all of them
+    cfg = load_config(str(PKG_ROOT / "configs" / "music_vs_wavenumber.yaml"))
+    spectra, chunks = music.music_spectra, arrays.steering_chunks
+    calls, rows = [], []
+
+    def counted_spectra(*args, **kwargs):
+        calls.append(args)
+        return spectra(*args, **kwargs)
+
+    def counted_chunks(geom, freq_hz, taus, *args, **kwargs):
+        rows.append(taus.size)
+        return chunks(geom, freq_hz, taus, *args, **kwargs)
+
+    # every package module that imported either function by name
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("nfisac"):
+            if getattr(mod, "music_spectra", None) is spectra:
+                monkeypatch.setattr(mod, "music_spectra", counted_spectra)
+            if getattr(mod, "steering_chunks", None) is chunks:
+                monkeypatch.setattr(mod, "steering_chunks", counted_chunks)
+    run_experiment(cfg, tmp_path / "out")
+    assert calls == []
+    assert 0 < sum(rows) <= 1200 * len(cfg.targets)
+
+
 def test_shipped_music_run_peaks_under_one_covariance_past_its_snapshots(tmp_path):
     # beyond drawing one trial's snapshots, the run holds less than one N x N
     # complex matrix: no trial forms its covariance. Forming it, symmetrizing

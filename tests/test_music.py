@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nfisac.music as music
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays
@@ -19,6 +20,7 @@ from nfisac.music import (
     music_spectrum,
     sample_covariance,
     signal_subspace,
+    single_source_peaks,
     snapshot_subspace,
 )
 
@@ -339,3 +341,80 @@ def test_covariance_psd_boundary(n):
     SampleCovariance(sample_covariance(x).matrix, 8)
     with pytest.raises(ValueError, match="positive semidefinite"):
         SampleCovariance(_hermitian_with_spectrum(spectrum(1e-6), seed=n), 10)
+
+
+@st.composite
+def one_source_batches(draw):
+    # a grid symmetric about broadside, its first range inside the
+    # half-aperture or clear of it, and 1..20 trials whose targets sit off
+    # the grid, on its nodes (the boundary included), mirrored about
+    # broadside or at broadside, where the spectrum has exact ties; a
+    # coordinate basis vector gives a spectrum flat to the last bit
+    geom = ArrayGeometry.ula(draw(st.sampled_from([4, 16, 32])), WL / 2)
+    edge = draw(st.floats(0.3, 1.4))
+    angles = np.linspace(edge, np.pi - edge, draw(st.integers(1, 41)))
+    r0 = draw(st.sampled_from([0.004, 0.05, 0.3]))
+    ranges = np.geomspace(r0, r0 * draw(st.floats(2.0, 20.0)), draw(st.integers(1, 16)))
+    pg = PolarGrid(angles, ranges)
+    trials = []
+    for _ in range(draw(st.integers(1, 20))):
+        i = draw(st.integers(0, angles.size - 1))
+        j = draw(st.integers(0, ranges.size - 1))
+        kind = draw(st.sampled_from(["off", "node", "boundary", "mirror", "broadside", "flat"]))
+        if kind == "flat":
+            trials.append(np.eye(geom.num_elements, dtype=complex)[:, [draw(st.integers(0, geom.num_elements - 1))]])
+            continue
+        if kind == "off":
+            angle = draw(st.floats(max(0.05, edge - 0.1), min(np.pi - 0.05, np.pi - edge + 0.1)))
+            target = PolarPoint(draw(st.floats(0.8 * ranges[0], 1.2 * ranges[-1])), angle)
+        elif kind == "boundary":
+            i = draw(st.sampled_from([0, angles.size - 1]))
+            j = draw(st.sampled_from([0, ranges.size - 1, j]))
+            target = PolarPoint(float(ranges[j]), float(angles[i]))
+        elif kind == "mirror":
+            target = PolarPoint(float(ranges[j]), float(np.pi - angles[i]))
+        elif kind == "broadside":
+            target = PolarPoint(float(ranges[j]), np.pi / 2)
+        else:
+            target = PolarPoint(float(ranges[j]), float(angles[i]))
+        noise = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+        x = collect_snapshots(geom, GRID1, [target], draw(st.integers(2, 48)), noise, draw(st.integers(0, 2**31)))
+        trials.append(snapshot_subspace(x, 1))
+    return geom, pg, trials
+
+
+def _searched(bases, geom, pg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BoundaryPeakWarning)
+        found = list(single_source_peaks(bases, geom, GRID1, pg))
+    return found, sum(issubclass(w.category, BoundaryPeakWarning) for w in caught)
+
+
+@given(one_source_batches())
+@settings(max_examples=150, deadline=None)
+def test_single_source_peaks_equal_the_spectrum_peaks(case):
+    # the certified search returns music_peaks' first peak of each basis's
+    # spectrum and its value, bit for bit, with the same boundary warnings,
+    # whatever the order of the bases and whichever share a search
+    geom, pg, bases = case
+    want = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BoundaryPeakWarning)
+        for spec in music_spectra(bases, geom, GRID1, pg):
+            peak = music_peaks(spec)[0]
+            at = (np.searchsorted(pg.angles_rad, peak.angle_rad), np.searchsorted(pg.ranges_m, peak.range_m))
+            want.append((peak, float(spec.values[at])))
+    warned = sum(issubclass(w.category, BoundaryPeakWarning) for w in caught)
+    assert _searched(bases, geom, pg) == (want, warned)
+    backwards, _ = _searched(bases[::-1], geom, pg)
+    assert backwards[::-1] == want
+    for block in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(music, "_SEARCH_BLOCK", block)
+            assert _searched(bases, geom, pg)[0] == want
+
+
+def test_single_source_peaks_take_one_source_bases_only():
+    x = collect_snapshots(DIFF_GEOM, GRID1, [PolarPoint(1.0, 1.2)], 16, 0.01, seed=2)
+    with pytest.raises(ValueError, match="N x 1"):
+        list(single_source_peaks([snapshot_subspace(x, 2)], DIFF_GEOM, GRID1, DIFF_GRID))

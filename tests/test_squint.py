@@ -385,6 +385,29 @@ def test_screened_search_matches_exhaustive_reference(name):
         assert traj.evaluated_points == pg.angles_rad.size * pg.ranges_m.size
 
 
+@pytest.mark.parametrize("name", ["far-design", "asymmetric-axis", "flat-carrier", "straddles-aperture"])
+def test_columns_of_several_weights_are_each_weights_search(name):
+    # one search over B codewords at M subcarriers returns in column m * B + b
+    # codeword b's focal point and gain at subcarrier m, bit for bit as its
+    # own focal_points call, although the columns share every steering pass
+    geom, grid, w, pg = _screen_case(name)
+    n_ang = pg.angles_rad.size
+    fronts = [
+        w,
+        polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[-2]), float(pg.angles_rad[3]))),
+        dft_codeword(geom, grid, 1.4),
+    ]
+    cos_axis = np.cos(pg.angles_rad)
+    mirror = bool(np.all(np.abs(cos_axis + cos_axis[::-1]) <= squint._MIRROR_COS_TOL))
+    weights = np.array([f.weights for f in fronts])
+    val, idx, _ = squint.screened_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg, mirror=mirror)
+    for b, front in enumerate(fronts):
+        traj = focal_points(geom, grid, front, pg)
+        assert np.array_equal(val.reshape(-1, len(fronts))[:, b], traj.gains)
+        ir, ia = np.divmod(idx.reshape(-1, len(fronts))[:, b], n_ang)
+        assert tuple(PolarPoint(float(pg.ranges_m[r]), float(pg.angles_rad[a])) for r, a in zip(ir, ia)) == traj.points
+
+
 def test_lone_survivor_row_keeps_its_bits(monkeypatch):
     # two angles, eleven ranges: ranges 0 and 10 are evaluated at both
     # angles, and the screen rules angle 1.3 out of the interval between
@@ -496,7 +519,7 @@ def test_interval_peak_bounds_every_range_between(scenario, data):
     # clear of the half-aperture, the interval's peak bounds |g| at every
     # range between, at every angle and subcarrier, within the margin
     geom, grid, w, pg = scenario
-    bound = squint._RangeBound(geom, grid, w, pg)
+    bound = squint._RangeBound(geom, grid, w.weights, w.delays_s, pg)
     clear = [c for c in range(pg.ranges_m.size) if bound.clear(c)]
     assume(len(clear) >= 2)
     c0, c1 = sorted(data.draw(st.lists(st.sampled_from(clear), min_size=2, max_size=2, unique=True)))
