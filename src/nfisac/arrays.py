@@ -5,10 +5,11 @@ valid arbitrarily close to the array; the planar model linearizes the distance
 in the element offset and is the classical far-field approximation. Both are
 pure phase models: element amplitudes are identically one.
 
-Single steering vectors use np.exp. Grid searches evaluate the manifold
-exp(-2j*pi*f*tau) chunk by chunk through steering_chunks, whose unit
-phasors come from a table lookup and a short series (phasors) rather than
-a complex exp per entry.
+Single steering vectors use np.exp. Grids of points evaluate the manifold
+exp(-2j*pi*f*tau) across a band chunk by chunk through steering_chunks,
+whose unit phasors come from a table lookup and a short series (phasors)
+rather than a complex exp per entry; their consumers only choose products
+of those rows with their weights, each taken through gains.
 
 All quantities are SI (Hz, m, s, rad). Angles are measured from the array
 axis, so broadside is pi/2.
@@ -107,12 +108,9 @@ class CarrierGrid:
         return self.center_hz + (m - self.half_m) * self.spacing_hz
 
     def freqs(self, ms=None) -> np.ndarray:
-        m = np.arange(self.num_subcarriers, dtype=float)
-        if ms is not None:
-            ms = np.asarray(ms, dtype=int)
-            if np.any((ms < 0) | (ms >= m.size)):
-                raise IndexError(f"subcarrier indices {ms.tolist()} out of range 0..{m.size - 1}")
-            m = m[ms]
+        m = np.arange(self.num_subcarriers, dtype=float) if ms is None else np.asarray(ms, dtype=int)
+        if ms is not None and np.any((m < 0) | (m >= self.num_subcarriers)):
+            raise IndexError(f"subcarrier indices {m.tolist()} out of range 0..{self.num_subcarriers - 1}")
         return self.center_hz + (m - self.half_m) * self.spacing_hz
 
     def bandwidth_hz(self) -> float:
@@ -218,46 +216,64 @@ def phasors(freq_hz: float, delays: np.ndarray, out: np.ndarray, scratch: np.nda
 _CHUNK_ENTRIES = 32_768
 
 
-def steering_chunks(
-    geom: ArrayGeometry, freq_hz: float, taus: np.ndarray, cosines: np.ndarray, offsets_s=None, step_hz=0.0
-):
-    """Spherical-wavefront steering rows at freq_hz over matched point arrays.
+def steering_chunks(geom: ArrayGeometry, grid: CarrierGrid, taus: np.ndarray, cosines: np.ndarray, offsets_s=None):
+    """Spherical-wavefront steering rows at grid's subcarriers over matched point arrays.
 
-    Yields (lo, hi, steering, step) for consecutive row ranges lo:hi of the
-    1-D taus/cosines arrays. With delays their spherical_delay_matrix less
-    the per-element offsets_s, if given (a front end's delays),
-    steering = phasors(freq_hz, delays) and step = phasors(step_hz, delays),
-    the factor that takes steering to freq_hz + step_hz; step is None when
-    step_hz is 0. A chunk holds about _CHUNK_ENTRIES entries, sized so
-    that a caller's repeated passes over it run in cache rather than
-    streaming from memory, and never a single row
-    unless there is only one point: numpy hands a one-row product to BLAS's
-    dot routine, whose last bits differ from the matrix-vector kernel's, so a
-    lone row would make a point's gain depend on where the chunks split.
+    Yields (lo, hi, rows) for consecutive row ranges lo:hi of the 1-D
+    taus/cosines arrays, _CHUNK_ENTRIES // N rows each but the last, so
+    that the passes over a chunk's subcarriers run in cache rather than
+    streaming from memory. With delays the points' spherical_delay_matrix
+    less the per-element offsets_s, if given (a front end's delays), rows
+    yields the chunk's steering matrix at subcarriers 0..M in turn: first
+    phasors(grid.freq(0), delays), then that matrix times
+    step = phasors(grid.spacing_hz, delays) in place, once per subcarrier.
+    A one-frequency caller passes CarrierGrid(f, 1, 0.0).
 
-    Every chunk is computed into buffers allocated once per call, so the
-    yielded arrays are valid only until the next iteration; a caller may
-    modify them in place.
+    Every chunk is computed into buffers allocated once per call, so a
+    yielded matrix is valid only until rows yields the next one, and must
+    not be modified.
     """
     n = geom.num_elements
-    chunk = max(2, _CHUNK_ENTRIES // n)
-    cap = min(taus.size, chunk + 1)  # rows of the largest chunk
+    num_m = grid.num_subcarriers
+    chunk = max(1, _CHUNK_ENTRIES // n)
+    cap = min(taus.size, chunk)  # rows of the largest chunk
     delay_buf = np.empty((cap, n))
     steering_buf = np.empty((cap, n), dtype=complex)
-    step_buf = np.empty((cap, n), dtype=complex) if step_hz else None
+    step_buf = np.empty((cap, n), dtype=complex) if num_m > 1 and grid.spacing_hz else None
     scratch = np.empty(4 * cap * n)  # phasors' work space, and the delays'
-    lo = 0
-    while lo < taus.size:
-        hi = taus.size if taus.size - lo <= chunk + 1 else lo + chunk
-        rows = hi - lo
-        delays = delay_buf[:rows]
-        work = scratch[: rows * n].reshape(rows, n)
+
+    def rows(delays, a):
+        step = None if step_buf is None else phasors(grid.spacing_hz, delays, step_buf[: a.shape[0]], scratch)
+        yield phasors(grid.freq(0), delays, a, scratch)
+        for _ in range(1, num_m):
+            if step is not None:
+                a *= step
+            yield a
+
+    for lo in range(0, taus.size, chunk):
+        hi = min(lo + chunk, taus.size)
+        delays = delay_buf[: hi - lo]
+        work = scratch[: delays.size].reshape(delays.shape)
         spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi], out=delays, work=work)
         if offsets_s is not None:
             delays -= offsets_s
-        step = phasors(step_hz, delays, step_buf[:rows], scratch) if step_hz else None
-        yield lo, hi, phasors(freq_hz, delays, steering_buf[:rows], scratch), step
-        lo = hi
+        yield lo, hi, rows(delays, steering_buf[: hi - lo])
+
+
+def gains(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """|a @ w| for steering rows a (R x N) and weights w (N, or N x K), into out if given.
+
+    Every product of steering rows goes through here, so that a row's gains
+    have the same bits however the rows are grouped into products. numpy
+    hands a product of one row to BLAS's dot (or, against several weight
+    columns, to its matrix-vector kernel), whose last bits differ from those
+    of the kernels that multiply two rows or more; those give each row the
+    same bits whatever the row count. So a lone row is multiplied as two
+    equal rows, and its gains are the first row's.
+    """
+    if a.shape[0] == 1:
+        return np.abs((np.concatenate([a, a]) @ w)[:1], out=out)
+    return np.abs(a @ w, out=out)
 
 
 def _check_source_range(geom: ArrayGeometry, p: PolarPoint) -> None:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, spherical_delays, steering_chunks
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +96,8 @@ def gains_at_freq(
     cosines = np.asarray(cosines, dtype=float)
     out = np.empty(taus.size, dtype=float)
     wc = np.conj(weights)
-    for lo, hi, a, _ in steering_chunks(geom, freq_hz, taus, cosines):
-        out[lo:hi] = np.abs(a @ wc) ** 2
+    for lo, hi, (a,) in steering_chunks(geom, CarrierGrid(freq_hz, 1, 0.0), taus, cosines):
+        out[lo:hi] = gains(a, wc) ** 2
     return out
 
 

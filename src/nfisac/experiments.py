@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, rayleigh_distance, steering_chunks
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, rayleigh_distance, steering_chunks
 from .codebook import angular_spread, polar_codeword
 from .config import EXPERIMENT_SECTIONS, ScenarioConfig, wavenumber_calibration
 from .constants import SPEED_OF_LIGHT as C
@@ -314,28 +314,23 @@ def _beam_gains(
     (len(angles), 1 + len(w_ps), M): along axis 1 the gain of w_ttd[m], then
     of each codeword. The manifold comes from steering_chunks, one phasor
     pass at the lowest subcarrier and a recurrence across the band, and each
-    subcarrier takes one product of the points' steering rows with its
-    (N, 1 + len(w_ps)) weight columns. A single point is passed as two
-    equal rows, never a lone row (see steering_chunks), so every point's
-    gains keep their bits however the points are grouped.
+    subcarrier takes one product (arrays.gains) of the points' steering rows
+    with its (N, 1 + len(w_ps)) weight columns, so every point's gains keep
+    their bits however the points are grouped.
     """
     angles = np.asarray(angles, dtype=float)
-    num_m = grid.num_subcarriers
-    cosines = np.cos(np.repeat(angles, 2) if angles.size == 1 else angles)
-    taus = np.full(cosines.size, range_m / C)
+    taus = np.full(angles.size, range_m / C)
     wcols = np.empty((geom.num_elements, 1 + len(w_ps)), dtype=complex)
     np.conj(w_ps.T, out=wcols[:, 1:])
     wc_ttd = np.conj(w_ttd)
-    g = np.empty((num_m, cosines.size, wcols.shape[1]))
-    for lo, hi, a, step in steering_chunks(geom, grid.freq(0), taus, cosines, step_hz=grid.spacing_hz):
-        for m in range(num_m):
+    g = np.empty((grid.num_subcarriers, angles.size, wcols.shape[1]))
+    for lo, hi, rows in steering_chunks(geom, grid, taus, np.cos(angles)):
+        for m, a in enumerate(rows):
             wcols[:, 0] = wc_ttd[m]
-            np.abs(a @ wcols, out=g[m, lo:hi])
-            if step is not None and m + 1 < num_m:
-                a *= step
+            gains(a, wcols, out=g[m, lo:hi])
     # (point, weight, subcarrier) in C order: sums over subcarriers then run
     # along contiguous rows, as they do on one point's gains
-    return np.ascontiguousarray(g[:, : angles.size].transpose(1, 2, 0))
+    return np.ascontiguousarray(g.transpose(1, 2, 0))
 
 
 def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, spherical_delays, steering_chunks
 from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
@@ -207,7 +207,6 @@ def music_spectra(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: PolarGrid):
     projected with its own product, so its spectrum has the same bits as when
     it is evaluated alone.
     """
-    fc = grid.center_hz
     rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
     taus = (rr / C).ravel()
     cosines = np.cos(aa).ravel()
@@ -218,9 +217,9 @@ def music_spectra(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: PolarGrid):
         if not conj:
             return
         den = np.empty((len(conj), taus.size), dtype=float)
-        for lo, hi, a, _ in steering_chunks(geom, fc, taus, cosines):
+        for lo, hi, (a,) in steering_chunks(geom, CarrierGrid(grid.center_hz, 1, 0.0), taus, cosines):
             for row, es_conj in zip(den, conj):
-                proj = np.abs(a @ es_conj) ** 2
+                proj = gains(a, es_conj) ** 2
                 row[lo:hi] = es_conj.shape[0] - proj.sum(axis=1)
         den = np.maximum(den, np.finfo(float).tiny)
         for row, es_conj in zip(den, conj):

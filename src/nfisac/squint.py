@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, steering_chunks
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, steering_chunks
 from .codebook import Beamformer, PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 
@@ -131,18 +131,15 @@ def screened_argmax(
     angle. Each measured range is one steering pass over the direct-half
     rows it needs, and only the rows whose mirror point is kept take the
     mirrored product. Evaluated points run through the same steering rows
-    and products as in a full evaluation (never a lone row: see
-    steering_chunks), so their gains keep their bits; a column's products
-    are its own, so its result does not depend on which columns share the
-    search.
+    and products (arrays.gains) as in a full evaluation, so their gains
+    keep their bits; a column's products are its own, so its result does
+    not depend on which columns share the search.
     """
     n_ang, n_rng = pg.shape
     n_dir = (n_ang + 1) // 2 if mirror else n_ang  # angles built directly
     n_mir = n_ang // 2 if mirror else 0  # of those, angles k < n_mir mirrored
 
     num_m = grid.num_subcarriers
-    f0 = grid.freq(0)
-    df = grid.spacing_hz
     cos_axis = np.cos(pg.angles_rad)
     wc = np.conj(weights)
     wc_rev = np.ascontiguousarray(wc[:, ::-1])
@@ -168,37 +165,28 @@ def screened_argmax(
         k = np.concatenate([np.flatnonzero(both), np.flatnonzero(hit[:n_dir] & ~both)])
         j = int(np.count_nonzero(both))
         evaluated += k.size + j
-        if k.size == 1 and n_rng * n_dir > 1:
-            # numpy hands a one-row product to BLAS's dot, whose last bits
-            # differ from the matrix-vector kernel's; a duplicate keeps two rows
-            k = np.repeat(k, 2)
         taus = np.full(k.size, pg.ranges_m[r] / C)
-        for lo, hi, a, step in steering_chunks(geom, f0, taus, cos_axis[k], delays_s, df):
+        for lo, hi, rows in steering_chunks(geom, grid, taus, cos_axis[k], delays_s):
             kc = k[lo:hi]
-            jc = min(max(j - lo, 0), hi - lo)  # rows of the chunk that mirror
-            # the mirrored product runs on the chunk's leading rows, never on
-            # one row alone unless the chunk has one; an extra row's gain is
-            # dropped
+            jc = min(max(j - lo, 0), hi - lo)  # the chunk's leading rows that mirror
             g = np.empty((num_m, num_b, hi - lo))
-            gm = np.empty((num_m, num_b, min(max(jc, 2), hi - lo))) if jc else None
-            for m in range(num_m):
+            gm = np.empty((num_m, num_b, jc))
+            for m, a in enumerate(rows):
                 # one matrix-vector product per weight, not one GEMM: a GEMM
                 # would move the low bits of the gains
                 for b in range(num_b):
-                    np.abs(a @ wc[b], out=g[m, b])
-                    if gm is not None:
-                        np.abs(a[: gm.shape[2]] @ wc_rev[b], out=gm[m, b])
-                if step is not None and m + 1 < num_m:
-                    a *= step
+                    gains(a, wc[b], out=g[m, b])
+                    if jc:
+                        gains(a[:jc], wc_rev[b], out=gm[m, b])
             g = g.reshape(cols, -1)
             # full-grid index r * n_ang + angle index, so the smallest full
             # index among exact ties is the smallest range, then angle
             idx = r * n_ang + kc
             row[:, kc] = g
-            if gm is not None:
+            if jc:
                 gm = gm.reshape(cols, -1)
-                row[:, n_ang - 1 - kc[:jc]] = gm[:, :jc]
-                g = np.concatenate([g, gm[:, :jc]], axis=1)
+                row[:, n_ang - 1 - kc[:jc]] = gm
+                g = np.concatenate([g, gm], axis=1)
                 idx = np.concatenate([idx, r * n_ang + n_ang - 1 - kc[:jc]])
             np.square(g, out=g)
             if music:

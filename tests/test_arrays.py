@@ -101,6 +101,42 @@ def test_subcarrier_frequencies_centered():
         grid.freq(65)
 
 
+@given(st.integers(0, 512), st.sampled_from([0.0, 1.0e8, 2.34375e8, 4.6875e8]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_frequencies_at_indices_are_the_full_lists_entries(half_m, spacing, data):
+    # freqs(ms) computes only the requested subcarriers, with the bits they
+    # have in the full list; an index off the grid raises
+    grid = CarrierGrid(FC, 2 * half_m + 1, spacing)
+    ms = data.draw(st.lists(st.integers(0, 2 * half_m), max_size=20))
+    assert grid.freqs(ms).tobytes() == grid.freqs()[ms].tobytes()
+    for bad in ([2 * half_m + 1], [0, -1]):
+        with pytest.raises(IndexError):
+            grid.freqs(bad)
+
+
+@given(
+    st.sampled_from([1, 2, 32, 128, 512]),
+    st.integers(1, 9),
+    st.sampled_from([(), (1,), (11,)]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_each_row_of_a_product_has_its_bits_alone(n, num_rows, cols, seed):
+    # the rule every grid product rests on: a row's gains from a product of
+    # several rows are its gains multiplied alone, bit for bit, for 1-D,
+    # (N, 1) and (N, 11) weights, so no result depends on how points group
+    rng = np.random.default_rng(seed)
+    a = np.exp(2j * np.pi * rng.random((num_rows, n)))
+    w = rng.standard_normal((n, *cols)) + 1j * rng.standard_normal((n, *cols))
+    g = arrays.gains(a, w)
+    assert g.shape == (num_rows, *cols)
+    for i in range(num_rows):
+        assert np.array_equal(arrays.gains(a[i : i + 1], w), g[i : i + 1])
+    out = np.empty_like(g)
+    assert arrays.gains(a, w, out=out) is out
+    assert np.array_equal(out, g)
+
+
 def test_source_inside_aperture_rejected():
     geom = make_ula(512, WL / 2)
     with pytest.raises(ValueError, match="aperture"):
@@ -227,11 +263,11 @@ def _adjacent_twins(x, f):
     return float(x), float(np.nextafter(x, np.inf))
 
 
-@pytest.mark.parametrize("rows", [2, 3, 5, 7])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 7])
 def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     # every manifold pass is first run in one chunk, then split into chunks
     # of `rows` rows; the point counts (41, 63, 16) leave every tail length,
-    # including the one-row tail that is merged into the chunk before it
+    # the one-row tail included, and at one row every product is of one row
     geom = make_ula(32)
     grid = CarrierGrid(FC, 5, 4.6875e8)
     rng = np.random.default_rng(3)
@@ -262,10 +298,10 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     )
     screen_passes = []
 
-    def recorded(geom, freq_hz, taus, *args):
+    def recorded(geom, grid, taus, *args):
         if taus.size and taus[0] == r1 / C:
             screen_passes.append(taus.size)
-        return arrays.steering_chunks(geom, freq_hz, taus, *args)
+        return arrays.steering_chunks(geom, grid, taus, *args)
 
     def spectra(num_sources):
         # one covariance at a time, then batched from a generator of their

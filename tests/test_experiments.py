@@ -212,9 +212,9 @@ def test_shipped_music_run_searches_without_the_spectrum(tmp_path, monkeypatch):
         calls.append(args)
         return spectra(*args, **kwargs)
 
-    def counted_chunks(geom, freq_hz, taus, *args, **kwargs):
+    def counted_chunks(geom, grid, taus, *args, **kwargs):
         rows.append(taus.size)
-        return chunks(geom, freq_hz, taus, *args, **kwargs)
+        return chunks(geom, grid, taus, *args, **kwargs)
 
     # every package module that imported either function by name
     for mod in list(sys.modules.values()):

@@ -28,8 +28,8 @@ def exhaustive_focal_points(geom, grid, w, pg):
     The reference for focal_points' range screen, which must return its
     points, gains and boundary flag bit for bit. It walks the grid in
     range-major order through the same steering rows, subcarrier recurrence
-    and matrix-vector products (the mirrored half read through reversed
-    weights), so only the screen differs.
+    and matrix-vector products (arrays.gains; the mirrored half read through
+    reversed weights), so only the screen differs.
     """
     n_ang, n_rng = pg.shape
     t, d = geom.element_offsets_s, w.delays_s
@@ -47,17 +47,15 @@ def exhaustive_focal_points(geom, grid, w, pg):
     wc_rev = np.ascontiguousarray(wc[::-1])
     best_val = np.full(num_m, -1.0)
     best_idx = np.zeros(num_m, dtype=np.int64)
-    for lo, hi, a, step in steering_chunks(geom, grid.freq(0), taus, cosines, d, grid.spacing_hz):
+    for lo, hi, rows in steering_chunks(geom, grid, taus, cosines, d):
         r, k = np.divmod(np.arange(lo, hi), n_dir)
         idx = r * n_ang + k
         g = np.empty((num_m, hi - lo))
         gm = np.empty((num_m, hi - lo)) if n_mir else None
-        for m in range(num_m):
-            np.abs(a @ wc, out=g[m])
+        for m, a in enumerate(rows):
+            arrays.gains(a, wc, out=g[m])
             if gm is not None:
-                np.abs(a @ wc_rev, out=gm[m])
-            if step is not None and m + 1 < num_m:
-                a *= step
+                arrays.gains(a, wc_rev, out=gm[m])
         if gm is not None:
             has = k < n_mir
             g = np.concatenate([g, gm[:, has]], axis=1)
@@ -408,30 +406,20 @@ def test_columns_of_several_weights_are_each_weights_search(name):
         assert tuple(PolarPoint(float(pg.ranges_m[r]), float(pg.angles_rad[a])) for r, a in zip(ir, ia)) == traj.points
 
 
-def test_lone_survivor_row_keeps_its_bits(monkeypatch):
+def test_lone_survivor_row_keeps_its_bits():
     # two angles, eleven ranges: ranges 0 and 10 are evaluated at both
     # angles, and the screen rules angle 1.3 out of the interval between
     # them, so each of ranges 1-9 is bisected at angle 1.0 alone, the design
-    # point at range 9, which peaks every subcarrier, among them. Evaluated
-    # alone a one-row product would go to BLAS's dot and change its gain's
-    # last bits, so no steering pass may see a single row
+    # point at range 9, which peaks every subcarrier, among them. Each of
+    # those is a one-row product, whose gains must keep the bits they have
+    # in the exhaustive search's many-row products
     geom = ArrayGeometry.ula(32, WL / 2)
     grid = CarrierGrid(FC, 3, 4.6875e8)
     pg = PolarGrid(np.array([1.0, 1.3]), np.geomspace(0.1, 0.2, 11))
     w = polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[9]), 1.0))
-    passes = []
-
-    def recorded(geom, freq_hz, taus, cosines, *args):
-        passes.append((taus.size, frozenset(cosines)))
-        return steering_chunks(geom, freq_hz, taus, cosines, *args)
-
-    monkeypatch.setattr(squint, "steering_chunks", recorded)
     traj = assert_matches_exhaustive(geom, grid, w, pg)
     assert traj.evaluated_points == 2 * 2 + 9
     assert set(traj.points) == {PolarPoint(float(pg.ranges_m[9]), 1.0)}
-    assert min(size for size, _ in passes) >= 2
-    # nine passes, one per lone survivor, each its one row twice
-    assert [cos for _, cos in passes].count(frozenset(np.cos(pg.angles_rad[:1]))) == 9
 
 
 def _shipped_squint_search():
@@ -471,9 +459,9 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
     passes, intervals = [], []
 
-    def recorded(geom, freq_hz, taus, cosines, *args):
+    def recorded(geom, grid, taus, cosines, *args):
         passes.append((taus.copy(), cosines.copy()))
-        return steering_chunks(geom, freq_hz, taus, cosines, *args)
+        return steering_chunks(geom, grid, taus, cosines, *args)
 
     class RecordedDeque(squint.deque):
         def append(self, item):
@@ -489,7 +477,7 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     assert len({float(r[0]) for r in ranges}) == len(passes) <= 80
     # the two end ranges first, each at every direct-half angle
     assert [float(r[0]) for r in ranges[:2]] == [pg.ranges_m[0] / C, pg.ranges_m[-1] / C]
-    rows = [np.unique(cosines).size for _, cosines in passes]  # a lone row's duplicate once
+    rows = [cosines.size for _, cosines in passes]  # each row passed once
     assert rows[:2] == [n_dir, n_dir]
     # the end ranges' interval, then two halves per measured middle range,
     # each carrying the angle indices that range was measured at
