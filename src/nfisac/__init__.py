@@ -19,12 +19,10 @@ from .arrays import (
 from .codebook import Beamformer, PolarGrid, dft_codeword, polar_codeword
 from .delay_phase import (
     Arc,
-    DelayPhaseConfig,
     TrajectorySpec,
     apply_delay_phase,
     arc_trajectory_spec,
     fit_trajectory,
-    front_end,
 )
 from .errors import (
     AliasingError,
@@ -68,7 +66,6 @@ __all__ = [
     "BoundaryPeakWarning",
     "CalibrationError",
     "CarrierGrid",
-    "DelayPhaseConfig",
     "HardwareBoundError",
     "IllConditionedSpecError",
     "InfeasibleAllocationError",
@@ -91,7 +88,6 @@ __all__ = [
     "far_field_steering",
     "fit_trajectory",
     "focal_points",
-    "front_end",
     "kalman_predict_update",
     "music_localize",
     "music_peaks",

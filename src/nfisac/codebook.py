@@ -1,43 +1,51 @@
 """Beamforming front ends and polar-grid gain evaluation.
 
-A front end is unit-norm weights w on per-element delays d; at frequency f
-its gain at a point is |sum_n conj(w_n) exp(-2j*pi*f*(tau_n - d_n))|^2 for
-the point's spherical delays tau, at most N. A phase-only codeword has d = 0,
-so its gain is |w^H a|^2 and reaches N exactly when w conjugate-matches a.
+A front end is per-element phases p and delays d; at frequency f its gain at
+a point is |sum_n conj(w_n) exp(-2j*pi*f*(tau_n - d_n))|^2 for the point's
+spherical delays tau and the unit-norm weights w = exp(-j*p)/sqrt(N), at most
+N. A phase-only codeword has d = 0, so its gain is |w^H a|^2 and reaches N
+exactly when w conjugate-matches a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, spherical_delays, steering_chunks
+from .errors import HardwareBoundError
 
 
 @dataclass(frozen=True, eq=False)
 class Beamformer:
-    """Unit-power weights, per-element delays, focus point if any.
+    """Per-element phases (rad) and delays (s), and the focus point if any.
 
     delays_s defaults to zeros: a phase-only codeword is a front end whose
-    delays are zero.
+    delays are zero. Delays are nonnegative. weights, exp(-j*phases)/sqrt(N),
+    is derived on construction; it and both arrays are read-only copies, so
+    the checks hold for the front end's lifetime.
     """
 
-    weights: np.ndarray
-    design_point: Optional[PolarPoint] = None
+    phases_rad: np.ndarray
     delays_s: Optional[np.ndarray] = None
+    design_point: Optional[PolarPoint] = None
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=complex)
-        norm = float(np.linalg.norm(w))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("beamformer weights must have unit l2 norm")
+        p = np.array(self.phases_rad, dtype=float)
+        d = np.zeros(p.shape) if self.delays_s is None else np.array(self.delays_s, dtype=float)
+        if d.shape != p.shape or d.ndim != 1:
+            raise ValueError("delays_s and phases_rad must be matching 1-D arrays")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(p))):
+            raise ValueError("delays_s and phases_rad must be finite")
+        if np.any(d < 0):
+            raise HardwareBoundError("delays must be nonnegative")
+        w = np.exp(-1j * p) / np.sqrt(p.size)
+        p.flags.writeable = d.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "phases_rad", p)
+        object.__setattr__(self, "delays_s", d)
         object.__setattr__(self, "weights", w)
-        if self.delays_s is None:
-            object.__setattr__(self, "delays_s", np.zeros(w.shape))
-        elif np.shape(self.delays_s) != w.shape:
-            raise ValueError("delays_s must have one entry per weight")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +76,8 @@ def dft_codeword(geom: ArrayGeometry, grid: CarrierGrid, angle_rad: float) -> Be
     """Frequency-flat codeword matched to the planar wavefront at angle_rad."""
     if not 0.0 < angle_rad < np.pi:
         raise ValueError("angle_rad must lie in (0, pi)")
-    n = geom.num_elements
     phase = 2.0 * np.pi * grid.center_hz * geom.element_offsets_s * np.cos(angle_rad)
-    return Beamformer(np.exp(1j * phase) / np.sqrt(n))
+    return Beamformer(-phase)
 
 
 def polar_codeword(geom: ArrayGeometry, grid: CarrierGrid, p: PolarPoint) -> Beamformer:
@@ -79,9 +86,8 @@ def polar_codeword(geom: ArrayGeometry, grid: CarrierGrid, p: PolarPoint) -> Bea
     w equals the center-frequency steering vector scaled to unit norm, so
     |w^H a| is maximal (= sqrt(N)) exactly at the design point.
     """
-    n = geom.num_elements
     phase = 2.0 * np.pi * grid.center_hz * spherical_delays(geom, p)
-    return Beamformer(np.exp(-1j * phase) / np.sqrt(n), p)
+    return Beamformer(phase, design_point=p)
 
 
 def gains_at_freq(

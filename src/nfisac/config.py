@@ -9,7 +9,8 @@ partially accepted.
 SCHEMA declares every section's keys once: each key's kind (a finite number
 with bounds and unit, an integer with a minimum, an angle in (0, pi), a list)
 and either REQUIRED or its default. _check walks a section against it, and
-the same walk fills in the defaults that build_config hands the experiments.
+the same walk fills in the defaults of the ScenarioConfig that scenario builds
+for the experiments. load_config reads a YAML file into one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .wavenumber import (
     estimate_position,
     extract_support,
     upa_polar_snapshot,
+    upa_snapshot,
     wavenumber_transform,
 )
 
@@ -415,6 +417,19 @@ def wavenumber_calibration(wavenumber: dict) -> tuple:
     return direction, sweep, float(wavenumber["threshold_frac"])
 
 
+def calibration_readouts(arr: PlanarArray, freq_hz: float, wavenumber: dict, table: RadiusRangeTable):
+    """Yield (range, (estimate, diagnostics)) at each probe of the sweep.
+
+    The probes sit along the sweep's direction at its geometric midpoints,
+    the worst case for interpolating an inverse law; each is read back
+    through table by estimate_position, whose errors propagate.
+    """
+    direction, sweep, frac = wavenumber_calibration(wavenumber)
+    for r in np.sqrt(sweep[:-1] * sweep[1:]):
+        snap = upa_snapshot(arr, r * direction, freq_hz)
+        yield r, estimate_position(arr, freq_hz, snap, table, threshold_frac=frac)
+
+
 def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what: str) -> bool:
     lo, hi = bounds
     if lo <= value <= hi:
@@ -444,7 +459,7 @@ def _resolve(rep: ValidationReport, data: dict) -> dict:
     """Check data's sections against the schema, reporting into rep.
 
     Returns each section (and targets item) that passed with its defaults
-    filled in; cross-field checks are left to _scenario.
+    filled in; cross-field checks are left to scenario.
     """
     res: dict = {}
     exp = data.get("experiment")
@@ -494,31 +509,6 @@ def _resolve(rep: ValidationReport, data: dict) -> dict:
     return res
 
 
-def validate_data(data: Any) -> ValidationReport:
-    """Schema-check a parsed configuration mapping."""
-    return _scenario(data)[0]
-
-
-def _read_config(path: str) -> tuple:
-    """Parse a YAML file once and build its scenario: (report, config or None)."""
-    rep = ValidationReport()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except FileNotFoundError:
-        rep.add("$", f"file not found: {path}")
-        return rep, None
-    except yaml.YAMLError as exc:
-        rep.add("$", f"not valid YAML: {exc}")
-        return rep, None
-    return _scenario(data)
-
-
-def validate_config(path: str) -> ValidationReport:
-    """Parse and schema-check a YAML configuration file."""
-    return _read_config(path)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Validated configuration with domain objects built from the raw data.
@@ -544,7 +534,7 @@ class ScenarioConfig:
     grid: Optional[PolarGrid]
     targets: Optional[tuple]
     table: Optional[RadiusRangeTable]
-    fit: Optional[tuple]  # (DelayPhaseConfig, rms residual in rad) along the arc
+    fit: Optional[tuple]  # (fitted delay-phase Beamformer, rms residual in rad) along the arc
 
     def section(self, key: str) -> Any:
         return self.sections.get(key, {})
@@ -554,7 +544,7 @@ class ScenarioConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _scenario(data: Any) -> tuple:
+def scenario(data: Any) -> tuple:
     """Check data and build its scenario in one pass: (report, config).
 
     Each domain object is built once from the sections that passed, and the
@@ -640,6 +630,13 @@ def _scenario(data: Any) -> tuple:
         except AliasingError as exc:
             # the nearest ranges' support disks are the widest
             rep.add("wavenumber.range_min_m", f"the calibration sweep's wavenumber readout aliases ({exc})")
+        if table is not None and exp["name"] == "wavenumber-calibration":
+            # the run reads its probes back along the sweep's direction
+            try:
+                for _ in calibration_readouts(upa, freq, wsec, table):
+                    pass
+            except (AliasingError, OutOfCalibrationError) as exc:
+                rep.add("wavenumber.direction_angle_rad", f"the calibration probes cannot be read back ({exc})")
         cos_bin = C / (freq * upa.nx * upa.dx_m)
         for path, p in placed:
             snap = upa_polar_snapshot(upa, p, freq)
@@ -731,14 +728,22 @@ def _scenario(data: Any) -> tuple:
     )
 
 
-def build_config(data: dict) -> ScenarioConfig:
-    """Raw data's scenario, built from the sections that pass validation."""
-    return _scenario(data)[1]
-
-
 def load_config(path: str) -> ScenarioConfig:
-    """Validate and build; raises ConfigError with the full report on failure."""
-    report, cfg = _read_config(path)
+    """Parse a YAML file once and build its scenario.
+
+    Raises ConfigError with the full report when the file cannot be read or
+    parsed, or its scenario fails validation.
+    """
+    report = ValidationReport()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except FileNotFoundError:
+        report.add("$", f"file not found: {path}")
+    except yaml.YAMLError as exc:
+        report.add("$", f"not valid YAML: {exc}")
+    else:
+        report, cfg = scenario(data)
     if not report.ok:
         raise ConfigError(report)
     return cfg

@@ -5,8 +5,9 @@ per-subcarrier weight is exp(-j*(2*pi*f_m*delay_n + phase_n))/sqrt(N). Delays
 make the phase slope track frequency, which lets one configuration point
 different subcarriers at different spatial locations (a beam trajectory);
 phases alone cannot (they are frequency-flat). As w_m^H a_m equals
-sum_n (exp(j*phase_n)/sqrt(N)) exp(-2j*pi*f_m*(tau_n - delay_n)), a
-configuration is one Beamformer on shifted delays for every subcarrier.
+sum_n (exp(j*phase_n)/sqrt(N)) exp(-2j*pi*f_m*(tau_n - delay_n)), the
+front end is one codebook.Beamformer, its phases on shifted delays, for every
+subcarrier.
 
 Fitting a requested trajectory reduces to per-antenna linear regression of
 unwrapped target phase against frequency: slope -> delay, intercept -> phase.
@@ -25,37 +26,6 @@ from .errors import HardwareBoundError, IllConditionedSpecError
 
 # adjacent-subcarrier detrended phase steps this close to pi are unresolvable
 _UNWRAP_GUARD = 0.95 * np.pi
-
-
-@dataclass(frozen=True, eq=False)
-class DelayPhaseConfig:
-    """Fitted per-antenna delays (s) and phase offsets (rad).
-
-    Delays are nonnegative; after fitting, the common part is removed so the
-    smallest delay is zero. max_delay_s, when set, is the hardware bound. Both
-    arrays are read-only copies, so the checks hold for the config's lifetime.
-    """
-
-    delays_s: np.ndarray
-    phases_rad: np.ndarray
-    max_delay_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        d = np.array(self.delays_s, dtype=float)
-        p = np.array(self.phases_rad, dtype=float)
-        if d.shape != p.shape or d.ndim != 1:
-            raise ValueError("delays_s and phases_rad must be matching 1-D arrays")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(p))):
-            raise ValueError("delays_s and phases_rad must be finite")
-        if np.any(d < 0):
-            raise HardwareBoundError("delays must be nonnegative")
-        if self.max_delay_s is not None and np.any(d > self.max_delay_s):
-            raise HardwareBoundError(
-                f"delay {d.max():.3e} s exceeds hardware bound {self.max_delay_s:.3e} s"
-            )
-        d.flags.writeable = p.flags.writeable = False
-        object.__setattr__(self, "delays_s", d)
-        object.__setattr__(self, "phases_rad", p)
 
 
 @dataclass(frozen=True)
@@ -120,21 +90,18 @@ def arc_trajectory_spec(
     return TrajectorySpec(tuple(entries))
 
 
-def front_end(cfg: DelayPhaseConfig) -> Beamformer:
-    """The configuration as one Beamformer serving every subcarrier."""
-    weights = np.exp(-1j * cfg.phases_rad) / np.sqrt(cfg.phases_rad.size)
-    return Beamformer(weights, delays_s=cfg.delays_s)
+def _subcarrier_phases(w: Beamformer, grid: CarrierGrid, ms) -> np.ndarray:
+    return 2.0 * np.pi * grid.freqs(ms)[:, None] * w.delays_s + w.phases_rad
 
 
-def subcarrier_weights(cfg: DelayPhaseConfig, grid: CarrierGrid, ms) -> np.ndarray:
+def subcarrier_weights(w: Beamformer, grid: CarrierGrid, ms) -> np.ndarray:
     """Weights the front end realizes at subcarriers ms, one row per index."""
-    phase = 2.0 * np.pi * grid.freqs(ms)[:, None] * cfg.delays_s + cfg.phases_rad
-    return np.exp(-1j * phase) / np.sqrt(cfg.delays_s.size)
+    return np.exp(-1j * _subcarrier_phases(w, grid, ms)) / np.sqrt(w.delays_s.size)
 
 
-def apply_delay_phase(cfg: DelayPhaseConfig, grid: CarrierGrid, m: int) -> Beamformer:
-    """Weights the front end realizes at subcarrier m."""
-    return Beamformer(subcarrier_weights(cfg, grid, [m])[0])
+def apply_delay_phase(w: Beamformer, grid: CarrierGrid, m: int) -> Beamformer:
+    """The phase-only front end that w realizes at subcarrier m."""
+    return Beamformer(_subcarrier_phases(w, grid, [m])[0])
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -177,7 +144,8 @@ def fit_trajectory(
     analytic phase of the middle spec point is subtracted first; the slowly
     varying remainder is unwrapped outward from the middle subcarrier, the
     trend is added back, and each antenna gets an ordinary linear regression
-    against frequency. Returns (DelayPhaseConfig, rms_residual_rad).
+    against frequency. Returns (Beamformer, rms_residual_rad); max_delay_s,
+    when set, is the hardware bound on every delay.
 
     The returned delays are shifted so the smallest is zero; that changes the
     weights by a per-subcarrier common phase only, so every gain |w^H a| is
@@ -191,10 +159,7 @@ def fit_trajectory(
     wrapped = _wrap(targets)
 
     if len(ms) == 1:
-        delays = np.zeros(geom.num_elements)
-        phases = wrapped[0]
-        cfg = DelayPhaseConfig(delays, phases, max_delay_s)
-        return cfg, 0.0
+        return Beamformer(wrapped[0]), 0.0
 
     mid = len(ms) // 2
     trend = 2.0 * np.pi * freqs[:, None] * dist[mid][None, :]
@@ -227,5 +192,6 @@ def fit_trajectory(
     rms = float(np.sqrt(np.mean(resid**2)))
 
     delays = delays - delays.min()
-    cfg = DelayPhaseConfig(delays, phases, max_delay_s)
-    return cfg, rms
+    if max_delay_s is not None and np.any(delays > max_delay_s):
+        raise HardwareBoundError(f"delay {delays.max():.3e} s exceeds hardware bound {max_delay_s:.3e} s")
+    return Beamformer(phases, delays), rms

@@ -13,13 +13,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, phasors, spherical_delays
-from .delay_phase import DelayPhaseConfig, front_end
+from .codebook import Beamformer
 
 
 def simulate_echoes(
     geom: ArrayGeometry,
     grid: CarrierGrid,
-    cfg: DelayPhaseConfig,
+    w: Beamformer,
     sensing_m: Sequence[int],
     target: PolarPoint,
     reflectivity: complex,
@@ -29,14 +29,14 @@ def simulate_echoes(
 ) -> np.ndarray:
     """Forward model y_m = beta * G_m * sqrt(p_m) + n_m per sensing subcarrier.
 
-    G_m = |w_m^H a_m(target)| is the one-way beam amplitude toward the target;
-    range attenuation is absorbed into the noise level (reflectivity and noise
-    together set the operating SNR).
+    G_m = |w_m^H a_m(target)| is the one-way beam amplitude toward the target
+    of the weights w_m that the front end w (a fit_trajectory result, say)
+    realizes at subcarrier m; range attenuation is absorbed into the noise
+    level (reflectivity and noise together set the operating SNR).
     """
     powers_w = np.asarray(powers_w, dtype=float)
     if powers_w.shape != (len(sensing_m),):
         raise ValueError("one power entry per sensing subcarrier required")
-    w = front_end(cfg)
     # f_m * (tau_n - d_n) in turns; sensing subcarriers need not be evenly
     # spaced, so each row takes its own table phasors
     turns = np.multiply.outer(grid.freqs(sensing_m), spherical_delays(geom, target) - w.delays_s)

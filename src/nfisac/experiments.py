@@ -18,14 +18,14 @@ import numpy as np
 from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, rayleigh_distance, steering_chunks
 from .codebook import angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, ScenarioConfig, wavenumber_calibration
+from .config import EXPERIMENT_SECTIONS, ScenarioConfig, calibration_readouts, wavenumber_calibration
 from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import subcarrier_weights
 from .echoes import peak_angle
 from .music import collect_snapshots, single_source_peaks, snapshot_subspace
 from .squint import focal_points, squint_deviation
-from .wavenumber import estimate_position, upa_polar_snapshot, upa_rayleigh_distance, upa_snapshot
+from .wavenumber import estimate_position, upa_polar_snapshot, upa_rayleigh_distance
 
 
 @dataclass
@@ -156,7 +156,8 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     arr = cfg.upa
     grid = cfg.carrier
     freq = grid.center_hz
-    direction, sweep, frac = wavenumber_calibration(cfg.section("wavenumber"))
+    wsec = cfg.section("wavenumber")
+    _, sweep, frac = wavenumber_calibration(wsec)
     table = cfg.table
     write_csv(
         outdir / "calibration.csv",
@@ -164,13 +165,9 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
         list(zip(table.ranges_m.tolist(), table.radii_bins.tolist())),
     )
 
-    # Probe at geometric midpoints: worst case for interpolating an inverse law.
-    mids = np.sqrt(sweep[:-1] * sweep[1:])
     rows = []
     errs = []
-    for r in mids:
-        snap = upa_snapshot(arr, r * direction, freq)
-        est, diag = estimate_position(arr, freq, snap, table, threshold_frac=frac)
+    for r, (est, diag) in calibration_readouts(arr, freq, wsec, table):
         err = abs(est.range_m - r)
         errs.append(err)
         rows.append((float(r), est.range_m, err, diag["radius_bins"], est.angle_rad))
@@ -348,9 +345,9 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     trials = cfg.trials
     snrs = [float(s) for s in cfg.snr_db]
 
-    # One fitted delay-phase config steers the whole arc across the band.
-    dp_cfg, fit_rms = cfg.fit
-    w_ttd = subcarrier_weights(dp_cfg, grid, np.arange(num_m))
+    # One fitted delay-phase front end steers the whole arc across the band.
+    front, fit_rms = cfg.fit
+    w_ttd = subcarrier_weights(front, grid, np.arange(num_m))
     arc_angles = np.array([arc.angle_at(m / (num_m - 1)) for m in range(num_m)])
     sense_rel = sensing_subcarriers(num_m, ks)
     sense_angles = arc_angles[sense_rel]

@@ -43,7 +43,9 @@ def focal_points(
 ) -> SquintTrajectory:
     """Grid-argmax focal point of w at every subcarrier.
 
-    w may be a delay-phase front end, whose delays_s shift the manifold's.
+    w is any front end: a codeword, whose delays are zero, or a fitted
+    delay-phase one (delay_phase.fit_trajectory), whose delays_s shift the
+    manifold's.
     Subcarrier m's focal point is the grid point with the largest computed
     gain |w^H a_m|^2, ties to the smaller range, then the smaller angle. The
     search is screened_argmax with one column per subcarrier; most of the

@@ -214,13 +214,16 @@ def estimate_position(
 
     The polar angle is measured from the array's x axis, matching the linear
     array convention. Any global phase or timing offset on the snapshot leaves
-    the result bit-identical.
+    the result bit-identical. A direction cosine that reads outside (-1, 1)
+    names no direction: the support has wrapped round the alias-free window,
+    and AliasingError is raised.
     """
     circle = extract_support(wavenumber_transform(snapshot), threshold_frac)
     u0, v0 = circle.center_bins
-    cos_x = C * u0 / (freq_hz * arr.nx * arr.dx_m)
+    cos_x = float(C * u0 / (freq_hz * arr.nx * arr.dx_m))
     cos_z = C * v0 / (freq_hz * arr.nz * arr.dz_m)
-    cos_x = float(np.clip(cos_x, -1.0, 1.0))
+    if not -1.0 < cos_x < 1.0:
+        raise AliasingError(f"direction cosine {cos_x:.6f} reads outside (-1, 1)")
     range_m = table.range_for_radius(circle.radius_bins)
     estimate = PolarPoint(range_m, float(np.arccos(cos_x)))
     diagnostics = {

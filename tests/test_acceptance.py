@@ -26,7 +26,7 @@ from nfisac.arrays import (
 from nfisac.codebook import PolarGrid, angular_spread, dft_codeword
 from nfisac.config import load_config
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.delay_phase import Arc, TrajectorySpec, arc_trajectory_spec, fit_trajectory, front_end
+from nfisac.delay_phase import Arc, TrajectorySpec, arc_trajectory_spec, fit_trajectory
 from nfisac.experiments import run_experiment
 from nfisac.music import (
     collect_snapshots,
@@ -287,7 +287,7 @@ def test_criterion_07_beam_trajectory_tracking(capsys):
     arc = Arc(np.radians(60.0), np.radians(80.0), 20.0)
     cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
     pg = PolarGrid(np.linspace(np.radians(56.0), np.radians(84.0), 261), np.geomspace(14.0, 28.0, 90))
-    traj = focal_points(geom, grid, front_end(cfg), pg)
+    traj = focal_points(geom, grid, cfg, pg)
     # the range screen skips most of the grid: 8 446 of 23 490 points evaluated
     assert traj.evaluated_points < 12_120
     assert traj.evaluated_points == 8446

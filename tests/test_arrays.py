@@ -319,8 +319,7 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     # reverse ties each mirrored angle with its direct twin exactly; at ten
     # angles its peak is the pair around pi/2 (angle indices 4 and 5)
     t = geom.element_offsets_s
-    broadside = np.exp(2j * np.pi * FC * np.sqrt((0.2 / C) ** 2 + t * t))
-    w_sym = Beamformer(broadside / np.linalg.norm(broadside))
+    w_sym = Beamformer(-2.0 * np.pi * FC * np.sqrt((0.2 / C) ** 2 + t * t))
     assert np.array_equal(w_sym.weights, w_sym.weights[::-1])
     sym_pg = PolarGrid(np.linspace(0.0, np.pi, 12)[1:-1], np.geomspace(0.1, 0.4, 6))
     # two angles sharing a cosine build bit-identical rows, so their mirrors

@@ -139,8 +139,38 @@ def test_runtime_failure_exits_three(tmp_path, monkeypatch, capsys):
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):
+    _assert_exits_two_before_running(tmp_path, name, [(section, key, value)], path)
+
+
+@pytest.mark.parametrize(
+    "name, edits, path",
+    [
+        # 0.4-wavelength x spacing reads a direction cosine below -1 this
+        # close to endfire: the run's calibration probes along the sweep
+        # direction would fail, and so would a target there
+        ("wavenumber_calibration.yaml",
+         [("array", "upa", {"nx": 64, "nz": 64, "dx_wavelengths": 0.4, "dz_wavelengths": 4.0}),
+          ("wavenumber", "direction_angle_rad", 3.1)],
+         "wavenumber.direction_angle_rad: "),
+        ("music_vs_wavenumber.yaml",
+         [("array", "upa", {"nx": 64, "nz": 64, "dx_wavelengths": 0.4, "dz_wavelengths": 4.0}),
+          ("grid", "angle_max_rad", 3.14),
+          ("wavenumber", "direction_angle_rad", 3.1),
+          ("wavenumber", "range_max_m", 16.0),
+          ("targets", 0, {"angle_rad": 3.1, "range_m": 6.0})],
+         "targets[0]: "),
+    ],
+)
+def test_readouts_past_endfire_exit_two_before_running(tmp_path, name, edits, path):
+    _assert_exits_two_before_running(tmp_path, name, edits, path)
+
+
+def _assert_exits_two_before_running(tmp_path, name, edits, path):
+    """The shipped config with data[section][key] = value for each edit exits
+    2 at validate and at run, naming path, and writes nothing."""
     data = yaml.safe_load((CONFIG_DIR / name).read_text())
-    data[section][key] = value
+    for section, key, value in edits:
+        data[section][key] = value
     cfg_path = tmp_path / name
     cfg_path.write_text(yaml.safe_dump(data))
     for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering
+from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering, spherical_delays
 from nfisac.codebook import (
     Beamformer,
     PolarGrid,
@@ -14,6 +14,7 @@ from nfisac.codebook import (
     polar_codeword,
 )
 from nfisac.constants import SPEED_OF_LIGHT as C
+from nfisac.errors import HardwareBoundError
 
 FC = 3.0e11
 WL = C / FC
@@ -48,20 +49,58 @@ def test_polar_codeword_reduces_to_dft_in_far_field():
     np.testing.assert_allclose(ratio, ratio[0], atol=1e-5)
 
 
-def test_beamformer_requires_unit_norm():
-    with pytest.raises(ValueError, match="unit"):
-        Beamformer(np.ones(4, dtype=complex))
+def test_codeword_weights_keep_their_bits():
+    # a codeword's weights are exp(-j*phases)/sqrt(N) of the phases it is
+    # built from, bit for bit the weights each codeword computed directly
+    n = GEOM.num_elements
+    for p in (PolarPoint(8.0, 1.2), PolarPoint(0.5, 0.3), PolarPoint(300.0, 2.9)):
+        phase = 2.0 * np.pi * GRID.center_hz * spherical_delays(GEOM, p)
+        want = np.exp(-1j * phase) / np.sqrt(n)
+        assert polar_codeword(GEOM, GRID, p).weights.tobytes() == want.tobytes()
+    for theta in (0.1, 1.2, np.pi / 2, 2.9):
+        phase = 2.0 * np.pi * GRID.center_hz * GEOM.element_offsets_s * np.cos(theta)
+        want = np.exp(1j * phase) / np.sqrt(n)
+        assert dft_codeword(GEOM, GRID, theta).weights.tobytes() == want.tobytes()
 
 
 def test_beamformer_requires_one_delay_per_weight():
     # a single delay would broadcast silently over every element
-    w = np.ones(4, dtype=complex) / 2.0
     for delays in (np.zeros(3), np.zeros(1)):
-        with pytest.raises(ValueError, match="one entry per weight"):
-            Beamformer(w, delays_s=delays)
-    assert Beamformer(w, delays_s=np.zeros(4)).delays_s.shape == (4,)
+        with pytest.raises(ValueError, match="matching 1-D"):
+            Beamformer(np.zeros(4), delays_s=delays)
+    with pytest.raises(ValueError, match="matching 1-D"):
+        Beamformer(np.zeros((2, 2)))
+    assert Beamformer(np.zeros(4), delays_s=np.zeros(4)).delays_s.shape == (4,)
     # a phase-only codeword is a front end whose delays are zero
-    assert np.array_equal(Beamformer(w).delays_s, np.zeros(4))
+    assert np.array_equal(Beamformer(np.zeros(4)).delays_s, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_delays_or_phases_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Beamformer(np.zeros(2), np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        Beamformer(np.array([0.0, bad]), np.zeros(2))
+
+
+def test_negative_delay_rejected():
+    with pytest.raises(HardwareBoundError, match="nonnegative"):
+        Beamformer(np.zeros(2), np.array([0.0, -1e-12]))
+
+
+def test_beamformer_arrays_are_read_only_copies():
+    # the checks run once, at construction, on copies that cannot be written
+    # later, and the weights are derived from those copies
+    phases, delays = np.array([0.0, 0.5]), np.array([0.0, 1e-12])
+    w = Beamformer(phases, delays)
+    weights = w.weights.copy()
+    phases[1], delays[1] = 3.0, -1.0
+    assert w.phases_rad[1] == 0.5 and w.delays_s[1] == 1e-12
+    for arr, value in ((w.phases_rad, 1.0), (w.delays_s, 3e-12), (w.weights, 1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = value
+    assert w.weights.tobytes() == weights.tobytes()
+    assert np.array_equal(w.weights, np.exp(-1j * np.array([0.0, 0.5])) / np.sqrt(2.0))
 
 
 def test_gains_at_freq_peaks_at_design_point():

@@ -12,11 +12,9 @@ from nfisac.config import (
     ConfigError,
     EXPERIMENT_SECTIONS,
     ScenarioConfig,
-    build_config,
     evaluation_grid,
     load_config,
-    validate_config,
-    validate_data,
+    scenario,
     wavenumber_calibration,
 )
 
@@ -32,16 +30,20 @@ BASE = {
 
 
 def _issues(data):
-    rep = validate_data(data)
+    rep, _ = scenario(data)
     return {i.path: i.message for i in rep.issues}
+
+
+def _built(data):
+    """data's scenario, built from the sections that pass validation."""
+    return scenario(data)[1]
 
 
 def test_all_shipped_configs_validate():
     paths = sorted(CONFIG_DIR.glob("*.yaml"))
     assert len(paths) == 6
     for p in paths:
-        rep = validate_config(str(p))
-        assert rep.ok, f"{p.name}: {rep}"
+        assert isinstance(load_config(str(p)), ScenarioConfig), p.name
 
 
 def test_shipped_configs_cover_every_experiment():
@@ -145,7 +147,7 @@ def test_non_mapping_root_rejected():
 
 
 def test_build_config_constructs_domain_objects():
-    cfg = build_config(copy.deepcopy(BASE))
+    cfg = _built(copy.deepcopy(BASE))
     assert isinstance(cfg, ScenarioConfig)
     assert cfg.name == "squint-deviation"
     assert cfg.seed == 1
@@ -161,12 +163,12 @@ def test_build_config_constructs_domain_objects():
 
 
 def test_config_hash_tracks_content():
-    a = build_config(copy.deepcopy(BASE))
-    b = build_config(copy.deepcopy(BASE))
+    a = _built(copy.deepcopy(BASE))
+    b = _built(copy.deepcopy(BASE))
     assert a.config_hash() == b.config_hash()
     changed_raw = copy.deepcopy(BASE)
     changed_raw["experiment"]["seed"] = 2
-    c = build_config(changed_raw)
+    c = _built(changed_raw)
     assert c.config_hash() != a.config_hash()
     assert len(a.config_hash()) == 16
 
@@ -185,9 +187,21 @@ def test_load_config_raises_with_full_report(tmp_path):
 
 
 def test_missing_file_is_a_validation_issue():
-    rep = validate_config("/nonexistent/nowhere.yaml")
-    assert not rep.ok
-    assert "file not found" in str(rep)
+    with pytest.raises(ConfigError) as exc_info:
+        load_config("/nonexistent/nowhere.yaml")
+    report = exc_info.value.report
+    assert [i.path for i in report.issues] == ["$"]
+    assert "file not found" in str(report)
+
+
+def test_bad_yaml_is_a_validation_issue(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("experiment: {name: [squint-deviation\n")
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(str(path))
+    report = exc_info.value.report
+    assert [i.path for i in report.issues] == ["$"]
+    assert "not valid YAML" in str(report)
 
 
 def _shipped(name):
@@ -229,7 +243,7 @@ def test_grid_inside_the_linear_arrays_aperture_rejected():
     issues = _issues(data)
     assert set(issues) == {"grid.range_min_m"}
     assert "half-aperture (N-1)*d/2 = 0.127662 m" in issues["grid.range_min_m"]
-    half = build_config(_shipped("squint_deviation.yaml")).ula.aperture_m() / 2
+    half = _built(_shipped("squint_deviation.yaml")).ula.aperture_m() / 2
     data["grid"]["range_min_m"] = half
     data["design"]["range_m"] = 0.2
     assert set(_issues(data)) == {"grid.range_min_m"}
@@ -453,7 +467,7 @@ def test_each_key_bound_is_reported_at_its_path(name, path, value):
 def test_config_hash_covers_the_file_not_the_defaults():
     explicit = copy.deepcopy(BASE)
     explicit["experiment"]["trials"] = 1
-    explicit, implicit = build_config(explicit), build_config(copy.deepcopy(BASE))
+    explicit, implicit = _built(explicit), _built(copy.deepcopy(BASE))
     assert explicit.trials == implicit.trials == 1
     assert explicit.config_hash() != implicit.config_hash()
 
@@ -473,7 +487,7 @@ def test_minimal_configs_resolve_every_default():
             for key in keys:
                 data.get(section, {}).pop(key, None)
         assert set(_issues(data)) == uncalibratable.get(p.name, set()), p.name
-        cfg = build_config(data)
+        cfg = _built(data)
         assert cfg.trials == 1
         if "users" in data:
             assert cfg.section("users")["mean_gain"] == 1.0

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering, spherical_delays
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory, front_end
+from nfisac.delay_phase import Arc, apply_delay_phase, arc_trajectory_spec, fit_trajectory
 from nfisac.echoes import parabolic_refine, peak_angle, sense_from_echoes, simulate_echoes
 
 FC = 3.0e11
@@ -202,12 +202,11 @@ def test_noiseless_echoes_match_exp_on_shifted_delays():
         sensing_m = np.sort(rng.choice(grid.num_subcarriers, 16, replace=False))
         theta = rng.uniform(0.6, 2.4)
         arc = Arc(theta, theta + 0.05, rng.uniform(8.0, 40.0))
-        cfg, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc, sensing_m))
-        w = front_end(cfg)
+        w, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc, sensing_m))
         powers = rng.uniform(0.5, 2.0, 16)
         for s in np.linspace(0.0, 1.0, 5):
             target = PolarPoint(arc.range_m + rng.uniform(-1.0, 1.0), arc.angle_at(s))
-            echoes = simulate_echoes(geom, grid, cfg, sensing_m, target, 1.0, powers, 0.0, rng)
+            echoes = simulate_echoes(geom, grid, w, sensing_m, target, 1.0, powers, 0.0, rng)
             shifted = spherical_delays(geom, target) - w.delays_s
             a = np.exp(-2j * np.pi * grid.freqs(sensing_m)[:, None] * shifted)
             np.testing.assert_allclose(

@@ -21,7 +21,7 @@ import nfisac.music as music
 from nfisac.allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from nfisac.arrays import PolarPoint, spherical_delays
 from nfisac.codebook import polar_codeword
-from nfisac.config import EXPERIMENT_SECTIONS, build_config, load_config, validate_data
+from nfisac.config import EXPERIMENT_SECTIONS, load_config, scenario
 from nfisac.csvio import write_csv
 from nfisac.delay_phase import Arc, arc_trajectory_spec, fit_trajectory, subcarrier_weights
 from nfisac.echoes import peak_angle
@@ -48,9 +48,9 @@ RATE = {
 
 
 def _load(raw):
-    rep = validate_data(raw)
+    rep, cfg = scenario(raw)
     assert rep.ok, str(rep)
-    return build_config(raw)
+    return cfg
 
 
 def test_registry_matches_config_schema():

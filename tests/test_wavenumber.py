@@ -77,6 +77,18 @@ def test_support_touching_border_raises_aliasing():
     extract_support(wavenumber_transform(upa_snapshot(ARR, _source(10.0, ok), FC)))
 
 
+def test_direction_cosine_past_endfire_raises_aliasing():
+    # at 0.4-wavelength x spacing a source 0.04 rad from endfire reads a
+    # direction cosine just below -1, which names no angle in (0, pi)
+    arr = PlanarArray(64, 64, 0.4 * WL, 4 * WL)
+    direction = np.array([np.cos(3.1), np.sin(3.1), 0.0])
+    sweep = np.geomspace(2.0, 16.0, 9)
+    table = calibrate_radius_range(arr, FC, direction, sweep)
+    snap = upa_snapshot(arr, _source(6.0, direction), FC)
+    with pytest.raises(AliasingError, match=r"outside \(-1, 1\)"):
+        estimate_position(arr, FC, snap, table)
+
+
 def test_calibration_rejects_non_decreasing_radii():
     # past the window where the disk shrinks, radii plateau; the closed loop
     # must refuse to build a table from such a sweep
