@@ -12,7 +12,8 @@ rather than a complex exp per entry; their consumers only choose products
 of those rows with their weights, each taken through gains.
 
 All quantities are SI (Hz, m, s, rad). Angles are measured from the array
-axis, so broadside is pi/2.
+axis, so broadside is pi/2. is_psd, the covariance check that MUSIC and the
+tracker share, sits here beside the other numerics both read.
 """
 
 from __future__ import annotations
@@ -307,3 +308,26 @@ def rayleigh_distance(geom: ArrayGeometry, grid: CarrierGrid) -> float:
     d_ap = geom.aperture_m()
     return 2.0 * d_ap * d_ap / wavelength
 
+
+def is_psd(matrix: np.ndarray, scale_floor: float = 0.0) -> bool:
+    """Whether a Hermitian matrix is positive semidefinite within rounding.
+
+    One Cholesky factorization of R + delta I, delta = 1e-9 * scale, where
+    scale = max(largest diagonal entry, scale_floor). The largest diagonal
+    entry of a PSD matrix lies between lambda_max / N and lambda_max, so this
+    accepts a smallest eigenvalue down to about -1e-9 * lambda_max / N and
+    rejects one below -1e-9 * max(lambda_max, scale_floor). Without a
+    positive scale, only the zero matrix is PSD.
+    """
+    r = np.asarray(matrix)
+    n = r.shape[0]
+    scale = max(float(r.diagonal().real.max()), scale_floor)
+    if scale <= 0.0:
+        return not np.any(r)
+    shifted = r.copy()
+    shifted.flat[:: n + 1] += 1e-9 * scale
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True

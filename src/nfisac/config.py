@@ -516,8 +516,9 @@ class ScenarioConfig:
     raw is the data as read (config_hash covers it); sections holds each
     section the experiment reads with the schema's defaults filled in. Each
     object, the evaluation grid, the targets, the wavenumber sweep's
-    radius-to-range table and the arc's delay-phase fit among them, is the
-    one validation checked, or None where its sections are absent or failed.
+    radius-to-range table, its probes' readouts and the arc's delay-phase
+    fit among them, is the one validation checked, or None where its
+    sections are absent or failed.
     """
 
     raw: dict
@@ -534,6 +535,7 @@ class ScenarioConfig:
     grid: Optional[PolarGrid]
     targets: Optional[tuple]
     table: Optional[RadiusRangeTable]
+    readouts: Optional[tuple]  # calibration_readouts' (range, (estimate, diagnostics)) per probe
     fit: Optional[tuple]  # (fitted delay-phase Beamformer, rms residual in rad) along the arc
 
     def section(self, key: str) -> Any:
@@ -618,7 +620,7 @@ def scenario(data: Any) -> tuple:
     # the planar-array readout is noiseless, so running it here, the sweep's
     # calibration and then each target's estimate, shows whether the run
     # would fail or misread it
-    table = None
+    table = readouts = None
     if sweep is not None and upa is not None and carrier is not None:
         freq = carrier.center_hz
         direction, sweep_m, frac = wavenumber_calibration(wsec)
@@ -631,10 +633,9 @@ def scenario(data: Any) -> tuple:
             # the nearest ranges' support disks are the widest
             rep.add("wavenumber.range_min_m", f"the calibration sweep's wavenumber readout aliases ({exc})")
         if table is not None and exp["name"] == "wavenumber-calibration":
-            # the run reads its probes back along the sweep's direction
+            # the run writes its probes' readouts along the sweep's direction
             try:
-                for _ in calibration_readouts(upa, freq, wsec, table):
-                    pass
+                readouts = tuple(calibration_readouts(upa, freq, wsec, table))
             except (AliasingError, OutOfCalibrationError) as exc:
                 rep.add("wavenumber.direction_angle_rad", f"the calibration probes cannot be read back ({exc})")
         cos_bin = C / (freq * upa.nx * upa.dx_m)
@@ -724,6 +725,7 @@ def scenario(data: Any) -> tuple:
         grid=grid,
         targets=tuple(p for path, p in points.items() if path != "design") if "targets" in res else None,
         table=table,
+        readouts=readouts,
         fit=fit,
     )
 

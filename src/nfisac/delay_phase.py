@@ -105,29 +105,37 @@ def apply_delay_phase(w: Beamformer, grid: CarrierGrid, m: int) -> Beamformer:
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
+    """x less its nearest whole number of turns, 2*pi*rint(x/(2*pi)).
+
+    Inside [-pi, pi] x comes back unchanged. Elsewhere the quotient, product
+    and difference each round, so the result is congruent to x within a few
+    |x|*eps and may pass +-pi by as much (17*pi reads 3.6e-15 above pi). A
+    float % rounds as much at about five times the cost.
+    """
+    return x - (2.0 * np.pi) * np.rint(x / (2.0 * np.pi))
 
 
-def _unwrap_seeded(wrapped: np.ndarray, dd: np.ndarray, steps: np.ndarray, seed_row: int) -> np.ndarray:
+def _unwrap_seeded(wrapped: np.ndarray, dd: np.ndarray, seed_row: int) -> np.ndarray:
     """Unwrap along axis 0 outward from seed_row, leaving that row unchanged.
 
-    dd = np.diff(wrapped, axis=0) and steps = _wrap(dd), every |step| below
-    pi. Each half is what np.unwrap returns on its rows (the lower half's
-    reversed), without recomputing the differences: np.unwrap's wrapped
-    difference is _wrap of the difference, and steps never reach its
-    boundary case -pi. The reversed rows' differences are exactly -dd, but
-    their wrap is taken afresh, since -_wrap(dd) can differ in the last bits.
+    dd = np.diff(wrapped, axis=0). Each half is what np.unwrap returns on
+    its rows (the lower half's reversed), bit for bit, without recomputing
+    the differences: the reversed rows' differences are exactly -dd.
+    np.unwrap moves a difference d by ((d + pi) % 2pi - pi) - d only where
+    |d| >= pi, so the remainder runs on those entries alone. Its boundary
+    case, a remainder of exactly -pi, is not taken: fit_trajectory's guard
+    rejects every difference that close to pi.
     """
+    d = dd.copy()
+    np.negative(d[:seed_row], out=d[:seed_row])
+    big = np.abs(d) >= np.pi
+    db = d[big]
+    correct = np.zeros_like(d)
+    correct[big] = (db + np.pi) % (2.0 * np.pi) - np.pi - db
     out = np.empty_like(wrapped)
     out[seed_row] = wrapped[seed_row]
-    up = dd[seed_row:]
-    correct = steps[seed_row:] - up
-    correct[np.abs(up) < np.pi] = 0.0
-    np.add(wrapped[seed_row + 1 :], correct.cumsum(axis=0), out=out[seed_row + 1 :])
-    down = -dd[:seed_row][::-1]
-    correct = _wrap(down) - down
-    correct[np.abs(down) < np.pi] = 0.0
-    np.add(wrapped[:seed_row][::-1], correct.cumsum(axis=0), out=out[:seed_row][::-1])
+    np.add(wrapped[seed_row + 1 :], correct[seed_row:].cumsum(axis=0), out=out[seed_row + 1 :])
+    np.add(wrapped[:seed_row][::-1], correct[:seed_row][::-1].cumsum(axis=0), out=out[:seed_row][::-1])
     return out
 
 
@@ -141,11 +149,15 @@ def fit_trajectory(
 
     Target phases are those of the conjugate-matched steering vectors at the
     requested points. They wind through many cycles across the band, so the
-    analytic phase of the middle spec point is subtracted first; the slowly
-    varying remainder is unwrapped outward from the middle subcarrier, the
-    trend is added back, and each antenna gets an ordinary linear regression
-    against frequency. Returns (Beamformer, rms_residual_rad); max_delay_s,
-    when set, is the hardware bound on every delay.
+    analytic phase of the middle spec point is subtracted first and the
+    difference wrapped once; the slowly varying remainder is unwrapped
+    outward from the middle subcarrier as np.unwrap would, the trend is
+    added back, and each antenna gets an ordinary linear regression against
+    frequency. Returns (Beamformer, rms_residual_rad); max_delay_s, when
+    set, is the hardware bound on every delay.
+
+    Every wrap is _wrap's rint, so phases and residuals carry its rounding
+    of a few |phase|*eps: up to about 1e-11 rad on targets of 1e5 rad.
 
     The returned delays are shifted so the smallest is zero; that changes the
     weights by a per-subcarrier common phase only, so every gain |w^H a| is
@@ -155,24 +167,23 @@ def fit_trajectory(
     pts = spec.points()
     freqs = grid.freqs(ms)
     dist = spherical_delay_matrix(geom, [p.delay_s() for p in pts], np.cos([p.angle_rad for p in pts]))
-    targets = 2.0 * np.pi * freqs[:, None] * dist  # ideal continuous phase
-    wrapped = _wrap(targets)
+    omega = 2.0 * np.pi * freqs[:, None]
+    targets = omega * dist  # ideal continuous phase
 
     if len(ms) == 1:
-        return Beamformer(wrapped[0]), 0.0
+        return Beamformer(_wrap(targets[0])), 0.0
 
     mid = len(ms) // 2
-    trend = 2.0 * np.pi * freqs[:, None] * dist[mid][None, :]
-    detrended = _wrap(wrapped - _wrap(trend))
+    trend = omega * dist[mid]
+    detrended = _wrap(targets - trend)
     dd = np.diff(detrended, axis=0)
-    steps = _wrap(dd)
-    worst = float(np.abs(steps).max())
+    worst = float(np.abs(_wrap(dd)).max())
     if worst >= _UNWRAP_GUARD:
         raise IllConditionedSpecError(
             f"adjacent-subcarrier phase step {worst:.3f} rad is too close to pi; "
             "trajectory varies too fast for reliable unwrapping"
         )
-    unwrapped = _unwrap_seeded(detrended, dd, steps, mid) + trend
+    unwrapped = _unwrap_seeded(detrended, dd, mid) + trend
 
     x = freqs - grid.center_hz
     xm = x.mean()
@@ -187,7 +198,7 @@ def fit_trajectory(
     delays = slopes / (2.0 * np.pi)
     phases = _wrap(intercepts - 2.0 * np.pi * grid.center_hz * delays)
 
-    fitted = 2.0 * np.pi * freqs[:, None] * delays[None, :] + phases[None, :]
+    fitted = omega * delays + phases
     resid = _wrap(targets - fitted)
     rms = float(np.sqrt(np.mean(resid**2)))
 

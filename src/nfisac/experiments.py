@@ -18,7 +18,7 @@ import numpy as np
 from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, rayleigh_distance, steering_chunks
 from .codebook import angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, ScenarioConfig, calibration_readouts, wavenumber_calibration
+from .config import EXPERIMENT_SECTIONS, ScenarioConfig, wavenumber_calibration
 from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import subcarrier_weights
@@ -167,7 +167,7 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
     rows = []
     errs = []
-    for r, (est, diag) in calibration_readouts(arr, freq, wsec, table):
+    for r, (est, diag) in cfg.readouts:
         err = abs(est.range_m - r)
         errs.append(err)
         rows.append((float(r), est.range_m, err, diag["radius_bins"], est.angle_rad))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, spherical_delays, steering_chunks
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, is_psd, spherical_delays, steering_chunks
 from .codebook import PolarGrid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
@@ -41,30 +41,6 @@ _SUBSPACE_TOL = 1e-12
 # iterations before a signal subspace falls back to a full eigendecomposition;
 # at N = 256, k = 1 a fallback then costs about 1.5x the eigh alone
 _SUBSPACE_ITERATIONS = 150
-
-
-def is_psd(matrix: np.ndarray, scale_floor: float = 0.0) -> bool:
-    """Whether a Hermitian matrix is positive semidefinite within rounding.
-
-    One Cholesky factorization of R + delta I, delta = 1e-9 * scale, where
-    scale = max(largest diagonal entry, scale_floor). The largest diagonal
-    entry of a PSD matrix lies between lambda_max / N and lambda_max, so this
-    accepts a smallest eigenvalue down to about -1e-9 * lambda_max / N and
-    rejects one below -1e-9 * max(lambda_max, scale_floor). Without a
-    positive scale, only the zero matrix is PSD.
-    """
-    r = np.asarray(matrix)
-    n = r.shape[0]
-    scale = max(float(r.diagonal().real.max()), scale_floor)
-    if scale <= 0.0:
-        return not np.any(r)
-    shifted = r.copy()
-    shifted.flat[:: n + 1] += 1e-9 * scale
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .arrays import PolarPoint
+from .arrays import PolarPoint, is_psd
 from .delay_phase import Arc
-from .music import is_psd
 
 _ANGLE_EPS = 1e-9
 

@@ -2,12 +2,14 @@
 
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import nfisac.delay_phase as delay_phase
-from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering
+from nfisac.allocation import sensing_subcarriers
+from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, near_field_steering, spherical_delay_matrix
 from nfisac.codebook import Beamformer
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.delay_phase import (
@@ -171,9 +173,9 @@ def test_subcarrier_weights_equal_per_subcarrier_rows():
             subcarrier_weights(cfg, GRID, bad)
 
 
-def np_unwrap_seeded(wrapped, dd, steps, seed_row):
+def np_unwrap_seeded(wrapped, dd, seed_row):
     """The seeded unwrap as two np.unwrap calls, outward from seed_row: the
-    reference for delay_phase._unwrap_seeded, which reuses dd and steps."""
+    reference for delay_phase._unwrap_seeded, which reuses dd."""
     lower = np.unwrap(wrapped[: seed_row + 1][::-1], axis=0)[::-1]
     upper = np.unwrap(wrapped[seed_row:], axis=0)
     return np.concatenate([lower[:-1], upper], axis=0)
@@ -214,11 +216,104 @@ def test_seeded_unwrap_equals_np_unwrap_bit_for_bit(subset, theta, width, range_
 def test_seeded_unwrap_equals_np_unwrap_on_random_phases(rows, cols, seed_frac, seed):
     # phases that wind through many turns in steps of up to 2.9 rad, seeded
     # at any row: fitted specs rarely hit the differences' last bits, where
-    # _wrap(-dd) and -_wrap(dd) part
+    # the remainders of -dd and dd part
     rng = np.random.default_rng(seed)
     wrapped = delay_phase._wrap(np.cumsum(rng.uniform(-2.9, 2.9, (rows, cols)), axis=0) + rng.uniform(-50, 50, cols))
     dd = np.diff(wrapped, axis=0)
-    steps = delay_phase._wrap(dd)
     seed_row = int(seed_frac * rows)
-    got = delay_phase._unwrap_seeded(wrapped, dd, steps, seed_row)
-    assert got.tobytes() == np_unwrap_seeded(wrapped, dd, steps, seed_row).tobytes()
+    got = delay_phase._unwrap_seeded(wrapped, dd, seed_row)
+    assert got.tobytes() == np_unwrap_seeded(wrapped, dd, seed_row).tobytes()
+
+
+def percent_wrap(x):
+    return (x + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def percent_wrap_fit(geom, grid, spec):
+    """fit_trajectory as first written, every wrap a float %, the detrend
+    three of them: the reference for the rint wraps. np.unwrap is its
+    seeded unwrap, which _unwrap_seeded matched bit for bit."""
+    ms = spec.subcarriers()
+    pts = spec.points()
+    freqs = grid.freqs(ms)
+    dist = spherical_delay_matrix(geom, [p.delay_s() for p in pts], np.cos([p.angle_rad for p in pts]))
+    targets = 2.0 * np.pi * freqs[:, None] * dist
+    wrapped = percent_wrap(targets)
+    if len(ms) == 1:
+        return Beamformer(wrapped[0]), 0.0
+    mid = len(ms) // 2
+    trend = 2.0 * np.pi * freqs[:, None] * dist[mid][None, :]
+    detrended = percent_wrap(wrapped - percent_wrap(trend))
+    dd = np.diff(detrended, axis=0)
+    if np.abs(percent_wrap(dd)).max() >= delay_phase._UNWRAP_GUARD:
+        raise IllConditionedSpecError("unwrap")
+    unwrapped = np_unwrap_seeded(detrended, dd, mid) + trend
+    x = freqs - grid.center_hz
+    xc = x - x.mean()
+    denom = float(xc @ xc)
+    if denom == 0.0:
+        raise IllConditionedSpecError("one frequency")
+    slopes = (xc @ unwrapped) / denom
+    intercepts = unwrapped.mean(axis=0) - slopes * x.mean()
+    delays = slopes / (2.0 * np.pi)
+    phases = percent_wrap(intercepts - 2.0 * np.pi * grid.center_hz * delays)
+    resid = percent_wrap(targets - (2.0 * np.pi * freqs[:, None] * delays[None, :] + phases[None, :]))
+    return Beamformer(phases, delays - delays.min()), float(np.sqrt(np.mean(resid**2)))
+
+
+# the closed loop's sensing subcarriers, and criterion 07's array and band
+LOOP_SUBCARRIERS = sensing_subcarriers(GRID.num_subcarriers, 16).tolist()
+CRITERION_07 = (ArrayGeometry.ula(512, WL / 2), CarrierGrid(FC, 129, 2.34375e8))
+
+
+@given(
+    setup=st.just((GEOM, GRID)),
+    subset=st.one_of(
+        st.just(LOOP_SUBCARRIERS),
+        st.lists(st.integers(0, GRID.num_subcarriers - 1), min_size=16, max_size=16, unique=True),
+        st.none(),  # the full band
+    ),
+    theta=st.floats(0.3, 2.5),
+    width=st.floats(0.01, 0.5),
+    range_m=st.floats(3.0, 60.0),
+)
+@example(setup=CRITERION_07, subset=None, theta=np.radians(60.0), width=np.radians(20.0), range_m=20.0)
+@example(setup=(GEOM, GRID), subset=LOOP_SUBCARRIERS, theta=np.radians(68.5), width=np.radians(3.0), range_m=20.0)
+@example(setup=(GEOM, GRID), subset=[3], theta=0.9, width=0.2, range_m=9.0)  # one point: one row wrapped
+@settings(max_examples=120, deadline=None)
+def test_fit_matches_the_percent_wrap_fit(setup, subset, theta, width, range_m):
+    # the rint wraps move only low bits: the same specs raise, and the fits
+    # agree far below any phase the front end can resolve
+    geom, grid = setup
+    ms = None if subset is None else sorted(subset)
+    spec = arc_trajectory_spec(grid, Arc(theta, min(theta + width, 3.0), range_m), ms)
+    try:
+        ref, ref_rms = percent_wrap_fit(geom, grid, spec)
+    except IllConditionedSpecError:
+        with pytest.raises(IllConditionedSpecError):
+            fit_trajectory(geom, grid, spec)
+        return
+    cfg, rms = fit_trajectory(geom, grid, spec)
+    assert np.abs(percent_wrap(cfg.phases_rad - ref.phases_rad)).max() <= 1e-9
+    assert np.abs(cfg.delays_s - ref.delays_s).max() <= 1e-21
+    assert rms == pytest.approx(ref_rms, rel=1e-10, abs=0.0)
+
+
+@given(st.floats(-1e7, 1e7))
+@example(17 * np.pi)  # rounds past pi
+@example(np.pi)
+@example(-np.pi)
+@example(0.0)
+@settings(max_examples=300, deadline=None)
+def test_wrap_moves_by_whole_turns_into_the_half_turn(x):
+    # x - 2pi*rint(x/2pi) rounds three times, each by at most half an ulp
+    # of about |x|: it stays x inside [-pi, pi] and may pass +-pi by that
+    # much outside
+    slack = 4.0 * abs(x) * np.finfo(float).eps
+    y = float(delay_phase._wrap(np.array([x]))[0])
+    if abs(x) <= np.pi:
+        assert y == x
+    assert abs(y) <= np.pi + slack
+    with mpmath.workdps(60):
+        turns = (mpmath.mpf(x) - mpmath.mpf(y)) / (2 * mpmath.pi)
+        assert abs(turns - mpmath.nint(turns)) * 2 * mpmath.pi <= slack

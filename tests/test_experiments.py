@@ -152,12 +152,14 @@ def test_shipped_music_run_never_falls_back_to_eigh(tmp_path, monkeypatch):
     [
         ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
         ("wavenumber_calibration.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
+        ("wavenumber_calibration.yaml", "nfisac.config", "calibration_readouts"),
         ("rmse_vs_snr.yaml", "nfisac.delay_phase", "fit_trajectory"),
     ],
 )
 def test_load_and_run_calibrate_and_fit_once(tmp_path, monkeypatch, name, module, func):
-    # validation calibrates the wavenumber sweep and fits the arc, and the run
-    # uses those results instead of deriving them again
+    # validation calibrates the wavenumber sweep, reads its probes back and
+    # fits the arc, and the run uses those results instead of deriving them
+    # again
     original = getattr(sys.modules[module], func)
     calls = []
 
@@ -469,3 +471,43 @@ def test_fast_shipped_artifacts_match_committed_hashes(tmp_path):
     assert len(names) == 6
     expected = hashes.read_hashes(PKG_ROOT / "scripts" / "artifacts.sha256")
     assert hashes.mismatches(hashes.tree_hashes(tmp_path), expected) == []
+
+
+def test_compare_artifacts_fails_only_on_exact_columns(tmp_path):
+    # numeric columns report their largest differences; index, count and
+    # string columns, headers, row counts and missing CSVs must match
+    def tree(name, files):
+        for rel, text in files.items():
+            path = tmp_path / name / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return str(tmp_path / name)
+
+    def compare(a, b):
+        run = subprocess.run(
+            [sys.executable, str(PKG_ROOT / "scripts" / "compare_artifacts.py"), a, b],
+            capture_output=True, text=True,
+        )
+        return run.returncode, run.stdout
+
+    base = {"exp/x.csv": "id,scheme,value\n0,isac,1.0\n1,sweep,-2.0\n", "exp/meta.json": "{}"}
+    a = tree("a", base)
+    code, out = compare(a, tree("b", {**base, "exp/meta.json": '{"other": 1}'}))
+    assert code == 0
+    assert "exp/x.csv id (int): equal" in out and "exp/x.csv scheme (str): equal" in out
+    assert "exp/x.csv value: max abs 0, max rel 0" in out
+
+    code, out = compare(a, tree("moved", {"exp/x.csv": "id,scheme,value\n0,isac,1.0\n1,sweep,-2.000000002\n"}))
+    assert code == 0
+    assert "exp/x.csv value: max abs 2e-09, max rel 1e-09" in out
+
+    for name, text in [
+        ("index", "id,scheme,value\n0,isac,1.0\n2,sweep,-2.0\n"),
+        ("string", "id,scheme,value\n0,isac,1.0\n1,conv,-2.0\n"),
+        ("header", "id,scheme,rmse\n0,isac,1.0\n1,sweep,-2.0\n"),
+        ("rows", "id,scheme,value\n0,isac,1.0\n"),
+    ]:
+        assert compare(a, tree(name, {"exp/x.csv": text}))[0] == 1, name
+    code, out = compare(a, tree("extra", {**base, "exp/y.csv": "id\n0\n"}))
+    assert code == 1
+    assert "exp/y.csv: only in" in out
