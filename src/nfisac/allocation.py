@@ -18,6 +18,9 @@ import numpy as np
 from .delay_phase import Arc
 from .errors import InfeasibleAllocationError
 
+# relative tolerance of water_fill's water level and of the budget it spends
+_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SensingRequirement:
@@ -60,21 +63,19 @@ def _check_allocation(
         raise ValueError("sensing subcarrier below its power floor")
 
 
-def water_fill(
-    gains: np.ndarray, budget_w, noise_power_w: float, rel_tol: float = 1e-10
-) -> np.ndarray:
+def water_fill(gains: np.ndarray, budget_w, noise_power_w: float) -> np.ndarray:
     """Water-filling powers p_i = max(0, mu - sigma^2/g_i), mu by bisection.
 
     gains is one channel vector (n,) or a stack of them (rows, n), and
     budget_w a scalar or one budget per row. Each row runs its own
     bisection and is frozen once its bracket has converged, so a row's
     powers are those of filling it alone. The bracket resolves mu to
-    rel_tol of itself, which is coarse when the budget is far below the
+    _REL_TOL of itself, which is coarse when the budget is far below the
     floors sigma^2/g_i: a row whose powers then sum to less than
-    (1 - rel_tol) of its budget is solved again for its level above its
-    smallest floor, on [0, budget] and to rel_tol of the budget. Every row
+    (1 - _REL_TOL) of its budget is solved again for its level above its
+    smallest floor, on [0, budget] and to _REL_TOL of the budget. Every row
     with a budget and a usable channel thus spends its budget within
-    rel_tol, and a row that already did keeps its powers' bits.
+    _REL_TOL, and a row that already did keeps its powers' bits.
     """
     g = np.asarray(gains, dtype=float)
     if noise_power_w <= 0:
@@ -90,30 +91,30 @@ def water_fill(
     live = finite.any(axis=1) & (budget > 0)
     lo = np.zeros(rows.shape[0])
     hi = np.where(live, budget + np.where(finite, floor, -np.inf).max(axis=1), 0.0)
-    powers = np.maximum(0.0, _water_level(floor, budget, lo, hi, rel_tol)[:, None] - floor)
-    short = live & (powers.sum(axis=1) < budget * (1 - rel_tol))
+    powers = np.maximum(0.0, _water_level(floor, budget, lo, hi)[:, None] - floor)
+    short = live & (powers.sum(axis=1) < budget * (1 - _REL_TOL))
     if short.any():
-        # levels above the smallest floor, to rel_tol / 2 of the budget shared
+        # levels above the smallest floor, to _REL_TOL / 2 of the budget shared
         # over the row's channels: the powers then fall short by at most that
         above = floor[short] - floor[short].min(axis=1, keepdims=True)
         b = budget[short]
         scale = b / (2 * finite[short].sum(axis=1))
-        level = _water_level(above, b, np.zeros(b.size), b.copy(), rel_tol, scale)
+        level = _water_level(above, b, np.zeros(b.size), b.copy(), scale)
         powers[short] = np.maximum(0.0, level[:, None] - above)
     return powers.reshape(g.shape)
 
 
-def _water_level(floor, budget, lo, hi, rel_tol, scale=None):
+def _water_level(floor, budget, lo, hi, scale=None):
     """Each row's water level: the bisected mu in [lo, hi] whose powers
-    max(0, mu - floor) sum to at most budget, to rel_tol of scale (of hi by
+    max(0, mu - floor) sum to at most budget, to _REL_TOL of scale (of hi by
     default). Rows whose bracket is already that narrow keep lo."""
-    active = hi - lo > rel_tol * (hi if scale is None else scale)
+    active = hi - lo > _REL_TOL * (hi if scale is None else scale)
     while active.any():
         mu = 0.5 * (lo + hi)
         over = np.maximum(0.0, mu[:, None] - floor).sum(axis=1) > budget
         hi = np.where(active & over, mu, hi)
         lo = np.where(active & ~over, mu, lo)
-        active &= hi - lo > rel_tol * (hi if scale is None else scale)
+        active &= hi - lo > _REL_TOL * (hi if scale is None else scale)
     return lo
 
 

@@ -417,17 +417,16 @@ def wavenumber_calibration(wavenumber: dict) -> tuple:
     return direction, sweep, float(wavenumber["threshold_frac"])
 
 
-def calibration_readouts(arr: PlanarArray, freq_hz: float, wavenumber: dict, table: RadiusRangeTable):
-    """Yield (range, (estimate, diagnostics)) at each probe of the sweep.
+def calibration_readouts(table: RadiusRangeTable, direction: np.ndarray):
+    """Yield (range, (estimate, diagnostics)) at each probe of table's sweep.
 
     The probes sit along the sweep's direction at its geometric midpoints,
     the worst case for interpolating an inverse law; each is read back
     through table by estimate_position, whose errors propagate.
     """
-    direction, sweep, frac = wavenumber_calibration(wavenumber)
+    sweep = table.ranges_m
     for r in np.sqrt(sweep[:-1] * sweep[1:]):
-        snap = upa_snapshot(arr, r * direction, freq_hz)
-        yield r, estimate_position(arr, freq_hz, snap, table, threshold_frac=frac)
+        yield r, estimate_position(table, upa_snapshot(table.arr, r * direction, table.freq_hz))
 
 
 def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what: str) -> bool:
@@ -516,9 +515,9 @@ class ScenarioConfig:
     raw is the data as read (config_hash covers it); sections holds each
     section the experiment reads with the schema's defaults filled in. Each
     object, the evaluation grid, the targets, the wavenumber sweep's
-    radius-to-range table, its probes' readouts and the arc's delay-phase
-    fit among them, is the one validation checked, or None where its
-    sections are absent or failed.
+    radius-to-range table, the planar readouts of its probes or targets and
+    the arc's delay-phase fit among them, is the one validation checked, or
+    None where its sections are absent or failed.
     """
 
     raw: dict
@@ -535,7 +534,9 @@ class ScenarioConfig:
     grid: Optional[PolarGrid]
     targets: Optional[tuple]
     table: Optional[RadiusRangeTable]
-    readouts: Optional[tuple]  # calibration_readouts' (range, (estimate, diagnostics)) per probe
+    # validation's planar readouts: (range, (estimate, diagnostics)) per
+    # calibration probe, or (estimate, diagnostics) per target in order
+    readouts: Optional[tuple]
     fit: Optional[tuple]  # (fitted delay-phase Beamformer, rms residual in rad) along the arc
 
     def section(self, key: str) -> Any:
@@ -592,6 +593,7 @@ def scenario(data: Any) -> tuple:
         for path, p in res.items()
         if path == "design" or path.startswith("targets[")
     }
+    targets = tuple(p for path, p in points.items() if path != "design") if "targets" in res else None
 
     if carrier is not None and "isac" in res:
         try:
@@ -635,22 +637,24 @@ def scenario(data: Any) -> tuple:
         if table is not None and exp["name"] == "wavenumber-calibration":
             # the run writes its probes' readouts along the sweep's direction
             try:
-                readouts = tuple(calibration_readouts(upa, freq, wsec, table))
+                readouts = tuple(calibration_readouts(table, direction))
             except (AliasingError, OutOfCalibrationError) as exc:
                 rep.add("wavenumber.direction_angle_rad", f"the calibration probes cannot be read back ({exc})")
         cos_bin = C / (freq * upa.nx * upa.dx_m)
+        reads = []  # each placed target's (estimate, diagnostics)
         for path, p in placed:
             snap = upa_polar_snapshot(upa, p, freq)
             try:
                 if table is None:  # each target's forward step is still checked
                     extract_support(wavenumber_transform(snap), frac)
                     continue
-                est, diag = estimate_position(upa, freq, snap, table, threshold_frac=frac)
+                est, diag = estimate_position(table, snap)
             except AliasingError as exc:
                 rep.add(path, f"the planar array's wavenumber readout aliases here ({exc})")
             except OutOfCalibrationError as exc:
                 rep.add(path, f"the wavenumber readout falls outside its range calibration ({exc})")
             else:
+                reads.append((est, diag))
                 if abs(diag["cos_x"] - math.cos(p.angle_rad)) > cos_bin:
                     rep.add(
                         path,
@@ -658,6 +662,9 @@ def scenario(data: Any) -> tuple:
                         f"{est.angle_rad:.4f} rad, more than one direction-cosine bin "
                         f"({cos_bin:.3g}) off",
                     )
+        # the run writes each target's readout once every target was read
+        if targets is not None and len(reads) == len(targets):
+            readouts = tuple(reads)
 
     # a linear array evaluated over the grid, or steered along the arc, needs
     # every such range past its half-aperture, as a steering vector's source
@@ -723,7 +730,7 @@ def scenario(data: Any) -> tuple:
         design=points.get("design"),
         arc=arc,
         grid=grid,
-        targets=tuple(p for path, p in points.items() if path != "design") if "targets" in res else None,
+        targets=targets,
         table=table,
         readouts=readouts,
         fit=fit,

@@ -18,14 +18,14 @@ import numpy as np
 from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, rayleigh_distance, steering_chunks
 from .codebook import angular_spread, polar_codeword
-from .config import EXPERIMENT_SECTIONS, ScenarioConfig, wavenumber_calibration
+from .config import EXPERIMENT_SECTIONS, ScenarioConfig
 from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import subcarrier_weights
 from .echoes import peak_angle
 from .music import collect_snapshots, single_source_peaks, snapshot_subspace
 from .squint import focal_points, squint_deviation
-from .wavenumber import estimate_position, upa_polar_snapshot, upa_rayleigh_distance
+from .wavenumber import upa_rayleigh_distance
 
 
 @dataclass
@@ -153,11 +153,6 @@ def run_angular_spread(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
 
 def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
-    arr = cfg.upa
-    grid = cfg.carrier
-    freq = grid.center_hz
-    wsec = cfg.section("wavenumber")
-    _, sweep, frac = wavenumber_calibration(wsec)
     table = cfg.table
     write_csv(
         outdir / "calibration.csv",
@@ -178,10 +173,10 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     )
 
     summary = {
-        "freq_hz": freq,
-        "num_calibration_points": sweep.size,
-        "threshold_frac": frac,
-        "rayleigh_distance_m": upa_rayleigh_distance(arr, freq),
+        "freq_hz": table.freq_hz,
+        "num_calibration_points": table.ranges_m.size,
+        "threshold_frac": table.threshold_frac,
+        "rayleigh_distance_m": upa_rayleigh_distance(table.arr, table.freq_hz),
         "radius_min_bins": float(table.radii_bins[-1]),
         "radius_max_bins": float(table.radii_bins[0]),
         "max_midpoint_error_m": max(errs),
@@ -209,14 +204,12 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
 def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     geom = cfg.ula
-    arr = cfg.upa
     grid = cfg.carrier
     msec = cfg.section("music")
     targets = cfg.targets
     snap_count = int(msec["snapshot_count"])
     noise_power = float(msec["noise_power_w"])
     trials = cfg.trials
-    freq = grid.center_hz
 
     rows = []
     music_errs = []
@@ -241,12 +234,10 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
                 ("music", k, tr, target.angle_rad, target.range_m, est.angle_rad, est.range_m)
             )
 
-    # The planar-array readout is noiseless and deterministic: one row per target.
-    frac = float(cfg.section("wavenumber")["threshold_frac"])
+    # The planar-array readout is noiseless and deterministic: one row per
+    # target, the readout validation made.
     wn_errs = []
-    for k, target in enumerate(targets):
-        snap = upa_polar_snapshot(arr, target, freq)
-        est, _ = estimate_position(arr, freq, snap, cfg.table, threshold_frac=frac)
+    for k, (target, (est, _)) in enumerate(zip(targets, cfg.readouts)):
         wn_errs.append((abs(est.angle_rad - target.angle_rad), abs(est.range_m - target.range_m)))
         rows.append(
             ("wavenumber", k, 0, target.angle_rad, target.range_m, est.angle_rad, est.range_m)

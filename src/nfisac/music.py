@@ -45,10 +45,9 @@ _SUBSPACE_ITERATIONS = 150
 
 @dataclass(frozen=True, eq=False)
 class SampleCovariance:
-    """Hermitian PSD snapshot covariance and the snapshot count behind it."""
+    """Hermitian PSD snapshot covariance."""
 
     matrix: np.ndarray
-    snapshot_count: int
 
     def __post_init__(self) -> None:
         r = np.asarray(self.matrix, dtype=complex)
@@ -163,10 +162,9 @@ def collect_snapshots(
 def sample_covariance(snapshots: np.ndarray) -> SampleCovariance:
     """R = (1/T) sum_t x_t x_t^H for row-snapshots, symmetrized exactly."""
     x = np.asarray(snapshots, dtype=complex)
-    t_count = x.shape[0]
-    r = x.T @ x.conj() / t_count
+    r = x.T @ x.conj() / x.shape[0]
     r = (r + r.conj().T) / 2
-    return SampleCovariance(r, t_count)
+    return SampleCovariance(r)
 
 
 def music_spectra(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: PolarGrid):

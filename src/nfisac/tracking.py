@@ -83,20 +83,20 @@ def kalman_predict_update(
         if sig_r < 0 or sig_th < 0:
             raise ValueError("measurement noise must be >= 0")
         z = polar_to_xy(measurement)
-        h = np.zeros((2, 4))
-        h[0, 0] = h[1, 1] = 1.0
         cos_t, sin_t = np.cos(measurement.angle_rad), np.sin(measurement.angle_rad)
         r = measurement.range_m
         jac = np.array([[cos_t, -r * sin_t], [sin_t, r * cos_t]])
         r_cart = jac @ np.diag([sig_r * sig_r, sig_th * sig_th]) @ jac.T
-        innovation = z - h @ x
-        s = h @ p @ h.T + r_cart
-        gain = p @ h.T @ np.linalg.inv(s)
+        # the measurement reads the position, x[:2]
+        innovation = z - x[:2]
+        s = p[:2, :2] + r_cart
+        gain = p[:, :2] @ np.linalg.inv(s)
         x = x + gain @ innovation
-        ikh = np.eye(4) - gain @ h
+        ikh = np.eye(4)
+        ikh[:, :2] -= gain
         p = ikh @ p @ ikh.T + gain @ r_cart @ gain.T
 
-    return TrackState(x, (p + p.T) / 2)
+    return TrackState(x, p)  # whose __post_init__ symmetrizes p
 
 
 def predict_arc(ts: TrackState, dt: float, half_width_rad: float) -> Arc:

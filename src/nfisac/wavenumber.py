@@ -75,10 +75,14 @@ class SupportCircle:
 
 @dataclass(frozen=True, eq=False)
 class RadiusRangeTable:
-    """Calibrated (range, support radius) pairs; radius strictly decreasing."""
+    """A range calibration: (range, support radius) pairs that arr read at
+    freq_hz with threshold_frac; radius strictly decreasing with range."""
 
     ranges_m: np.ndarray
     radii_bins: np.ndarray
+    arr: PlanarArray
+    freq_hz: float
+    threshold_frac: float
 
     def __post_init__(self) -> None:
         r = np.asarray(self.ranges_m, dtype=float)
@@ -88,7 +92,10 @@ class RadiusRangeTable:
         if np.any(np.diff(r) <= 0):
             raise ValueError("ranges_m must be strictly increasing")
         if np.any(np.diff(q) >= 0):
-            raise CalibrationError("support radius must decrease strictly with range")
+            raise CalibrationError(
+                "support radius must decrease strictly with range; radii that stop "
+                "decreasing mean the sweep leaves the valid near-field window"
+            )
         object.__setattr__(self, "ranges_m", r)
         object.__setattr__(self, "radii_bins", q)
 
@@ -180,7 +187,8 @@ def calibrate_radius_range(
     """Run the forward pipeline over a range sweep along one direction.
 
     direction is a unit 3-vector off the array plane; sources sit at
-    range * direction.
+    range * direction. The table records arr, freq_hz and threshold_frac,
+    and raises CalibrationError when the radii do not fall strictly.
     """
     sweep = np.asarray(range_sweep_m, dtype=float)
     if sweep.size < 8:
@@ -194,31 +202,23 @@ def calibrate_radius_range(
         snap = upa_snapshot(arr, r * d, freq_hz)
         circle = extract_support(wavenumber_transform(snap), threshold_frac)
         radii.append(circle.radius_bins)
-    radii = np.asarray(radii)
-    if np.any(np.diff(radii) >= 0):
-        raise CalibrationError(
-            "support radii are not strictly decreasing over the sweep; "
-            "the sweep leaves the valid near-field window"
-        )
-    return RadiusRangeTable(sweep, radii)
+    return RadiusRangeTable(sweep, radii, arr, freq_hz, threshold_frac)
 
 
-def estimate_position(
-    arr: PlanarArray,
-    freq_hz: float,
-    snapshot: np.ndarray,
-    table: RadiusRangeTable,
-    threshold_frac: float = 0.1,
-) -> tuple:
+def estimate_position(table: RadiusRangeTable, snapshot: np.ndarray) -> tuple:
     """Invert the calibrated map: snapshot -> (PolarPoint estimate, diagnostics).
 
+    The snapshot is read on the table's array at its frequency and threshold.
     The polar angle is measured from the array's x axis, matching the linear
     array convention. Any global phase or timing offset on the snapshot leaves
     the result bit-identical. A direction cosine that reads outside (-1, 1)
     names no direction: the support has wrapped round the alias-free window,
     and AliasingError is raised.
     """
-    circle = extract_support(wavenumber_transform(snapshot), threshold_frac)
+    arr, freq_hz = table.arr, table.freq_hz
+    if np.shape(snapshot) != (arr.nx, arr.nz):
+        raise ValueError(f"snapshot must be the calibrated array's ({arr.nx}, {arr.nz})")
+    circle = extract_support(wavenumber_transform(snapshot), table.threshold_frac)
     u0, v0 = circle.center_bins
     cos_x = float(C * u0 / (freq_hz * arr.nx * arr.dx_m))
     cos_z = C * v0 / (freq_hz * arr.nz * arr.dz_m)

@@ -190,16 +190,16 @@ def test_criterion_05_wavenumber_radius_calibration(capsys):
     probes = np.sqrt(sweep[:-1] * sweep[1:])
     worst_frac = 0.0
     for lo, hi, r in zip(sweep[:-1], sweep[1:], probes):
-        est, _ = estimate_position(arr, FC, upa_snapshot(arr, r * broadside, FC), table)
+        est, _ = estimate_position(table, upa_snapshot(arr, r * broadside, FC))
         worst_frac = max(worst_frac, abs(est.range_m - r) / ((hi - lo) / 2.0))
     within_half_step = worst_frac <= 1.0
 
     base = upa_snapshot(arr, 5.0 * broadside, FC, global_phase_rad=0.0)
-    est0, _ = estimate_position(arr, FC, base, table)
+    est0, _ = estimate_position(table, base)
     bit_identical = True
     for phi in [0.7, 2.0313, 5.5]:
         shifted = upa_snapshot(arr, 5.0 * broadside, FC, global_phase_rad=phi)
-        est1, _ = estimate_position(arr, FC, shifted, table)
+        est1, _ = estimate_position(table, shifted)
         bit_identical &= est1.range_m == est0.range_m and est1.angle_rad == est0.angle_rad
 
     elapsed = time.monotonic() - t0

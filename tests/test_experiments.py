@@ -151,15 +151,16 @@ def test_shipped_music_run_never_falls_back_to_eigh(tmp_path, monkeypatch):
     "name, module, func",
     [
         ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
+        ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "estimate_position"),
         ("wavenumber_calibration.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
         ("wavenumber_calibration.yaml", "nfisac.config", "calibration_readouts"),
         ("rmse_vs_snr.yaml", "nfisac.delay_phase", "fit_trajectory"),
     ],
 )
 def test_load_and_run_calibrate_and_fit_once(tmp_path, monkeypatch, name, module, func):
-    # validation calibrates the wavenumber sweep, reads its probes back and
-    # fits the arc, and the run uses those results instead of deriving them
-    # again
+    # validation calibrates the wavenumber sweep, reads its probes and
+    # targets back and fits the arc, and the run uses those results instead
+    # of deriving them again
     original = getattr(sys.modules[module], func)
     calls = []
 

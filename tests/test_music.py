@@ -103,13 +103,13 @@ def test_peak_on_grid_boundary_warns():
 
 def test_covariance_validation():
     with pytest.raises(ValueError, match="square"):
-        SampleCovariance(np.ones((2, 3), dtype=complex), 10)
+        SampleCovariance(np.ones((2, 3), dtype=complex))
     bad = np.array([[1.0, 1.0j], [1.0j, 1.0]])
     with pytest.raises(ValueError, match="asymmetry"):
-        SampleCovariance(bad, 10)
+        SampleCovariance(bad)
     neg = np.diag([1.0, -0.5]).astype(complex)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        SampleCovariance(neg, 10)
+        SampleCovariance(neg)
 
 
 def test_spectrum_invariant_under_covariance_scaling():
@@ -117,7 +117,7 @@ def test_spectrum_invariant_under_covariance_scaling():
     truth = PolarPoint(1.0, 1.3)
     x = collect_snapshots(geom, GRID1, [truth], 64, 0.01, seed=11)
     cov = sample_covariance(x)
-    scaled = SampleCovariance(cov.matrix * 3.7, cov.snapshot_count)
+    scaled = SampleCovariance(cov.matrix * 3.7)
     pg = PolarGrid(np.linspace(1.1, 1.5, 41), np.geomspace(0.5, 2.0, 21))
     s0 = music_spectrum(cov, geom, GRID1, pg, 1).values
     s1 = music_spectrum(scaled, geom, GRID1, pg, 1).values
@@ -141,7 +141,7 @@ def test_flat_spectrum_plateau_yields_single_boundary_peak():
     # pure white covariance makes the spectrum one flat plateau; the plateau
     # is counted once, lands on the grid corner, and is flagged as boundary
     geom = ArrayGeometry.ula(16, WL / 2)
-    cov = SampleCovariance(np.eye(16, dtype=complex), 100)
+    cov = SampleCovariance(np.eye(16, dtype=complex))
     pg = PolarGrid(np.linspace(1.0, 1.4, 11), np.geomspace(0.5, 2.0, 7))
     with pytest.warns(BoundaryPeakWarning):
         peaks = music_localize(cov, geom, GRID1, pg, 1)
@@ -335,12 +335,12 @@ def test_covariance_psd_boundary(n):
 
     tiny = _hermitian_with_spectrum(spectrum(1e-12), seed=n)
     assert np.linalg.eigvalsh(tiny)[0] == pytest.approx(-1e-12 * lam_max, rel=1e-2)
-    SampleCovariance(tiny, 10)
-    SampleCovariance(np.zeros((n, n), dtype=complex), 10)
+    SampleCovariance(tiny)
+    SampleCovariance(np.zeros((n, n), dtype=complex))
     x = collect_snapshots(ArrayGeometry.ula(n, WL / 2), GRID1, [PolarPoint(1.0, 1.2)], 8, 0.0, seed=4)
-    SampleCovariance(sample_covariance(x).matrix, 8)
+    SampleCovariance(sample_covariance(x).matrix)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        SampleCovariance(_hermitian_with_spectrum(spectrum(1e-6), seed=n), 10)
+        SampleCovariance(_hermitian_with_spectrum(spectrum(1e-6), seed=n))
 
 
 @st.composite

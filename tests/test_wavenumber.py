@@ -55,8 +55,8 @@ def test_global_phase_leaves_estimate_bit_identical():
     table = calibrate_radius_range(ARR, FC, BROADSIDE, np.geomspace(2.0, 16.0, 9))
     snap0 = upa_snapshot(ARR, _source(5.0), FC, global_phase_rad=0.0)
     snap1 = upa_snapshot(ARR, _source(5.0), FC, global_phase_rad=2.0313)
-    est0, diag0 = estimate_position(ARR, FC, snap0, table)
-    est1, diag1 = estimate_position(ARR, FC, snap1, table)
+    est0, diag0 = estimate_position(table, snap0)
+    est1, diag1 = estimate_position(table, snap1)
     assert est0.range_m == est1.range_m
     assert est0.angle_rad == est1.angle_rad
     assert diag0["radius_bins"] == diag1["radius_bins"]
@@ -86,8 +86,23 @@ def test_direction_cosine_past_endfire_raises_aliasing():
     table = calibrate_radius_range(arr, FC, direction, sweep)
     snap = upa_snapshot(arr, _source(6.0, direction), FC)
     with pytest.raises(AliasingError, match=r"outside \(-1, 1\)"):
-        estimate_position(arr, FC, snap, table)
+        estimate_position(table, snap)
 
+
+def test_table_reads_snapshots_with_its_calibration():
+    # the table records the array, frequency and threshold it was calibrated
+    # with, and estimate_position reads every snapshot with those
+    table = calibrate_radius_range(ARR, FC, BROADSIDE, np.geomspace(2.0, 16.0, 9), threshold_frac=0.2)
+    assert (table.arr, table.freq_hz, table.threshold_frac) == (ARR, FC, 0.2)
+    snap = upa_snapshot(ARR, _source(5.0), FC)
+    _, diag = estimate_position(table, snap)
+    spec = wavenumber_transform(snap)
+    assert diag["radius_bins"] == extract_support(spec, 0.2).radius_bins
+    assert diag["radius_bins"] != extract_support(spec, 0.1).radius_bins
+    assert diag["threshold_used"] == 0.2
+    other = PlanarArray(32, 64, 4 * WL, 4 * WL)
+    with pytest.raises(ValueError, match="calibrated array"):
+        estimate_position(table, upa_snapshot(other, _source(5.0), FC))
 
 def test_calibration_rejects_non_decreasing_radii():
     # past the window where the disk shrinks, radii plateau; the closed loop
@@ -97,7 +112,7 @@ def test_calibration_rejects_non_decreasing_radii():
 
 
 def test_radius_range_table_interpolates_nodes_exactly():
-    table = RadiusRangeTable(np.array([2.0, 4.0, 8.0]), np.array([10.0, 6.0, 3.0]))
+    table = RadiusRangeTable(np.array([2.0, 4.0, 8.0]), np.array([10.0, 6.0, 3.0]), ARR, FC, 0.1)
     assert table.range_for_radius(10.0) == 2.0
     assert table.range_for_radius(6.0) == 4.0
     assert table.range_for_radius(3.0) == 8.0
@@ -105,7 +120,7 @@ def test_radius_range_table_interpolates_nodes_exactly():
 
 
 def test_radius_outside_table_raises():
-    table = RadiusRangeTable(np.array([2.0, 4.0]), np.array([10.0, 6.0]))
+    table = RadiusRangeTable(np.array([2.0, 4.0]), np.array([10.0, 6.0]), ARR, FC, 0.1)
     with pytest.raises(OutOfCalibrationError, match="outside"):
         table.range_for_radius(5.9)
     with pytest.raises(OutOfCalibrationError, match="outside"):
@@ -114,11 +129,11 @@ def test_radius_outside_table_raises():
 
 def test_table_validation():
     with pytest.raises(ValueError, match=">= 2"):
-        RadiusRangeTable(np.array([2.0]), np.array([10.0]))
+        RadiusRangeTable(np.array([2.0]), np.array([10.0]), ARR, FC, 0.1)
     with pytest.raises(ValueError, match="increasing"):
-        RadiusRangeTable(np.array([4.0, 2.0]), np.array([10.0, 6.0]))
+        RadiusRangeTable(np.array([4.0, 2.0]), np.array([10.0, 6.0]), ARR, FC, 0.1)
     with pytest.raises(CalibrationError, match="decrease"):
-        RadiusRangeTable(np.array([2.0, 4.0]), np.array([6.0, 6.0]))
+        RadiusRangeTable(np.array([2.0, 4.0]), np.array([6.0, 6.0]), ARR, FC, 0.1)
 
 
 def test_planar_array_validation():
@@ -161,7 +176,7 @@ def test_spectrum_magnitude_invariant_under_global_phase(phi):
 def test_closed_loop_range_estimates_track_truth():
     table = calibrate_radius_range(ARR, FC, BROADSIDE, np.geomspace(2.0, 16.0, 9))
     for true_r in [2.8, 5.7, 11.0]:
-        est, _ = estimate_position(ARR, FC, upa_snapshot(ARR, _source(true_r), FC), table)
+        est, _ = estimate_position(table, upa_snapshot(ARR, _source(true_r), FC))
         spacing = true_r * (16.0 / 2.0) ** (1 / 8) - true_r
         assert abs(est.range_m - true_r) <= spacing
         assert abs(est.angle_rad - np.pi / 2) < 0.01
