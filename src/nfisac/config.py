@@ -39,7 +39,6 @@ from .wavenumber import (
     estimate_position,
     extract_support,
     upa_polar_snapshot,
-    upa_snapshot,
     wavenumber_transform,
 )
 
@@ -417,18 +416,6 @@ def wavenumber_calibration(wavenumber: dict) -> tuple:
     return direction, sweep, float(wavenumber["threshold_frac"])
 
 
-def calibration_readouts(table: RadiusRangeTable, direction: np.ndarray):
-    """Yield (range, (estimate, diagnostics)) at each probe of table's sweep.
-
-    The probes sit along the sweep's direction at its geometric midpoints,
-    the worst case for interpolating an inverse law; each is read back
-    through table by estimate_position, whose errors propagate.
-    """
-    sweep = table.ranges_m
-    for r in np.sqrt(sweep[:-1] * sweep[1:]):
-        yield r, estimate_position(table, upa_snapshot(table.arr, r * direction, table.freq_hz))
-
-
 def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what: str) -> bool:
     lo, hi = bounds
     if lo <= value <= hi:
@@ -515,9 +502,9 @@ class ScenarioConfig:
     raw is the data as read (config_hash covers it); sections holds each
     section the experiment reads with the schema's defaults filled in. Each
     object, the evaluation grid, the targets, the wavenumber sweep's
-    radius-to-range table, the planar readouts of its probes or targets and
-    the arc's delay-phase fit among them, is the one validation checked, or
-    None where its sections are absent or failed.
+    radius-to-range table, the planar readouts and the arc's delay-phase fit
+    among them, is the one validation checked, or None where its sections
+    are absent or failed.
     """
 
     raw: dict
@@ -527,15 +514,14 @@ class ScenarioConfig:
     trials: int
     snr_db: tuple
     ula: Optional[ArrayGeometry]
-    upa: Optional[PlanarArray]
     carrier: Optional[CarrierGrid]
     design: Optional[PolarPoint]
     arc: Optional[Arc]
     grid: Optional[PolarGrid]
     targets: Optional[tuple]
     table: Optional[RadiusRangeTable]
-    # validation's planar readouts: (range, (estimate, diagnostics)) per
-    # calibration probe, or (estimate, diagnostics) per target in order
+    # validation's planar readouts: (point, estimate, diagnostics) per target,
+    # or per calibration probe, in reading order
     readouts: Optional[tuple]
     fit: Optional[tuple]  # (fitted delay-phase Beamformer, rms residual in rad) along the arc
 
@@ -620,8 +606,8 @@ def scenario(data: Any) -> tuple:
                 placed.append((path, point))
 
     # the planar-array readout is noiseless, so running it here, the sweep's
-    # calibration and then each target's estimate, shows whether the run
-    # would fail or misread it
+    # calibration and then each target's or probe's estimate, shows whether
+    # the run would fail or misread it
     table = readouts = None
     if sweep is not None and upa is not None and carrier is not None:
         freq = carrier.center_hz
@@ -634,18 +620,18 @@ def scenario(data: Any) -> tuple:
         except AliasingError as exc:
             # the nearest ranges' support disks are the widest
             rep.add("wavenumber.range_min_m", f"the calibration sweep's wavenumber readout aliases ({exc})")
-        if table is not None and exp["name"] == "wavenumber-calibration":
-            # the run writes its probes' readouts along the sweep's direction
-            try:
-                readouts = tuple(calibration_readouts(table, direction))
-            except (AliasingError, OutOfCalibrationError) as exc:
-                rep.add("wavenumber.direction_angle_rad", f"the calibration probes cannot be read back ({exc})")
+        # a calibration run writes the readouts of probes along the sweep's
+        # direction at its geometric midpoints, the worst case for
+        # interpolating an inverse law
+        theta = float(wsec["direction_angle_rad"])
+        mids = np.sqrt(sweep_m[:-1] * sweep_m[1:]) if exp["name"] == "wavenumber-calibration" else ()
+        probes = [("wavenumber.direction_angle_rad", PolarPoint(float(r), theta)) for r in mids]
         cos_bin = C / (freq * upa.nx * upa.dx_m)
-        reads = []  # each placed target's (estimate, diagnostics)
-        for path, p in placed:
+        reads = []  # (point, estimate, diagnostics) of each point read
+        for path, p in placed + probes:
             snap = upa_polar_snapshot(upa, p, freq)
             try:
-                if table is None:  # each target's forward step is still checked
+                if table is None:  # each point's forward step is still checked
                     extract_support(wavenumber_transform(snap), frac)
                     continue
                 est, diag = estimate_position(table, snap)
@@ -654,7 +640,7 @@ def scenario(data: Any) -> tuple:
             except OutOfCalibrationError as exc:
                 rep.add(path, f"the wavenumber readout falls outside its range calibration ({exc})")
             else:
-                reads.append((est, diag))
+                reads.append((p, est, diag))
                 if abs(diag["cos_x"] - math.cos(p.angle_rad)) > cos_bin:
                     rep.add(
                         path,
@@ -662,8 +648,8 @@ def scenario(data: Any) -> tuple:
                         f"{est.angle_rad:.4f} rad, more than one direction-cosine bin "
                         f"({cos_bin:.3g}) off",
                     )
-        # the run writes each target's readout once every target was read
-        if targets is not None and len(reads) == len(targets):
+        # the run writes the readouts once every point and probe was read
+        if len(reads) == len(points) + len(probes):
             readouts = tuple(reads)
 
     # a linear array evaluated over the grid, or steered along the arc, needs
@@ -725,7 +711,6 @@ def scenario(data: Any) -> tuple:
         trials=int(exp["trials"]),
         snr_db=tuple(float(x) for x in exp["snr_db"]),
         ula=ula,
-        upa=upa,
         carrier=carrier,
         design=points.get("design"),
         arc=arc,

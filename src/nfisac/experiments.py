@@ -162,10 +162,10 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
     rows = []
     errs = []
-    for r, (est, diag) in cfg.readouts:
-        err = abs(est.range_m - r)
+    for probe, est, diag in cfg.readouts:
+        err = abs(est.range_m - probe.range_m)
         errs.append(err)
-        rows.append((float(r), est.range_m, err, diag["radius_bins"], est.angle_rad))
+        rows.append((probe.range_m, est.range_m, err, diag["radius_bins"], est.angle_rad))
     write_csv(
         outdir / "estimates.csv",
         ["true_range_m", "est_range_m", "abs_error_m", "radius_bins", "est_angle_rad"],
@@ -237,7 +237,7 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     # The planar-array readout is noiseless and deterministic: one row per
     # target, the readout validation made.
     wn_errs = []
-    for k, (target, (est, _)) in enumerate(zip(targets, cfg.readouts)):
+    for k, (target, est, _) in enumerate(cfg.readouts):
         wn_errs.append((abs(est.angle_rad - target.angle_rad), abs(est.range_m - target.range_m)))
         rows.append(
             ("wavenumber", k, 0, target.angle_rad, target.range_m, est.angle_rad, est.range_m)

@@ -109,6 +109,13 @@ def test_runtime_failure_exits_three(tmp_path, monkeypatch, capsys):
         ("wavenumber_calibration.yaml", "grid", "range_max_m", 200.0, "wavenumber.range_max_m"),
         ("wavenumber_calibration.yaml", "grid", "range_min_m", 0.5, "wavenumber.range_min_m"),
         ("music_vs_wavenumber.yaml", "wavenumber", "range_min_m", 0.5, "wavenumber.range_min_m"),
+        # off broadside the 4-wavelength x spacing aliases the direction
+        # cosine back inside (-1, 1): every calibration probe reads 1.6020
+        # rad at 1.35 rad and 1.5316 rad at 1.0 rad, more than one bin off
+        ("wavenumber_calibration.yaml", "wavenumber", "direction_angle_rad", 1.35,
+         "wavenumber.direction_angle_rad: "),
+        ("wavenumber_calibration.yaml", "wavenumber", "direction_angle_rad", 1.0,
+         "wavenumber.direction_angle_rad: "),
         # only finite numbers pass: NaN slips past "> 0" and infinity past
         # every lower bound, and either would run to a wrong result or a crash
         ("music_vs_wavenumber.yaml", "music", "noise_power_w", float("nan"), "music.noise_power_w"),

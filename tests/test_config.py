@@ -157,7 +157,7 @@ def test_build_config_constructs_domain_objects():
     assert cfg.ula.spacing_m == pytest.approx(0.5 * 299792458.0 / 3.0e11, rel=1e-12)
     assert cfg.carrier.num_subcarriers == 65
     assert cfg.design.range_m == 10.0
-    assert cfg.upa is None and cfg.arc is None
+    assert cfg.table is None and cfg.arc is None
     assert cfg.section("grid")["range_min_m"] == 2.0
     assert cfg.section("missing") == {}
 

@@ -103,8 +103,9 @@ PKG_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_music_trials_do_not_depend_on_trial_count_or_passes(tmp_path, monkeypatch):
-    # trials share one steering pass over the grid; each trial's estimate must
-    # still depend only on its own seed, however many trials share a pass.
+    # trials share one certified peak search over the grid; each trial's
+    # estimate must still depend only on its own seed, however many trials
+    # share a search.
     # At the shipped noise every trial finds the same cell, which would hide a
     # mix-up, so noise is raised until the estimates vary from trial to trial
     raw = yaml.safe_load((PKG_ROOT / "configs" / "music_vs_wavenumber.yaml").read_text())
@@ -124,9 +125,10 @@ def test_music_trials_do_not_depend_on_trial_count_or_passes(tmp_path, monkeypat
         assert len({r.split(",", 5)[5] for r in ten if r.split(",")[1] == k}) > 2
     first_three = [r for r in ten if int(r.split(",")[2]) < 3]
     assert music_rows(3, "three") == first_three
-    # two trials per pass: 3 trials take 2 passes, 10 take 5
+    # two trials per peak search: 3 trials take 2 searches, 10 take 5, each
+    # over steering chunks of another size
     monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", 2 * grid_points)
-    monkeypatch.setattr(music, "_PASS_ENTRIES", 2 * grid_points)
+    monkeypatch.setattr(music, "_SEARCH_BLOCK", 2)
     assert music_rows(3, "three-split") == first_three
     assert music_rows(10, "ten-split") == ten
 
@@ -148,19 +150,21 @@ def test_shipped_music_run_never_falls_back_to_eigh(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, module, func",
+    "name, module, func, count",
     [
-        ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
-        ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "estimate_position"),
-        ("wavenumber_calibration.yaml", "nfisac.wavenumber", "calibrate_radius_range"),
-        ("wavenumber_calibration.yaml", "nfisac.config", "calibration_readouts"),
-        ("rmse_vs_snr.yaml", "nfisac.delay_phase", "fit_trajectory"),
+        ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "calibrate_radius_range", 1),
+        # one target
+        ("music_vs_wavenumber.yaml", "nfisac.wavenumber", "estimate_position", 1),
+        ("wavenumber_calibration.yaml", "nfisac.wavenumber", "calibrate_radius_range", 1),
+        # one probe between each pair of the sweep's 9 ranges
+        ("wavenumber_calibration.yaml", "nfisac.wavenumber", "estimate_position", 8),
+        ("rmse_vs_snr.yaml", "nfisac.delay_phase", "fit_trajectory", 1),
     ],
 )
-def test_load_and_run_calibrate_and_fit_once(tmp_path, monkeypatch, name, module, func):
-    # validation calibrates the wavenumber sweep, reads its probes and
-    # targets back and fits the arc, and the run uses those results instead
-    # of deriving them again
+def test_load_and_run_calibrate_and_fit_once(tmp_path, monkeypatch, name, module, func, count):
+    # validation calibrates the wavenumber sweep, reads each of its probes
+    # and targets back once and fits the arc, and the run uses those results
+    # instead of deriving them again
     original = getattr(sys.modules[module], func)
     calls = []
 
@@ -173,7 +177,7 @@ def test_load_and_run_calibrate_and_fit_once(tmp_path, monkeypatch, name, module
         if getattr(mod, "__name__", "").startswith("nfisac") and getattr(mod, func, None) is original:
             monkeypatch.setattr(mod, func, counted)
     run_experiment(load_config(str(PKG_ROOT / "configs" / name)), tmp_path / "out")
-    assert len(calls) == 1
+    assert len(calls) == count
 
 
 def test_shipped_music_run_builds_no_covariance(tmp_path, monkeypatch):
