@@ -38,7 +38,7 @@ from .wavenumber import (
     calibrate_radius_range,
     estimate_position,
     extract_support,
-    upa_polar_snapshot,
+    upa_snapshot,
     wavenumber_transform,
 )
 
@@ -400,20 +400,18 @@ def evaluation_grid(grid: dict) -> PolarGrid:
 
 
 def wavenumber_calibration(wavenumber: dict) -> tuple:
-    """(direction, range sweep, threshold_frac) of a resolved wavenumber section.
+    """(direction angle, range sweep, threshold_frac) of a resolved wavenumber
+    section.
 
     The sweep has num_calibration_points ranges, geometrically spaced over
-    [range_min_m, range_max_m]; the direction is the unit vector in the
-    array's x-y plane at direction_angle_rad from the x axis.
+    [range_min_m, range_max_m], along direction_angle_rad from the x axis.
     """
-    theta = float(wavenumber["direction_angle_rad"])
-    direction = np.array([math.cos(theta), math.sin(theta), 0.0])
     sweep = np.geomspace(
         float(wavenumber["range_min_m"]),
         float(wavenumber["range_max_m"]),
         int(wavenumber["num_calibration_points"]),
     )
-    return direction, sweep, float(wavenumber["threshold_frac"])
+    return float(wavenumber["direction_angle_rad"]), sweep, float(wavenumber["threshold_frac"])
 
 
 def _within(rep: ValidationReport, path: str, value: float, bounds: tuple, what: str) -> bool:
@@ -611,9 +609,9 @@ def scenario(data: Any) -> tuple:
     table = readouts = None
     if sweep is not None and upa is not None and carrier is not None:
         freq = carrier.center_hz
-        direction, sweep_m, frac = wavenumber_calibration(wsec)
+        theta, sweep_m, frac = wavenumber_calibration(wsec)
         try:
-            table = calibrate_radius_range(upa, freq, direction, sweep_m, threshold_frac=frac)
+            table = calibrate_radius_range(upa, freq, theta, sweep_m, threshold_frac=frac)
         except CalibrationError as exc:
             # the sweep runs past the window where radii fall with range
             rep.add("wavenumber.range_max_m", f"the calibration sweep cannot be calibrated ({exc})")
@@ -622,16 +620,19 @@ def scenario(data: Any) -> tuple:
             rep.add("wavenumber.range_min_m", f"the calibration sweep's wavenumber readout aliases ({exc})")
         # a calibration run writes the readouts of probes along the sweep's
         # direction at its geometric midpoints, the worst case for
-        # interpolating an inverse law
-        theta = float(wsec["direction_angle_rad"])
-        mids = np.sqrt(sweep_m[:-1] * sweep_m[1:]) if exp["name"] == "wavenumber-calibration" else ()
+        # interpolating an inverse law; they are read against the table only
+        calibrating = table is not None and exp["name"] == "wavenumber-calibration"
+        mids = np.sqrt(sweep_m[:-1] * sweep_m[1:]) if calibrating else ()
         probes = [("wavenumber.direction_angle_rad", PolarPoint(float(r), theta)) for r in mids]
         cos_bin = C / (freq * upa.nx * upa.dx_m)
         reads = []  # (point, estimate, diagnostics) of each point read
+        before = len(rep.issues)
         for path, p in placed + probes:
-            snap = upa_polar_snapshot(upa, p, freq)
+            if any(i.path == path for i in rep.issues[before:]):
+                continue  # the probes share one path, reported once
+            snap = upa_snapshot(upa, p, freq)
             try:
-                if table is None:  # each point's forward step is still checked
+                if table is None:  # each target's forward step is still checked
                     extract_support(wavenumber_transform(snap), frac)
                     continue
                 est, diag = estimate_position(table, snap)
@@ -649,7 +650,7 @@ def scenario(data: Any) -> tuple:
                         f"({cos_bin:.3g}) off",
                     )
         # the run writes the readouts once every point and probe was read
-        if len(reads) == len(points) + len(probes):
+        if table is not None and len(reads) == len(points) + len(probes):
             readouts = tuple(reads)
 
     # a linear array evaluated over the grid, or steered along the arc, needs

@@ -192,9 +192,7 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
             "title": "Wavenumber support radius vs source range",
         },
     )
-    return ExperimentResult(
-        "wavenumber-calibration", summary, ["calibration.csv", "estimates.csv"], {"table": table}
-    )
+    return ExperimentResult("wavenumber-calibration", summary, ["calibration.csv", "estimates.csv"], {})
 
 
 # ---------------------------------------------------------------------------

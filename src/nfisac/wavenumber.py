@@ -57,23 +57,6 @@ class PlanarArray:
 
 
 @dataclass(frozen=True, eq=False)
-class WavenumberSpectrum:
-    """Centered magnitude-squared 2-D spectrum of an array snapshot."""
-
-    values: np.ndarray  # (nx, nz), nonnegative
-    center_bins: tuple  # zero-wavenumber bin indices
-
-
-@dataclass(frozen=True)
-class SupportCircle:
-    """Equivalent-area disk summarizing the significant spectrum support."""
-
-    center_bins: tuple  # (u0, v0) relative to the zero-wavenumber bin
-    radius_bins: float
-    threshold_used: float
-
-
-@dataclass(frozen=True, eq=False)
 class RadiusRangeTable:
     """A range calibration: (range, support radius) pairs that arr read at
     freq_hz with threshold_frac; radius strictly decreasing with range."""
@@ -110,27 +93,19 @@ class RadiusRangeTable:
 
 
 def upa_snapshot(
-    arr: PlanarArray, source_xyz, freq_hz: float, global_phase_rad: float = 0.0
+    arr: PlanarArray, p: PolarPoint, freq_hz: float, global_phase_rad: float = 0.0
 ) -> np.ndarray:
-    """Pure-phase spherical wavefront sampled on the planar array."""
-    src = np.asarray(source_xyz, dtype=float)
-    if src.shape != (3,):
-        raise ValueError("source must be a 3-vector (x, y, z) in meters")
-    if src[1] == 0.0:
-        raise ValueError("source must be off the array plane (y != 0)")
-    x = arr.x_positions()[:, None]
-    z = arr.z_positions()[None, :]
-    dist = np.sqrt((x - src[0]) ** 2 + src[1] ** 2 + (z - src[2]) ** 2)
-    return np.exp(1j * (global_phase_rad - 2.0 * np.pi * freq_hz / C * dist))
-
-
-def upa_polar_snapshot(arr: PlanarArray, p: PolarPoint, freq_hz: float) -> np.ndarray:
-    """upa_snapshot of a source at polar point p in the array's x-y plane.
+    """Pure-phase spherical wavefront from a source at polar point p in the
+    array's x-y plane, sampled on the planar array.
 
     The angle is measured from the x axis, as for the linear array.
     """
-    src = p.range_m * np.array([math.cos(p.angle_rad), math.sin(p.angle_rad), 0.0])
-    return upa_snapshot(arr, src, freq_hz)
+    sx = p.range_m * math.cos(p.angle_rad)
+    sy = p.range_m * math.sin(p.angle_rad)
+    x = arr.x_positions()[:, None]
+    z = arr.z_positions()[None, :]
+    dist = np.sqrt((x - sx) ** 2 + sy**2 + z**2)
+    return np.exp(1j * (global_phase_rad - 2.0 * np.pi * freq_hz / C * dist))
 
 
 def upa_rayleigh_distance(arr: PlanarArray, freq_hz: float) -> float:
@@ -138,23 +113,20 @@ def upa_rayleigh_distance(arr: PlanarArray, freq_hz: float) -> float:
     return 2.0 * d_ap * d_ap / (C / freq_hz)
 
 
-def wavenumber_transform(snapshot: np.ndarray) -> WavenumberSpectrum:
-    """Magnitude-squared unitary 2-D DFT, zero wavenumber at the matrix center."""
+def wavenumber_transform(snapshot: np.ndarray) -> np.ndarray:
+    """Magnitude-squared unitary 2-D DFT of a snapshot, zero wavenumber at
+    bin (nx // 2, nz // 2)."""
     snap = np.asarray(snapshot, dtype=complex)
-    spec = np.abs(np.fft.fftshift(np.fft.fft2(snap, norm="ortho"))) ** 2
-    center = (snap.shape[0] // 2, snap.shape[1] // 2)
-    return WavenumberSpectrum(spec, center)
+    return np.abs(np.fft.fftshift(np.fft.fft2(snap, norm="ortho"))) ** 2
 
 
-def extract_support(
-    spec: WavenumberSpectrum, threshold_frac: float = 0.1
-) -> SupportCircle:
-    """Threshold the spectrum and summarize its support as a disk.
+def extract_support(s: np.ndarray, threshold_frac: float = 0.1) -> tuple:
+    """Threshold a wavenumber spectrum and summarize its support as a disk:
+    ((u0, v0) center relative to the zero-wavenumber bin, radius), in bins.
 
     Support touching the spectrum border means wavenumber content is aliased
-    (array too small or source too close), so no circle can be trusted.
+    (array too small or source too close), so no disk can be trusted.
     """
-    s = spec.values
     peak = float(s.max())
     if not peak > 0:
         raise ValueError("spectrum must have a positive peak")
@@ -168,40 +140,36 @@ def extract_support(
     ):
         raise AliasingError("wavenumber support touches the spectrum border")
     energy = s[mask]
-    u0 = float((iu * energy).sum() / energy.sum()) - spec.center_bins[0]
-    v0 = float((iv * energy).sum() / energy.sum()) - spec.center_bins[1]
+    u0 = float((iu * energy).sum() / energy.sum()) - s.shape[0] // 2
+    v0 = float((iv * energy).sum() / energy.sum()) - s.shape[1] // 2
     # snap so a global snapshot phase cannot wiggle the last float ulps
     u0 = round(u0 / _CENTROID_SNAP) * _CENTROID_SNAP
     v0 = round(v0 / _CENTROID_SNAP) * _CENTROID_SNAP
-    radius = float(np.sqrt(mask.sum() / np.pi))
-    return SupportCircle((u0, v0), radius, threshold_frac)
+    return (u0, v0), float(np.sqrt(mask.sum() / np.pi))
 
 
 def calibrate_radius_range(
     arr: PlanarArray,
     freq_hz: float,
-    direction,
+    angle_rad: float,
     range_sweep_m,
     threshold_frac: float = 0.1,
 ) -> RadiusRangeTable:
     """Run the forward pipeline over a range sweep along one direction.
 
-    direction is a unit 3-vector off the array plane; sources sit at
-    range * direction. The table records arr, freq_hz and threshold_frac,
-    and raises CalibrationError when the radii do not fall strictly.
+    The sources are the polar points (range, angle_rad) that upa_snapshot
+    places. The table records arr, freq_hz and threshold_frac, and raises
+    CalibrationError when the radii do not fall strictly.
     """
     sweep = np.asarray(range_sweep_m, dtype=float)
     if sweep.size < 8:
         raise ValueError("range sweep needs at least 8 points")
     if np.any(np.diff(sweep) <= 0):
         raise ValueError("range sweep must be strictly increasing")
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
     radii = []
     for r in sweep:
-        snap = upa_snapshot(arr, r * d, freq_hz)
-        circle = extract_support(wavenumber_transform(snap), threshold_frac)
-        radii.append(circle.radius_bins)
+        snap = upa_snapshot(arr, PolarPoint(float(r), angle_rad), freq_hz)
+        radii.append(extract_support(wavenumber_transform(snap), threshold_frac)[1])
     return RadiusRangeTable(sweep, radii, arr, freq_hz, threshold_frac)
 
 
@@ -215,22 +183,12 @@ def estimate_position(table: RadiusRangeTable, snapshot: np.ndarray) -> tuple:
     names no direction: the support has wrapped round the alias-free window,
     and AliasingError is raised.
     """
-    arr, freq_hz = table.arr, table.freq_hz
+    arr = table.arr
     if np.shape(snapshot) != (arr.nx, arr.nz):
         raise ValueError(f"snapshot must be the calibrated array's ({arr.nx}, {arr.nz})")
-    circle = extract_support(wavenumber_transform(snapshot), table.threshold_frac)
-    u0, v0 = circle.center_bins
-    cos_x = float(C * u0 / (freq_hz * arr.nx * arr.dx_m))
-    cos_z = C * v0 / (freq_hz * arr.nz * arr.dz_m)
+    center, radius = extract_support(wavenumber_transform(snapshot), table.threshold_frac)
+    cos_x = float(C * center[0] / (table.freq_hz * arr.nx * arr.dx_m))
     if not -1.0 < cos_x < 1.0:
         raise AliasingError(f"direction cosine {cos_x:.6f} reads outside (-1, 1)")
-    range_m = table.range_for_radius(circle.radius_bins)
-    estimate = PolarPoint(range_m, float(np.arccos(cos_x)))
-    diagnostics = {
-        "radius_bins": circle.radius_bins,
-        "center_bins": circle.center_bins,
-        "cos_x": cos_x,
-        "cos_z": float(cos_z),
-        "threshold_used": circle.threshold_used,
-    }
-    return estimate, diagnostics
+    estimate = PolarPoint(table.range_for_radius(radius), float(np.arccos(cos_x)))
+    return estimate, {"radius_bins": radius, "center_bins": center, "cos_x": cos_x}

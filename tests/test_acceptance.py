@@ -177,12 +177,12 @@ def test_criterion_05_wavenumber_radius_calibration(capsys):
     # snapshot phase changes nothing, bit for bit
     t0 = time.monotonic()
     arr = PlanarArray(64, 64, 4 * WL, 4 * WL)
-    broadside = np.array([0.0, 1.0, 0.0])
+    broadside = np.pi / 2
 
     radii = []
     for r in [2.0, 4.0, 8.0, 16.0, 32.0]:
-        snap = upa_snapshot(arr, r * broadside, FC)
-        radii.append(extract_support(wavenumber_transform(snap)).radius_bins)
+        snap = upa_snapshot(arr, PolarPoint(r, broadside), FC)
+        radii.append(extract_support(wavenumber_transform(snap))[1])
     decreasing = all(b < a for a, b in zip(radii, radii[1:]))
 
     sweep = np.geomspace(2.0, 16.0, 9)
@@ -190,15 +190,15 @@ def test_criterion_05_wavenumber_radius_calibration(capsys):
     probes = np.sqrt(sweep[:-1] * sweep[1:])
     worst_frac = 0.0
     for lo, hi, r in zip(sweep[:-1], sweep[1:], probes):
-        est, _ = estimate_position(table, upa_snapshot(arr, r * broadside, FC))
+        est, _ = estimate_position(table, upa_snapshot(arr, PolarPoint(float(r), broadside), FC))
         worst_frac = max(worst_frac, abs(est.range_m - r) / ((hi - lo) / 2.0))
     within_half_step = worst_frac <= 1.0
 
-    base = upa_snapshot(arr, 5.0 * broadside, FC, global_phase_rad=0.0)
+    base = upa_snapshot(arr, PolarPoint(5.0, broadside), FC, global_phase_rad=0.0)
     est0, _ = estimate_position(table, base)
     bit_identical = True
     for phi in [0.7, 2.0313, 5.5]:
-        shifted = upa_snapshot(arr, 5.0 * broadside, FC, global_phase_rad=phi)
+        shifted = upa_snapshot(arr, PolarPoint(5.0, broadside), FC, global_phase_rad=phi)
         est1, _ = estimate_position(table, shifted)
         bit_identical &= est1.range_m == est0.range_m and est1.angle_rad == est0.angle_rad
 

@@ -373,6 +373,26 @@ def test_aliased_target_rejected_when_sweep_cannot_be_calibrated():
     assert "aliases" in issues["targets[1]"]
 
 
+@pytest.mark.parametrize(
+    "section, key, value, paths",
+    [
+        # every calibration probe misreads its direction; the path they share
+        # is reported once
+        ("wavenumber", "direction_angle_rad", 1.35, ["wavenumber.direction_angle_rad"]),
+        ("wavenumber", "direction_angle_rad", 1.0, ["wavenumber.direction_angle_rad"]),
+        # the sweep aliases at its nearest range, so there is no table for
+        # the probes to be read against
+        ("grid", "range_min_m", 0.5, ["wavenumber.range_min_m"]),
+    ],
+)
+def test_calibration_failure_reported_once(section, key, value, paths):
+    data = _shipped("wavenumber_calibration.yaml")
+    data[section][key] = value
+    rep, cfg = scenario(data)
+    assert [i.path for i in rep.issues] == paths
+    assert cfg.readouts is None
+
+
 def test_infeasible_sensing_counts_rejected():
     data = _shipped("rate_vs_sensing_budget.yaml")
     total = data["allocation"]["total_power_w"]
@@ -505,7 +525,7 @@ def test_minimal_configs_resolve_every_default():
             wsec = cfg.section("wavenumber")
             assert (wsec["num_calibration_points"], wsec["direction_angle_rad"], wsec["threshold_frac"]) == (
                 9, math.pi / 2, 0.1)
-            direction, sweep, frac = wavenumber_calibration(wsec)
-            assert np.array_equal(direction, [math.cos(math.pi / 2), 1.0, 0.0])
+            angle, sweep, frac = wavenumber_calibration(wsec)
+            assert angle == math.pi / 2
             assert (sweep.size, sweep[0], sweep[-1]) == (9, data["grid"]["range_min_m"], data["grid"]["range_max_m"])
             assert frac == 0.1
