@@ -23,7 +23,7 @@ from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
 from .delay_phase import subcarrier_weights
 from .echoes import peak_angle
-from .music import collect_snapshots, single_source_peaks, snapshot_subspace
+from .music import single_source_peaks, snapshot_subspace, snapshot_trials
 from .squint import focal_points, squint_deviation
 from .wavenumber import upa_rayleigh_distance
 
@@ -201,6 +201,15 @@ def run_wavenumber_calibration(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
 
 def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
+    """MUSIC trials per target against validation's wavenumber readouts.
+
+    Trial tr of target k draws its snapshots from SeedSequence((seed, k, tr))
+    through music.snapshot_trials, which draws trial tr + 1 on a helper
+    thread while this thread takes trial tr's one-source signal subspace;
+    the trials' bases then share one certified peak search.
+    Every row has the bits of drawing and reducing its trial alone, in trial
+    order, however the threads are timed.
+    """
     geom = cfg.ula
     grid = cfg.carrier
     msec = cfg.section("music")
@@ -214,15 +223,10 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     for k, target in enumerate(targets):
         # trials stream into one certified peak search per target, each as
         # the one-source signal subspace of its snapshots
+        seeds = (np.random.SeedSequence((cfg.seed, k, tr)) for tr in range(trials))
         bases = (
-            snapshot_subspace(
-                collect_snapshots(
-                    geom, grid, [target], snap_count, noise_power,
-                    np.random.SeedSequence((cfg.seed, k, tr)),
-                ),
-                1,
-            )
-            for tr in range(trials)
+            snapshot_subspace(x, 1)
+            for x in snapshot_trials(geom, grid, [target], snap_count, noise_power, seeds)
         )
         for tr, (est, _) in enumerate(single_source_peaks(bases, geom, grid, cfg.grid)):
             err_r = abs(est.range_m - target.range_m)

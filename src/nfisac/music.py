@@ -18,6 +18,7 @@ certify the second-largest local maximum.
 from __future__ import annotations
 
 import itertools
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -127,35 +128,122 @@ class MusicSpectrum:
     num_sources: int
 
 
-def collect_snapshots(
+def _draw_trial(seed, symbols: np.ndarray, noise) -> None:
+    """A trial's random draws, into buffers the caller owns: the RNG stage.
+
+    symbols (S x 2 x T) receives each source's real then imaginary symbol
+    parts, and noise (2 x T x N, or None without noise) the noise's real then
+    imaginary parts, from one np.random.default_rng(seed) stream in that
+    order. One fill per buffer draws the same numbers as one standard_normal
+    call per part.
+    """
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=symbols)
+    if noise is not None:
+        rng.standard_normal(out=noise)
+
+
+def _assemble(steering: list, symbols: np.ndarray, noise, noise_scale: float, x: np.ndarray) -> None:
+    """x = sum_s s_s a_s^T + noise_scale (noise[0] + 1j noise[1]), in place: the assembly stage.
+
+    The symbols s_s = (re + 1j im) / sqrt(2), each outer product and the
+    scaled noise have the bits of forming them as complex temporaries; the
+    first source's product is written into x and the noise is scaled in
+    place (overwriting it) and added to x.real and x.imag, so one source
+    makes no T x N temporary.
+    """
+    if not steering:
+        x[...] = 0.0
+    for i, (a, (re, im)) in enumerate(zip(steering, symbols)):
+        s = (re + 1j * im) / np.sqrt(2)
+        if i == 0:
+            np.multiply(s[:, None], a[None, :], out=x)
+        else:
+            x += s[:, None] * a[None, :]
+    if noise is not None:
+        noise *= noise_scale
+        x.real += noise[0]
+        x.imag += noise[1]
+
+
+def snapshot_trials(
     geom: ArrayGeometry,
     grid: CarrierGrid,
     sources,
     snapshot_count: int,
     noise_power: float,
-    seed: int,
-) -> np.ndarray:
-    """Rows are snapshots: x_t = sum_s s_{s,t} a_{M/2}(p_s) + n_t.
+    seeds,
+):
+    """Yield the snapshots collect_snapshots draws from each seed in seeds, in order.
 
-    Source symbols are unit-power circular complex; noise is circular complex
-    with the given power per antenna.
+    Every trial is assembled into one T x N buffer allocated once per call,
+    so a yielded matrix is valid only until the next one is yielded, and
+    must not be modified. While the caller works on a trial, the next
+    seed's symbols and noise are drawn on one helper thread (numpy's
+    Generator releases the GIL while it fills) into buffers this call
+    allocated; the first trial is drawn on the caller's thread. Each seed
+    keeps its own stream and trials are assembled in order on the caller's
+    thread, so no bit depends on the thread's timing. An error raised while
+    a trial is drawn is raised here, and closing the generator early waits
+    for the draw under way.
     """
     sources = list(sources)
     if snapshot_count <= len(sources):
         raise ValueError("snapshot_count must exceed the number of sources")
     if noise_power < 0:
         raise ValueError("noise_power must be >= 0")
-    rng = np.random.default_rng(seed)
     t_count, n = snapshot_count, geom.num_elements
-    x = np.zeros((t_count, n), dtype=complex)
-    fc = grid.center_hz
-    for p in sources:
-        a = np.exp(-2j * np.pi * fc * spherical_delays(geom, p))
-        symbols = (rng.standard_normal(t_count) + 1j * rng.standard_normal(t_count)) / np.sqrt(2)
-        x += symbols[:, None] * a[None, :]
-    if noise_power > 0:
-        noise = (rng.standard_normal((t_count, n)) + 1j * rng.standard_normal((t_count, n)))
-        x += np.sqrt(noise_power / 2) * noise
+    steering = [np.exp(-2j * np.pi * grid.center_hz * spherical_delays(geom, p)) for p in sources]
+    symbols = np.empty((len(sources), 2, t_count))
+    noise = np.empty((2, t_count, n)) if noise_power > 0 else None
+    noise_scale = np.sqrt(noise_power / 2)
+    x = np.empty((t_count, n), dtype=complex)
+    failed = []
+
+    def draw(seed):
+        try:
+            _draw_trial(seed, symbols, noise)
+        except BaseException as exc:  # re-raised on the caller's thread
+            failed.append(exc)
+
+    drawn = False  # a trial's draws wait in symbols and noise
+    for seed in seeds:
+        if not drawn:
+            _draw_trial(seed, symbols, noise)
+            drawn = True
+            continue
+        _assemble(steering, symbols, noise, noise_scale, x)
+        helper = threading.Thread(target=draw, args=(seed,))
+        helper.start()
+        try:
+            yield x
+        finally:
+            helper.join()
+        if failed:
+            raise failed.pop()
+    if drawn:
+        _assemble(steering, symbols, noise, noise_scale, x)
+        yield x
+
+
+def collect_snapshots(
+    geom: ArrayGeometry,
+    grid: CarrierGrid,
+    sources,
+    snapshot_count: int,
+    noise_power: float,
+    seed,
+) -> np.ndarray:
+    """Rows are snapshots: x_t = sum_s s_{s,t} a_{M/2}(p_s) + n_t.
+
+    Source symbols are unit-power circular complex; noise is circular complex
+    with the given power per antenna. One np.random.default_rng(seed) stream
+    draws each source's T real then T imaginary symbol parts, then the T x N
+    real and the T x N imaginary noise parts (no noise draw at power 0).
+    snapshot_trials with one seed: the draw and the assembly run on the
+    caller's thread.
+    """
+    (x,) = snapshot_trials(geom, grid, sources, snapshot_count, noise_power, [seed])
     return x
 
 

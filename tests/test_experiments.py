@@ -133,6 +133,57 @@ def test_music_trials_do_not_depend_on_trial_count_or_passes(tmp_path, monkeypat
     assert music_rows(10, "ten-split") == ten
 
 
+def test_music_trial_bases_equal_serial_draws(tmp_path, monkeypatch):
+    # each trial's next draw runs on a helper thread while the caller takes
+    # the trial's subspace; every basis must still be the bits of drawing
+    # and reducing its trial alone, in trial order
+    cfg = load_config(str(PKG_ROOT / "configs" / "music_vs_wavenumber.yaml"))
+    subspace, bases = music.snapshot_subspace, []
+
+    def kept(x, k):
+        bases.append(subspace(x, k))
+        return bases[-1]
+
+    monkeypatch.setattr(experiments, "snapshot_subspace", kept)
+    run_experiment(cfg, tmp_path / "out")
+    msec = cfg.section("music")
+    want = [
+        music.snapshot_subspace(
+            music.collect_snapshots(
+                cfg.ula, cfg.carrier, [target], msec["snapshot_count"], msec["noise_power_w"],
+                np.random.SeedSequence((cfg.seed, k, tr)),
+            ),
+            1,
+        ).tobytes()
+        for k, target in enumerate(cfg.targets)
+        for tr in range(cfg.trials)
+    ]
+    assert [b.tobytes() for b in bases] == want
+
+
+@pytest.mark.parametrize(
+    "name, module, knob, value",
+    [
+        ("rmse_vs_snr.yaml", experiments, "_TRIAL_BLOCK", 1),
+        ("rmse_vs_snr.yaml", experiments, "_TRIAL_BLOCK", 3),
+        ("rmse_vs_snr.yaml", experiments, "_TRIAL_BLOCK", 64),
+        ("music_vs_wavenumber.yaml", music, "_SEARCH_BLOCK", 1),
+        ("music_vs_wavenumber.yaml", music, "_SEARCH_BLOCK", 5),
+    ],
+)
+def test_batching_knobs_leave_the_csvs_unchanged(tmp_path, monkeypatch, name, module, knob, value):
+    # how many trials are formed or searched together must not reach a byte
+    cfg = load_config(str(PKG_ROOT / "configs" / name))
+
+    def csvs(tag):
+        result = run_experiment(cfg, tmp_path / tag)
+        return {f: (tmp_path / tag / f).read_bytes() for f in result.csv_files}
+
+    default = csvs("default")
+    monkeypatch.setattr(module, knob, value)
+    assert csvs("knob") == default
+
+
 def test_shipped_music_run_never_falls_back_to_eigh(tmp_path, monkeypatch):
     # at the shipped SNR the signal subspace is far from the noise floor, so
     # subspace iteration converges for every trial without a full eigh

@@ -1,5 +1,6 @@
 """Subspace localization: covariance statistics, spectra, peak picking."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -135,6 +136,88 @@ def test_collect_snapshots_validation_and_determinism():
     x0 = collect_snapshots(geom, GRID1, [p], 16, 0.02, seed=21)
     x1 = collect_snapshots(geom, GRID1, [p], 16, 0.02, seed=21)
     assert np.array_equal(x0, x1)
+
+
+def snapshots_oracle(geom, grid, sources, snapshot_count, noise_power, seed):
+    """collect_snapshots as it was written with complex temporaries: the reference."""
+    sources = list(sources)
+    rng = np.random.default_rng(seed)
+    t_count, n = snapshot_count, geom.num_elements
+    x = np.zeros((t_count, n), dtype=complex)
+    fc = grid.center_hz
+    for p in sources:
+        a = np.exp(-2j * np.pi * fc * spherical_delays(geom, p))
+        symbols = (rng.standard_normal(t_count) + 1j * rng.standard_normal(t_count)) / np.sqrt(2)
+        x += symbols[:, None] * a[None, :]
+    if noise_power > 0:
+        noise = (rng.standard_normal((t_count, n)) + 1j * rng.standard_normal((t_count, n)))
+        x += np.sqrt(noise_power / 2) * noise
+    return x
+
+
+@st.composite
+def snapshot_cases(draw):
+    t_count = draw(st.integers(2, 300))
+    sources = [
+        PolarPoint(draw(st.floats(0.3, 30.0)), draw(st.floats(0.05, np.pi - 0.05)))
+        for _ in range(draw(st.integers(1, min(2, t_count - 1))))
+    ]
+    seed = draw(st.one_of(
+        st.integers(0, 2**63),
+        st.tuples(st.integers(0, 2**31), st.integers(0, 9)).map(np.random.SeedSequence),
+    ))
+    noise = draw(st.sampled_from([0.0, 1e-4, 1.0]))
+    return ArrayGeometry.ula(draw(st.integers(2, 300)), WL / 2), sources, t_count, noise, seed
+
+
+@given(snapshot_cases())
+@settings(max_examples=100, deadline=None)
+def test_collect_snapshots_keep_the_bits_of_complex_temporaries(case):
+    # drawing into reused buffers and assembling in place must draw the same
+    # stream and round every sum and product as the complex expression did,
+    # alone and as each trial of a pipelined sequence
+    geom, sources, t_count, noise, seed = case
+    want = snapshots_oracle(geom, GRID1, sources, t_count, noise, seed)
+    assert collect_snapshots(geom, GRID1, sources, t_count, noise, seed).tobytes() == want.tobytes()
+    seeds = [seed, 7, seed]
+    got = [x.tobytes() for x in music.snapshot_trials(geom, GRID1, sources, t_count, noise, seeds)]
+    assert got == [snapshots_oracle(geom, GRID1, sources, t_count, noise, s).tobytes() for s in seeds]
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def test_snapshot_trials_draw_on_one_helper_and_leave_no_thread(monkeypatch):
+    geom, p = ArrayGeometry.ula(16, WL / 2), PolarPoint(1.0, 1.0)
+    start = threading.active_count()
+    draw_trial = music._draw_trial
+    alive = []
+
+    def counted(seed, symbols, noise):
+        alive.append(threading.active_count() - start)
+        if seed == "fail":
+            raise DrawFailed(seed)
+        draw_trial(seed, symbols, noise)
+
+    monkeypatch.setattr(music, "_draw_trial", counted)
+    assert len(list(music.snapshot_trials(geom, GRID1, [p], 8, 0.1, range(6)))) == 6
+    # the first trial is drawn on the caller's thread, the rest on one helper
+    assert alive == [0, 1, 1, 1, 1, 1]
+    assert threading.active_count() == start
+    # a failed draw raises its own error on the caller's thread, first or not
+    for seeds in (["fail", 1], [0, 1, "fail", 3]):
+        with pytest.raises(DrawFailed):
+            for _ in music.snapshot_trials(geom, GRID1, [p], 8, 0.1, seeds):
+                pass
+        assert threading.active_count() == start
+    # a consumer that stops while the next trial is drawn waits for that draw
+    trials = music.snapshot_trials(geom, GRID1, [p], 8, 0.1, range(6))
+    next(trials)
+    assert threading.active_count() <= start + 1
+    trials.close()
+    assert threading.active_count() == start
+    assert max(alive) == 1
 
 
 def test_flat_spectrum_plateau_yields_single_boundary_peak():
