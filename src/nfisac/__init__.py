@@ -38,10 +38,8 @@ from .music import (
     collect_snapshots,
     music_localize,
     music_peaks,
-    music_spectra,
     music_spectrum,
     sample_covariance,
-    signal_subspace,
     single_source_peaks,
     snapshot_subspace,
 )
@@ -91,14 +89,12 @@ __all__ = [
     "kalman_predict_update",
     "music_localize",
     "music_peaks",
-    "music_spectra",
     "music_spectrum",
     "near_field_steering",
     "polar_codeword",
     "predict_arc",
     "rayleigh_distance",
     "sample_covariance",
-    "signal_subspace",
     "single_source_peaks",
     "snapshot_subspace",
     "squint_deviation",

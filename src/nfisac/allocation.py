@@ -1,11 +1,11 @@
 """Subcarrier partitioning and power allocation for joint sensing and comms.
 
-Sensing reserves a small set of subcarriers whose beam-trajectory angles
-uniformly cover a requested arc, each at a fixed minimum power; every other
-subcarrier goes to the user with the best gain on it and the remaining power
-is water-filled to maximize the communication sum rate. partition_and_allocate
-plans a whole stack of channel draws at once, a single draw being a stack of
-one.
+Sensing reserves a small set of subcarriers spread evenly over the band, so
+their beam-trajectory angles cover the sensed arc uniformly, each at a fixed
+minimum power; every other subcarrier goes to the user with the best gain on
+it and the remaining power is water-filled to maximize the communication sum
+rate. partition_and_allocate plans a whole stack of channel draws at once, a
+single draw being a stack of one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .delay_phase import Arc
 from .errors import InfeasibleAllocationError
 
 # relative tolerance of water_fill's water level and of the budget it spends
@@ -24,9 +23,8 @@ _REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SensingRequirement:
-    """Arc to cover, how many subcarriers to reserve, and their floor power."""
+    """How many subcarriers sensing reserves, and their floor power."""
 
-    arc: Arc
     min_subcarriers: int
     min_power_w: float
 

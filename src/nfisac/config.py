@@ -101,7 +101,7 @@ EXPERIMENT_SECTIONS: Dict[str, Dict[str, tuple]] = {
         "optional": (),
     },
     "rate-vs-sensing-budget": {
-        "required": _COMMON + ("carrier", "arc", "allocation", "users"),
+        "required": _COMMON + ("carrier", "allocation", "users"),
         "optional": (),
     },
 }

@@ -446,7 +446,6 @@ def run_rmse_vs_snr(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
 def run_rate_vs_sensing_budget(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     grid = cfg.carrier
-    arc = cfg.arc
     asec = cfg.section("allocation")
     usec = cfg.section("users")
     num_m = grid.num_subcarriers
@@ -468,7 +467,7 @@ def run_rate_vs_sensing_budget(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     for c in counts:
         rates = base
         if c != 0:
-            sreq = SensingRequirement(arc, c, p_min)
+            sreq = SensingRequirement(c, p_min)
             rates = partition_and_allocate(gains, sreq, total_power, noise_power).rates.tolist()
         # summed in trial order, as one trial at a time would
         sums[c] = 0.0

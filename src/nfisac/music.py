@@ -4,15 +4,18 @@ The spherical-wavefront manifold depends on range as well as angle below the
 near/far boundary, so scanning the MUSIC spectrum over a polar grid estimates
 both jointly. The number of sources is an input; no model-order selection.
 
-With one source the spectrum 1 / (N - |e^H a|^2) grows with the beam gain
-|e^H a| of the signal basis e, so its peak is a focal point of w = e:
-single_source_peaks finds it with focal_points' certified grid search
-(squint.screened_argmax) and builds no spectrum. It compares the spectrum
-value itself, as music_spectra computes it, and breaks exact ties toward the
-smaller range, then the smaller angle, so its peak is music_peaks' first, bit
-for bit. With more sources the spectrum is built (music_spectra) and its
-local maxima ranked (music_peaks): a bound on the global maximum cannot
-certify the second-largest local maximum.
+The shipped path has one source per trial: snapshot_trials draws the
+snapshots, snapshot_subspace takes their signal basis e without forming the
+covariance, and single_source_peaks finds the peak of 1 / (N - |e^H a|^2).
+That spectrum grows with the beam gain |e^H a|, so its peak is a focal point
+of w = e, found by focal_points' certified grid search
+(squint.screened_argmax) without building the spectrum, bit for bit
+music_peaks' first peak of music_spectrum (see single_source_peaks).
+
+Beside it stands the textbook oracle: music_localize takes a covariance's
+top-k eigenvectors, music_spectrum evaluates their spectrum over the whole
+grid, and music_peaks ranks its local maxima (a bound on the global maximum
+cannot certify the second-largest local maximum).
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
 from .squint import screened_argmax
 
-# spectrum entries (signal bases x grid points) that one steering pass serves
-_PASS_ENTRIES = 2_000_000
 # one-source bases whose peaks one screened search finds together: each
 # steering pass costs about as much Python overhead as a dozen bases'
 # products, so passes are shared widely; the search's saved gains grow with
@@ -62,70 +63,41 @@ class SampleCovariance:
         object.__setattr__(self, "matrix", r)
 
 
-def _top_subspace(apply, start: np.ndarray, k: int, covariance) -> np.ndarray:
-    """Orthonormal N x k basis of a Hermitian PSD matrix R's top-k eigenspace.
-
-    apply(V) returns R V, start holds k columns of R, and covariance() builds
-    R itself. Block subspace iteration V <- qr(R V) starts from qr(start) and
-    stops once the residual ||R V - V (V^H R V)|| falls under _SUBSPACE_TOL
-    times ||V^H R V||; a subspace that has not converged within
-    _SUBSPACE_ITERATIONS (eigenvalues k and k+1 too close, as at low SNR)
-    comes from np.linalg.eigh(covariance()) instead. The basis differs from
-    eigh's, but the projector V V^H, all MUSIC reads, agrees to rounding.
-    """
-    n = start.shape[0]
+def _covariance_basis(cov: SampleCovariance, k: int) -> np.ndarray:
+    """The covariance's top-k eigenvectors, as np.linalg.eigh orders them: its signal basis."""
+    n = cov.matrix.shape[0]
     if not 0 < k < n:
         raise ValueError("num_sources must lie in 1..N-1")
-    v = np.linalg.qr(start)[0]
-    for _ in range(_SUBSPACE_ITERATIONS):
-        w = apply(v)
-        h = v.conj().T @ w
-        if np.linalg.norm(w - v @ h) <= _SUBSPACE_TOL * np.linalg.norm(h):
-            return v
-        v = np.linalg.qr(w)[0]
-    return np.linalg.eigh(covariance())[1][:, n - k:]
-
-
-def signal_subspace(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Top-k eigenspace basis of a Hermitian PSD matrix R; see _top_subspace.
-
-    The iteration starts from the k columns of R with the largest diagonal
-    (ties to the smaller index), so the result depends on R alone.
-    """
-    r = np.asarray(matrix)
-    start = np.argsort(-r.diagonal().real, kind="stable")[:k]
-    return _top_subspace(lambda v: r @ v, r[:, start], k, lambda: r)
+    return np.linalg.eigh(cov.matrix)[1][:, n - k:]
 
 
 def snapshot_subspace(snapshots: np.ndarray, k: int) -> np.ndarray:
     """Top-k eigenspace basis of the sample covariance of row-snapshots X (T x N).
 
-    The same iteration as signal_subspace on R = X^T conj(X) / T, with R
+    Block subspace iteration V <- qr(R V) on R = X^T conj(X) / T, with R
     applied through X, R V = X^T conj(X conj(V)) / T, and never formed. It
     starts from the k columns of R whose sum_t |x_tj|^2 is largest (ties to
-    the smaller index). Only a subspace that does not converge builds
-    sample_covariance(X), so its eigh has the bits of the covariance path's
-    fallback.
+    the smaller index) and stops once the residual ||R V - V (V^H R V)||
+    falls under _SUBSPACE_TOL times ||V^H R V||. A subspace that has not
+    converged within _SUBSPACE_ITERATIONS (eigenvalues k and k+1 too close,
+    as at low SNR) is music_localize's eigh basis of sample_covariance(X), so
+    it has the covariance path's bits. A converged basis differs from eigh's,
+    but the projector V V^H, all MUSIC reads, agrees to rounding.
     """
     x = np.asarray(snapshots, dtype=complex)
-    t_count = x.shape[0]
+    t_count, n = x.shape
+    if not 0 < k < n:
+        raise ValueError("num_sources must lie in 1..N-1")
     power = (x.real ** 2 + x.imag ** 2).sum(axis=0)
     start = np.argsort(-power, kind="stable")[:k]
-    return _top_subspace(
-        lambda v: x.T @ (x @ v.conj()).conj() / t_count,
-        x.T @ x[:, start].conj() / t_count,
-        k,
-        lambda: sample_covariance(x).matrix,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class MusicSpectrum:
-    """1 / ||E_n^H a||^2 over a polar grid; larger = closer to the manifold."""
-
-    values: np.ndarray  # (num_angles, num_ranges)
-    grid: PolarGrid
-    num_sources: int
+    v = np.linalg.qr(x.T @ x[:, start].conj() / t_count)[0]
+    for _ in range(_SUBSPACE_ITERATIONS):
+        w = x.T @ (x @ v.conj()).conj() / t_count
+        h = v.conj().T @ w
+        if np.linalg.norm(w - v @ h) <= _SUBSPACE_TOL * np.linalg.norm(h):
+            return v
+        v = np.linalg.qr(w)[0]
+    return _covariance_basis(sample_covariance(x), k)
 
 
 def _draw_trial(seed, symbols: np.ndarray, noise) -> None:
@@ -255,48 +227,25 @@ def sample_covariance(snapshots: np.ndarray) -> SampleCovariance:
     return SampleCovariance(r)
 
 
-def music_spectra(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: PolarGrid):
-    """Yield the MUSIC spectrum of each signal basis in bases, in order.
+def music_spectrum(basis: np.ndarray, geom: ArrayGeometry, grid: CarrierGrid, pg: PolarGrid) -> np.ndarray:
+    """1 / ||E_n^H a||^2 over the polar grid for one signal basis, as (angles x ranges).
 
-    Each basis is an orthonormal N x k basis of a signal subspace, k being
-    the spectrum's num_sources, as signal_subspace and snapshot_subspace
-    return it. Spectra are evaluated on the polar grid at the center
-    frequency, using ||E_n^H a||^2 = N - ||E_s^H a||^2 so only the small
-    signal subspace is projected. bases may be any iterable, such as a
-    generator of trials. One steering pass over the grid serves up to
-    _PASS_ENTRIES // grid-size bases, so the spectra of a pass hold at most
-    _PASS_ENTRIES floats (16 MB), whatever the number of bases. Each basis is
-    projected with its own product, so its spectrum has the same bits as when
-    it is evaluated alone.
+    basis is an orthonormal N x k basis E_s of a signal subspace, k being the
+    number of sources. The spectrum is evaluated at the center frequency
+    with one steering pass over the grid, using ||E_n^H a||^2 =
+    N - ||E_s^H a||^2 so only the small signal subspace is projected; the
+    denominator is floored at the smallest normal float. Larger values lie
+    closer to the manifold.
     """
     rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
     taus = (rr / C).ravel()
     cosines = np.cos(aa).ravel()
-    batch = max(1, _PASS_ENTRIES // taus.size)
-    bases = iter(bases)
-    while True:
-        conj = [np.conj(es) for es in itertools.islice(bases, batch)]
-        if not conj:
-            return
-        den = np.empty((len(conj), taus.size), dtype=float)
-        for lo, hi, (a,) in steering_chunks(geom, CarrierGrid(grid.center_hz, 1, 0.0), taus, cosines):
-            for row, es_conj in zip(den, conj):
-                proj = gains(a, es_conj) ** 2
-                row[lo:hi] = es_conj.shape[0] - proj.sum(axis=1)
-        den = np.maximum(den, np.finfo(float).tiny)
-        for row, es_conj in zip(den, conj):
-            yield MusicSpectrum((1.0 / row).reshape(pg.shape), pg, es_conj.shape[1])
-
-
-def music_spectrum(
-    cov: SampleCovariance,
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    pg: PolarGrid,
-    num_sources: int,
-) -> MusicSpectrum:
-    """The MUSIC spectrum of one covariance's signal_subspace; see music_spectra."""
-    return next(music_spectra([signal_subspace(cov.matrix, num_sources)], geom, grid, pg))
+    es_conj = np.conj(basis)
+    den = np.empty(taus.size)
+    for lo, hi, (a,) in steering_chunks(geom, CarrierGrid(grid.center_hz, 1, 0.0), taus, cosines):
+        proj = gains(a, es_conj) ** 2
+        den[lo:hi] = es_conj.shape[0] - proj.sum(axis=1)
+    return (1.0 / np.maximum(den, np.finfo(float).tiny)).reshape(pg.shape)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -309,13 +258,13 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return peak
 
 
-def music_peaks(spec: MusicSpectrum) -> list:
-    """The spectrum's num_sources largest local maxima, sorted by peak height.
+def music_peaks(values: np.ndarray, pg: PolarGrid, num_sources: int) -> list:
+    """The num_sources largest local maxima of a spectrum over pg, sorted by peak height.
 
-    Ties break toward smaller range. A peak on the grid boundary triggers a
-    BoundaryPeakWarning, since the true maximum may lie outside the grid.
+    Ties break toward smaller range, then smaller angle. A peak on the grid
+    boundary triggers a BoundaryPeakWarning, since the true maximum may lie
+    outside the grid.
     """
-    values, pg = spec.values, spec.grid
     mask = _local_maxima(values)
     ia, ir = np.nonzero(mask)
     if ia.size == 0:
@@ -324,7 +273,7 @@ def music_peaks(spec: MusicSpectrum) -> list:
         range(ia.size),
         key=lambda k: (-values[ia[k], ir[k]], pg.ranges_m[ir[k]], pg.angles_rad[ia[k]]),
     )
-    return [_grid_peak(pg, int(ia[k]), int(ir[k])) for k in order[:spec.num_sources]]
+    return [_grid_peak(pg, int(ia[k]), int(ir[k])) for k in order[:num_sources]]
 
 
 def _grid_peak(pg: PolarGrid, a_i: int, r_i: int) -> PolarPoint:
@@ -343,18 +292,19 @@ def single_source_peaks(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: Polar
     """Yield (peak, value) for each one-source basis in bases, in order.
 
     Each basis is an orthonormal N x 1 signal basis e, as
-    snapshot_subspace(X, 1) returns it. peak is music_peaks(spec)[0] and
-    value spec's value there, for spec the basis's music_spectra spectrum,
-    and a peak on the grid boundary warns the same way; but no spectrum is
-    built. The peak is the grid argmax of the spectrum value
-    1 / max(N - |e^H a|^2, tiny), computed with music_spectra's steering
-    rows and products at the center frequency (direct rows only: a
-    mirrored product would move the low bits), ties to the smaller range,
-    then the smaller angle. That point is a local maximum under music_peaks'
-    plateau rule and the first it ranks. squint.screened_argmax finds it
-    with its certified range screen: up to _SEARCH_BLOCK bases are columns
-    of one search, each with its own products and running best, so a peak
-    depends neither on the order of bases nor on which share its search.
+    snapshot_subspace(X, 1) returns it. peak is
+    music_peaks(music_spectrum(e, geom, grid, pg), pg, 1)[0] and value the
+    spectrum's value there, and a peak on the grid boundary warns the same
+    way; but no spectrum is built. The peak is the grid argmax of the
+    spectrum value 1 / max(N - |e^H a|^2, tiny), computed with
+    music_spectrum's steering rows and products at the center frequency
+    (direct rows only: a mirrored product would move the low bits), ties to
+    the smaller range, then the smaller angle. That point is a local maximum
+    under music_peaks' plateau rule and the first it ranks.
+    squint.screened_argmax finds it with its certified range screen: up to
+    _SEARCH_BLOCK bases are columns of one search, each with its own products
+    and running best, so a peak depends neither on the order of bases nor on
+    which share its search.
     """
     center = CarrierGrid(grid.center_hz, 1, 0.0)
     no_delays = np.zeros(geom.num_elements)
@@ -379,5 +329,5 @@ def music_localize(
     pg: PolarGrid,
     num_sources: int,
 ) -> list:
-    """Peaks of one covariance's MUSIC spectrum; see music_peaks."""
-    return music_peaks(music_spectrum(cov, geom, grid, pg, num_sources))
+    """music_peaks of the music_spectrum of cov's top num_sources eigenvectors (np.linalg.eigh)."""
+    return music_peaks(music_spectrum(_covariance_basis(cov, num_sources), geom, grid, pg), pg, num_sources)

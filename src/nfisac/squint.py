@@ -106,8 +106,9 @@ def screened_argmax(
     g = sum_n conj(w_bn) exp(-2j pi f_m (tau_n(p) - d_n)), with d = delays_s.
     A column ranks points by |g|^2, or with music by the one-source MUSIC
     spectrum 1 / max(N - |g|^2, tiny) of a unit-norm signal basis w_b,
-    computed from |g| as music_spectra computes it. Its best point has the
-    largest value, ties to the smaller range, then the smaller angle.
+    computed from |g| as music.music_spectrum computes it. Its best point
+    has the largest value, ties to the smaller range, then the smaller
+    angle.
     Returns each column's best value, the full-grid index
     range_index * num_angles + angle_index of its best point, and the
     number of gains computed.
@@ -192,7 +193,7 @@ def screened_argmax(
                 idx = np.concatenate([idx, r * n_ang + n_ang - 1 - kc[:jc]])
             np.square(g, out=g)
             if music:
-                # music_spectra's N - |e^H a|^2, floored, then inverted
+                # music_spectrum's N - |e^H a|^2, floored, then inverted
                 np.subtract(n, g, out=g)
                 np.maximum(g, np.finfo(float).tiny, out=g)
                 np.divide(1.0, g, out=g)

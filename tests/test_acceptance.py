@@ -376,8 +376,7 @@ def test_criterion_10_allocation_exactness(capsys):
             [0.6, 0.9, 1.2, 0.7, 1.1, 0.8],
         ]
     )
-    arc = Arc(1.0471975511965976, 1.3962634015954636, 20.0)
-    sreq = SensingRequirement(arc, 2, 1.0)
+    sreq = SensingRequirement(2, 1.0)
     total, noise = 12.0, 1.0
     rate = float(partition_and_allocate(gains, sreq, total, noise).rates)
 

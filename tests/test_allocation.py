@@ -12,10 +12,8 @@ from nfisac.allocation import (
     sensing_subcarriers,
     water_fill,
 )
-from nfisac.delay_phase import Arc
 from nfisac.errors import InfeasibleAllocationError
 
-ARC = Arc(1.0471975511965976, 1.3962634015954636, 20.0)
 
 # two users on six subcarriers; small enough to brute-force every assignment
 TOY_GAINS = np.array(
@@ -197,7 +195,7 @@ def test_partition_matches_exhaustive_assignment_search():
     # fix the sensing set the partitioner would pick, then try every
     # user-per-subcarrier assignment with optimal (closed form) water-filled
     # power; the shipped greedy-plus-bisection rate must match the best
-    sreq = SensingRequirement(ARC, 2, 1.0)
+    sreq = SensingRequirement(2, 1.0)
     total, noise = 12.0, 1.0
     out = partition_and_allocate(TOY_GAINS, sreq, total, noise)
 
@@ -217,14 +215,14 @@ def test_partition_matches_exhaustive_assignment_search():
 
 
 def test_partition_reserves_floor_power_on_sensing_set():
-    out = partition_and_allocate(TOY_GAINS, SensingRequirement(ARC, 2, 1.5), 12.0, 1.0)
+    out = partition_and_allocate(TOY_GAINS, SensingRequirement(2, 1.5), 12.0, 1.0)
     assert out.sensing.tolist() == [0, 5]
     for m in out.sensing:
         assert out.powers_w[m] == pytest.approx(1.5)
     assert out.powers_w.sum() == pytest.approx(12.0)
     assert out.comm.tolist() == [1, 2, 3, 4]
     # with no users only the sensing floor is allocated, and the rate is 0
-    alone = partition_and_allocate(np.zeros((0, 6)), SensingRequirement(ARC, 2, 1.5), 12.0, 1.0)
+    alone = partition_and_allocate(np.zeros((0, 6)), SensingRequirement(2, 1.5), 12.0, 1.0)
     assert float(alone.rates) == 0.0
     assert alone.powers_w.tolist() == [1.5, 0.0, 0.0, 0.0, 0.0, 1.5]
 
@@ -237,7 +235,7 @@ def test_equal_gains_go_to_lowest_user_id():
 
 
 def test_infeasible_when_budget_not_above_sensing_floor():
-    sreq = SensingRequirement(ARC, 2, 1.0)
+    sreq = SensingRequirement(2, 1.0)
     with pytest.raises(InfeasibleAllocationError, match="sensing"):
         partition_and_allocate(TOY_GAINS[:1], sreq, 2.0, 1.0)
 
@@ -245,13 +243,13 @@ def test_infeasible_when_budget_not_above_sensing_floor():
 def test_sum_rate_never_increases_with_sensing_count():
     rates = []
     for k_s in [0, 1, 2, 3]:
-        sreq = SensingRequirement(ARC, k_s, 1.0) if k_s else None
+        sreq = SensingRequirement(k_s, 1.0) if k_s else None
         rates.append(float(partition_and_allocate(TOY_GAINS, sreq, 12.0, 1.0).rates))
     assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def test_sum_rate_nondecreasing_in_total_power():
-    sreq = SensingRequirement(ARC, 2, 1.0)
+    sreq = SensingRequirement(2, 1.0)
     rates = [float(partition_and_allocate(TOY_GAINS, sreq, p, 1.0).rates) for p in [3.0, 6.0, 12.0, 24.0]]
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nfisac.arrays as arrays
-import nfisac.music as music
 import nfisac.squint as squint
 from nfisac.arrays import (
     ArrayGeometry,
@@ -24,7 +23,7 @@ from nfisac.arrays import (
 )
 from nfisac.codebook import Beamformer, PolarGrid, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
-from nfisac.music import collect_snapshots, music_spectra, music_spectrum, sample_covariance, signal_subspace
+from nfisac.music import collect_snapshots, music_spectrum, sample_covariance
 from nfisac.squint import focal_points
 
 FC = 3.0e11
@@ -304,15 +303,10 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         return arrays.steering_chunks(geom, grid, taus, *args)
 
     def spectra(num_sources):
-        # one covariance at a time, then batched from a generator of their
-        # signal bases: with `rows` set, a pass over the 63-point grid serves
-        # 1 (rows 2, 3), 2 (rows 5) or 3 (rows 7) of the 5 bases, so the batch
-        # splits into several passes, each a steering pass split into chunks
-        # of `rows` rows
-        single = [music_spectrum(c, geom, grid, music_pg, num_sources).values for c in covs]
-        bases = (signal_subspace(c.matrix, num_sources) for c in covs)
-        batched = music_spectra(bases, geom, grid, music_pg)
-        return np.array(single), np.array([s.values for s in batched])
+        # one spectrum per covariance's top eigenvectors: a steering pass over
+        # the 63-point grid, split into chunks of `rows` rows
+        bases = [np.linalg.eigh(c.matrix)[1][:, -num_sources:] for c in covs]
+        return np.array([music_spectrum(e, geom, grid, music_pg) for e in bases])
 
     # symmetric angle axes, where focal_points reads the angles past pi/2
     # through reversed weights. A broadside codeword whose weights equal their
@@ -346,16 +340,12 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         focal_points(geom, grid, w_tie, screen_pg)
     assert len(screen_passes) == 2 and min(screen_passes) > 8
     monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", rows * geom.num_elements)
-    monkeypatch.setattr(music, "_PASS_ENTRIES", rows * geom.num_elements)
     c_gains, c_spectrum, c_trajs = evaluate()
 
     assert np.array_equal(c_gains, gains)
     for k in (1, 2):
-        single, batched = spectrum[k]
-        assert single.shape == (len(covs), *music_pg.shape)
-        assert np.array_equal(batched, single)
-        assert np.array_equal(c_spectrum[k][0], single)
-        assert np.array_equal(c_spectrum[k][1], single)
+        assert spectrum[k].shape == (len(covs), *music_pg.shape)
+        assert np.array_equal(c_spectrum[k], spectrum[k])
     for traj, c_traj in zip(trajs, c_trajs):
         assert np.array_equal(c_traj.gains, traj.gains)
         assert c_traj.points == traj.points

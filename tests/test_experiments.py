@@ -36,7 +36,6 @@ SPREAD = {
 RATE = {
     "experiment": {"name": "rate-vs-sensing-budget", "seed": 5, "trials": 4},
     "carrier": {"center_hz": 3.0e11, "num_subcarriers": 17, "spacing_hz": 4.6875e8},
-    "arc": {"theta_start_rad": 1.0, "theta_end_rad": 1.4, "range_m": 20.0},
     "allocation": {
         "total_power_w": 100.0,
         "noise_power_w": 1.0,
@@ -161,6 +160,12 @@ def test_music_trial_bases_equal_serial_draws(tmp_path, monkeypatch):
     assert [b.tobytes() for b in bases] == want
 
 
+def _chunk_entries(name, rows, extra=0):
+    """arrays._CHUNK_ENTRIES giving chunks of `rows` rows of the config's linear array, plus extra entries."""
+    raw = yaml.safe_load((PKG_ROOT / "configs" / name).read_text())
+    return rows * raw["array"]["ula"]["num_elements"] + extra
+
+
 @pytest.mark.parametrize(
     "name, module, knob, value",
     [
@@ -169,10 +174,16 @@ def test_music_trial_bases_equal_serial_draws(tmp_path, monkeypatch):
         ("rmse_vs_snr.yaml", experiments, "_TRIAL_BLOCK", 64),
         ("music_vs_wavenumber.yaml", music, "_SEARCH_BLOCK", 1),
         ("music_vs_wavenumber.yaml", music, "_SEARCH_BLOCK", 5),
+    ]
+    + [
+        (name, arrays, "_CHUNK_ENTRIES", _chunk_entries(name, rows, extra))
+        for name in ("squint_deviation.yaml", "music_vs_wavenumber.yaml", "rmse_vs_snr.yaml")
+        for rows, extra in ((3, 0), (64, 7))
     ],
 )
 def test_batching_knobs_leave_the_csvs_unchanged(tmp_path, monkeypatch, name, module, knob, value):
-    # how many trials are formed or searched together must not reach a byte
+    # how many trials are formed or searched together, and how many steering
+    # rows one chunk holds, must not reach a byte
     cfg = load_config(str(PKG_ROOT / "configs" / name))
 
     def csvs(tag):
@@ -263,12 +274,12 @@ def test_shipped_music_run_searches_without_the_spectrum(tmp_path, monkeypatch):
     # is built, and the search steers at most 1 200 of the grid's 10 860
     # points per target, where the spectra steered all of them
     cfg = load_config(str(PKG_ROOT / "configs" / "music_vs_wavenumber.yaml"))
-    spectra, chunks = music.music_spectra, arrays.steering_chunks
+    spectrum, chunks = music.music_spectrum, arrays.steering_chunks
     calls, rows = [], []
 
-    def counted_spectra(*args, **kwargs):
+    def counted_spectrum(*args, **kwargs):
         calls.append(args)
-        return spectra(*args, **kwargs)
+        return spectrum(*args, **kwargs)
 
     def counted_chunks(geom, grid, taus, *args, **kwargs):
         rows.append(taus.size)
@@ -277,8 +288,8 @@ def test_shipped_music_run_searches_without_the_spectrum(tmp_path, monkeypatch):
     # every package module that imported either function by name
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("nfisac"):
-            if getattr(mod, "music_spectra", None) is spectra:
-                monkeypatch.setattr(mod, "music_spectra", counted_spectra)
+            if getattr(mod, "music_spectrum", None) is spectrum:
+                monkeypatch.setattr(mod, "music_spectrum", counted_spectrum)
             if getattr(mod, "steering_chunks", None) is chunks:
                 monkeypatch.setattr(mod, "steering_chunks", counted_chunks)
     run_experiment(cfg, tmp_path / "out")
@@ -418,7 +429,7 @@ def per_trial_rate_csv(cfg, path):
         for c in counts:
             rate = base
             if c:
-                rate = float(partition_and_allocate(gains, SensingRequirement(cfg.arc, c, p_min), total, noise).rates)
+                rate = float(partition_and_allocate(gains, SensingRequirement(c, p_min), total, noise).rates)
             sums[c] += rate
             ratios[c].append(rate / base)
     rows = [(c, sums[c] / cfg.trials, min(ratios[c]), sum(ratios[c]) / len(ratios[c])) for c in counts]

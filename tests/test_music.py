@@ -17,10 +17,8 @@ from nfisac.music import (
     collect_snapshots,
     music_localize,
     music_peaks,
-    music_spectra,
     music_spectrum,
     sample_covariance,
-    signal_subspace,
     single_source_peaks,
     snapshot_subspace,
 )
@@ -28,6 +26,11 @@ from nfisac.music import (
 FC = 3.0e11
 WL = C / FC
 GRID1 = CarrierGrid(FC, 1, 0.0)
+
+
+def eigh_basis(cov, k):
+    """cov's top-k eigenvectors from a full eigh: the textbook signal basis."""
+    return np.linalg.eigh(cov.matrix)[1][:, -k:]
 
 
 def test_sample_covariance_converges_to_model():
@@ -83,10 +86,9 @@ def test_num_sources_must_be_below_element_count():
     x = collect_snapshots(geom, GRID1, [PolarPoint(1.0, 1.0)], 32, 0.01, seed=1)
     cov = sample_covariance(x)
     pg = PolarGrid(np.linspace(0.9, 1.1, 5), np.array([1.0]))
-    with pytest.raises(ValueError, match="1..N-1"):
-        music_spectrum(cov, geom, GRID1, pg, 16)
-    with pytest.raises(ValueError, match="1..N-1"):
-        music_spectrum(cov, geom, GRID1, pg, 0)
+    for k in (0, 16):
+        with pytest.raises(ValueError, match="1..N-1"):
+            music_localize(cov, geom, GRID1, pg, k)
     for k in (0, 16):
         with pytest.raises(ValueError, match="1..N-1"):
             snapshot_subspace(x, k)
@@ -120,8 +122,8 @@ def test_spectrum_invariant_under_covariance_scaling():
     cov = sample_covariance(x)
     scaled = SampleCovariance(cov.matrix * 3.7)
     pg = PolarGrid(np.linspace(1.1, 1.5, 41), np.geomspace(0.5, 2.0, 21))
-    s0 = music_spectrum(cov, geom, GRID1, pg, 1).values
-    s1 = music_spectrum(scaled, geom, GRID1, pg, 1).values
+    s0 = music_spectrum(eigh_basis(cov, 1), geom, GRID1, pg)
+    s1 = music_spectrum(eigh_basis(scaled, 1), geom, GRID1, pg)
     assert np.argmax(s0) == np.argmax(s1)
     np.testing.assert_allclose(s1, s0, rtol=1e-6)
 
@@ -231,8 +233,9 @@ def test_flat_spectrum_plateau_yields_single_boundary_peak():
     assert len(peaks) == 1
 
 
-# largest relative spectrum difference allowed between the subspace-iteration
-# path and a full eigh; the scenarios below reach about 2e-11
+# largest relative spectrum difference allowed between the snapshot path's
+# subspace iteration and a full eigh; the scenarios below reach 7.2e-9, where
+# the eigengap is 1e-4 of ||R||, and 7.7e-11 elsewhere
 SPECTRUM_RTOL = 1e-8
 DIFF_GEOM = ArrayGeometry.ula(32, WL / 2)
 DIFF_GRID = PolarGrid(np.linspace(1.0, 2.1, 45), np.geomspace(0.3, 3.0, 16))
@@ -256,62 +259,6 @@ def _random_snapshots(count, seed):
         yield k, x
 
 
-def _random_covariances(count, seed):
-    for k, x in _random_snapshots(count, seed):
-        yield k, sample_covariance(x)
-
-
-def _spectra_and_peaks(scenarios):
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryPeakWarning)
-        for k, cov in scenarios:
-            spec = music_spectrum(cov, DIFF_GEOM, GRID1, DIFF_GRID, k)
-            out.append((spec.values, music_peaks(spec)))
-    return out
-
-
-def test_signal_subspace_spectra_match_full_eigh(monkeypatch):
-    # the spectrum reads only the projector onto the signal subspace, so any
-    # orthonormal basis of it gives the same peaks and, to rounding, values
-    scenarios = list(_random_covariances(150, seed=2024))
-    eigh = np.linalg.eigh
-    fallbacks = []
-
-    def counted_eigh(a, *args, **kwargs):
-        fallbacks.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    iterated = _spectra_and_peaks(scenarios)
-    iterated_fallbacks = len(fallbacks)
-    monkeypatch.setattr(music, "_SUBSPACE_ITERATIONS", 1)
-    forced = _spectra_and_peaks(scenarios)
-    forced_fallbacks = len(fallbacks) - iterated_fallbacks
-    monkeypatch.setattr(
-        music, "signal_subspace", lambda r, k: eigh(r)[1][:, r.shape[0] - k:]
-    )
-    reference = _spectra_and_peaks(scenarios)
-
-    # the iteration converged on most scenarios; with a budget of one, every
-    # scenario fell back to eigh
-    assert iterated_fallbacks < len(scenarios) // 4
-    assert forced_fallbacks == len(scenarios)
-    for (it_vals, it_peaks), (fb_vals, fb_peaks), (ref_vals, ref_peaks) in zip(
-        iterated, forced, reference
-    ):
-        assert it_peaks == ref_peaks
-        np.testing.assert_allclose(it_vals, ref_vals, rtol=SPECTRUM_RTOL, atol=0)
-        assert fb_peaks == ref_peaks
-        assert np.array_equal(fb_vals, ref_vals)
-
-
-# largest entry difference allowed between the projectors of the snapshot
-# and covariance paths; the scenarios below reach 6.3e-14, and their spectra
-# differ by at most 3.9e-12 relative, well inside SPECTRUM_RTOL
-PROJECTOR_ATOL = 1e-12
-
-
 def _snapshot_scenarios():
     # (k, snapshots): fewer snapshots than elements, three sources and -15 dB,
     # alone and together, then random draws as in _random_snapshots
@@ -324,29 +271,63 @@ def _snapshot_scenarios():
     return scenarios + list(_random_snapshots(60, seed=77))
 
 
-def _snapshot_spectra_and_peaks(scenarios):
-    bases = (snapshot_subspace(x, k) for k, x in scenarios)
+def _spectra_and_peaks(scenarios):
+    # (spectrum, peaks) of each (k, signal basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryPeakWarning)
-        return [
-            (spec.values, music_peaks(spec))
-            for spec in music_spectra(bases, DIFF_GEOM, GRID1, DIFF_GRID)
-        ]
+        out = []
+        for k, basis in scenarios:
+            values = music_spectrum(basis, DIFF_GEOM, GRID1, DIFF_GRID)
+            out.append((values, music_peaks(values, DIFF_GRID, k)))
+        return out
+
+
+def _snapshot_spectra_and_peaks(scenarios):
+    return _spectra_and_peaks((k, snapshot_subspace(x, k)) for k, x in scenarios)
 
 
 def _covariance_spectra_and_peaks(scenarios):
-    return _spectra_and_peaks((k, sample_covariance(x)) for k, x in scenarios)
+    # the spectra and peaks of the eigh bases; music_localize's peaks are these
+    out = _spectra_and_peaks((k, eigh_basis(sample_covariance(x), k)) for k, x in scenarios)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryPeakWarning)
+        for (k, x), (_, peaks) in zip(scenarios, out, strict=True):
+            assert music_localize(sample_covariance(x), DIFF_GEOM, GRID1, DIFF_GRID, k) == peaks
+    return out
 
 
-def test_snapshot_subspace_projector_matches_covariance_path():
+def test_snapshot_subspace_projector_matches_covariance_path(monkeypatch):
+    # the iterated basis V spans the eigh basis's subspace: their projectors,
+    # all MUSIC reads, differ by at most the sin-theta (Davis-Kahan) bound
+    # (||R V - V H|| + N eps ||R||) / gap, the residual the iteration stopped
+    # at plus eigh's backward error, over the gap between V's Ritz values and
+    # R's other eigenvalues. The scenarios reach a quarter of it, and 1.1e-9
+    # where the gap is 1e-4 of ||R||. The iteration converged on most
+    # scenarios without falling back to eigh
+    eigh = np.linalg.eigh
+    fallbacks = []
+
+    def counted_eigh(a, *args, **kwargs):
+        fallbacks.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     n = DIFF_GEOM.num_elements
-    for k, x in _snapshot_scenarios():
+    scenarios = _snapshot_scenarios()
+    for k, x in scenarios:
         v = snapshot_subspace(x, k)
-        ref = signal_subspace(sample_covariance(x).matrix, k)
+        r = sample_covariance(x).matrix
+        lam, vecs = eigh(r)
+        ref = vecs[:, n - k:]
         assert v.shape == (n, k)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(k), rtol=0, atol=1e-12)
+        h = v.conj().T @ r @ v
+        ritz = np.linalg.eigvalsh((h + h.conj().T) / 2)
+        gap = np.abs(ritz[:, None] - lam[None, : n - k]).min()
+        bound = (np.linalg.norm(r @ v - v @ h, 2) + n * np.finfo(float).eps * lam[-1]) / gap
         diff = np.abs(v @ v.conj().T - ref @ ref.conj().T).max()
-        assert diff <= PROJECTOR_ATOL
+        assert diff <= bound
+    assert len(fallbacks) < len(scenarios) // 4
 
 
 def test_snapshot_spectra_match_covariance_path():
@@ -373,31 +354,12 @@ def test_snapshot_fallback_has_the_covariance_paths_bits(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     forced = _snapshot_spectra_and_peaks(scenarios)
     assert len(fallbacks) == len(scenarios)
+    # one eigh for the reference basis and one inside music_localize
     reference = _covariance_spectra_and_peaks(scenarios)
-    assert len(fallbacks) == 2 * len(scenarios)
+    assert len(fallbacks) == 3 * len(scenarios)
     for (vals, peaks), (ref_vals, ref_peaks) in zip(forced, reference, strict=True):
         assert peaks == ref_peaks
         assert np.array_equal(vals, ref_vals)
-
-
-def test_snapshot_spectra_do_not_depend_on_trial_order_or_passes(monkeypatch):
-    # a trial's spectrum is the same whichever trials come before it and
-    # however many share its steering pass
-    scenarios = _snapshot_scenarios()[:12]
-
-    def spectra(trials):
-        bases = (snapshot_subspace(x, k) for k, x in trials)
-        return [spec.values for spec in music_spectra(bases, DIFF_GEOM, GRID1, DIFF_GRID)]
-
-    together = spectra(scenarios)
-    backwards = spectra(scenarios[::-1])[::-1]
-    alone = [spectra([trial])[0] for trial in scenarios]
-    monkeypatch.setattr(music, "_PASS_ENTRIES", 2 * DIFF_GRID.angles_rad.size * DIFF_GRID.ranges_m.size)
-    pairs = spectra(scenarios)
-    for got in (backwards, alone, pairs):
-        assert len(got) == len(together)
-        for a, b in zip(got, together):
-            assert np.array_equal(a, b)
 
 
 def _hermitian_with_spectrum(eigenvalues, seed):
@@ -483,10 +445,11 @@ def test_single_source_peaks_equal_the_spectrum_peaks(case):
     want = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", BoundaryPeakWarning)
-        for spec in music_spectra(bases, geom, GRID1, pg):
-            peak = music_peaks(spec)[0]
+        for e in bases:
+            values = music_spectrum(e, geom, GRID1, pg)
+            peak = music_peaks(values, pg, 1)[0]
             at = (np.searchsorted(pg.angles_rad, peak.angle_rad), np.searchsorted(pg.ranges_m, peak.range_m))
-            want.append((peak, float(spec.values[at])))
+            want.append((peak, float(values[at])))
     warned = sum(issubclass(w.category, BoundaryPeakWarning) for w in caught)
     assert _searched(bases, geom, pg) == (want, warned)
     backwards, _ = _searched(bases[::-1], geom, pg)
