@@ -9,7 +9,8 @@ Single steering vectors use np.exp. Grids of points evaluate the manifold
 exp(-2j*pi*f*tau) across a band chunk by chunk through steering_chunks,
 whose unit phasors come from a table lookup and a short series (phasors)
 rather than a complex exp per entry; their consumers only choose products
-of those rows with their weights, each taken through gains.
+of those rows with their weights, each taken through gains, except the
+complex64 screen of squint.screened_argmax, whose values decide nothing.
 
 All quantities are SI (Hz, m, s, rad). Angles are measured from the array
 axis, so broadside is pi/2. is_psd, the covariance check that MUSIC and the
@@ -217,7 +218,9 @@ def phasors(freq_hz: float, delays: np.ndarray, out: np.ndarray, scratch: np.nda
 _CHUNK_ENTRIES = 32_768
 
 
-def steering_chunks(geom: ArrayGeometry, grid: CarrierGrid, taus: np.ndarray, cosines: np.ndarray, offsets_s=None):
+def steering_chunks(
+    geom: ArrayGeometry, grid: CarrierGrid, taus: np.ndarray, cosines: np.ndarray, offsets_s=None, dtype=complex
+):
     """Spherical-wavefront steering rows at grid's subcarriers over matched point arrays.
 
     Yields (lo, hi, rows) for consecutive row ranges lo:hi of the 1-D
@@ -230,6 +233,12 @@ def steering_chunks(geom: ArrayGeometry, grid: CarrierGrid, taus: np.ndarray, co
     step = phasors(grid.spacing_hz, delays) in place, once per subcarrier.
     A one-frequency caller passes CarrierGrid(f, 1, 0.0).
 
+    dtype is the rows' complex type. With np.complex64 the delays and both
+    phasors are still computed in float64, through a complex128 staging
+    buffer, and rounded once into complex64 buffers, where the recurrence
+    then runs: rows for a screen, each entry within (m + 1) u + sqrt(5) m u
+    of the float64 row at subcarrier m, u = 2**-24 (squint._screen_error).
+
     Every chunk is computed into buffers allocated once per call, so a
     yielded matrix is valid only until rows yields the next one, and must
     not be modified.
@@ -239,13 +248,21 @@ def steering_chunks(geom: ArrayGeometry, grid: CarrierGrid, taus: np.ndarray, co
     chunk = max(1, _CHUNK_ENTRIES // n)
     cap = min(taus.size, chunk)  # rows of the largest chunk
     delay_buf = np.empty((cap, n))
-    steering_buf = np.empty((cap, n), dtype=complex)
-    step_buf = np.empty((cap, n), dtype=complex) if num_m > 1 and grid.spacing_hz else None
+    steering_buf = np.empty((cap, n), dtype=dtype)
+    step_buf = np.empty((cap, n), dtype=dtype) if num_m > 1 and grid.spacing_hz else None
+    # phasors write complex128; narrower rows are staged through this buffer
+    stage = None if steering_buf.dtype == complex else np.empty((cap, n), dtype=complex)
     scratch = np.empty(4 * cap * n)  # phasors' work space, and the delays'
 
+    def phasors_into(freq_hz, delays, out):
+        if stage is None:
+            return phasors(freq_hz, delays, out, scratch)
+        np.copyto(out, phasors(freq_hz, delays, stage[: out.shape[0]], scratch))
+        return out
+
     def rows(delays, a):
-        step = None if step_buf is None else phasors(grid.spacing_hz, delays, step_buf[: a.shape[0]], scratch)
-        yield phasors(grid.freq(0), delays, a, scratch)
+        step = None if step_buf is None else phasors_into(grid.spacing_hz, delays, step_buf[: a.shape[0]])
+        yield phasors_into(grid.freq(0), delays, a)
         for _ in range(1, num_m):
             if step is not None:
                 a *= step
@@ -271,6 +288,11 @@ def gains(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     of the kernels that multiply two rows or more; those give each row the
     same bits whatever the row count. So a lone row is multiplied as two
     equal rows, and its gains are the first row's.
+
+    squint.screened_argmax's complex64 screen bypasses this on purpose: it
+    takes one product of a chunk's rows with all its weights, since a
+    screen value only has to lie within a proved distance of the gain
+    computed here, whatever its bits; the gains that decide are taken here.
     """
     if a.shape[0] == 1:
         return np.abs((np.concatenate([a, a]) @ w)[:1], out=out)

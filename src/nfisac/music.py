@@ -302,9 +302,9 @@ def single_source_peaks(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: Polar
     the smaller range, then the smaller angle. That point is a local maximum
     under music_peaks' plateau rule and the first it ranks.
     squint.screened_argmax finds it with its certified range screen: up to
-    _SEARCH_BLOCK bases are columns of one search, each with its own products
-    and running best, so a peak depends neither on the order of bases nor on
-    which share its search.
+    _SEARCH_BLOCK bases are columns of one search, each with its own running
+    best and its peak decided on its own float64 products, so a peak depends
+    neither on the order of bases nor on which share its search.
     """
     center = CarrierGrid(grid.center_hz, 1, 0.0)
     no_delays = np.zeros(geom.num_elements)
@@ -316,7 +316,7 @@ def single_source_peaks(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: Polar
         if any(np.shape(e) != (geom.num_elements, 1) for e in block):
             raise ValueError("each basis must be N x 1: one source")
         weights = np.array([np.asarray(e)[:, 0] for e in block])
-        values, at, _ = screened_argmax(geom, center, weights, no_delays, pg, music=True)
+        values, at, _, _ = screened_argmax(geom, center, weights, no_delays, pg, music=True)
         for value, i in zip(values, at):
             r_i, a_i = divmod(int(i), pg.angles_rad.size)
             yield _grid_peak(pg, a_i, r_i), float(value)

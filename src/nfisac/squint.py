@@ -32,7 +32,8 @@ class SquintTrajectory:
     points: tuple  # of PolarPoint, length M+1
     gains: np.ndarray  # peak |w^H a_m|^2 per subcarrier
     boundary_warning: bool
-    evaluated_points: int  # grid points whose gains were computed exactly
+    evaluated_points: int  # grid points screened, their gains computed in complex64
+    confirmed_points: np.ndarray  # per subcarrier, points whose gains decided it in float64
 
     def __len__(self) -> int:
         return len(self.points)
@@ -77,7 +78,7 @@ def focal_points(
     d = w.delays_s
     cos_axis = np.cos(pg.angles_rad)
     mirror = np.array_equal(d, d[::-1]) and bool(np.all(np.abs(cos_axis + cos_axis[::-1]) <= _MIRROR_COS_TOL))
-    best_val, best_idx, evaluated = screened_argmax(geom, grid, w.weights[None], d, pg, mirror=mirror)
+    best_val, best_idx, evaluated, confirmed = screened_argmax(geom, grid, w.weights[None], d, pg, mirror=mirror)
 
     ir, ia = np.divmod(best_idx, n_ang)
     points = tuple(
@@ -87,7 +88,7 @@ def focal_points(
     on_boundary = bool(
         np.any((ia == 0) | (ia == n_ang - 1) | (ir == 0) | (ir == n_rng - 1))
     )
-    return SquintTrajectory(np.arange(grid.num_subcarriers), points, best_val, on_boundary, evaluated)
+    return SquintTrajectory(np.arange(grid.num_subcarriers), points, best_val, on_boundary, evaluated, confirmed)
 
 
 def screened_argmax(
@@ -110,33 +111,41 @@ def screened_argmax(
     has the largest value, ties to the smaller range, then the smaller
     angle.
     Returns each column's best value, the full-grid index
-    range_index * num_angles + angle_index of its best point, and the
-    number of gains computed.
+    range_index * num_angles + angle_index of its best point, the number
+    of points screened, and each column's number of confirmed points.
 
     mirror may be set only when d equals its reverse and the angle axis is
     symmetric about pi/2 (see focal_points): then only the angles with
     cos >= 0 are built, and a mirrored point's gain is read from its mirror
     row's product with the reversed weights.
 
-    Most of the grid is screened rather than evaluated, and each column's
-    result is bit for bit that of evaluating every point. The first and last
-    ranges are evaluated at every angle; then ranges are bisected, coarse
-    intervals before fine ones. An interval between two evaluated ranges
-    bounds |g| at every range inside it, for each angle and column
-    (_RangeBound.peak), and its middle range is evaluated only at the angles
-    where some column's bound reaches that column's floor: the least |g|
-    that can tie its best value so far, less a margin for rounding in the
-    computed gains and the bound. Both halves are then bisected on those
-    angles alone, so an angle screened out of an interval is screened out
-    of every range in it. The test is inclusive, so a point that ties the
-    final best is evaluated and the tie-break holds. An interval whose lower
-    range is not clear of the half-aperture, by one part in 1e6, keeps every
-    angle. Each measured range is one steering pass over the direct-half
-    rows it needs, and only the rows whose mirror point is kept take the
-    mirrored product. Evaluated points run through the same steering rows
-    and products (arrays.gains) as in a full evaluation, so their gains
-    keep their bits; a column's products are its own, so its result does
-    not depend on which columns share the search.
+    The search runs in two precisions, and each column's result is bit for
+    bit that of evaluating every point. The screen computes |g| in
+    complex64: steering rows from steering_chunks(..., dtype=np.complex64)
+    and, per chunk and subcarrier, one product of the rows with all B
+    weights. Such a g32 is within _RangeBound.eps of the g64 the float64
+    path computes at that point. The first and last ranges are screened at
+    every angle; then ranges are bisected, coarse intervals before fine
+    ones. An interval between two screened ranges bounds |g| at every range
+    inside it, for each angle and column (_RangeBound.peak), and its middle
+    range is screened only at the angles where some column's bound reaches
+    that column's floor: its best g32 so far less 2 eps, two float64
+    margins and the allowance by which a smaller |g| can still tie in
+    value. Both halves are then bisected on those angles alone, so an angle
+    screened out of an interval is screened out of every range in it. An
+    interval whose lower range is not clear of the half-aperture, by one
+    part in 1e6, keeps every angle. Each measured range is one steering
+    pass over the direct-half rows it needs, and only the rows whose mirror
+    point is kept take the mirrored product.
+    Every screened point whose g32 comes within 2 eps, a margin and that
+    allowance of its column's best g32 is a candidate; the list is pruned
+    as the best rises, and what is left is the confirm set. One more
+    steering pass, in complex128, rebuilds the confirm set's rows, and each
+    column takes its argmax over their gains, computed through the same
+    rows and products (arrays.gains) as an exhaustive search, so the best
+    values keep their bits. A column's products are its own, so its result
+    does not depend on which columns share the search, nor on the screen's
+    BLAS thread count.
     """
     n_ang, n_rng = pg.shape
     n_dir = (n_ang + 1) // 2 if mirror else n_ang  # angles built directly
@@ -146,21 +155,35 @@ def screened_argmax(
     cos_axis = np.cos(pg.angles_rad)
     wc = np.conj(weights)
     wc_rev = np.ascontiguousarray(wc[:, ::-1])
+    wc32, wc32_rev = wc.astype(np.complex64), wc_rev.astype(np.complex64)
     num_b, n = wc.shape
     cols = num_m * num_b
 
-    best_val = np.full(cols, -1.0)
-    best_idx = np.zeros(cols, dtype=np.int64)
+    bound = _RangeBound(geom, grid, weights, delays_s, pg)
+    # a screened point can tie a column's best value only if its g32 is at
+    # least the column's best g32 less this: its g64 and the best's differ
+    # from their g32 by eps each, and a g64 smaller than another by more
+    # than the margin plus sqrt(8 eps N) has a smaller value, squared (the
+    # margin covers the square's rounding) or MUSIC's (N - |g|^2 and 1 / D
+    # round by a few eps N)
+    slack = 2 * bound.eps + bound.margin + np.sqrt(8 * np.finfo(float).eps * n)
+    best = np.full(cols, -np.inf)  # each column's best g32 so far
+    # the candidates: column, full-grid index and g32 of each screened point
+    # within slack of its column's best
+    cand_col = np.empty(0, dtype=np.int64)
+    cand_idx = np.empty(0, dtype=np.int64)
+    cand_g = np.empty(0, dtype=np.float32)
     evaluated = 0
-    row = np.empty((cols, n_ang))  # one range's |g| by angle index, reused
+    row = np.empty((cols, n_ang))  # one range's g32 by angle index, reused
 
     def measure(r, angles):
-        # |g| (column by angle) at range index r and the given ascending
+        # g32 (column by angle) at range index r and the given ascending
         # angle indices, from one steering pass over the direct-half rows
         # they need: first the j rows whose mirror angle is wanted, which
-        # also take the mirrored product, then the rest. Every gain computed
-        # is exact and folded into the running best
-        nonlocal evaluated
+        # also take the mirrored product, then the rest. Every point
+        # screened raises its column's best and joins the candidates if
+        # near it
+        nonlocal evaluated, cand_col, cand_idx, cand_g
         hit = np.zeros(n_ang, dtype=bool)
         hit[angles] = True
         both = np.zeros(n_dir, dtype=bool)
@@ -169,55 +192,32 @@ def screened_argmax(
         j = int(np.count_nonzero(both))
         evaluated += k.size + j
         taus = np.full(k.size, pg.ranges_m[r] / C)
-        for lo, hi, rows in steering_chunks(geom, grid, taus, cos_axis[k], delays_s):
+        for lo, hi, rows in steering_chunks(geom, grid, taus, cos_axis[k], delays_s, np.complex64):
             kc = k[lo:hi]
             jc = min(max(j - lo, 0), hi - lo)  # the chunk's leading rows that mirror
-            g = np.empty((num_m, num_b, hi - lo))
-            gm = np.empty((num_m, num_b, jc))
+            g = np.empty((num_m, num_b, hi - lo + jc), dtype=np.float32)
             for m, a in enumerate(rows):
-                # one matrix-vector product per weight, not one GEMM: a GEMM
-                # would move the low bits of the gains
-                for b in range(num_b):
-                    gains(a, wc[b], out=g[m, b])
-                    if jc:
-                        gains(a[:jc], wc_rev[b], out=gm[m, b])
+                # one product per block against every weight: screen values
+                # need no particular bits, so arrays.gains is bypassed
+                np.abs(wc32 @ a.T, out=g[m, :, : hi - lo])
+                if jc:
+                    np.abs(wc32_rev @ a[:jc].T, out=g[m, :, hi - lo :])
             g = g.reshape(cols, -1)
-            # full-grid index r * n_ang + angle index, so the smallest full
-            # index among exact ties is the smallest range, then angle
-            idx = r * n_ang + kc
-            row[:, kc] = g
-            if jc:
-                gm = gm.reshape(cols, -1)
-                row[:, n_ang - 1 - kc[:jc]] = gm
-                g = np.concatenate([g, gm], axis=1)
-                idx = np.concatenate([idx, r * n_ang + n_ang - 1 - kc[:jc]])
-            np.square(g, out=g)
-            if music:
-                # music_spectrum's N - |e^H a|^2, floored, then inverted
-                np.subtract(n, g, out=g)
-                np.maximum(g, np.finfo(float).tiny, out=g)
-                np.divide(1.0, g, out=g)
-            # smallest full index among exact ties, within the chunk and across
-            # chunks (a chunk's mirrored indices can exceed the next chunk's)
-            val = g.max(axis=1)
-            at = np.where(g == val[:, None], idx, np.iinfo(np.int64).max).min(axis=1)
-            better = (val > best_val) | ((val == best_val) & (at < best_idx))
-            best_val[better] = val[better]
-            best_idx[better] = at[better]
+            # the angle index of each of g's points, the mirrored ones last
+            ang = np.concatenate([kc, n_ang - 1 - kc[:jc]])
+            row[:, ang] = g
+            np.maximum(best, g.max(axis=1), out=best)
+            floor = best - slack
+            live = cand_g >= floor[cand_col]
+            c, at = np.nonzero(g >= floor[:, None])
+            cand_col = np.concatenate([cand_col[live], c])
+            cand_idx = np.concatenate([cand_idx[live], r * n_ang + ang[at]])
+            cand_g = np.concatenate([cand_g[live], g[c, at]])
         return row[:, angles]
 
-    def level():
-        # the least computed |g| whose value can tie a column's best. A MUSIC
-        # value V = 1 / D needs N - |g|^2 to round to at most D = 1 / V, and
-        # the allowance of 4 eps N covers the roundings of N - |g|^2 and 1 / D
-        if music:
-            return np.sqrt(np.maximum(n - 1.0 / best_val - 4 * np.finfo(float).eps * n, 0.0))
-        return np.sqrt(best_val)
-
-    bound = _RangeBound(geom, grid, weights, delays_s, pg)
     every = np.arange(n_ang)
-    # intervals (c0, c1, angles, |g| at c0, |g| at c1) whose ranges between
-    # are still to be screened, |g| only at their angles; first in, first out
+    # intervals (c0, c1, angles, g32 at c0, g32 at c1) whose ranges between
+    # are still to be screened, g32 only at their angles; first in, first out
     pending = deque()
     lowest = measure(0, every)
     if n_rng > 1:
@@ -227,7 +227,10 @@ def screened_argmax(
         if c1 - c0 < 2:
             continue
         if bound.clear(c0):
-            floor = level() - bound.margin
+            # a point whose bound falls below this has a g64 below the
+            # candidates' floor: the bound is within eps of the one from g64
+            # values, which is within a margin of every g64 between
+            floor = best - slack - bound.margin
             reach = np.any(bound.peak(lower, upper, k, c0, c1) >= floor[:, None], axis=0)
             if not reach.any():
                 continue
@@ -236,7 +239,54 @@ def screened_argmax(
         middle = measure(mid, k)
         pending.append((c0, mid, k, lower, middle))
         pending.append((mid, c1, k, middle, upper))
-    return best_val, best_idx, evaluated
+
+    # the confirm set's gains in float64: one complex128 steering pass over
+    # its direct-half rows and the products an exhaustive search takes,
+    # arrays.gains per weight, through the reversed weights for a mirrored
+    # point. Rows go in order of the last subcarrier they are needed at, and
+    # a chunk takes products only at its candidates' subcarriers and stops
+    # its recurrence after the last
+    r, ang = np.divmod(cand_idx, n_ang)
+    mirrored = ang >= n_dir
+    m, b = np.divmod(cand_col, num_b)
+    # each row's direct-half point as a full-grid index, and each candidate's row
+    rows_at, pos = np.unique(r * n_ang + np.where(mirrored, n_ang - 1 - ang, ang), return_inverse=True)
+    last = np.zeros(rows_at.size, dtype=np.int64)
+    np.maximum.at(last, pos, m)
+    order = np.argsort(last, kind="stable")
+    rows_at, last = rows_at[order], last[order]
+    pos = np.argsort(order)[pos]
+    need = np.zeros((num_m, rows_at.size), dtype=bool)
+    need[m, pos] = True
+    need_mirror = np.zeros_like(need)
+    need_mirror[m[mirrored], pos[mirrored]] = True
+    r, k = np.divmod(rows_at, n_ang)
+    g = np.empty((num_m, num_b, rows_at.size))
+    gm = np.empty_like(g)
+    for lo, hi, rows in steering_chunks(geom, grid, pg.ranges_m[r] / C, cos_axis[k], delays_s):
+        for mc, a in enumerate(rows):
+            if need[mc, lo:hi].any():
+                for bc in range(num_b):
+                    gains(a, wc[bc], out=g[mc, bc, lo:hi])
+            sel = np.flatnonzero(need_mirror[mc, lo:hi])
+            if sel.size:
+                for bc in range(num_b):
+                    gm[mc, bc, lo + sel] = gains(a[sel], wc_rev[bc])
+            if mc == last[hi - 1]:
+                break
+    val = g[m, b, pos]
+    val[mirrored] = gm[m[mirrored], b[mirrored], pos[mirrored]]
+    np.square(val, out=val)
+    if music:
+        # music_spectrum's N - |e^H a|^2, floored, then inverted
+        np.subtract(n, val, out=val)
+        np.maximum(val, np.finfo(float).tiny, out=val)
+        np.divide(1.0, val, out=val)
+    # per column the largest value, exact ties to the smallest full index;
+    # every column keeps at least its best g32's point
+    first = np.lexsort((cand_idx, -val, cand_col))
+    first = first[np.r_[True, cand_col[first][1:] != cand_col[first][:-1]]]
+    return val[first], cand_idx[first], evaluated, np.bincount(cand_col, minlength=cols)
 
 
 class _RangeBound:
@@ -253,12 +303,18 @@ class _RangeBound:
     rest of tau_n moves with r at most x_n^2 sin^2(theta) / (2 c (r - X)^2).
     weights is one weight vector w or B of them (B x N); the bound has one
     column per (subcarrier, weight) pair, subcarrier-major.
+
+    margin bounds, for every column, the distance of a float64 |g| from the
+    exact one plus the bound's own rounding. eps bounds, per column, the
+    distance of the screen's complex64 |g| from the float64 one:
+    sum |w_n| times _screen_error at the column's subcarrier.
     """
 
     def __init__(self, geom: ArrayGeometry, grid: CarrierGrid, weights: np.ndarray, delays_s: np.ndarray, pg: PolarGrid):
         x = geom.element_offsets_s * C
         self.half_ap = float(np.max(np.abs(x)))
         w_abs = np.abs(np.atleast_2d(weights))
+        w_sum = w_abs.sum(axis=1)
         freqs = grid.freqs()
         self.slope = (np.pi * freqs[:, None] * (w_abs @ (x * x)) / C).ravel()
         self.sin2 = np.sin(pg.angles_rad) ** 2
@@ -269,9 +325,10 @@ class _RangeBound:
         # each, and _SCREEN_MARGIN the bound's own rounding. One margin, from
         # the largest sum |w_n|, serves every column
         max_delay = (pg.ranges_m[-1] + self.half_ap) / C + float(np.max(np.abs(delays_s)))
-        self.margin = float(w_abs.sum(axis=1).max()) * (
+        self.margin = float(w_sum.max()) * (
             _SCREEN_MARGIN + 2.0**-44 * (freqs[-1] * max_delay + geom.num_elements + grid.num_subcarriers)
         )
+        self.eps = np.multiply.outer(_screen_error(geom.num_elements, grid.num_subcarriers), w_sum).ravel()
 
     def clear(self, c: int) -> bool:
         """Whether range index c is clear of the half-aperture, where the bound holds."""
@@ -291,6 +348,29 @@ class _RangeBound:
         """
         h0, h1 = 1.0 / (self.ranges[[c0, c1]] - self.half_ap)
         return (lower + upper + np.multiply.outer(self.slope, self.sin2[angles] * (h0 - h1))) / 2
+
+
+def _screen_error(num_elements: int, num_subcarriers: int) -> np.ndarray:
+    """Bound on |g32 - g64| per unit sum |w_n|, at each subcarrier m = 0..M.
+
+    g64 is |a_m . w| as the float64 path computes it and g32 the screen's
+    value from complex64 rows and weights. With u = 2**-24 and unit-modulus
+    rows, g32 departs from g64 by at most sum |w_n| times
+        u ((m + 1) + sqrt(5) m + sqrt(2) (N + 2) + 5):
+    rounding a_0 and the m steps to complex64 (u each), m complex64
+    multiplies of the recurrence (sqrt(5) u each), the float32 dot product
+    (sqrt(2) gamma_{N+2}, for any summation order, with or without fused
+    multiply-adds), rounding the weights (u) and the complex64 modulus
+    (4 u: numpy's scaled hypot, larger * sqrt(1 + ratio^2), rounds five
+    times, 3.25 u to first order; 2.5 u was measured).
+    With K u that factor, dividing by 1 - 2 K u covers the second-order
+    terms and the float64 path's own roundings (2**-29 of these); valid
+    while K u < 1/4, for N and M up to about a million.
+    """
+    u = np.finfo(np.float32).eps / 2
+    m = np.arange(num_subcarriers)
+    k = (m + 1) + np.sqrt(5.0) * m + np.sqrt(2.0) * (num_elements + 2) + 5
+    return k * u / (1 - 2 * k * u)
 
 
 def squint_deviation(traj: SquintTrajectory, design: PolarPoint) -> tuple:

@@ -290,17 +290,17 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     w_tie = polar_codeword(geom, grid, PolarPoint(r1, a1))
     # the same tie at ranges 9 and 10 of 19, which the screen's bisection
     # reaches at the angles it keeps, more than 8 of the 13 (checked below):
-    # its passes at the end ranges and at the tie ranges split into chunks
+    # its passes at the end ranges and at the tie ranges split into chunks,
+    # and so does its confirm pass, which rebuilds the four tied points' rows
     screen_pg = PolarGrid(
         np.array([0.05, 0.07, 0.08, 0.09, a1, a2, 0.11, 0.12, 0.13, 0.15, 0.2, 0.3, 0.45]),
         np.concatenate([np.geomspace(0.05, 0.095, 9), [r1, r2], np.geomspace(0.105, 0.3, 8)]),
     )
     screen_passes = []
 
-    def recorded(geom, grid, taus, *args):
-        if taus.size and taus[0] == r1 / C:
-            screen_passes.append(taus.size)
-        return arrays.steering_chunks(geom, grid, taus, *args)
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex):
+        screen_passes.append((taus.copy(), cosines.copy(), np.dtype(dtype)))
+        return arrays.steering_chunks(geom, grid, taus, cosines, offsets_s, dtype)
 
     def spectra(num_sources):
         # one spectrum per covariance's top eigenvectors: a steering pass over
@@ -338,7 +338,12 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     with monkeypatch.context() as m:
         m.setattr(squint, "steering_chunks", recorded)
         focal_points(geom, grid, w_tie, screen_pg)
-    assert len(screen_passes) == 2 and min(screen_passes) > 8
+    *screen, (confirm_taus, confirm_cosines, confirm_dtype) = screen_passes
+    tie_passes = [taus.size for taus, _, dtype in screen if taus[0] == r1 / C and dtype == np.complex64]
+    assert len(tie_passes) == 2 and min(tie_passes) > 8
+    assert confirm_dtype == complex
+    tie_rows = (confirm_taus == r1 / C) & (confirm_cosines == np.cos(screen_pg.angles_rad)[4])
+    assert np.count_nonzero(tie_rows) == 4
     monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", rows * geom.num_elements)
     c_gains, c_spectrum, c_trajs = evaluate()
 

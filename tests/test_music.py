@@ -233,10 +233,6 @@ def test_flat_spectrum_plateau_yields_single_boundary_peak():
     assert len(peaks) == 1
 
 
-# largest relative spectrum difference allowed between the snapshot path's
-# subspace iteration and a full eigh; the scenarios below reach 7.2e-9, where
-# the eigengap is 1e-4 of ||R||, and 7.7e-11 elsewhere
-SPECTRUM_RTOL = 1e-8
 DIFF_GEOM = ArrayGeometry.ula(32, WL / 2)
 DIFF_GRID = PolarGrid(np.linspace(1.0, 2.1, 45), np.geomspace(0.3, 3.0, 16))
 
@@ -296,14 +292,27 @@ def _covariance_spectra_and_peaks(scenarios):
     return out
 
 
+def _sin_theta_bound(v, r):
+    """Davis-Kahan bound on ||V V^H - U U^H||_2 for R's eigh basis U, and R's relative eigengap.
+
+    (||R V - V H|| + N eps ||R||) / gap, H = V^H R V: the residual the
+    iteration stopped at plus eigh's backward error, over the gap between
+    V's Ritz values and R's other eigenvalues.
+    """
+    n, k = v.shape
+    lam = np.linalg.eigvalsh(r)
+    h = v.conj().T @ r @ v
+    ritz = np.linalg.eigvalsh((h + h.conj().T) / 2)
+    gap = np.abs(ritz[:, None] - lam[None, : n - k]).min()
+    return (np.linalg.norm(r @ v - v @ h, 2) + n * np.finfo(float).eps * lam[-1]) / gap, gap / lam[-1]
+
+
 def test_snapshot_subspace_projector_matches_covariance_path(monkeypatch):
     # the iterated basis V spans the eigh basis's subspace: their projectors,
-    # all MUSIC reads, differ by at most the sin-theta (Davis-Kahan) bound
-    # (||R V - V H|| + N eps ||R||) / gap, the residual the iteration stopped
-    # at plus eigh's backward error, over the gap between V's Ritz values and
-    # R's other eigenvalues. The scenarios reach a quarter of it, and 1.1e-9
-    # where the gap is 1e-4 of ||R||. The iteration converged on most
-    # scenarios without falling back to eigh
+    # all MUSIC reads, differ by at most the sin-theta (Davis-Kahan) bound.
+    # The scenarios reach a quarter of it, and 1.1e-9 where the gap is 1e-4
+    # of ||R||. The iteration converged on most scenarios without falling
+    # back to eigh
     eigh = np.linalg.eigh
     fallbacks = []
 
@@ -317,26 +326,38 @@ def test_snapshot_subspace_projector_matches_covariance_path(monkeypatch):
     for k, x in scenarios:
         v = snapshot_subspace(x, k)
         r = sample_covariance(x).matrix
-        lam, vecs = eigh(r)
-        ref = vecs[:, n - k:]
+        ref = eigh(r)[1][:, n - k:]
         assert v.shape == (n, k)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(k), rtol=0, atol=1e-12)
-        h = v.conj().T @ r @ v
-        ritz = np.linalg.eigvalsh((h + h.conj().T) / 2)
-        gap = np.abs(ritz[:, None] - lam[None, : n - k]).min()
-        bound = (np.linalg.norm(r @ v - v @ h, 2) + n * np.finfo(float).eps * lam[-1]) / gap
+        bound, _ = _sin_theta_bound(v, r)
         diff = np.abs(v @ v.conj().T - ref @ ref.conj().T).max()
         assert diff <= bound
     assert len(fallbacks) < len(scenarios) // 4
 
 
 def test_snapshot_spectra_match_covariance_path():
+    # the snapshot path's spectrum 1 / D_s against the eigh basis's 1 / D_r,
+    # D = ||(I - P) a||^2 for the basis's projector P and |a_n| = 1: with
+    # ||P_s - P_r|| <= delta, the sin-theta bound, sqrt(D_s) and sqrt(D_r)
+    # differ by at most delta sqrt(N), so
+    # |D_s - D_r| <= delta sqrt(N) (2 sqrt(D_s) + delta sqrt(N)), and each
+    # computed D (N - sum_i |e_i^H a|^2) is within rho = 2 k N (N + 2) eps of
+    # its exact value. Relative to the least computed D_s, d, that bounds the
+    # spectra's difference; it is below 1e-8 wherever the eigengap exceeds
+    # 1e-3 of ||R||
+    n = DIFF_GEOM.num_elements
     scenarios = _snapshot_scenarios()
-    for (vals, peaks), (ref_vals, ref_peaks) in zip(
-        _snapshot_spectra_and_peaks(scenarios), _covariance_spectra_and_peaks(scenarios), strict=True
+    for (k, x), (vals, peaks), (ref_vals, ref_peaks) in zip(
+        scenarios, _snapshot_spectra_and_peaks(scenarios), _covariance_spectra_and_peaks(scenarios), strict=True
     ):
         assert peaks == ref_peaks
-        np.testing.assert_allclose(vals, ref_vals, rtol=SPECTRUM_RTOL, atol=0)
+        delta, rel_gap = _sin_theta_bound(snapshot_subspace(x, k), sample_covariance(x).matrix)
+        rho = 2 * k * n * (n + 2) * np.finfo(float).eps
+        d = 1.0 / vals.max()
+        rtol = (delta * np.sqrt(n) * (2 * np.sqrt(d + rho) + delta * np.sqrt(n)) + 2 * rho) / d
+        np.testing.assert_allclose(vals, ref_vals, rtol=rtol, atol=0)
+        if rel_gap > 1e-3:
+            assert rtol <= 1e-8
 
 
 def test_snapshot_fallback_has_the_covariance_paths_bits(monkeypatch):

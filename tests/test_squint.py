@@ -1,8 +1,13 @@
 """Focal-point trajectories of codewords and delay-phase front ends across subcarriers."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -69,7 +74,8 @@ def exhaustive_focal_points(geom, grid, w, pg):
     ir, ia = np.divmod(best_idx, n_ang)
     points = tuple(PolarPoint(float(pg.ranges_m[r]), float(pg.angles_rad[a])) for r, a in zip(ir, ia))
     on_boundary = bool(np.any((ia == 0) | (ia == n_ang - 1) | (ir == 0) | (ir == n_rng - 1)))
-    return SquintTrajectory(np.arange(num_m), points, best_val, on_boundary, n_ang * n_rng)
+    every = n_ang * n_rng
+    return SquintTrajectory(np.arange(num_m), points, best_val, on_boundary, every, np.full(num_m, every))
 
 
 def assert_matches_exhaustive(geom, grid, w, pg):
@@ -224,7 +230,7 @@ def test_empty_grid_rejected():
 
 def test_squint_deviation_is_max_abs_offset():
     pts = (PolarPoint(9.0, 1.00), PolarPoint(11.5, 1.04), PolarPoint(10.2, 0.97))
-    traj = SquintTrajectory(np.arange(3), pts, np.ones(3), False, 3)
+    traj = SquintTrajectory(np.arange(3), pts, np.ones(3), False, 3, np.ones(3, dtype=int))
     d_ang, d_rng = squint_deviation(traj, PolarPoint(10.0, 1.0))
     assert d_ang == pytest.approx(0.04)
     assert d_rng == pytest.approx(1.5)
@@ -383,6 +389,33 @@ def test_screened_search_matches_exhaustive_reference(name):
         assert traj.evaluated_points == pg.angles_rad.size * pg.ranges_m.size
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["far-design", "asymmetric-axis", "two-range", "flat-carrier",
+     "delay-phase", "symmetric-delay", "straddles-aperture"],
+)
+def test_screen_errors_within_its_certificate_leave_the_result(monkeypatch, name):
+    # every complex64 screen row scaled by 1 +- half of _screen_error at its
+    # subcarrier, the sign drawn per point: each screened |g| moves by up to
+    # eps / 2 on top of its own rounding, which reorders near-ties in the
+    # screen, and the confirm pass still returns the exhaustive search's bits
+    geom, grid, w, pg = _screen_case(name)
+    rng = np.random.default_rng(11)
+    half = squint._screen_error(geom.num_elements, grid.num_subcarriers) / 2
+
+    def perturbed(rows, count):
+        sign = rng.choice([-1.0, 1.0], size=(count, 1))
+        for m, a in enumerate(rows):
+            yield a if a.dtype == complex else (a * (1 + half[m] * sign)).astype(a.dtype)
+
+    def chunks(*args):
+        for lo, hi, rows in steering_chunks(*args):
+            yield lo, hi, perturbed(rows, hi - lo)
+
+    monkeypatch.setattr(squint, "steering_chunks", chunks)
+    assert_matches_exhaustive(geom, grid, w, pg)
+
+
 @pytest.mark.parametrize("name", ["far-design", "asymmetric-axis", "flat-carrier", "straddles-aperture"])
 def test_columns_of_several_weights_are_each_weights_search(name):
     # one search over B codewords at M subcarriers returns in column m * B + b
@@ -398,7 +431,7 @@ def test_columns_of_several_weights_are_each_weights_search(name):
     cos_axis = np.cos(pg.angles_rad)
     mirror = bool(np.all(np.abs(cos_axis + cos_axis[::-1]) <= squint._MIRROR_COS_TOL))
     weights = np.array([f.weights for f in fronts])
-    val, idx, _ = squint.screened_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg, mirror=mirror)
+    val, idx, _, _ = squint.screened_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg, mirror=mirror)
     for b, front in enumerate(fronts):
         traj = focal_points(geom, grid, front, pg)
         assert np.array_equal(val.reshape(-1, len(fronts))[:, b], traj.gains)
@@ -436,32 +469,94 @@ def test_shipped_squint_scenario_evaluates_under_8_percent_of_the_grid():
     assert traj.evaluated_points < 0.08 * 721 * 120
 
 
-def test_shipped_squint_search_peaks_under_8_mb():
-    # the bisection keeps |g| only at the angles each pending interval still
-    # reaches, never a whole range's 65 x 721 row per evaluated range
-    search = _shipped_squint_search()
+def _criterion_07_search():
+    # acceptance criterion 07's arc search: a delay-phase front end fitted to
+    # a 60-80 degree arc at 20 m, 512 elements, 129 subcarriers, 261 x 90 points
+    geom = ArrayGeometry.ula(512, WL / 2)
+    grid = CarrierGrid(FC, 129, 2.34375e8)
+    arc = Arc(np.radians(60.0), np.radians(80.0), 20.0)
+    front, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
+    pg = PolarGrid(np.linspace(np.radians(56.0), np.radians(84.0), 261), np.geomspace(14.0, 28.0, 90))
+    return geom, grid, front, pg
+
+
+def _traced_peak(search):
     tracemalloc.start()
     try:
         focal_points(*search)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+
+
+def test_shipped_squint_search_peaks_under_6_mb():
+    # the bisection keeps g32 only at the angles each pending interval still
+    # reaches, never a whole range's 65 x 721 row per evaluated range, and
+    # the candidate list is pruned as the best rises, not kept whole
+    assert _traced_peak(_shipped_squint_search()) <= 6e6
+
+
+def test_criterion_07_search_peaks_under_12_mb():
+    # the same for 129 subcarriers of a 261 x 90 grid
+    assert _traced_peak(_criterion_07_search()) <= 12e6
+
+
+_BLAS_PROBE = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_squint import _criterion_07_search
+from nfisac.config import load_config
+from nfisac.music import collect_snapshots, single_source_peaks, snapshot_subspace
+from nfisac.squint import focal_points
+
+traj = focal_points(*_criterion_07_search())
+cfg = load_config(sys.argv[2])
+(target,) = cfg.targets
+snaps, noise = int(cfg.section("music")["snapshot_count"]), float(cfg.section("music")["noise_power_w"])
+bases = [snapshot_subspace(collect_snapshots(cfg.ula, cfg.carrier, [target], snaps, noise, s), 1) for s in range(12)]
+peaks = list(single_source_peaks(bases, cfg.ula, cfg.carrier, cfg.grid))
+print(json.dumps({
+    "points": np.array([(p.range_m, p.angle_rad) for p in traj.points]).tobytes().hex(),
+    "gains": traj.gains.tobytes().hex(),
+    "peaks": np.array([(p.range_m, p.angle_rad, v) for p, v in peaks]).tobytes().hex(),
+}))
+"""
+
+
+def test_searches_do_not_depend_on_blas_thread_count():
+    # the complex64 screen's products may take other bits at another BLAS
+    # thread count, and so screen other points; criterion 07's focal points
+    # and a 12-basis MUSIC search must not move a bit
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    config = str(CONFIG_DIR / "music_vs_wavenumber.yaml")
+    found = [
+        subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, str(root / "tests"), config],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True, text=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert json.loads(found[0]) == json.loads(found[1])
 
 
 def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
-    # each measured range is one steering pass over the direct-half rows it
-    # needs, and evaluated_points counts exactly the gains computed: every
-    # angle at the two end ranges, then at each middle range its direct rows
-    # and the mirror point of each angle kept in the mirrored half
+    # each measured range is one complex64 steering pass over the direct-half
+    # rows it needs, and evaluated_points counts exactly the gains screened:
+    # every angle at the two end ranges, then at each middle range its
+    # direct rows and the mirror point of each angle kept in the mirrored
+    # half. One complex128 pass then rebuilds the confirm set's rows
     geom, grid, w, pg = _shipped_squint_search()
     n_ang, n_rng = pg.shape
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
+    cos_axis = np.cos(pg.angles_rad)
     passes, intervals = [], []
 
-    def recorded(geom, grid, taus, cosines, *args):
-        passes.append((taus.copy(), cosines.copy()))
-        return steering_chunks(geom, grid, taus, cosines, *args)
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex):
+        passes.append((taus.copy(), cosines.copy(), np.dtype(dtype)))
+        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype)
 
     class RecordedDeque(squint.deque):
         def append(self, item):
@@ -471,32 +566,44 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     monkeypatch.setattr(squint, "steering_chunks", recorded)
     monkeypatch.setattr(squint, "deque", RecordedDeque)
     traj = focal_points(geom, grid, w, pg)
-    # one range per pass, and no range passed twice
-    ranges = [np.unique(taus) for taus, _ in passes]
+    *screen, (confirm_taus, confirm_cosines, confirm_dtype) = passes
+    assert {dtype for _, _, dtype in screen} == {np.dtype(np.complex64)}
+    assert confirm_dtype == np.dtype(complex)
+    # one range per screen pass, and no range passed twice
+    ranges = [np.unique(taus) for taus, _, _ in screen]
     assert all(r.size == 1 for r in ranges)
-    assert len({float(r[0]) for r in ranges}) == len(passes) <= 80
+    assert len({float(r[0]) for r in ranges}) == len(screen) <= 80
     # the two end ranges first, each at every direct-half angle
     assert [float(r[0]) for r in ranges[:2]] == [pg.ranges_m[0] / C, pg.ranges_m[-1] / C]
-    rows = [cosines.size for _, cosines in passes]  # each row passed once
+    rows = [cosines.size for _, cosines, _ in screen]  # each row passed once
     assert rows[:2] == [n_dir, n_dir]
     # the end ranges' interval, then two halves per measured middle range,
     # each carrying the angle indices that range was measured at
     assert intervals[0][:2] == (0, n_rng - 1)
-    assert len(intervals) == 1 + 2 * (len(passes) - 2)
+    assert len(intervals) == 1 + 2 * (len(screen) - 2)
     direct = mirrored = 0
-    for (_, mid, k), (lo, _, k_up), (taus, cosines) in zip(intervals[1::2], intervals[2::2], passes[2:]):
+    for (_, mid, k), (lo, _, k_up), (taus, cosines, _) in zip(intervals[1::2], intervals[2::2], screen[2:]):
         assert lo == mid and np.array_equal(k, k_up)
         assert np.all(taus == pg.ranges_m[mid] / C)
         # angle a >= n_ang - n_mir is read from direct row n_ang - 1 - a
         mirror_of = k[k >= n_ang - n_mir]
         needed = np.union1d(k[k < n_dir], n_ang - 1 - mirror_of)
-        assert np.array_equal(np.sort(np.cos(pg.angles_rad[needed])), np.unique(cosines))
+        assert np.array_equal(np.sort(cos_axis[needed]), np.unique(cosines))
         direct += needed.size
         mirrored += mirror_of.size
     assert direct == sum(rows[2:])
     assert traj.evaluated_points == 2 * n_ang + direct + mirrored
+    # the confirm pass builds each confirmed point's direct-half row once,
+    # the focal points' among them, and a few points decide each subcarrier
+    confirm_rows = set(zip(confirm_taus, confirm_cosines))
+    assert len(confirm_rows) == confirm_taus.size <= traj.confirmed_points.sum()
+    for p in traj.points:
+        a = int(np.searchsorted(pg.angles_rad, p.angle_rad))
+        assert (p.range_m / C, cos_axis[min(a, n_ang - 1 - a)]) in confirm_rows
+    assert traj.confirmed_points.shape == (grid.num_subcarriers,)
+    assert 1 <= traj.confirmed_points.min() and traj.confirmed_points.max() <= 12
     # the shipped figures, and most kept rows need only their direct point
-    assert (traj.evaluated_points, direct, mirrored) == (5689, 3117, 1130)
+    assert (traj.evaluated_points, direct, mirrored) == (5693, 3121, 1130)
     assert mirrored < direct / 2
 
 
@@ -517,3 +624,93 @@ def test_interval_peak_bounds_every_range_between(scenario, data):
     g = g.reshape(grid.num_subcarriers, c1 - c0 + 1, angles.size)
     peak = bound.peak(g[:, 0], g[:, -1], angles, c0, c1)
     assert np.all(g[:, 1:-1] <= peak[:, None, :] + bound.margin)
+
+
+@st.composite
+def screen_rows(draw):
+    """Steering rows over a band with weights of any scale, for the screen's certificate.
+
+    1..48 elements at three pitches, up to 33 subcarriers (the top ones
+    wide of the centre), 1..9 points at ranges down to 1 cm, 1..4 weight
+    vectors scaled by 1e-3..1e3, and zero or random front-end delays.
+    """
+    n = draw(st.integers(1, 48))
+    geom = ArrayGeometry.ula(n, WL * draw(st.sampled_from([0.5, 1.0, 2.0])))
+    grid = CarrierGrid(FC, 2 * draw(st.integers(0, 16)) + 1, draw(st.sampled_from([0.0, 2.34375e8, 4.6875e9])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 9))
+    taus = rng.uniform(0.01, 30.0, rows) / C
+    cosines = np.cos(rng.uniform(0.05, np.pi - 0.05, rows))
+    num_b = draw(st.integers(1, 4))
+    weights = rng.standard_normal((num_b, n)) + 1j * rng.standard_normal((num_b, n))
+    weights *= 10.0 ** rng.uniform(-3.0, 3.0, (num_b, 1))
+    delays = rng.uniform(-1e-9, 1e-9, n) if draw(st.booleans()) else np.zeros(n)
+    return geom, grid, taus, cosines, weights, delays
+
+
+def _screen_and_float64_rows(geom, grid, taus, cosines, delays):
+    # (complex64, complex128) rows at every subcarrier, in one chunk
+    (_, _, rows32), = steering_chunks(geom, grid, taus, cosines, delays, np.complex64)
+    (_, _, rows64), = steering_chunks(geom, grid, taus, cosines, delays)
+    for a32, a64 in zip(rows32, rows64, strict=True):
+        yield a32.copy(), a64.copy()
+
+
+@given(screen_rows())
+@settings(max_examples=150, deadline=None)
+def test_screen_gains_stay_within_the_certificate(case):
+    # the screen's g32, from complex64 rows and one product of them with all
+    # weights as screened_argmax takes it, lies within _RangeBound.eps of
+    # the g64 the float64 path computes (arrays.gains per weight), at every
+    # subcarrier m = 0..M
+    geom, grid, taus, cosines, weights, delays = case
+    wc = np.conj(weights)
+    wc32 = wc.astype(np.complex64)
+    pg = PolarGrid(np.array([1.0]), np.array([1.0]))  # eps does not depend on the grid
+    eps = squint._RangeBound(geom, grid, weights, delays, pg).eps.reshape(grid.num_subcarriers, -1)
+    for m, (a32, a64) in enumerate(_screen_and_float64_rows(geom, grid, taus, cosines, delays)):
+        g32 = np.abs(wc32 @ a32.T)
+        g64 = np.array([arrays.gains(a64, w) for w in wc])
+        assert np.all(np.abs(g32 - g64) <= eps[m][:, None])
+
+
+@given(screen_rows())
+@settings(max_examples=40, deadline=None)
+def test_screen_error_terms_hold_in_exact_arithmetic(case):
+    # each term of _screen_error against mpmath at 40 digits, on the first
+    # row and weight: the complex64 recurrence departs from the exact
+    # a_0 * step^m of the float64 phasors by (m + 1) u + sqrt(5) m u (the
+    # float64 one by sqrt(5) m ulps of its own), the float32 product from the
+    # exact sum of its rounded inputs by sqrt(2) gamma_{N+2} sum |a||w|, and
+    # the float32 modulus from the exact one by 4 u
+    geom, grid, taus, cosines, weights, delays = case
+    u, u64 = 2.0**-24, 2.0**-53
+    n = geom.num_elements
+    w32 = np.conj(weights[0]).astype(np.complex64)
+
+    def exact(z):
+        return mpmath.mpc(float(z.real), float(z.imag))
+
+    def within(err, k, unit, scale):
+        # k rounding errors of unit, to second order
+        return err <= k * unit / (1 - 2 * k * unit) * scale
+
+    # the float64 step that steering_chunks takes, if it takes one
+    d = arrays.spherical_delay_matrix(geom, taus[:1], cosines[:1]) - delays
+    stepping = grid.num_subcarriers > 1 and grid.spacing_hz
+    step = arrays.phasors(grid.spacing_hz, d, np.empty(d.shape, dtype=complex), np.empty(4 * d.size))[0]
+    with mpmath.workdps(40):
+        a = None
+        for m, (a32, a64) in enumerate(_screen_and_float64_rows(geom, grid, taus[:1], cosines[:1], delays)):
+            if a is None:
+                a = [exact(z) for z in a64[0]]
+            elif stepping:
+                a = [x * exact(s) for x, s in zip(a, step)]
+            for x, z32, z64 in zip(a, a32[0], a64[0]):
+                assert within(abs(exact(z32) - x), (m + 1) + np.sqrt(5.0) * m, u, abs(x))
+                assert within(abs(exact(z64) - x), np.sqrt(5.0) * m + 1, u64, abs(x))
+            z = (w32[None] @ a32.T)[0, 0]
+            dot = mpmath.fsum(exact(x) * exact(y) for x, y in zip(a32[0], w32))
+            scale = mpmath.fsum(abs(exact(x)) * abs(exact(y)) for x, y in zip(a32[0], w32))
+            assert within(abs(exact(z) - dot), np.sqrt(2.0) * (n + 2), u, scale)
+            assert abs(mpmath.mpf(float(np.abs(z))) - abs(exact(z))) <= 4 * u * abs(exact(z))
