@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, spherical_delays, steering_chunks
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, near_field_steering, spherical_delays
+from .arrays import steering_chunks
 from .errors import HardwareBoundError
 
 
@@ -113,7 +114,11 @@ def angular_spread(geom: ArrayGeometry, grid: CarrierGrid, p: PolarPoint) -> flo
     Far-field vectors at bin-aligned angles concentrate in one bin (fraction 1);
     shrinking the range diffuses energy across bins and lowers the fraction.
     """
-    delays = spherical_delays(geom, p)
-    a = np.exp(-2j * np.pi * grid.center_hz * delays)
+    a = near_field_steering(geom, p, grid, grid.half_m)
     spectrum = np.abs(np.fft.fft(a, norm="ortho")) ** 2
     return float(spectrum.max() / spectrum.sum())
+
+
+def spread_ranges(rayleigh_m: float) -> np.ndarray:
+    """The 13 ranges angular-spread sweeps, geometric from 0.05 to 10 Rayleigh distances."""
+    return np.geomspace(0.05 * rayleigh_m, 10.0 * rayleigh_m, 13)

@@ -27,8 +27,8 @@ import numpy as np
 import yaml
 
 from .allocation import sensing_subcarriers
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint
-from .codebook import PolarGrid
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, rayleigh_distance
+from .codebook import PolarGrid, spread_ranges
 from .constants import SPEED_OF_LIGHT as C
 from .delay_phase import Arc, arc_trajectory_spec, fit_trajectory
 from .errors import AliasingError, CalibrationError, IllConditionedSpecError, OutOfCalibrationError
@@ -662,6 +662,16 @@ def scenario(data: Any) -> tuple:
         for sec, key in (("grid", "range_min_m"), ("arc", "range_m")):
             if sec in res and res[sec][key] <= half:
                 rep.add(f"{sec}.{key}", f"must exceed the linear array's half-aperture (N-1)*d/2 = {half:.6g} m")
+        # angular-spread's nearest range, 0.05 Rayleigh distances or 0.1 D^2 /
+        # lambda, lies inside the half-aperture once (N-1)*d <= 5 wavelengths
+        if exp["name"] == "angular-spread" and carrier is not None:
+            nearest = float(spread_ranges(rayleigh_distance(ula, carrier))[0])
+            if nearest <= half:
+                rep.add(
+                    "array.ula.num_elements",
+                    f"leaves angular-spread's nearest range, 0.05 Rayleigh distances = {nearest:.6g} m, "
+                    f"inside the linear array's half-aperture (N-1)*d/2 = {half:.6g} m",
+                )
         # the delay-phase front end that steers the arc across the band
         if arc is not None and carrier is not None and arc.range_m > half:
             try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .allocation import SensingRequirement, partition_and_allocate, sensing_subcarriers
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, rayleigh_distance, steering_chunks
-from .codebook import angular_spread, polar_codeword
+from .codebook import angular_spread, polar_codeword, spread_ranges
 from .config import EXPERIMENT_SECTIONS, ScenarioConfig
 from .constants import SPEED_OF_LIGHT as C
 from .csvio import write_csv, write_plot_description, write_sidecar
@@ -59,9 +59,8 @@ def run_squint_deviation(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     dev_angle, dev_range = squint_deviation(traj, design)
 
     rows = []
-    for k, m in enumerate(traj.subcarriers):
-        p = traj.points[k]
-        rows.append((int(m), grid.freq(int(m)), p.angle_rad, p.range_m, float(traj.gains[k])))
+    for m, p in enumerate(traj.points):
+        rows.append((m, grid.freq(m), p.angle_rad, p.range_m, float(traj.gains[m])))
     write_csv(outdir / "trajectory.csv", ["m", "freq_hz", "angle_rad", "range_m", "gain"], rows)
 
     summary = {
@@ -105,7 +104,7 @@ def run_angular_spread(cfg: ScenarioConfig, outdir) -> ExperimentResult:
     # Draw broadside-ish angles; extreme endfire makes the DFT basis degenerate
     # for any range, which would mask the near/far contrast under study.
     angles = np.arccos(rng.uniform(-0.9, 0.9, size=num_angles))
-    ranges = np.geomspace(0.05 * rd, 10.0 * rd, 13)
+    ranges = spread_ranges(rd)
 
     rows = []
     near_fracs = []

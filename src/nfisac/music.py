@@ -35,8 +35,8 @@ from .squint import screened_argmax
 
 # one-source bases whose peaks one screened search finds together: each
 # steering pass costs about as much Python overhead as a dozen bases'
-# products, so passes are shared widely; the search's saved gains grow with
-# it, to about 87 KB per basis on a 181 x 60 grid
+# products, so passes are shared widely; on a 181 x 60 grid each basis adds
+# about 16 KB to the search's traced peak memory, 1.6 MB at one basis
 _SEARCH_BLOCK = 64
 # subspace iteration stops once ||R V - V (V^H R V)||_F <= _SUBSPACE_TOL * ||V^H R V||_F
 _SUBSPACE_TOL = 1e-12
@@ -297,14 +297,14 @@ def single_source_peaks(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: Polar
     spectrum's value there, and a peak on the grid boundary warns the same
     way; but no spectrum is built. The peak is the grid argmax of the
     spectrum value 1 / max(N - |e^H a|^2, tiny), computed with
-    music_spectrum's steering rows and products at the center frequency
-    (direct rows only: a mirrored product would move the low bits), ties to
-    the smaller range, then the smaller angle. That point is a local maximum
-    under music_peaks' plateau rule and the first it ranks.
-    squint.screened_argmax finds it with its certified range screen: up to
-    _SEARCH_BLOCK bases are columns of one search, each with its own running
-    best and its peak decided on its own float64 products, so a peak depends
-    neither on the order of bases nor on which share its search.
+    music_spectrum's steering rows and products at the center frequency,
+    ties to the smaller range, then the smaller angle. That point is a local
+    maximum under music_peaks' plateau rule and the first it ranks.
+    squint.screened_argmax finds it with its certified range screen, on any
+    angle axis: up to _SEARCH_BLOCK bases are columns of one search, each
+    with its own running best and its peak decided on its own float64
+    products, so a peak depends neither on the order of bases nor on which
+    share its search.
     """
     center = CarrierGrid(grid.center_hz, 1, 0.0)
     no_delays = np.zeros(geom.num_elements)

@@ -28,8 +28,7 @@ _SCREEN_MARGIN = 1e-9
 class SquintTrajectory:
     """Focal point and peak gain per subcarrier over an evaluation grid."""
 
-    subcarriers: np.ndarray  # m = 0..M
-    points: tuple  # of PolarPoint, length M+1
+    points: tuple  # of PolarPoint, at subcarriers m = 0..M
     gains: np.ndarray  # peak |w^H a_m|^2 per subcarrier
     boundary_warning: bool
     evaluated_points: int  # grid points screened, their gains computed in complex64
@@ -51,15 +50,9 @@ def focal_points(
     gain |w^H a_m|^2, ties to the smaller range, then the smaller angle. The
     search is screened_argmax with one column per subcarrier; most of the
     grid is screened rather than evaluated, and the result is bit for bit
-    that of evaluating every point. If any subcarrier peaks on the grid
-    boundary the trajectory carries a boundary warning, meaning the grid is
-    too small to trust that focal point.
-
-    When w's delays equal their reverse (a codeword's are all zero) and the
-    angle axis is symmetric about pi/2, the manifold is built only for the
-    angles with cos >= 0, since ArrayGeometry's offsets are exactly
-    antisymmetric; the gain at pi - theta is read as a(theta) .
-    reverse(conj(w)), so it can differ from a direct evaluation in the last bits.
+    that of evaluating every point on its own row, on any angle axis. If any
+    subcarrier peaks on the grid boundary the trajectory carries a boundary
+    warning, meaning the grid is too small to trust that focal point.
     """
     n_ang, n_rng = pg.shape
     if n_ang == 0 or n_rng == 0:
@@ -72,13 +65,7 @@ def focal_points(
         ):
             raise ValueError("evaluation grid does not cover the design point")
 
-    # ArrayGeometry's offsets are antisymmetric, so with delays d equal to their
-    # reverse the delays at -cos(theta) are those at cos(theta) in reverse
-    # order; an asymmetric axis mirrors none
-    d = w.delays_s
-    cos_axis = np.cos(pg.angles_rad)
-    mirror = np.array_equal(d, d[::-1]) and bool(np.all(np.abs(cos_axis + cos_axis[::-1]) <= _MIRROR_COS_TOL))
-    best_val, best_idx, evaluated, confirmed = screened_argmax(geom, grid, w.weights[None], d, pg, mirror=mirror)
+    best_val, best_idx, evaluated, confirmed = screened_argmax(geom, grid, w.weights[None], w.delays_s, pg)
 
     ir, ia = np.divmod(best_idx, n_ang)
     points = tuple(
@@ -88,7 +75,7 @@ def focal_points(
     on_boundary = bool(
         np.any((ia == 0) | (ia == n_ang - 1) | (ir == 0) | (ir == n_rng - 1))
     )
-    return SquintTrajectory(np.arange(grid.num_subcarriers), points, best_val, on_boundary, evaluated, confirmed)
+    return SquintTrajectory(points, best_val, on_boundary, evaluated, confirmed)
 
 
 def screened_argmax(
@@ -97,7 +84,6 @@ def screened_argmax(
     weights: np.ndarray,
     delays_s: np.ndarray,
     pg: PolarGrid,
-    mirror: bool = False,
     music: bool = False,
 ) -> tuple:
     """Grid argmax of every (subcarrier, weight) column, screened by range.
@@ -114,33 +100,32 @@ def screened_argmax(
     range_index * num_angles + angle_index of its best point, the number
     of points screened, and each column's number of confirmed points.
 
-    mirror may be set only when d equals its reverse and the angle axis is
-    symmetric about pi/2 (see focal_points): then only the angles with
-    cos >= 0 are built, and a mirrored point's gain is read from its mirror
-    row's product with the reversed weights.
-
     The search runs in two precisions, and each column's result is bit for
-    bit that of evaluating every point. The screen computes |g| in
-    complex64: steering rows from steering_chunks(..., dtype=np.complex64)
-    and, per chunk and subcarrier, one product of the rows with all B
-    weights. Such a g32 is within _RangeBound.eps of the g64 the float64
-    path computes at that point. The first and last ranges are screened at
-    every angle; then ranges are bisected, coarse intervals before fine
-    ones. An interval between two screened ranges bounds |g| at every range
-    inside it, for each angle and column (_RangeBound.peak), and its middle
-    range is screened only at the angles where some column's bound reaches
-    that column's floor: its best g32 so far less 2 eps, two float64
-    margins and the allowance by which a smaller |g| can still tie in
-    value. Both halves are then bisected on those angles alone, so an angle
-    screened out of an interval is screened out of every range in it. An
-    interval whose lower range is not clear of the half-aperture, by one
-    part in 1e6, keeps every angle. Each measured range is one steering
-    pass over the direct-half rows it needs, and only the rows whose mirror
-    point is kept take the mirrored product.
+    bit that of evaluating every point on its own row, on any angle axis.
+    The screen computes |g| in complex64: steering rows from
+    steering_chunks(..., dtype=np.complex64) and, per chunk and subcarrier,
+    one product of the rows with all B weights. Such a g32 is within
+    _RangeBound.eps of the g64 the float64 path computes at that point.
+    With d equal to its reverse, on an angle axis symmetric about pi/2
+    within _MIRROR_COS_TOL, the screen builds only the rows with cos >= 0
+    and screens a point past pi/2 on its mirror row through the reversed
+    weights (ArrayGeometry's offsets are exactly antisymmetric); eps then
+    covers the step to the point's own row.
+    The first and last ranges are screened at every angle; then ranges are
+    bisected, coarse intervals before fine ones. An interval between two
+    screened ranges bounds |g| at every range inside it, for each angle and
+    column (_RangeBound.peak), and its middle range is screened only at the
+    angles where some column's bound reaches that column's floor: its best
+    g32 so far less 2 eps, two float64 margins and the allowance by which a
+    smaller |g| can still tie in value. Both halves are then bisected on
+    those angles alone, so an angle screened out of an interval is screened
+    out of every range in it. An interval whose lower range is not clear of
+    the half-aperture, by one part in 1e6, keeps every angle. Each measured
+    range is one steering pass over the rows it needs.
     Every screened point whose g32 comes within 2 eps, a margin and that
     allowance of its column's best g32 is a candidate; the list is pruned
     as the best rises, and what is left is the confirm set. One more
-    steering pass, in complex128, rebuilds the confirm set's rows, and each
+    steering pass, in complex128, builds each candidate's own row, and each
     column takes its argmax over their gains, computed through the same
     rows and products (arrays.gains) as an exhaustive search, so the best
     values keep their bits. A column's products are its own, so its result
@@ -148,24 +133,26 @@ def screened_argmax(
     BLAS thread count.
     """
     n_ang, n_rng = pg.shape
+    cos_axis = np.cos(pg.angles_rad)
+    skew = np.abs(cos_axis + cos_axis[::-1])
+    mirror = np.array_equal(delays_s, delays_s[::-1]) and bool(np.all(skew <= _MIRROR_COS_TOL))
     n_dir = (n_ang + 1) // 2 if mirror else n_ang  # angles built directly
     n_mir = n_ang // 2 if mirror else 0  # of those, angles k < n_mir mirrored
 
     num_m = grid.num_subcarriers
-    cos_axis = np.cos(pg.angles_rad)
     wc = np.conj(weights)
-    wc_rev = np.ascontiguousarray(wc[:, ::-1])
-    wc32, wc32_rev = wc.astype(np.complex64), wc_rev.astype(np.complex64)
+    wc32 = wc.astype(np.complex64)
+    wc32_rev = np.ascontiguousarray(wc32[:, ::-1])
     num_b, n = wc.shape
     cols = num_m * num_b
 
-    bound = _RangeBound(geom, grid, weights, delays_s, pg)
+    bound = _RangeBound(geom, grid, weights, delays_s, pg, skew if mirror else None)
     # a screened point can tie a column's best value only if its g32 is at
-    # least the column's best g32 less this: its g64 and the best's differ
-    # from their g32 by eps each, and a g64 smaller than another by more
-    # than the margin plus sqrt(8 eps N) has a smaller value, squared (the
-    # margin covers the square's rounding) or MUSIC's (N - |g|^2 and 1 / D
-    # round by a few eps N)
+    # least the column's best g32 less this: its direct g64 and the best's
+    # differ from their g32 by eps each, and a g64 smaller than another by
+    # more than the margin plus sqrt(8 eps N) has a smaller value, squared
+    # (the margin covers the square's rounding) or MUSIC's (N - |g|^2 and
+    # 1 / D round by a few eps N)
     slack = 2 * bound.eps + bound.margin + np.sqrt(8 * np.finfo(float).eps * n)
     best = np.full(cols, -np.inf)  # each column's best g32 so far
     # the candidates: column, full-grid index and g32 of each screened point
@@ -241,16 +228,12 @@ def screened_argmax(
         pending.append((mid, c1, k, middle, upper))
 
     # the confirm set's gains in float64: one complex128 steering pass over
-    # its direct-half rows and the products an exhaustive search takes,
-    # arrays.gains per weight, through the reversed weights for a mirrored
-    # point. Rows go in order of the last subcarrier they are needed at, and
-    # a chunk takes products only at its candidates' subcarriers and stops
-    # its recurrence after the last
-    r, ang = np.divmod(cand_idx, n_ang)
-    mirrored = ang >= n_dir
+    # each candidate's own row and the products an exhaustive search takes,
+    # arrays.gains per weight. Rows go in order of the last subcarrier they
+    # are needed at, and a chunk takes products only at its candidates'
+    # subcarriers and stops its recurrence after the last
     m, b = np.divmod(cand_col, num_b)
-    # each row's direct-half point as a full-grid index, and each candidate's row
-    rows_at, pos = np.unique(r * n_ang + np.where(mirrored, n_ang - 1 - ang, ang), return_inverse=True)
+    rows_at, pos = np.unique(cand_idx, return_inverse=True)
     last = np.zeros(rows_at.size, dtype=np.int64)
     np.maximum.at(last, pos, m)
     order = np.argsort(last, kind="stable")
@@ -258,24 +241,16 @@ def screened_argmax(
     pos = np.argsort(order)[pos]
     need = np.zeros((num_m, rows_at.size), dtype=bool)
     need[m, pos] = True
-    need_mirror = np.zeros_like(need)
-    need_mirror[m[mirrored], pos[mirrored]] = True
     r, k = np.divmod(rows_at, n_ang)
     g = np.empty((num_m, num_b, rows_at.size))
-    gm = np.empty_like(g)
     for lo, hi, rows in steering_chunks(geom, grid, pg.ranges_m[r] / C, cos_axis[k], delays_s):
         for mc, a in enumerate(rows):
             if need[mc, lo:hi].any():
                 for bc in range(num_b):
                     gains(a, wc[bc], out=g[mc, bc, lo:hi])
-            sel = np.flatnonzero(need_mirror[mc, lo:hi])
-            if sel.size:
-                for bc in range(num_b):
-                    gm[mc, bc, lo + sel] = gains(a[sel], wc_rev[bc])
             if mc == last[hi - 1]:
                 break
     val = g[m, b, pos]
-    val[mirrored] = gm[m[mirrored], b[mirrored], pos[mirrored]]
     np.square(val, out=val)
     if music:
         # music_spectrum's N - |e^H a|^2, floored, then inverted
@@ -306,11 +281,17 @@ class _RangeBound:
 
     margin bounds, for every column, the distance of a float64 |g| from the
     exact one plus the bound's own rounding. eps bounds, per column, the
-    distance of the screen's complex64 |g| from the float64 one:
-    sum |w_n| times _screen_error at the column's subcarrier.
+    distance of the screen's complex64 |g| from the float64 one at its
+    point: sum |w_n| times _screen_error at the column's subcarrier. On a
+    mirrored screen (skew given: |s| with s = cos(theta_k) +
+    cos(theta_{n-1-k})) a point is screened on the row at cos(theta) + s.
+    No element lies closer than r sin(theta) to the point, so |d tau_n /
+    d cos(theta)| <= |t_n| / sin(theta), t_n the element offsets (s), and
+    eps grows by 2 margin + 2 pi f_m sum |w_n| |t_n| max |s| / sin(theta).
     """
 
-    def __init__(self, geom: ArrayGeometry, grid: CarrierGrid, weights: np.ndarray, delays_s: np.ndarray, pg: PolarGrid):
+    def __init__(self, geom: ArrayGeometry, grid: CarrierGrid, weights: np.ndarray, delays_s: np.ndarray,
+                 pg: PolarGrid, skew=None):
         x = geom.element_offsets_s * C
         self.half_ap = float(np.max(np.abs(x)))
         w_abs = np.abs(np.atleast_2d(weights))
@@ -329,6 +310,10 @@ class _RangeBound:
             _SCREEN_MARGIN + 2.0**-44 * (freqs[-1] * max_delay + geom.num_elements + grid.num_subcarriers)
         )
         self.eps = np.multiply.outer(_screen_error(geom.num_elements, grid.num_subcarriers), w_sum).ravel()
+        if skew is not None:
+            step = np.divide(skew, np.sin(pg.angles_rad), out=np.zeros_like(skew), where=skew > 0).max()
+            lip = 2 * np.pi * np.multiply.outer(freqs, w_abs @ np.abs(geom.element_offsets_s)).ravel()
+            self.eps += 2 * self.margin + lip * step
 
     def clear(self, c: int) -> bool:
         """Whether range index c is clear of the half-aperture, where the bound holds."""

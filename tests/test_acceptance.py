@@ -296,7 +296,7 @@ def test_criterion_07_beam_trajectory_tracking(capsys):
     m_top = grid.num_subcarriers - 1
     hits = sum(
         abs(p.angle_rad - arc.angle_at(m / m_top)) <= np.radians(1.0) and abs(p.range_m - 20.0) <= 1.0
-        for m, p in zip(traj.subcarriers, traj.points)
+        for m, p in enumerate(traj.points)
     )
     frac = hits / grid.num_subcarriers
     elapsed = time.monotonic() - t0

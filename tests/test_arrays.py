@@ -25,6 +25,7 @@ from nfisac.codebook import Beamformer, PolarGrid, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.music import collect_snapshots, music_spectrum, sample_covariance
 from nfisac.squint import focal_points
+from test_squint import exhaustive_focal_points
 
 FC = 3.0e11
 WL = C / FC
@@ -308,19 +309,19 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         bases = [np.linalg.eigh(c.matrix)[1][:, -num_sources:] for c in covs]
         return np.array([music_spectrum(e, geom, grid, music_pg) for e in bases])
 
-    # symmetric angle axes, where focal_points reads the angles past pi/2
-    # through reversed weights. A broadside codeword whose weights equal their
-    # reverse ties each mirrored angle with its direct twin exactly; at ten
-    # angles its peak is the pair around pi/2 (angle indices 4 and 5)
+    # symmetric angle axes, where the screen builds only the angles with
+    # cos >= 0 and screens the angles past pi/2 through reversed weights,
+    # while every result comes from the point's own row. A broadside
+    # codeword whose weights equal their reverse peaks at the pair around
+    # pi/2 (angle indices 4 and 5 of ten), tied in exact arithmetic
     t = geom.element_offsets_s
     w_sym = Beamformer(-2.0 * np.pi * FC * np.sqrt((0.2 / C) ** 2 + t * t))
     assert np.array_equal(w_sym.weights, w_sym.weights[::-1])
     sym_pg = PolarGrid(np.linspace(0.0, np.pi, 12)[1:-1], np.geomspace(0.1, 0.4, 6))
-    # two angles sharing a cosine build bit-identical rows, so their mirrors
-    # tie exactly; with the codeword focused past pi/2 the peak is that tie,
-    # at angle indices 3 and 2, and must resolve to index 2. At the centre
-    # subcarrier its rows are half-grid rows 2 and 3, which 3-row chunks
-    # split, leaving the larger index in the earlier chunk
+    # two angles sharing a cosine build bit-identical rows, so they tie
+    # exactly; with the codeword focused past pi/2 the peak is that tie, at
+    # angle indices 2 and 3, and must resolve to index 2. The screen reads
+    # both from the mirror rows 1 and 0, and 3-row chunks split the tie
     b1, b2 = _adjacent_twins(0.1, np.cos)
     c1 = np.pi - b1
     twin_pg = PolarGrid(np.array([b1, b2, np.nextafter(c1, 0.0), c1]), np.array([0.08, 0.1, 0.125, 0.16]))
@@ -357,8 +358,11 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
         assert c_traj.boundary_warning == traj.boundary_warning
     # the tie resolves to the smaller range, then the smaller angle
     assert c_trajs[0].points[grid.half_m] == PolarPoint(r1, a1)
-    sym_angles = {p.angle_rad for p in c_trajs[1].points}
-    assert sym_angles == {sym_pg.angles_rad[4]}
+    assert {p.angle_rad for p in c_trajs[1].points} <= {sym_pg.angles_rad[4], sym_pg.angles_rad[5]}
+    # and the mirrored screen's results are the direct evaluation's
+    for c_traj, (v, pg) in zip(c_trajs[1:3], [(w_sym, sym_pg), (w_twin, twin_pg)]):
+        ref = exhaustive_focal_points(geom, grid, v, pg)
+        assert np.array_equal(c_traj.gains, ref.gains) and c_traj.points == ref.points
     assert {p.angle_rad for p in c_trajs[2].points} == {twin_pg.angles_rad[2]}
     assert c_trajs[2].points[grid.half_m] == PolarPoint(0.1, twin_pg.angles_rad[2])
     assert c_trajs[3].points[grid.half_m] == PolarPoint(r1, a1)

@@ -141,6 +141,10 @@ def test_runtime_failure_exits_three(tmp_path, monkeypatch, capsys):
          "array.ula.num_elements"),
         ("angular_spread.yaml", "array", "ula", {"num_elements": 1, "spacing_wavelengths": 0.5},
          "array.ula.num_elements"),
+        # at 8 elements half a wavelength apart angular-spread's nearest range,
+        # 0.05 Rayleigh distances = 1.22 mm, lies inside the 1.75 mm half-aperture
+        ("angular_spread.yaml", "array", "ula", {"num_elements": 8, "spacing_wavelengths": 0.5},
+         "array.ula.num_elements"),
         # every comm-only baseline rate rounds to 0, and the rate ratios divide by it
         ("rate_vs_sensing_budget.yaml", "users", "mean_gain", 1e-300, "users.mean_gain"),
     ],

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nfisac.music as music
-from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays
+import nfisac.squint as squint
+from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
 from nfisac.codebook import PolarGrid
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.errors import BoundaryPeakWarning
@@ -485,3 +486,32 @@ def test_single_source_peaks_take_one_source_bases_only():
     x = collect_snapshots(DIFF_GEOM, GRID1, [PolarPoint(1.0, 1.2)], 16, 0.01, seed=2)
     with pytest.raises(ValueError, match="N x 1"):
         list(single_source_peaks([snapshot_subspace(x, 2)], DIFF_GEOM, GRID1, DIFF_GRID))
+
+
+def test_single_source_peak_past_broadside_on_a_symmetric_axis(monkeypatch):
+    # on an angle axis symmetric about pi/2 the search screens only the rows
+    # with cos >= 0 and reads the angles past pi/2 through reversed weights;
+    # a noisy target past broadside must still peak where music_peaks puts
+    # the spectrum's first peak, with the spectrum's value there
+    geom = ArrayGeometry.ula(32, WL / 2)
+    angles = np.linspace(0.4, np.pi - 0.4, 41)
+    pg = PolarGrid(angles, np.geomspace(0.05, 1.0, 16))
+    bases = [
+        snapshot_subspace(collect_snapshots(geom, GRID1, [PolarPoint(0.2, 2.05)], 32, 0.1, seed=s), 1)
+        for s in range(4)
+    ]
+    screened = []
+
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex):
+        if dtype == np.complex64:
+            screened.append(cosines.copy())
+        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype)
+
+    monkeypatch.setattr(squint, "steering_chunks", recorded)
+    found = list(single_source_peaks(bases, geom, GRID1, pg))
+    assert screened and all(c.min() >= 0 for c in screened)
+    for (peak, value), e in zip(found, bases, strict=True):
+        values = music_spectrum(e, geom, GRID1, pg)
+        assert peak == music_peaks(values, pg, 1)[0]
+        assert value == values[np.searchsorted(angles, peak.angle_rad), np.searchsorted(pg.ranges_m, peak.range_m)]
+        assert peak.angle_rad > np.pi / 2

@@ -27,55 +27,49 @@ WL = C / FC
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def exhaustive_focal_points(geom, grid, w, pg):
-    """The unscreened search: every grid point at every subcarrier.
+def exhaustive_argmax(geom, grid, weights, delays_s, pg, music=False):
+    """The unscreened search: every column's value at every grid point.
 
-    The reference for focal_points' range screen, which must return its
-    points, gains and boundary flag bit for bit. It walks the grid in
-    range-major order through the same steering rows, subcarrier recurrence
-    and matrix-vector products (arrays.gains; the mirrored half read through
-    reversed weights), so only the screen differs.
+    The reference for squint.screened_argmax, which must return its values
+    and full-grid indices bit for bit. Column m * B + b pairs subcarrier m
+    with weight row b. It walks the grid in range-major order through the
+    same steering rows, subcarrier recurrence and matrix-vector products
+    (arrays.gains per weight), every point on its own row, so only the
+    screen differs. A value is |g|^2, or with music the one-source MUSIC
+    spectrum 1 / max(N - |g|^2, tiny); ties go to the smaller full index.
     """
-    n_ang, n_rng = pg.shape
-    t, d = geom.element_offsets_s, w.delays_s
-    cos_axis = np.cos(pg.angles_rad)
-    mirror = np.array_equal(t, -t[::-1]) and np.array_equal(d, d[::-1]) and bool(
-        np.all(np.abs(cos_axis + cos_axis[::-1]) <= squint._MIRROR_COS_TOL)
-    )
-    n_dir = (n_ang + 1) // 2 if mirror else n_ang
-    n_mir = n_ang // 2 if mirror else 0
-    aa, rr = np.meshgrid(pg.angles_rad[:n_dir], pg.ranges_m, indexing="xy")
-    taus = (rr / C).ravel()
-    cosines = np.cos(aa).ravel()
-    num_m = grid.num_subcarriers
-    wc = np.conj(w.weights)
-    wc_rev = np.ascontiguousarray(wc[::-1])
-    best_val = np.full(num_m, -1.0)
-    best_idx = np.zeros(num_m, dtype=np.int64)
-    for lo, hi, rows in steering_chunks(geom, grid, taus, cosines, d):
-        r, k = np.divmod(np.arange(lo, hi), n_dir)
-        idx = r * n_ang + k
-        g = np.empty((num_m, hi - lo))
-        gm = np.empty((num_m, hi - lo)) if n_mir else None
+    aa, rr = np.meshgrid(pg.angles_rad, pg.ranges_m, indexing="xy")
+    wc = np.conj(weights)
+    num_b, n = wc.shape
+    cols = grid.num_subcarriers * num_b
+    best_val = np.full(cols, -np.inf)
+    best_idx = np.zeros(cols, dtype=np.int64)
+    for lo, hi, rows in steering_chunks(geom, grid, (rr / C).ravel(), np.cos(aa).ravel(), delays_s):
+        g = np.empty((grid.num_subcarriers, num_b, hi - lo))
         for m, a in enumerate(rows):
-            arrays.gains(a, wc, out=g[m])
-            if gm is not None:
-                arrays.gains(a, wc_rev, out=gm[m])
-        if gm is not None:
-            has = k < n_mir
-            g = np.concatenate([g, gm[:, has]], axis=1)
-            idx = np.concatenate([idx, (r * n_ang + n_ang - 1 - k)[has]])
-        np.square(g, out=g)
-        val = g.max(axis=1)
-        at = np.where(g == val[:, None], idx, np.iinfo(np.int64).max).min(axis=1)
-        better = (val > best_val) | ((val == best_val) & (at < best_idx))
-        best_val[better] = val[better]
-        best_idx[better] = at[better]
+            for b in range(num_b):
+                arrays.gains(a, wc[b], out=g[m, b])
+        val = np.square(g.reshape(cols, -1))
+        if music:
+            val = 1.0 / np.maximum(n - val, np.finfo(float).tiny)
+        top = val.max(axis=1)
+        # the chunk's first maximum; an equal one in a later chunk has a larger index
+        better = top > best_val
+        best_val[better] = top[better]
+        best_idx[better] = lo + np.argmax(val == top[:, None], axis=1)[better]
+    return best_val, best_idx
+
+
+def exhaustive_focal_points(geom, grid, w, pg):
+    """focal_points' result from exhaustive_argmax: points, gains and boundary flag."""
+    n_ang, n_rng = pg.shape
+    num_m = grid.num_subcarriers
+    best_val, best_idx = exhaustive_argmax(geom, grid, w.weights[None], w.delays_s, pg)
     ir, ia = np.divmod(best_idx, n_ang)
     points = tuple(PolarPoint(float(pg.ranges_m[r]), float(pg.angles_rad[a])) for r, a in zip(ir, ia))
     on_boundary = bool(np.any((ia == 0) | (ia == n_ang - 1) | (ir == 0) | (ir == n_rng - 1)))
     every = n_ang * n_rng
-    return SquintTrajectory(np.arange(num_m), points, best_val, on_boundary, every, np.full(num_m, every))
+    return SquintTrajectory(points, best_val, on_boundary, every, np.full(num_m, every))
 
 
 def assert_matches_exhaustive(geom, grid, w, pg):
@@ -173,7 +167,7 @@ def test_wideband_search_matches_direct_exp_evaluation(front):
     # the table-driven manifold and subcarrier recurrence against np.exp
     # evaluated afresh at every subcarrier: the same argmax at every
     # subcarrier, gains within 1e-11 relative (at most 1.04e-12 is seen
-    # here). The codeword's symmetric angle axis takes the mirrored path,
+    # here). The codeword's symmetric angle axis takes the mirrored screen,
     # the front end's shifted delays do not
     geom = ArrayGeometry.ula(64, WL / 2)
     grid = CarrierGrid(FC, 9, 1.875e9)
@@ -230,7 +224,7 @@ def test_empty_grid_rejected():
 
 def test_squint_deviation_is_max_abs_offset():
     pts = (PolarPoint(9.0, 1.00), PolarPoint(11.5, 1.04), PolarPoint(10.2, 0.97))
-    traj = SquintTrajectory(np.arange(3), pts, np.ones(3), False, 3, np.ones(3, dtype=int))
+    traj = SquintTrajectory(pts, np.ones(3), False, 3, np.ones(3, dtype=int))
     d_ang, d_rng = squint_deviation(traj, PolarPoint(10.0, 1.0))
     assert d_ang == pytest.approx(0.04)
     assert d_rng == pytest.approx(1.5)
@@ -311,8 +305,8 @@ def focal_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 def test_focal_points_equal_exhaustive_argmax(scenario):
     # the screened search (range screen, subcarrier recurrence on shifted
-    # delays, mirrored half read through reversed weights) is bit for bit the
-    # unscreened one, and both agree with a plain np.exp evaluation of every
+    # delays, mirrored half screened through reversed weights) is bit for bit
+    # the unscreened one, and both agree with a plain np.exp evaluation of every
     # grid point at every subcarrier. The two round each element's phase
     # differently, which moves a gain by up to ~5e-13 N (N elements, the
     # largest gain), so np.exp gains within 1e-12 N of the max are ties that
@@ -345,6 +339,24 @@ def _random_front(geom, seed, symmetric):
     return Beamformer(rng.uniform(-np.pi, np.pi, geom.num_elements), delays)
 
 
+# cos(theta_k) + cos(theta_{n-1-k}) is nonzero at 33 of these 37 angles, and
+# within _MIRROR_COS_TOL at all of them
+SKEWED_AXIS = np.linspace(0.3, np.pi - 0.3, 37)
+
+
+def _music_screen_case():
+    # three one-source MUSIC bases on SKEWED_AXIS at the center frequency:
+    # noisy steering vectors of targets past pi/2 and at broadside, unit norm
+    geom = ArrayGeometry.ula(64, WL / 2)
+    rng = np.random.default_rng(5)
+    bases = []
+    for p in (PolarPoint(2.1, 2.0), PolarPoint(1.4, 1.9), PolarPoint(3.0, np.pi / 2)):
+        e = np.exp(-2j * np.pi * FC * arrays.spherical_delays(geom, p))
+        e += 0.3 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        bases.append(e / np.linalg.norm(e))
+    return geom, CarrierGrid(FC, 1, 0.0), np.array(bases), PolarGrid(SKEWED_AXIS, np.geomspace(0.5, 6.0, 40))
+
+
 def _screen_case(name):
     geom = ArrayGeometry.ula(64, WL / 2)
     grid = CarrierGrid(FC, 5, 1.875e9)
@@ -368,6 +380,10 @@ def _screen_case(name):
         return geom, grid, polar_codeword(geom, grid, PolarPoint(float(near[21]), 1.0)), pg
     if name in ("delay-phase", "symmetric-delay"):
         return geom, grid, _random_front(geom, 4, name == "symmetric-delay"), PolarGrid(sym_axis, near)
+    if name == "skewed-axis":
+        # the screen mirrors, and the design past pi/2 peaks on mirrored points
+        pg = PolarGrid(SKEWED_AXIS, near)
+        return geom, grid, polar_codeword(geom, grid, PolarPoint(float(near[17]), 2.0)), pg
     assert name == "straddles-aperture"
     # the first ranges lie inside the 16 mm half-aperture, where the bound
     # does not hold and the screen must evaluate every point
@@ -379,7 +395,7 @@ def _screen_case(name):
 @pytest.mark.parametrize(
     "name",
     ["far-design", "asymmetric-axis", "one-range", "two-range", "flat-carrier",
-     "delay-phase", "symmetric-delay", "straddles-aperture"],
+     "delay-phase", "symmetric-delay", "skewed-axis", "straddles-aperture"],
 )
 def test_screened_search_matches_exhaustive_reference(name):
     geom, grid, w, pg = _screen_case(name)
@@ -392,14 +408,22 @@ def test_screened_search_matches_exhaustive_reference(name):
 @pytest.mark.parametrize(
     "name",
     ["far-design", "asymmetric-axis", "two-range", "flat-carrier",
-     "delay-phase", "symmetric-delay", "straddles-aperture"],
+     "delay-phase", "symmetric-delay", "skewed-axis", "music-skewed-axis", "straddles-aperture"],
 )
 def test_screen_errors_within_its_certificate_leave_the_result(monkeypatch, name):
     # every complex64 screen row scaled by 1 +- half of _screen_error at its
     # subcarrier, the sign drawn per point: each screened |g| moves by up to
     # eps / 2 on top of its own rounding, which reorders near-ties in the
-    # screen, and the confirm pass still returns the exhaustive search's bits
-    geom, grid, w, pg = _screen_case(name)
+    # screen, and the confirm pass still returns the exhaustive search's bits.
+    # On SKEWED_AXIS the screen mirrors, a focal and a MUSIC search alike
+    if name == "music-skewed-axis":
+        geom, grid, weights, pg = _music_screen_case()
+    else:
+        geom, grid, w, pg = _screen_case(name)
+    if "skewed" in name:
+        c = np.cos(pg.angles_rad)
+        skew = np.abs(c + c[::-1])
+        assert 0 < skew.max() and np.all(skew <= squint._MIRROR_COS_TOL)
     rng = np.random.default_rng(11)
     half = squint._screen_error(geom.num_elements, grid.num_subcarriers) / 2
 
@@ -413,7 +437,15 @@ def test_screen_errors_within_its_certificate_leave_the_result(monkeypatch, name
             yield lo, hi, perturbed(rows, hi - lo)
 
     monkeypatch.setattr(squint, "steering_chunks", chunks)
-    assert_matches_exhaustive(geom, grid, w, pg)
+    if name != "music-skewed-axis":
+        assert_matches_exhaustive(geom, grid, w, pg)
+        return
+    no_delays = np.zeros(geom.num_elements)
+    val, idx, _, _ = squint.screened_argmax(geom, grid, weights, no_delays, pg, music=True)
+    ref_val, ref_idx = exhaustive_argmax(geom, grid, weights, no_delays, pg, music=True)
+    assert np.array_equal(val, ref_val) and np.array_equal(idx, ref_idx)
+    # the two targets past pi/2 peak there
+    assert np.all(pg.angles_rad[idx[:2] % pg.angles_rad.size] > np.pi / 2)
 
 
 @pytest.mark.parametrize("name", ["far-design", "asymmetric-axis", "flat-carrier", "straddles-aperture"])
@@ -428,10 +460,10 @@ def test_columns_of_several_weights_are_each_weights_search(name):
         polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[-2]), float(pg.angles_rad[3]))),
         dft_codeword(geom, grid, 1.4),
     ]
-    cos_axis = np.cos(pg.angles_rad)
-    mirror = bool(np.all(np.abs(cos_axis + cos_axis[::-1]) <= squint._MIRROR_COS_TOL))
     weights = np.array([f.weights for f in fronts])
-    val, idx, _, _ = squint.screened_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg, mirror=mirror)
+    val, idx, _, _ = squint.screened_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg)
+    ref_val, ref_idx = exhaustive_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg)
+    assert np.array_equal(val, ref_val) and np.array_equal(idx, ref_idx)
     for b, front in enumerate(fronts):
         traj = focal_points(geom, grid, front, pg)
         assert np.array_equal(val.reshape(-1, len(fronts))[:, b], traj.gains)
@@ -547,7 +579,7 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     # rows it needs, and evaluated_points counts exactly the gains screened:
     # every angle at the two end ranges, then at each middle range its
     # direct rows and the mirror point of each angle kept in the mirrored
-    # half. One complex128 pass then rebuilds the confirm set's rows
+    # half. One complex128 pass then builds the confirm set's own rows
     geom, grid, w, pg = _shipped_squint_search()
     n_ang, n_rng = pg.shape
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
@@ -593,13 +625,13 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
         mirrored += mirror_of.size
     assert direct == sum(rows[2:])
     assert traj.evaluated_points == 2 * n_ang + direct + mirrored
-    # the confirm pass builds each confirmed point's direct-half row once,
-    # the focal points' among them, and a few points decide each subcarrier
+    # the confirm pass builds each confirmed point's own row once, the focal
+    # points' among them, and a few points decide each subcarrier
     confirm_rows = set(zip(confirm_taus, confirm_cosines))
     assert len(confirm_rows) == confirm_taus.size <= traj.confirmed_points.sum()
     for p in traj.points:
         a = int(np.searchsorted(pg.angles_rad, p.angle_rad))
-        assert (p.range_m / C, cos_axis[min(a, n_ang - 1 - a)]) in confirm_rows
+        assert (p.range_m / C, cos_axis[a]) in confirm_rows
     assert traj.confirmed_points.shape == (grid.num_subcarriers,)
     assert 1 <= traj.confirmed_points.min() and traj.confirmed_points.max() <= 12
     # the shipped figures, and most kept rows need only their direct point
