@@ -98,10 +98,14 @@ def gains_at_freq(
     cosines: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """|w^H a|^2 at one frequency over matched (tau, cos) point arrays."""
+    """|w^H a|^2 at one frequency over matched (tau, cos) point arrays.
+
+    weights is N (one front end: P gains for P points) or N x K (K front
+    ends as columns: P x K gains), as for arrays.gains.
+    """
     taus = np.asarray(taus, dtype=float)
     cosines = np.asarray(cosines, dtype=float)
-    out = np.empty(taus.size, dtype=float)
+    out = np.empty((taus.size,) + np.shape(weights)[1:])
     wc = np.conj(weights)
     for lo, hi, (a,) in steering_chunks(geom, CarrierGrid(freq_hz, 1, 0.0), taus, cosines):
         out[lo:hi] = gains(a, wc) ** 2

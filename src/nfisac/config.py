@@ -148,7 +148,7 @@ class Num(_Kind):
     @property
     def message(self) -> str:
         if self.hi is not None:
-            text = f"must lie in ({self.lo:g}, {self.hi:g})"
+            text = f"must lie in {'[' if self.closed else '('}{self.lo:g}, {self.hi:g})"
         elif self.closed:
             text = f"must be a number >= {self.lo:g}"
         else:
@@ -229,7 +229,9 @@ SCHEMA: Dict[str, Any] = {
         "name": Name(tuple(EXPERIMENT_SECTIONS), "experiment"),
         "seed": Int(0, "reproducibility seed"),
         "trials": Int(1, default=1),
-        "snr_db": Items(Num(-math.inf, closed=True), "numbers (dB)", default=()),
+        # rmse-vs-snr's echo energies 10**(snr / 10) saturate every scheme's
+        # readout near +-300 dB and overflow or vanish past it
+        "snr_db": Items(Num(-300, hi=300), "numbers in (-300, 300) dB", default=()),
     },
     "array.ula": {"num_elements": Int(1), "spacing_m": _METERS, "spacing_wavelengths": _WAVELENGTHS},
     "array.upa": {
@@ -267,7 +269,8 @@ SCHEMA: Dict[str, Any] = {
     "isac": {
         "sensing_subcarriers": Int(3),
         "conventional_slots": Int(3),
-        "sensing_energy_ratio": Num(1, closed=True),
+        # sensing-only's echo energy is this ratio times isac's: at 1e308 it overflows
+        "sensing_energy_ratio": Num(1, closed=True, hi=1e6),
         "target_margin_rad": Num(0, "radians", closed=True, default=math.radians(1.0)),
     },
     "music": {"snapshot_count": Int(2), "noise_power_w": Num(0, "watts")},

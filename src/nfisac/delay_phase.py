@@ -22,7 +22,7 @@ import numpy as np
 
 from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delay_matrix
 from .codebook import Beamformer
-from .errors import HardwareBoundError, IllConditionedSpecError
+from .errors import IllConditionedSpecError
 
 # adjacent-subcarrier detrended phase steps this close to pi are unresolvable
 _UNWRAP_GUARD = 0.95 * np.pi
@@ -143,7 +143,6 @@ def fit_trajectory(
     geom: ArrayGeometry,
     grid: CarrierGrid,
     spec: TrajectorySpec,
-    max_delay_s: Optional[float] = None,
 ) -> tuple:
     """Least-squares delays and phases tracking the requested trajectory.
 
@@ -153,8 +152,7 @@ def fit_trajectory(
     difference wrapped once; the slowly varying remainder is unwrapped
     outward from the middle subcarrier as np.unwrap would, the trend is
     added back, and each antenna gets an ordinary linear regression against
-    frequency. Returns (Beamformer, rms_residual_rad); max_delay_s, when
-    set, is the hardware bound on every delay.
+    frequency. Returns (Beamformer, rms_residual_rad).
 
     Every wrap is _wrap's rint, so phases and residuals carry its rounding
     of a few |phase|*eps: up to about 1e-11 rad on targets of 1e5 rad.
@@ -203,6 +201,4 @@ def fit_trajectory(
     rms = float(np.sqrt(np.mean(resid**2)))
 
     delays = delays - delays.min()
-    if max_delay_s is not None and np.any(delays > max_delay_s):
-        raise HardwareBoundError(f"delay {delays.max():.3e} s exceeds hardware bound {max_delay_s:.3e} s")
     return Beamformer(phases, delays), rms

@@ -204,10 +204,10 @@ def run_music_vs_wavenumber(cfg: ScenarioConfig, outdir) -> ExperimentResult:
 
     Trial tr of target k draws its snapshots from SeedSequence((seed, k, tr))
     through music.snapshot_trials, which draws trial tr + 1 on a helper
-    thread while this thread takes trial tr's one-source signal subspace;
-    the trials' bases then share one certified peak search.
-    Every row has the bits of drawing and reducing its trial alone, in trial
-    order, however the threads are timed.
+    thread, one for all the target's trials, while this thread takes trial
+    tr's one-source signal subspace; the trials' bases then share one
+    certified peak search. Every row has the bits of drawing and reducing
+    its trial alone, in trial order, however the threads are timed.
     """
     geom = cfg.ula
     grid = cfg.carrier

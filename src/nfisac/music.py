@@ -21,14 +21,13 @@ cannot certify the second-largest local maximum).
 from __future__ import annotations
 
 import itertools
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, is_psd, spherical_delays, steering_chunks
-from .codebook import PolarGrid
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, is_psd, spherical_delays
+from .codebook import PolarGrid, gains_at_freq
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
 from .squint import screened_argmax
@@ -150,15 +149,18 @@ def snapshot_trials(
 
     Every trial is assembled into one T x N buffer allocated once per call,
     so a yielded matrix is valid only until the next one is yielded, and
-    must not be modified. While the caller works on a trial, the next
-    seed's symbols and noise are drawn on one helper thread (numpy's
-    Generator releases the GIL while it fills) into buffers this call
-    allocated; the first trial is drawn on the caller's thread. Each seed
-    keeps its own stream and trials are assembled in order on the caller's
-    thread, so no bit depends on the thread's timing. An error raised while
-    a trial is drawn is raised here, and closing the generator early waits
-    for the draw under way.
+    must not be modified. The first trial is drawn on the caller's thread;
+    while the caller works on a trial, the next seed's symbols and noise are
+    drawn into buffers this call allocated by the one worker of a
+    ThreadPoolExecutor the call owns (numpy's Generator releases the GIL
+    while it fills). Each seed keeps its own stream and trials are assembled
+    in order on the caller's thread, so no bit depends on the thread's
+    timing. An error raised while a trial is drawn is raised here, and
+    closing the generator early waits for the draw under way.
     """
+    # imported here: concurrent.futures imports logging, a cost only a MUSIC run should pay
+    from concurrent.futures import ThreadPoolExecutor
+
     sources = list(sources)
     if snapshot_count <= len(sources):
         raise ValueError("snapshot_count must exceed the number of sources")
@@ -170,30 +172,15 @@ def snapshot_trials(
     noise = np.empty((2, t_count, n)) if noise_power > 0 else None
     noise_scale = np.sqrt(noise_power / 2)
     x = np.empty((t_count, n), dtype=complex)
-    failed = []
-
-    def draw(seed):
-        try:
-            _draw_trial(seed, symbols, noise)
-        except BaseException as exc:  # re-raised on the caller's thread
-            failed.append(exc)
-
-    drawn = False  # a trial's draws wait in symbols and noise
-    for seed in seeds:
-        if not drawn:
-            _draw_trial(seed, symbols, noise)
-            drawn = True
-            continue
-        _assemble(steering, symbols, noise, noise_scale, x)
-        helper = threading.Thread(target=draw, args=(seed,))
-        helper.start()
-        try:
-            yield x
-        finally:
-            helper.join()
-        if failed:
-            raise failed.pop()
-    if drawn:
+    seeds = iter(seeds)
+    for first in itertools.islice(seeds, 1):  # none when seeds is empty
+        _draw_trial(first, symbols, noise)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for seed in seeds:
+                _assemble(steering, symbols, noise, noise_scale, x)
+                drawing = helper.submit(_draw_trial, seed, symbols, noise)
+                yield x
+                drawing.result()
         _assemble(steering, symbols, noise, noise_scale, x)
         yield x
 
@@ -232,19 +219,14 @@ def music_spectrum(basis: np.ndarray, geom: ArrayGeometry, grid: CarrierGrid, pg
 
     basis is an orthonormal N x k basis E_s of a signal subspace, k being the
     number of sources. The spectrum is evaluated at the center frequency
-    with one steering pass over the grid, using ||E_n^H a||^2 =
-    N - ||E_s^H a||^2 so only the small signal subspace is projected; the
-    denominator is floored at the smallest normal float. Larger values lie
-    closer to the manifold.
+    by codebook.gains_at_freq, one steering pass over the grid, using
+    ||E_n^H a||^2 = N - ||E_s^H a||^2 so only the small signal subspace is
+    projected; the denominator is floored at the smallest normal float.
+    Larger values lie closer to the manifold.
     """
     rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
-    taus = (rr / C).ravel()
-    cosines = np.cos(aa).ravel()
-    es_conj = np.conj(basis)
-    den = np.empty(taus.size)
-    for lo, hi, (a,) in steering_chunks(geom, CarrierGrid(grid.center_hz, 1, 0.0), taus, cosines):
-        proj = gains(a, es_conj) ** 2
-        den[lo:hi] = es_conj.shape[0] - proj.sum(axis=1)
+    proj = gains_at_freq(geom, grid.center_hz, (rr / C).ravel(), np.cos(aa).ravel(), basis)
+    den = geom.num_elements - proj.sum(axis=1)
     return (1.0 / np.maximum(den, np.finfo(float).tiny)).reshape(pg.shape)
 
 

@@ -147,6 +147,12 @@ def test_runtime_failure_exits_three(tmp_path, monkeypatch, capsys):
          "array.ula.num_elements"),
         # every comm-only baseline rate rounds to 0, and the rate ratios divide by it
         ("rate_vs_sensing_budget.yaml", "users", "mean_gain", 1e-300, "users.mean_gain"),
+        # rmse-vs-snr's echo energies overflow at 4000 dB (a crash), vanish
+        # at -4000 dB (every estimate on the arc's first angle), and at a
+        # 1e308 energy ratio sensing-only reads nan
+        ("rmse_vs_snr.yaml", "experiment", "snr_db", [0, 4000], "experiment.snr_db"),
+        ("rmse_vs_snr.yaml", "experiment", "snr_db", [0, -4000], "experiment.snr_db"),
+        ("rmse_vs_snr.yaml", "isac", "sensing_energy_ratio", 1e308, "isac.sensing_energy_ratio"),
     ],
 )
 def test_cross_field_errors_exit_two_before_running(tmp_path, name, section, key, value, path):

@@ -20,7 +20,7 @@ from nfisac.delay_phase import (
     fit_trajectory,
     subcarrier_weights,
 )
-from nfisac.errors import HardwareBoundError, IllConditionedSpecError
+from nfisac.errors import IllConditionedSpecError
 
 FC = 3.0e11
 WL = C / FC
@@ -76,13 +76,6 @@ def test_single_frequency_spec_raises_ill_conditioned():
     spec = arc_trajectory_spec(grid, Arc(1.0, 1.2, 10.0))
     with pytest.raises(IllConditionedSpecError, match="one frequency"):
         fit_trajectory(ArrayGeometry.ula(16, WL / 2), grid, spec)
-
-
-def test_fit_respects_hardware_bound():
-    arc = Arc(np.pi / 3, np.pi * 4 / 9, 20.0)
-    spec = arc_trajectory_spec(GRID, arc)
-    with pytest.raises(HardwareBoundError, match="bound"):
-        fit_trajectory(GEOM, GRID, spec, max_delay_s=1e-14)
 
 
 @given(st.floats(min_value=0.0, max_value=5e-11))

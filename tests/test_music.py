@@ -195,10 +195,11 @@ def test_snapshot_trials_draw_on_one_helper_and_leave_no_thread(monkeypatch):
     geom, p = ArrayGeometry.ula(16, WL / 2), PolarPoint(1.0, 1.0)
     start = threading.active_count()
     draw_trial = music._draw_trial
-    alive = []
+    alive, drawn_on = [], []
 
     def counted(seed, symbols, noise):
         alive.append(threading.active_count() - start)
+        drawn_on.append(threading.current_thread())
         if seed == "fail":
             raise DrawFailed(seed)
         draw_trial(seed, symbols, noise)
@@ -207,6 +208,9 @@ def test_snapshot_trials_draw_on_one_helper_and_leave_no_thread(monkeypatch):
     assert len(list(music.snapshot_trials(geom, GRID1, [p], 8, 0.1, range(6)))) == 6
     # the first trial is drawn on the caller's thread, the rest on one helper
     assert alive == [0, 1, 1, 1, 1, 1]
+    helpers = set(drawn_on[1:])
+    assert drawn_on[0] is threading.current_thread() and len(helpers) == 1
+    assert threading.current_thread() not in helpers
     assert threading.active_count() == start
     # a failed draw raises its own error on the caller's thread, first or not
     for seeds in (["fail", 1], [0, 1, "fail", 3]):
