@@ -167,9 +167,12 @@ _K = 2.0 * np.pi / _TURN_STEPS
 _C2, _C4, _S1, _S3 = -_K * _K / 2.0, _K**4 / 24.0, -_K, _K**3 / 6.0
 
 
-def phasors(freq_hz: float, delays: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def phasors(freq_hz, delays: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """exp(-2j*pi*freq_hz*delays) into out, with no complex exp per entry.
 
+    freq_hz is one frequency or, for R x N delays, an R x 1 column of one
+    frequency per row; each row then has the bits that a call with its own
+    frequency alone gives it.
     t = (freq_hz * _TURN_STEPS) * delays (scaling by a power of two is exact)
     is split into the nearest integer j and the remainder r = t - j, which is
     exact, and the result is _PHASOR_TABLE[j mod _TURN_STEPS] times a short
@@ -183,14 +186,13 @@ def phasors(freq_hz: float, delays: np.ndarray, out: np.ndarray, scratch: np.nda
     float array of at least 4 * delays.size entries. out doubles as work
     space, so it must not overlap delays.
     """
-    d = delays.reshape(-1)
-    n = d.size
+    n = delays.size
     flat = out.reshape(-1)
     t, q = flat.view(float)[:n], flat.view(float)[n:]
     e = scratch[: 2 * n].view(complex)
     idx = scratch[2 * n : 3 * n].view(np.int64)
     tmp = scratch[3 * n : 4 * n]
-    np.multiply(d, freq_hz * _TURN_STEPS, out=t)
+    np.multiply(delays, freq_hz * _TURN_STEPS, out=t.reshape(delays.shape))
     np.add(t, _ROUND_MAGIC, out=q)
     np.bitwise_and(q.view(np.int64), _TURN_STEPS - 1, out=idx)
     np.subtract(q, _ROUND_MAGIC, out=q)
@@ -219,25 +221,46 @@ _CHUNK_ENTRIES = 32_768
 
 
 def steering_chunks(
-    geom: ArrayGeometry, grid: CarrierGrid, taus: np.ndarray, cosines: np.ndarray, offsets_s=None, dtype=complex
+    geom: ArrayGeometry,
+    grid: CarrierGrid,
+    taus: np.ndarray,
+    cosines: np.ndarray,
+    offsets_s=None,
+    dtype=complex,
+    spans=None,
 ):
     """Spherical-wavefront steering rows at grid's subcarriers over matched point arrays.
 
     Yields (lo, hi, rows) for consecutive row ranges lo:hi of the 1-D
     taus/cosines arrays, _CHUNK_ENTRIES // N rows each but the last, so
     that the passes over a chunk's subcarriers run in cache rather than
-    streaming from memory. With delays the points' spherical_delay_matrix
-    less the per-element offsets_s, if given (a front end's delays), rows
-    yields the chunk's steering matrix at subcarriers 0..M in turn: first
+    streaming from memory. delays are the points' spherical_delay_matrix
+    less the per-element offsets_s, if given (a front end's delays). rows
+    yields (m, i, a) for subcarriers m in ascending order: a holds the
+    steering rows i:i + len(a) of the chunk at subcarrier m. Without spans
+    that is every row at every subcarrier 0..M: first
     phasors(grid.freq(0), delays), then that matrix times
     step = phasors(grid.spacing_hz, delays) in place, once per subcarrier.
     A one-frequency caller passes CarrierGrid(f, 1, 0.0).
 
+    spans = (first, last), two integer arrays with 0 <= first <= last <= M
+    and first nondecreasing from row to row, gives each row the subcarriers
+    first..last it is needed at. Each row then starts as
+    phasors(grid.freq(first), delays), in one call for the chunk with a
+    column of frequencies, and at each subcarrier m where a row is needed a
+    is the window from the first row still needed at m to the last row
+    started by m. Only a window's rows are stepped to the next subcarrier,
+    and only rows that some window steps get a step phasor. A window may
+    hold rows past their last subcarrier, whose values stay exact. A chunk
+    whose every span is the whole band runs the loop above, and with
+    first = 0 every row keeps the bits it has without spans.
+
     dtype is the rows' complex type. With np.complex64 the delays and both
     phasors are still computed in float64, through a complex128 staging
     buffer, and rounded once into complex64 buffers, where the recurrence
-    then runs: rows for a screen, each entry within (m + 1) u + sqrt(5) m u
-    of the float64 row at subcarrier m, u = 2**-24 (squint._screen_error).
+    then runs: rows for a screen, each entry within (s + 1) u + sqrt(5) s u
+    of the float64 row s steps after its start, u = 2**-24
+    (squint._screen_error).
 
     Every chunk is computed into buffers allocated once per call, so a
     yielded matrix is valid only until rows yields the next one, and must
@@ -260,13 +283,44 @@ def steering_chunks(
         np.copyto(out, phasors(freq_hz, delays, stage[: out.shape[0]], scratch))
         return out
 
+    def advance(a, step):
+        # numpy rounds an in-place product of one complex entry otherwise
+        # than its array loops do, so a lone entry is stepped out of place
+        if a.size > 1:
+            a *= step
+        else:
+            a[...] = a * step
+
     def rows(delays, a):
         step = None if step_buf is None else phasors_into(grid.spacing_hz, delays, step_buf[: a.shape[0]])
-        yield phasors_into(grid.freq(0), delays, a)
-        for _ in range(1, num_m):
+        yield 0, 0, phasors_into(grid.freq(0), delays, a)
+        for m in range(1, num_m):
             if step is not None:
-                a *= step
-            yield a
+                advance(a, step)
+            yield m, 0, a
+
+    def windows(delays, a, first, last):
+        # by subcarrier m, the rows started by m and the first row still
+        # needed at m: both grow with m, so a row inside the window at m
+        # has been inside it at every subcarrier since its first
+        ms = np.arange(num_m)
+        needed = np.maximum.accumulate(last)
+        stop = np.searchsorted(first, ms, side="right")
+        start = np.minimum(np.searchsorted(needed, ms), stop)
+        began = np.concatenate([[0], stop[:-1]])  # rows start[m]:began[m] step to m
+        stepped = np.flatnonzero(start < began)
+        phasors_into(grid.freqs()[first][:, None], delays, a)
+        step = None
+        if step_buf is not None and stepped.size:
+            s0, s1 = start[stepped[0]], began[stepped[-1]]
+            step = step_buf[: a.shape[0]]
+            phasors_into(grid.spacing_hz, delays[s0:s1], step[s0:s1])
+        band = range(first[0], needed[-1] + 1)
+        for m, i, j, k in zip(band, start[band].tolist(), began[band].tolist(), stop[band].tolist()):
+            if step is not None and i < j:
+                advance(a[i:j], step[i:j])
+            if i < k:
+                yield m, i, a[i:k]
 
     for lo in range(0, taus.size, chunk):
         hi = min(lo + chunk, taus.size)
@@ -275,7 +329,11 @@ def steering_chunks(
         spherical_delay_matrix(geom, taus[lo:hi], cosines[lo:hi], out=delays, work=work)
         if offsets_s is not None:
             delays -= offsets_s
-        yield lo, hi, rows(delays, steering_buf[: hi - lo])
+        a = steering_buf[: hi - lo]
+        if spans is None or (spans[0][hi - 1] == 0 and spans[1][lo:hi].min() == num_m - 1):
+            yield lo, hi, rows(delays, a)
+        else:
+            yield lo, hi, windows(delays, a, spans[0][lo:hi], spans[1][lo:hi])
 
 
 def gains(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:

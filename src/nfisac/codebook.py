@@ -107,7 +107,7 @@ def gains_at_freq(
     cosines = np.asarray(cosines, dtype=float)
     out = np.empty((taus.size,) + np.shape(weights)[1:])
     wc = np.conj(weights)
-    for lo, hi, (a,) in steering_chunks(geom, CarrierGrid(freq_hz, 1, 0.0), taus, cosines):
+    for lo, hi, ((_, _, a),) in steering_chunks(geom, CarrierGrid(freq_hz, 1, 0.0), taus, cosines):
         out[lo:hi] = gains(a, wc) ** 2
     return out
 

@@ -314,7 +314,7 @@ def _beam_gains(
     wc_ttd = np.conj(w_ttd)
     g = np.empty((grid.num_subcarriers, angles.size, wcols.shape[1]))
     for lo, hi, rows in steering_chunks(geom, grid, taus, np.cos(angles)):
-        for m, a in enumerate(rows):
+        for m, _, a in rows:
             wcols[:, 0] = wc_ttd[m]
             gains(a, wcols, out=g[m, lo:hi])
     # (point, weight, subcarrier) in C order: sums over subcarriers then run

@@ -7,6 +7,7 @@ argmax of |w_m^H a_m| over a polar evaluation grid.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ class SquintTrajectory:
     points: tuple  # of PolarPoint, at subcarriers m = 0..M
     gains: np.ndarray  # peak |w^H a_m|^2 per subcarrier
     boundary_warning: bool
-    evaluated_points: int  # grid points screened, their gains computed in complex64
+    evaluated_points: int  # grid points screened, their gains computed in complex64 at one subcarrier or more
     confirmed_points: np.ndarray  # per subcarrier, points whose gains decided it in float64
 
     def __len__(self) -> int:
@@ -103,34 +104,40 @@ def screened_argmax(
     The search runs in two precisions, and each column's result is bit for
     bit that of evaluating every point on its own row, on any angle axis.
     The screen computes |g| in complex64: steering rows from
-    steering_chunks(..., dtype=np.complex64) and, per chunk and subcarrier,
-    one product of the rows with all B weights. Such a g32 is within
-    _RangeBound.eps of the g64 the float64 path computes at that point.
+    steering_chunks(..., dtype=np.complex64) and, per chunk window and
+    subcarrier, one product of the window's rows with all B weights. Such
+    a g32 is within _RangeBound.eps of the g64 the float64 path computes
+    at that point, also on a row started past subcarrier 0.
     With d equal to its reverse, on an angle axis symmetric about pi/2
     within _MIRROR_COS_TOL, the screen builds only the rows with cos >= 0
     and screens a point past pi/2 on its mirror row through the reversed
     weights (ArrayGeometry's offsets are exactly antisymmetric); eps then
     covers the step to the point's own row.
-    The first and last ranges are screened at every angle; then ranges are
-    bisected, coarse intervals before fine ones. An interval between two
-    screened ranges bounds |g| at every range inside it, for each angle and
-    column (_RangeBound.peak), and its middle range is screened only at the
-    angles where some column's bound reaches that column's floor: its best
-    g32 so far less 2 eps, two float64 margins and the allowance by which a
-    smaller |g| can still tie in value. Both halves are then bisected on
-    those angles alone, so an angle screened out of an interval is screened
-    out of every range in it. An interval whose lower range is not clear of
-    the half-aperture, by one part in 1e6, keeps every angle. Each measured
-    range is one steering pass over the rows it needs.
-    Every screened point whose g32 comes within 2 eps, a margin and that
+    The first and last ranges are screened at every angle and column; then
+    ranges are bisected, coarse intervals before fine ones. An interval
+    between two screened ranges bounds |g| at every range inside it, for
+    each angle and column (_RangeBound.peak), and its middle range is
+    screened only at the (angle, column) pairs whose bound reaches that
+    column's floor: its best g32 so far less 2 eps, two float64 margins and
+    the allowance by which a smaller |g| can still tie in value. A pair
+    left out reads -inf, so both halves, bisected on the angles kept, leave
+    it out too: a pair screened out of an interval is screened out of
+    every range in it. An interval whose lower range is not clear of the
+    half-aperture, by one part in 1e6, keeps every pair. Each measured
+    range is one steering pass over the rows it needs, each row spanning
+    the subcarriers from the first to the last one that its pairs need
+    (steering_chunks' spans), so a row is built and multiplied only where
+    the squint can still put a column's peak.
+    Every screened pair whose g32 comes within 2 eps, a margin and that
     allowance of its column's best g32 is a candidate; the list is pruned
     as the best rises, and what is left is the confirm set. One more
-    steering pass, in complex128, builds each candidate's own row, and each
-    column takes its argmax over their gains, computed through the same
-    rows and products (arrays.gains) as an exhaustive search, so the best
-    values keep their bits. A column's products are its own, so its result
-    does not depend on which columns share the search, nor on the screen's
-    BLAS thread count.
+    steering pass, in complex128, builds each candidate's own row from
+    subcarrier 0 to the last one it is needed at, and each column takes
+    its argmax over their gains, computed through the same rows and
+    products (arrays.gains) as an exhaustive search, so the best values
+    keep their bits. A column's products are its own, so its result does
+    not depend on which columns share the search, nor on the screen's BLAS
+    thread count.
     """
     n_ang, n_rng = pg.shape
     cos_axis = np.cos(pg.angles_rad)
@@ -159,17 +166,20 @@ def screened_argmax(
     # within slack of its column's best
     cand_col = np.empty(0, dtype=np.int64)
     cand_idx = np.empty(0, dtype=np.int64)
-    cand_g = np.empty(0, dtype=np.float32)
+    cand_g = np.empty(0)
     evaluated = 0
     row = np.empty((cols, n_ang))  # one range's g32 by angle index, reused
 
-    def measure(r, angles):
+    def measure(r, angles, need=None):
         # g32 (column by angle) at range index r and the given ascending
-        # angle indices, from one steering pass over the direct-half rows
-        # they need: first the j rows whose mirror angle is wanted, which
-        # also take the mirrored product, then the rest. Every point
-        # screened raises its column's best and joins the candidates if
-        # near it
+        # angle indices, -inf where need (column by angle; every column if
+        # None) leaves a column out, from one steering pass over the
+        # direct-half rows they need: first the rows whose mirror angle is
+        # wanted, which also take the mirrored product, then the rest. A
+        # row runs from the first to the last subcarrier that its point, or
+        # the mirror point it also screens, is needed at; rows go in order
+        # of their first. Every value screened raises its column's best and
+        # joins the candidates if near it
         nonlocal evaluated, cand_col, cand_idx, cand_g
         hit = np.zeros(n_ang, dtype=bool)
         hit[angles] = True
@@ -178,33 +188,58 @@ def screened_argmax(
         k = np.concatenate([np.flatnonzero(both), np.flatnonzero(hit[:n_dir] & ~both)])
         j = int(np.count_nonzero(both))
         evaluated += k.size + j
+        mirrored = np.arange(k.size) < j
+        spans = None
+        if need is not None and num_m > 1:
+            per_m = np.zeros((num_m, n_ang), dtype=bool)  # by subcarrier, the angles needed
+            per_m[:, angles] = need.reshape(num_m, num_b, -1).any(axis=1)
+            on = per_m[:, k]
+            on[:, :j] |= per_m[:, n_ang - 1 - k[:j]]
+            first = on.argmax(axis=0)
+            order = np.argsort(first, kind="stable")
+            k, mirrored = k[order], mirrored[order]
+            spans = first[order], num_m - 1 - on[::-1].argmax(axis=0)[order]
         taus = np.full(k.size, pg.ranges_m[r] / C)
-        for lo, hi, rows in steering_chunks(geom, grid, taus, cos_axis[k], delays_s, np.complex64):
-            kc = k[lo:hi]
-            jc = min(max(j - lo, 0), hi - lo)  # the chunk's leading rows that mirror
-            g = np.empty((num_m, num_b, hi - lo + jc), dtype=np.float32)
-            for m, a in enumerate(rows):
+        for lo, hi, rows in steering_chunks(geom, grid, taus, cos_axis[k], delays_s, np.complex64, spans):
+            size = hi - lo
+            kc, mirrors = k[lo:hi], np.flatnonzero(mirrored[lo:hi])
+            mir = mirrors.tolist()
+            # the direct products, then the mirrored ones; -inf outside the
+            # windows, if there are any
+            shape = (num_m, num_b, size + mirrors.size)
+            g = np.empty(shape, np.float32) if spans is None else np.full(shape, -np.inf, np.float32)
+            for m, i, a in rows:
                 # one product per block against every weight: screen values
                 # need no particular bits, so arrays.gains is bypassed
-                np.abs(wc32 @ a.T, out=g[m, :, : hi - lo])
-                if jc:
-                    np.abs(wc32_rev @ a[:jc].T, out=g[m, :, hi - lo :])
-            g = g.reshape(cols, -1)
-            # the angle index of each of g's points, the mirrored ones last
-            ang = np.concatenate([kc, n_ang - 1 - kc[:jc]])
-            row[:, ang] = g
-            np.maximum(best, g.max(axis=1), out=best)
-            floor = best - slack
-            live = cand_g >= floor[cand_col]
-            c, at = np.nonzero(g >= floor[:, None])
-            cand_col = np.concatenate([cand_col[live], c])
-            cand_idx = np.concatenate([cand_idx[live], r * n_ang + ang[at]])
-            cand_g = np.concatenate([cand_g[live], g[c, at]])
-        return row[:, angles]
+                np.abs(wc32 @ a.T, out=g[m, :, i : i + len(a)])
+                # the mirrored product over the window's mirroring rows j0:j1
+                # and any rows between them
+                j0, j1 = bisect_left(mir, i), bisect_left(mir, i + len(a))
+                if j0 == j1:
+                    continue
+                p0, p1 = mir[j0] - i, mir[j1 - 1] + 1 - i
+                if p1 - p0 == j1 - j0:
+                    np.abs(wc32_rev @ a[p0:p1].T, out=g[m, :, size + j0 : size + j1])
+                else:
+                    g[m, :, size + j0 : size + j1] = np.abs(wc32_rev @ a[p0:p1].T)[:, mirrors[j0:j1] - i - p0]
+            # by angle index, the mirrored points last
+            row[:, np.concatenate([kc, n_ang - 1 - kc[mirrors]])] = g.reshape(cols, -1)
+        val = row[:, angles]
+        if need is not None:
+            np.copyto(val, -np.inf, where=~need)
+        np.maximum(best, val.max(axis=1), out=best)
+        floor = best - slack
+        live = cand_g >= floor[cand_col]
+        c, at = np.nonzero(val >= floor[:, None])
+        cand_col = np.concatenate([cand_col[live], c])
+        cand_idx = np.concatenate([cand_idx[live], r * n_ang + angles[at]])
+        cand_g = np.concatenate([cand_g[live], val[c, at]])
+        return val
 
     every = np.arange(n_ang)
     # intervals (c0, c1, angles, g32 at c0, g32 at c1) whose ranges between
-    # are still to be screened, g32 only at their angles; first in, first out
+    # are still to be screened, g32 only at their angles and -inf at the
+    # columns screened out of an interval around them; first in, first out
     pending = deque()
     lowest = measure(0, every)
     if n_rng > 1:
@@ -213,25 +248,30 @@ def screened_argmax(
         c0, c1, k, lower, upper = pending.popleft()
         if c1 - c0 < 2:
             continue
+        need = None
         if bound.clear(c0):
             # a point whose bound falls below this has a g64 below the
             # candidates' floor: the bound is within eps of the one from g64
-            # values, which is within a margin of every g64 between
+            # values, which is within a margin of every g64 between. A
+            # column at -inf on either end was screened out of a wider
+            # interval, and stays out
             floor = best - slack - bound.margin
-            reach = np.any(bound.peak(lower, upper, k, c0, c1) >= floor[:, None], axis=0)
+            need = bound.peak(lower, upper, k, c0, c1) >= floor[:, None]
+            reach = need.any(axis=0)
             if not reach.any():
                 continue
-            k, lower, upper = k[reach], lower[:, reach], upper[:, reach]
+            keep = np.flatnonzero(reach)
+            k, lower, upper, need = k[keep], lower.take(keep, 1), upper.take(keep, 1), need.take(keep, 1)
         mid = (c0 + c1) // 2
-        middle = measure(mid, k)
+        middle = measure(mid, k, need)
         pending.append((c0, mid, k, lower, middle))
         pending.append((mid, c1, k, middle, upper))
 
     # the confirm set's gains in float64: one complex128 steering pass over
     # each candidate's own row and the products an exhaustive search takes,
-    # arrays.gains per weight. Rows go in order of the last subcarrier they
-    # are needed at, and a chunk takes products only at its candidates'
-    # subcarriers and stops its recurrence after the last
+    # arrays.gains per weight. A row runs from subcarrier 0, where it takes
+    # the bits an exhaustive search gives it, to the last one it is needed
+    # at; rows go in that order, so each window holds the rows still needed
     m, b = np.divmod(cand_col, num_b)
     rows_at, pos = np.unique(cand_idx, return_inverse=True)
     last = np.zeros(rows_at.size, dtype=np.int64)
@@ -239,17 +279,13 @@ def screened_argmax(
     order = np.argsort(last, kind="stable")
     rows_at, last = rows_at[order], last[order]
     pos = np.argsort(order)[pos]
-    need = np.zeros((num_m, rows_at.size), dtype=bool)
-    need[m, pos] = True
     r, k = np.divmod(rows_at, n_ang)
     g = np.empty((num_m, num_b, rows_at.size))
-    for lo, hi, rows in steering_chunks(geom, grid, pg.ranges_m[r] / C, cos_axis[k], delays_s):
-        for mc, a in enumerate(rows):
-            if need[mc, lo:hi].any():
-                for bc in range(num_b):
-                    gains(a, wc[bc], out=g[mc, bc, lo:hi])
-            if mc == last[hi - 1]:
-                break
+    spans = np.zeros_like(last), last
+    for lo, hi, rows in steering_chunks(geom, grid, pg.ranges_m[r] / C, cos_axis[k], delays_s, complex, spans):
+        for mc, i, a in rows:
+            for bc in range(num_b):
+                gains(a, wc[bc], out=g[mc, bc, lo + i : lo + i + len(a)])
     val = g[m, b, pos]
     np.square(val, out=val)
     if music:
@@ -280,14 +316,19 @@ class _RangeBound:
     column per (subcarrier, weight) pair, subcarrier-major.
 
     margin bounds, for every column, the distance of a float64 |g| from the
-    exact one plus the bound's own rounding. eps bounds, per column, the
-    distance of the screen's complex64 |g| from the float64 one at its
-    point: sum |w_n| times _screen_error at the column's subcarrier. On a
-    mirrored screen (skew given: |s| with s = cos(theta_k) +
-    cos(theta_{n-1-k})) a point is screened on the row at cos(theta) + s.
-    No element lies closer than r sin(theta) to the point, so |d tau_n /
-    d cos(theta)| <= |t_n| / sin(theta), t_n the element offsets (s), and
-    eps grows by 2 margin + 2 pi f_m sum |w_n| |t_n| max |s| / sin(theta).
+    exact one plus the bound's own rounding, on a row started at any
+    subcarrier. eps bounds, per column, the distance of the screen's
+    complex64 |g| from the float64 one the confirm pass computes at its
+    point: sum |w_n| times _screen_error at the column's subcarrier, which
+    bounds the distance from the float64 row with the screen row's own
+    start, plus 2 margin, since a row started past subcarrier 0 does not
+    have the confirm pass's float64 bits (both are within a margin of the
+    exact |g|). On a mirrored screen (skew given: |s| with s =
+    cos(theta_k) + cos(theta_{n-1-k})) a point is screened on the row at
+    cos(theta) + s. No element lies closer than r sin(theta) to the point,
+    so |d tau_n / d cos(theta)| <= |t_n| / sin(theta), t_n the element
+    offsets (s), and eps grows by 2 pi f_m sum |w_n| |t_n| max |s| /
+    sin(theta); the 2 margin covers that exact step's two ends as well.
     """
 
     def __init__(self, geom: ArrayGeometry, grid: CarrierGrid, weights: np.ndarray, delays_s: np.ndarray,
@@ -310,10 +351,11 @@ class _RangeBound:
             _SCREEN_MARGIN + 2.0**-44 * (freqs[-1] * max_delay + geom.num_elements + grid.num_subcarriers)
         )
         self.eps = np.multiply.outer(_screen_error(geom.num_elements, grid.num_subcarriers), w_sum).ravel()
+        self.eps += 2 * self.margin
         if skew is not None:
             step = np.divide(skew, np.sin(pg.angles_rad), out=np.zeros_like(skew), where=skew > 0).max()
             lip = 2 * np.pi * np.multiply.outer(freqs, w_abs @ np.abs(geom.element_offsets_s)).ravel()
-            self.eps += 2 * self.margin + lip * step
+            self.eps += lip * step
 
     def clear(self, c: int) -> bool:
         """Whether range index c is clear of the half-aperture, where the bound holds."""
@@ -338,16 +380,19 @@ class _RangeBound:
 def _screen_error(num_elements: int, num_subcarriers: int) -> np.ndarray:
     """Bound on |g32 - g64| per unit sum |w_n|, at each subcarrier m = 0..M.
 
-    g64 is |a_m . w| as the float64 path computes it and g32 the screen's
-    value from complex64 rows and weights. With u = 2**-24 and unit-modulus
-    rows, g32 departs from g64 by at most sum |w_n| times
+    g64 is |a_m . w| as the float64 path computes it from the screen row's
+    start and g32 the screen's value from complex64 rows and weights. With
+    u = 2**-24 and unit-modulus rows, g32 departs from g64 by at most
+    sum |w_n| times
         u ((m + 1) + sqrt(5) m + sqrt(2) (N + 2) + 5):
-    rounding a_0 and the m steps to complex64 (u each), m complex64
-    multiplies of the recurrence (sqrt(5) u each), the float32 dot product
-    (sqrt(2) gamma_{N+2}, for any summation order, with or without fused
-    multiply-adds), rounding the weights (u) and the complex64 modulus
-    (4 u: numpy's scaled hypot, larger * sqrt(1 + ratio^2), rounds five
-    times, 3.25 u to first order; 2.5 u was measured).
+    rounding the start and the m steps to complex64 (u each), m complex64
+    multiplies of the recurrence (sqrt(5) u each; a row started at
+    subcarrier s takes only m - s steps, so the bound holds for it too),
+    the float32 dot product (sqrt(2) gamma_{N+2}, for any summation order,
+    with or without fused multiply-adds), rounding the weights (u) and the
+    complex64 modulus (4 u: numpy's scaled hypot, larger * sqrt(1 +
+    ratio^2), rounds five times, 3.25 u to first order; 2.5 u was
+    measured).
     With K u that factor, dividing by 1 - 2 K u covers the second-order
     terms and the float64 path's own roundings (2**-29 of these); valid
     while K u < 1/4, for N and M up to about a million.

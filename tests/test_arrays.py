@@ -299,9 +299,9 @@ def test_chunk_boundaries_leave_results_bit_identical(monkeypatch, rows):
     )
     screen_passes = []
 
-    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex):
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
         screen_passes.append((taus.copy(), cosines.copy(), np.dtype(dtype)))
-        return arrays.steering_chunks(geom, grid, taus, cosines, offsets_s, dtype)
+        return arrays.steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
 
     def spectra(num_sources):
         # one spectrum per covariance's top eigenvectors: a steering pass over

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nfisac.arrays as arrays
 import nfisac.music as music
 import nfisac.squint as squint
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, spherical_delays, steering_chunks
@@ -506,10 +507,10 @@ def test_single_source_peak_past_broadside_on_a_symmetric_axis(monkeypatch):
     ]
     screened = []
 
-    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex):
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
         if dtype == np.complex64:
             screened.append(cosines.copy())
-        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype)
+        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
 
     monkeypatch.setattr(squint, "steering_chunks", recorded)
     found = list(single_source_peaks(bases, geom, GRID1, pg))
@@ -519,3 +520,33 @@ def test_single_source_peak_past_broadside_on_a_symmetric_axis(monkeypatch):
         assert peak == music_peaks(values, pg, 1)[0]
         assert value == values[np.searchsorted(angles, peak.angle_rad), np.searchsorted(pg.ranges_m, peak.range_m)]
         assert peak.angle_rad > np.pi / 2
+
+
+def test_one_subcarrier_search_takes_one_whole_window_per_chunk(monkeypatch):
+    # with one subcarrier every row's span is the whole band, so each chunk
+    # of every steering pass, the complex64 screen's and the confirm pass's,
+    # yields one window: all its rows at subcarrier 0, as without spans
+    geom = ArrayGeometry.ula(32, WL / 2)
+    pg = PolarGrid(np.linspace(0.4, 2.4, 41), np.geomspace(0.05, 1.0, 16))
+    bases = [
+        snapshot_subspace(collect_snapshots(geom, GRID1, [PolarPoint(0.3, 1.1)], 32, 0.1, seed=s), 1)
+        for s in range(3)
+    ]
+    chunks = []  # per chunk: its row count and its windows (m, i, rows)
+
+    def counted(rows, windows):
+        for m, i, a in rows:
+            windows.append((m, i, len(a)))
+            yield m, i, a
+
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
+        for lo, hi, rows in steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans):
+            chunks.append((hi - lo, []))
+            yield lo, hi, counted(rows, chunks[-1][1])
+
+    want = list(single_source_peaks(bases, geom, GRID1, pg))
+    monkeypatch.setattr(arrays, "_CHUNK_ENTRIES", 7 * geom.num_elements)
+    monkeypatch.setattr(squint, "steering_chunks", recorded)
+    assert list(single_source_peaks(bases, geom, GRID1, pg)) == want
+    assert len(chunks) > 2 and any(size == 7 for size, _ in chunks)
+    assert all(windows == [(0, 0, size)] for size, windows in chunks)

@@ -46,7 +46,7 @@ def exhaustive_argmax(geom, grid, weights, delays_s, pg, music=False):
     best_idx = np.zeros(cols, dtype=np.int64)
     for lo, hi, rows in steering_chunks(geom, grid, (rr / C).ravel(), np.cos(aa).ravel(), delays_s):
         g = np.empty((grid.num_subcarriers, num_b, hi - lo))
-        for m, a in enumerate(rows):
+        for m, _, a in rows:
             for b in range(num_b):
                 arrays.gains(a, wc[b], out=g[m, b])
         val = np.square(g.reshape(cols, -1))
@@ -429,8 +429,10 @@ def test_screen_errors_within_its_certificate_leave_the_result(monkeypatch, name
 
     def perturbed(rows, count):
         sign = rng.choice([-1.0, 1.0], size=(count, 1))
-        for m, a in enumerate(rows):
-            yield a if a.dtype == complex else (a * (1 + half[m] * sign)).astype(a.dtype)
+        for m, i, a in rows:
+            if a.dtype != complex:
+                a = (a * (1 + half[m] * sign[i : i + len(a)])).astype(a.dtype)
+            yield m, i, a
 
     def chunks(*args):
         for lo, hi, rows in steering_chunks(*args):
@@ -586,9 +588,9 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     cos_axis = np.cos(pg.angles_rad)
     passes, intervals = [], []
 
-    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex):
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
         passes.append((taus.copy(), cosines.copy(), np.dtype(dtype)))
-        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype)
+        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
 
     class RecordedDeque(squint.deque):
         def append(self, item):
@@ -639,6 +641,43 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     assert mirrored < direct / 2
 
 
+@pytest.mark.parametrize(
+    "search, rows, built",
+    [("squint-deviation", 3_843, 124_750), ("criterion-07", 8_494, 75_374)],
+)
+def test_screen_builds_each_row_only_over_its_span(monkeypatch, search, rows, built):
+    # the complex64 screen builds and multiplies a middle range's row only at
+    # the subcarriers from the first to the last one that its (point,
+    # column) pairs still need; the two end ranges take every row over the
+    # whole band. The (row, subcarrier) pairs built, of rows times M + 1
+    # without spans: 124 750 of 249 795 and 75 374 of 1 095 726, of which
+    # the end ranges take 46 930 and 67 338
+    geom, grid, w, pg = _shipped_squint_search() if search == "squint-deviation" else _criterion_07_search()
+    passes = []  # per screen pass: rows, and (row, subcarrier) pairs built
+
+    def counted(rows_at):
+        for m, i, a in rows_at:
+            passes[-1][1] += len(a)
+            yield m, i, a
+
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
+        chunks = steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
+        if dtype != np.complex64:
+            return chunks
+        passes.append([taus.size, 0])
+        return ((lo, hi, counted(rows_at)) for lo, hi, rows_at in chunks)
+
+    monkeypatch.setattr(squint, "steering_chunks", recorded)
+    traj = focal_points(geom, grid, w, pg)
+    num_m = grid.num_subcarriers
+    assert [p[1] for p in passes[:2]] == [p[0] * num_m for p in passes[:2]]
+    assert sum(p[0] for p in passes) == rows
+    assert sum(p[1] for p in passes) == built
+    assert all(p[1] < p[0] * num_m for p in passes[2:])
+    if search == "criterion-07":
+        assert traj.evaluated_points == rows
+
+
 @given(focal_scenarios(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_interval_peak_bounds_every_range_between(scenario, data):
@@ -664,7 +703,9 @@ def screen_rows(draw):
 
     1..48 elements at three pitches, up to 33 subcarriers (the top ones
     wide of the centre), 1..9 points at ranges down to 1 cm, 1..4 weight
-    vectors scaled by 1e-3..1e3, and zero or random front-end delays.
+    vectors scaled by 1e-3..1e3, and zero or random front-end delays. Each
+    point also gets a span of subcarriers first..last, as the screen's
+    rows take them: ordered by first, some of them the whole band.
     """
     n = draw(st.integers(1, 48))
     geom = ArrayGeometry.ula(n, WL * draw(st.sampled_from([0.5, 1.0, 2.0])))
@@ -677,15 +718,55 @@ def screen_rows(draw):
     weights = rng.standard_normal((num_b, n)) + 1j * rng.standard_normal((num_b, n))
     weights *= 10.0 ** rng.uniform(-3.0, 3.0, (num_b, 1))
     delays = rng.uniform(-1e-9, 1e-9, n) if draw(st.booleans()) else np.zeros(n)
-    return geom, grid, taus, cosines, weights, delays
+    num_m = grid.num_subcarriers
+    whole = rng.random(rows) < 0.3
+    first = np.sort(np.where(whole, 0, rng.integers(0, num_m, rows)))
+    last = np.where(whole[np.argsort(whole, kind="stable")], num_m - 1, rng.integers(first, num_m))
+    return geom, grid, taus, cosines, weights, delays, (first, last)
 
 
 def _screen_and_float64_rows(geom, grid, taus, cosines, delays):
     # (complex64, complex128) rows at every subcarrier, in one chunk
     (_, _, rows32), = steering_chunks(geom, grid, taus, cosines, delays, np.complex64)
     (_, _, rows64), = steering_chunks(geom, grid, taus, cosines, delays)
-    for a32, a64 in zip(rows32, rows64, strict=True):
+    for (_, _, a32), (_, _, a64) in zip(rows32, rows64, strict=True):
         yield a32.copy(), a64.copy()
+
+
+def _windows(geom, grid, taus, cosines, delays, dtype, spans, chunk_rows):
+    # (m, row index, rows) of every window, over chunks of chunk_rows rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrays, "_CHUNK_ENTRIES", chunk_rows * geom.num_elements)
+        for lo, _, rows in steering_chunks(geom, grid, taus, cosines, delays, dtype, spans):
+            for m, i, a in rows:
+                yield m, lo + i, a.copy()
+
+
+@given(screen_rows(), st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_spans_build_each_row_over_its_subcarriers(case, chunk_rows):
+    # steering_chunks with spans: every row is in a window at each subcarrier
+    # of its span, windows are never empty, and rows started at subcarrier 0
+    # keep the bits of the rows without spans, in complex128; a row started
+    # later is another float64 evaluation of the same manifold, so its gains
+    # lie within two float64 margins of the plain row's, however the rows
+    # are chunked
+    geom, grid, taus, cosines, weights, delays, (first, last) = case
+    plain = [a64 for _, a64 in _screen_and_float64_rows(geom, grid, taus, cosines, delays)]
+    margin = squint._RangeBound(geom, grid, weights, delays, PolarGrid(np.array([1.0]), np.array([1.0]))).margin
+    wc = np.conj(weights)
+    for starts in (np.zeros_like(first), first):
+        spans = (starts, np.maximum(last, starts))
+        covered = np.zeros((grid.num_subcarriers, taus.size), dtype=bool)
+        for m, i, a in _windows(geom, grid, taus, cosines, delays, complex, spans, chunk_rows):
+            assert len(a) > 0 and not covered[m, i : i + len(a)].any()
+            covered[m, i : i + len(a)] = True
+            if starts is not first:
+                assert a.tobytes() == plain[m][i : i + len(a)].tobytes()
+            for w in wc:
+                assert np.all(np.abs(arrays.gains(a, w) - arrays.gains(plain[m][i : i + len(a)], w)) <= 2 * margin)
+        span_m = np.arange(grid.num_subcarriers)[:, None]
+        assert np.all(covered[(span_m >= spans[0]) & (span_m <= spans[1])])
 
 
 @given(screen_rows())
@@ -694,15 +775,21 @@ def test_screen_gains_stay_within_the_certificate(case):
     # the screen's g32, from complex64 rows and one product of them with all
     # weights as screened_argmax takes it, lies within _RangeBound.eps of
     # the g64 the float64 path computes (arrays.gains per weight), at every
-    # subcarrier m = 0..M
-    geom, grid, taus, cosines, weights, delays = case
+    # subcarrier m = 0..M: on rows built over the whole band, and on the
+    # windows of rows started late, at the first subcarrier of their span
+    geom, grid, taus, cosines, weights, delays, spans = case
     wc = np.conj(weights)
     wc32 = wc.astype(np.complex64)
     pg = PolarGrid(np.array([1.0]), np.array([1.0]))  # eps does not depend on the grid
     eps = squint._RangeBound(geom, grid, weights, delays, pg).eps.reshape(grid.num_subcarriers, -1)
-    for m, (a32, a64) in enumerate(_screen_and_float64_rows(geom, grid, taus, cosines, delays)):
+    plain = list(_screen_and_float64_rows(geom, grid, taus, cosines, delays))
+    for m, (a32, a64) in enumerate(plain):
         g32 = np.abs(wc32 @ a32.T)
         g64 = np.array([arrays.gains(a64, w) for w in wc])
+        assert np.all(np.abs(g32 - g64) <= eps[m][:, None])
+    for m, i, a32 in _windows(geom, grid, taus, cosines, delays, np.complex64, spans, taus.size):
+        g32 = np.abs(wc32 @ a32.T)
+        g64 = np.array([arrays.gains(plain[m][1][i : i + len(a32)], w) for w in wc])
         assert np.all(np.abs(g32 - g64) <= eps[m][:, None])
 
 
@@ -715,7 +802,7 @@ def test_screen_error_terms_hold_in_exact_arithmetic(case):
     # float64 one by sqrt(5) m ulps of its own), the float32 product from the
     # exact sum of its rounded inputs by sqrt(2) gamma_{N+2} sum |a||w|, and
     # the float32 modulus from the exact one by 4 u
-    geom, grid, taus, cosines, weights, delays = case
+    geom, grid, taus, cosines, weights, delays, _ = case
     u, u64 = 2.0**-24, 2.0**-53
     n = geom.num_elements
     w32 = np.conj(weights[0]).astype(np.complex64)
