@@ -8,7 +8,6 @@ argmax of |w_m^H a_m| over a polar evaluation grid.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,21 +112,23 @@ def screened_argmax(
     and screens a point past pi/2 on its mirror row through the reversed
     weights (ArrayGeometry's offsets are exactly antisymmetric); eps then
     covers the step to the point's own row.
-    The first and last ranges are screened at every angle and column; then
-    ranges are bisected, coarse intervals before fine ones. An interval
-    between two screened ranges bounds |g| at every range inside it, for
-    each angle and column (_RangeBound.peak), and its middle range is
-    screened only at the (angle, column) pairs whose bound reaches that
-    column's floor: its best g32 so far less 2 eps, two float64 margins and
-    the allowance by which a smaller |g| can still tie in value. A pair
-    left out reads -inf, so both halves, bisected on the angles kept, leave
-    it out too: a pair screened out of an interval is screened out of
-    every range in it. An interval whose lower range is not clear of the
-    half-aperture, by one part in 1e6, keeps every pair. Each measured
-    range is one steering pass over the rows it needs, each row spanning
-    the subcarriers from the first to the last one that its pairs need
-    (steering_chunks' spans), so a row is built and multiplied only where
-    the squint can still put a column's peak.
+    The first and last ranges are screened at every angle and column, in
+    one steering pass; then ranges are bisected level by level. An
+    interval between two screened ranges bounds |g| at every range inside
+    it, for each angle and column (_RangeBound.peak), and its middle range
+    is screened only at the (angle, column) pairs whose bound reaches that
+    column's floor: its best g32 as the level starts less 2 eps, two
+    float64 margins and the allowance by which a smaller |g| can still tie
+    in value. A pair left out reads -inf, so both halves, bisected on the
+    angles kept, leave it out too: a pair screened out of an interval is
+    screened out of every range in it. An interval whose lower range is
+    not clear of the half-aperture, by one part in 1e6, keeps every pair.
+    Once every interval of a level has decided, the level is one steering
+    pass over the rows of all its middle ranges (one tau per row), each
+    row spanning the subcarriers from the first to the last one that its
+    pairs need (steering_chunks' spans), so a row is built and multiplied
+    only where the squint can still put a column's peak. The g32 values
+    are kept in float32, which holds them exactly.
     Every screened pair whose g32 comes within 2 eps, a margin and that
     allowance of its column's best g32 is a candidate; the list is pruned
     as the best rises, and what is left is the confirm set. One more
@@ -168,41 +169,59 @@ def screened_argmax(
     cand_idx = np.empty(0, dtype=np.int64)
     cand_g = np.empty(0)
     evaluated = 0
-    row = np.empty((cols, n_ang))  # one range's g32 by angle index, reused
 
-    def measure(r, angles, need=None):
-        # g32 (column by angle) at range index r and the given ascending
-        # angle indices, -inf where need (column by angle; every column if
-        # None) leaves a column out, from one steering pass over the
-        # direct-half rows they need: first the rows whose mirror angle is
-        # wanted, which also take the mirrored product, then the rest. A
-        # row runs from the first to the last subcarrier that its point, or
-        # the mirror point it also screens, is needed at; rows go in order
-        # of their first. Every value screened raises its column's best and
-        # joins the candidates if near it
+    def measure(batch):
+        # g32 (column by angle) at each (range index r, ascending angle
+        # indices, need) of batch, -inf where need (column by angle; every
+        # column if None) leaves a column out, from one steering pass over
+        # the direct-half rows of every range: per range, first the rows
+        # whose mirror angle is wanted, which also take the mirrored
+        # product, then the rest. A row runs from the first to the last
+        # subcarrier that its point, or the mirror point it also screens, is
+        # needed at; the rows of all ranges go in order of (first, last).
+        # Each chunk writes its values straight into one (column by point)
+        # array for the batch, whose blocks are the ranges' values; its
+        # last column takes the direct products of rows wanted only for
+        # their mirror point. Every value screened raises its column's best
+        # and joins the candidates if near it
         nonlocal evaluated, cand_col, cand_idx, cand_g
-        hit = np.zeros(n_ang, dtype=bool)
-        hit[angles] = True
-        both = np.zeros(n_dir, dtype=bool)
-        both[:n_mir] = hit[::-1][:n_mir]
-        k = np.concatenate([np.flatnonzero(both), np.flatnonzero(hit[:n_dir] & ~both)])
-        j = int(np.count_nonzero(both))
-        evaluated += k.size + j
-        mirrored = np.arange(k.size) < j
-        spans = None
-        if need is not None and num_m > 1:
+        offs = np.cumsum([0] + [angles.size for _, angles, _ in batch])
+        total = int(offs[-1])
+        spanned = num_m > 1 and any(need is not None for _, _, need in batch)
+        taus, cosines, to_dir, to_mir, mirrored, first, last = ([] for _ in range(7))
+        for (r, angles, need), off in zip(batch, offs):
+            k, j = _direct_rows(angles, n_ang, n_dir, n_mir)
+            evaluated += k.size + j
+            slot = np.full(n_ang, total)  # by angle index, the point's column
+            slot[angles] = np.arange(off, off + angles.size)
+            taus.append(np.full(k.size, pg.ranges_m[r] / C))
+            cosines.append(cos_axis[k])
+            to_dir.append(slot[k])
+            to_mir.append(slot[n_ang - 1 - k])
+            mirrored.append(np.arange(k.size) < j)
+            if not spanned:
+                continue
+            if need is None:
+                first.append(np.zeros(k.size, dtype=np.int64))
+                last.append(np.full(k.size, num_m - 1))
+                continue
             per_m = np.zeros((num_m, n_ang), dtype=bool)  # by subcarrier, the angles needed
             per_m[:, angles] = need.reshape(num_m, num_b, -1).any(axis=1)
             on = per_m[:, k]
             on[:, :j] |= per_m[:, n_ang - 1 - k[:j]]
-            first = on.argmax(axis=0)
-            order = np.argsort(first, kind="stable")
-            k, mirrored = k[order], mirrored[order]
-            spans = first[order], num_m - 1 - on[::-1].argmax(axis=0)[order]
-        taus = np.full(k.size, pg.ranges_m[r] / C)
-        for lo, hi, rows in steering_chunks(geom, grid, taus, cos_axis[k], delays_s, np.complex64, spans):
+            first.append(on.argmax(axis=0))
+            last.append(num_m - 1 - on[::-1].argmax(axis=0))
+        taus, cosines, to_dir, to_mir, mirrored = map(np.concatenate, (taus, cosines, to_dir, to_mir, mirrored))
+        spans = None
+        if spanned:
+            first, last = np.concatenate(first), np.concatenate(last)
+            order = np.lexsort((last, first))
+            taus, cosines, to_dir, to_mir, mirrored = (x[order] for x in (taus, cosines, to_dir, to_mir, mirrored))
+            spans = first[order], last[order]
+        val = np.empty((cols, total + 1), np.float32)
+        for lo, hi, rows in steering_chunks(geom, grid, taus, cosines, delays_s, np.complex64, spans):
             size = hi - lo
-            kc, mirrors = k[lo:hi], np.flatnonzero(mirrored[lo:hi])
+            mirrors = np.flatnonzero(mirrored[lo:hi])
             mir = mirrors.tolist()
             # the direct products, then the mirrored ones; -inf outside the
             # windows, if there are any
@@ -222,50 +241,57 @@ def screened_argmax(
                     np.abs(wc32_rev @ a[p0:p1].T, out=g[m, :, size + j0 : size + j1])
                 else:
                     g[m, :, size + j0 : size + j1] = np.abs(wc32_rev @ a[p0:p1].T)[:, mirrors[j0:j1] - i - p0]
-            # by angle index, the mirrored points last
-            row[:, np.concatenate([kc, n_ang - 1 - kc[mirrors]])] = g.reshape(cols, -1)
-        val = row[:, angles]
-        if need is not None:
-            np.copyto(val, -np.inf, where=~need)
+            val[:, np.concatenate([to_dir[lo:hi], to_mir[lo:hi][mirrors]])] = g.reshape(cols, -1)
+        val = val[:, :total]
+        found = [val[:, o0:o1] for o0, o1 in zip(offs[:-1], offs[1:])]
+        for (_, _, need), v in zip(batch, found):
+            if need is not None:
+                np.copyto(v, -np.inf, where=~need)
         np.maximum(best, val.max(axis=1), out=best)
         floor = best - slack
         live = cand_g >= floor[cand_col]
         c, at = np.nonzero(val >= floor[:, None])
+        where = np.concatenate([r * n_ang + angles for r, angles, _ in batch])
         cand_col = np.concatenate([cand_col[live], c])
-        cand_idx = np.concatenate([cand_idx[live], r * n_ang + angles[at]])
+        cand_idx = np.concatenate([cand_idx[live], where[at]])
         cand_g = np.concatenate([cand_g[live], val[c, at]])
-        return val
+        return found
 
     every = np.arange(n_ang)
-    # intervals (c0, c1, angles, g32 at c0, g32 at c1) whose ranges between
-    # are still to be screened, g32 only at their angles and -inf at the
-    # columns screened out of an interval around them; first in, first out
-    pending = deque()
-    lowest = measure(0, every)
-    if n_rng > 1:
-        pending.append((0, n_rng - 1, every, lowest, measure(n_rng - 1, every)))
-    while pending:
-        c0, c1, k, lower, upper = pending.popleft()
-        if c1 - c0 < 2:
-            continue
-        need = None
-        if bound.clear(c0):
-            # a point whose bound falls below this has a g64 below the
-            # candidates' floor: the bound is within eps of the one from g64
-            # values, which is within a margin of every g64 between. A
-            # column at -inf on either end was screened out of a wider
-            # interval, and stays out
-            floor = best - slack - bound.margin
-            need = bound.peak(lower, upper, k, c0, c1) >= floor[:, None]
-            reach = need.any(axis=0)
-            if not reach.any():
-                continue
-            keep = np.flatnonzero(reach)
-            k, lower, upper, need = k[keep], lower.take(keep, 1), upper.take(keep, 1), need.take(keep, 1)
-        mid = (c0 + c1) // 2
-        middle = measure(mid, k, need)
-        pending.append((c0, mid, k, lower, middle))
-        pending.append((mid, c1, k, middle, upper))
+    # the intervals (c0, c1, angles, g32 at c0, g32 at c1) of one bisection
+    # level whose ranges between are still to be screened, g32 only at their
+    # angles and -inf at the columns screened out of an interval around them
+    ends = measure([(0, every, None), (n_rng - 1, every, None)] if n_rng > 1 else [(0, every, None)])
+    level = [(0, n_rng - 1, every, *ends)] if n_rng > 2 else []
+    while level:
+        # the level's floor, held for all its intervals: a point whose bound
+        # falls below it has a g64 below the candidates' floor, since the
+        # bound is within eps of the one from g64 values, which is within a
+        # margin of every g64 between
+        floor = best - slack - bound.margin
+        batch, split = [], []
+        for c0, c1, k, lower, upper in level:
+            need = None
+            if bound.clear(c0):
+                # a column at -inf on either end was screened out of a wider
+                # interval, and stays out. The float32 ends are summed in
+                # float64, where the bound's rounding is accounted for
+                need = bound.peak(lower.astype(float), upper, k, c0, c1) >= floor[:, None]
+                reach = need.any(axis=0)
+                if not reach.any():
+                    continue
+                keep = np.flatnonzero(reach)
+                k, lower, upper, need = k[keep], lower.take(keep, 1), upper.take(keep, 1), need.take(keep, 1)
+            batch.append(((c0 + c1) // 2, k, need))
+            split.append((c0, c1, lower, upper))
+        if not batch:
+            break
+        level = []
+        for (mid, k, _), (c0, c1, lower, upper), middle in zip(batch, split, measure(batch)):
+            if mid - c0 > 1:
+                level.append((c0, mid, k, lower, middle))
+            if c1 - mid > 1:
+                level.append((mid, c1, k, middle, upper))
 
     # the confirm set's gains in float64: one complex128 steering pass over
     # each candidate's own row and the products an exhaustive search takes,
@@ -298,6 +324,21 @@ def screened_argmax(
     first = np.lexsort((cand_idx, -val, cand_col))
     first = first[np.r_[True, cand_col[first][1:] != cand_col[first][:-1]]]
     return val[first], cand_idx[first], evaluated, np.bincount(cand_col, minlength=cols)
+
+
+def _direct_rows(angles: np.ndarray, n_ang: int, n_dir: int, n_mir: int) -> tuple:
+    """The direct-half rows k < n_dir that screen the given angle indices.
+
+    Angle a >= n_ang - n_mir is screened on row n_ang - 1 - a, the rest on
+    their own rows. Returns the rows, those that take a mirrored product
+    first, and how many do.
+    """
+    hit = np.zeros(n_ang, dtype=bool)
+    hit[angles] = True
+    both = np.zeros(n_dir, dtype=bool)
+    both[:n_mir] = hit[::-1][:n_mir]
+    k = np.concatenate([np.flatnonzero(both), np.flatnonzero(hit[:n_dir] & ~both)])
+    return k, int(np.count_nonzero(both))
 
 
 class _RangeBound:

@@ -20,6 +20,7 @@ from nfisac.config import evaluation_grid, load_config
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.delay_phase import Arc, arc_trajectory_spec, fit_trajectory
 from nfisac.errors import IllConditionedSpecError
+from nfisac.music import collect_snapshots, single_source_peaks, snapshot_subspace
 from nfisac.squint import SquintTrajectory, focal_points, squint_deviation
 
 FC = 3.0e11
@@ -577,55 +578,58 @@ def test_searches_do_not_depend_on_blas_thread_count():
 
 
 def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
-    # each measured range is one complex64 steering pass over the direct-half
-    # rows it needs, and evaluated_points counts exactly the gains screened:
-    # every angle at the two end ranges, then at each middle range its
-    # direct rows and the mirror point of each angle kept in the mirrored
-    # half. One complex128 pass then builds the confirm set's own rows
+    # each bisection level is one complex64 steering pass over the
+    # direct-half rows its middle ranges need, and evaluated_points counts
+    # exactly the gains screened: every angle at the two end ranges, then at
+    # each middle range its direct rows and the mirror point of each angle
+    # kept in the mirrored half. One complex128 pass then builds the confirm
+    # set's own rows
     geom, grid, w, pg = _shipped_squint_search()
-    n_ang, n_rng = pg.shape
+    n_ang = pg.shape[0]
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
     cos_axis = np.cos(pg.angles_rad)
-    passes, intervals = [], []
+    passes, kept = [], []  # kept: per range measured, its pass, angles and rows
+    direct_rows = squint._direct_rows
 
     def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
         passes.append((taus.copy(), cosines.copy(), np.dtype(dtype)))
         return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
 
-    class RecordedDeque(squint.deque):
-        def append(self, item):
-            intervals.append(item[:3])
-            super().append(item)
+    def rows_for(angles, *args):
+        k, j = direct_rows(angles, *args)
+        kept.append((len(passes), angles.copy(), k, j))
+        return k, j
 
     monkeypatch.setattr(squint, "steering_chunks", recorded)
-    monkeypatch.setattr(squint, "deque", RecordedDeque)
+    monkeypatch.setattr(squint, "_direct_rows", rows_for)
     traj = focal_points(geom, grid, w, pg)
     *screen, (confirm_taus, confirm_cosines, confirm_dtype) = passes
     assert {dtype for _, _, dtype in screen} == {np.dtype(np.complex64)}
     assert confirm_dtype == np.dtype(complex)
-    # one range per screen pass, and no range passed twice
-    ranges = [np.unique(taus) for taus, _, _ in screen]
-    assert all(r.size == 1 for r in ranges)
-    assert len({float(r[0]) for r in ranges}) == len(screen) <= 80
+    assert len(screen) <= 9
     # the two end ranges first, each at every direct-half angle
-    assert [float(r[0]) for r in ranges[:2]] == [pg.ranges_m[0] / C, pg.ranges_m[-1] / C]
-    rows = [cosines.size for _, cosines, _ in screen]  # each row passed once
-    assert rows[:2] == [n_dir, n_dir]
-    # the end ranges' interval, then two halves per measured middle range,
-    # each carrying the angle indices that range was measured at
-    assert intervals[0][:2] == (0, n_rng - 1)
-    assert len(intervals) == 1 + 2 * (len(screen) - 2)
+    ends = screen[0][0]
+    assert np.array_equal(ends, np.repeat(pg.ranges_m[[0, -1]] / C, n_dir))
+    for half in np.split(screen[0][1], 2):
+        assert np.array_equal(np.sort(half), np.sort(cos_axis[:n_dir]))
+    # and no (range, angle) row passed twice
+    rows = [(t, c) for taus, cosines, _ in screen for t, c in zip(taus, cosines)]
+    assert len(set(rows)) == len(rows)
+    # each level's ranges, in ascending order, were measured at the angles
+    # their rows screen: angle a >= n_ang - n_mir is read from direct row
+    # n_ang - 1 - a
     direct = mirrored = 0
-    for (_, mid, k), (lo, _, k_up), (taus, cosines, _) in zip(intervals[1::2], intervals[2::2], screen[2:]):
-        assert lo == mid and np.array_equal(k, k_up)
-        assert np.all(taus == pg.ranges_m[mid] / C)
-        # angle a >= n_ang - n_mir is read from direct row n_ang - 1 - a
-        mirror_of = k[k >= n_ang - n_mir]
-        needed = np.union1d(k[k < n_dir], n_ang - 1 - mirror_of)
-        assert np.array_equal(np.sort(cos_axis[needed]), np.unique(cosines))
-        direct += needed.size
-        mirrored += mirror_of.size
-    assert direct == sum(rows[2:])
+    for p, (taus, cosines, _) in enumerate(screen[1:], start=1):
+        at = [(angles, k, j) for q, angles, k, j in kept if q == p]
+        assert len(at) == np.unique(taus).size
+        for tau, (angles, k, j) in zip(np.unique(taus), at):
+            mirror_of = angles[angles >= n_ang - n_mir]
+            needed = np.union1d(angles[angles < n_dir], n_ang - 1 - mirror_of)
+            assert np.array_equal(np.sort(k), needed) and j == mirror_of.size
+            assert np.array_equal(np.sort(cosines[taus == tau]), np.sort(cos_axis[k]))
+            direct += k.size
+            mirrored += j
+    assert direct == len(rows) - 2 * n_dir
     assert traj.evaluated_points == 2 * n_ang + direct + mirrored
     # the confirm pass builds each confirmed point's own row once, the focal
     # points' among them, and a few points decide each subcarrier
@@ -637,21 +641,23 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     assert traj.confirmed_points.shape == (grid.num_subcarriers,)
     assert 1 <= traj.confirmed_points.min() and traj.confirmed_points.max() <= 12
     # the shipped figures, and most kept rows need only their direct point
-    assert (traj.evaluated_points, direct, mirrored) == (5693, 3121, 1130)
+    assert (traj.evaluated_points, direct, mirrored) == (5697, 3125, 1130)
     assert mirrored < direct / 2
 
 
 @pytest.mark.parametrize(
     "search, rows, built",
-    [("squint-deviation", 3_843, 124_750), ("criterion-07", 8_494, 75_374)],
+    [("squint-deviation", 3_847, 132_397), ("criterion-07", 8_495, 75_375)],
 )
 def test_screen_builds_each_row_only_over_its_span(monkeypatch, search, rows, built):
     # the complex64 screen builds and multiplies a middle range's row only at
     # the subcarriers from the first to the last one that its (point,
     # column) pairs still need; the two end ranges take every row over the
-    # whole band. The (row, subcarrier) pairs built, of rows times M + 1
-    # without spans: 124 750 of 249 795 and 75 374 of 1 095 726, of which
-    # the end ranges take 46 930 and 67 338
+    # whole band. A level's rows, of all its ranges, go in order of (first,
+    # last), and a window also steps the rows between that end earlier. The
+    # (row, subcarrier) pairs built, of rows times M + 1 without spans:
+    # 132 397 of 250 055 and 75 375 of 1 095 855, of which the end ranges
+    # take 46 930 and 67 338; the spans alone hold 119 351 and 75 375
     geom, grid, w, pg = _shipped_squint_search() if search == "squint-deviation" else _criterion_07_search()
     passes = []  # per screen pass: rows, and (row, subcarrier) pairs built
 
@@ -670,12 +676,74 @@ def test_screen_builds_each_row_only_over_its_span(monkeypatch, search, rows, bu
     monkeypatch.setattr(squint, "steering_chunks", recorded)
     traj = focal_points(geom, grid, w, pg)
     num_m = grid.num_subcarriers
-    assert [p[1] for p in passes[:2]] == [p[0] * num_m for p in passes[:2]]
+    assert passes[0][1] == passes[0][0] * num_m
     assert sum(p[0] for p in passes) == rows
     assert sum(p[1] for p in passes) == built
-    assert all(p[1] < p[0] * num_m for p in passes[2:])
+    assert all(p[1] < p[0] * num_m for p in passes[1:])
     if search == "criterion-07":
         assert traj.evaluated_points == rows
+
+
+def _bisection_levels(n_rng):
+    """Bisection level of each range index: 0 at the two ends, 1 at the middle, and so on."""
+    level = np.zeros(n_rng, dtype=int)
+    intervals, depth = [(0, n_rng - 1)], 1
+    while intervals:
+        halves = []
+        for c0, c1 in intervals:
+            if c1 - c0 > 1:
+                mid = (c0 + c1) // 2
+                level[mid] = depth
+                halves += [(c0, mid), (mid, c1)]
+        intervals, depth = halves, depth + 1
+    return level
+
+
+def _music_12_bases_search():
+    # single_source_peaks on 12 one-source bases of music-vs-wavenumber's
+    # shipped target: 256 elements, a 181 x 60 grid, one subcarrier
+    cfg = load_config(str(CONFIG_DIR / "music_vs_wavenumber.yaml"))
+    (target,) = cfg.targets
+    snaps, noise = int(cfg.section("music")["snapshot_count"]), float(cfg.section("music")["noise_power_w"])
+    bases = [
+        snapshot_subspace(collect_snapshots(cfg.ula, cfg.carrier, [target], snaps, noise, s), 1) for s in range(12)
+    ]
+    return bases, cfg.ula, cfg.carrier, cfg.grid
+
+
+@pytest.mark.parametrize("search", ["squint-deviation", "criterion-07", "music-12-bases"])
+def test_screen_makes_one_pass_per_bisection_level(monkeypatch, search):
+    # every interval of a bisection level decides what its middle range
+    # needs as the level starts, so the complex64 screen makes one steering
+    # pass for the two end ranges and then one per level that needs a row,
+    # in order of level, and builds no (range, angle) row twice
+    args = {
+        "squint-deviation": _shipped_squint_search, "criterion-07": _criterion_07_search,
+        "music-12-bases": _music_12_bases_search,
+    }[search]()
+    pg = args[-1]
+    passes = []
+
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
+        if dtype == np.complex64:
+            passes.append((taus.copy(), cosines.copy()))
+        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
+
+    monkeypatch.setattr(squint, "steering_chunks", recorded)
+    if search == "music-12-bases":
+        list(single_source_peaks(*args))
+    else:
+        focal_points(*args)
+    n_rng = pg.shape[1]
+    index = {tau: r for r, tau in enumerate(pg.ranges_m / C)}
+    assert len(index) == n_rng
+    level = _bisection_levels(n_rng)
+    measured = [[index[t] for t in taus] for taus, _ in passes]
+    assert set(measured[0]) == {0, n_rng - 1}
+    assert [np.unique(level[r]).tolist() for r in measured] == [[p] for p in range(len(passes))]
+    assert len(passes) <= level.max() + 1 < len({r for rs in measured for r in rs})
+    rows = [(t, c) for taus, cosines in passes for t, c in zip(taus, cosines)]
+    assert len(set(rows)) == len(rows)
 
 
 @given(focal_scenarios(), st.data())
