@@ -113,22 +113,22 @@ def screened_argmax(
     weights (ArrayGeometry's offsets are exactly antisymmetric); eps then
     covers the step to the point's own row.
     The first and last ranges are screened at every angle and column, in
-    one steering pass; then ranges are bisected level by level. An
-    interval between two screened ranges bounds |g| at every range inside
-    it, for each angle and column (_RangeBound.peak), and its middle range
-    is screened only at the (angle, column) pairs whose bound reaches that
+    one steering pass; then ranges are bisected level by level. A level
+    holds flat arrays of points: an interval c0 < c1 between two screened
+    ranges, an angle, the g32 at both ends and need, the columns whose
+    bound on |g| inside the interval (_RangeBound.peak) reaches the
     column's floor: its best g32 as the level starts less 2 eps, two
     float64 margins and the allowance by which a smaller |g| can still tie
-    in value. A pair left out reads -inf, so both halves, bisected on the
-    angles kept, leave it out too: a pair screened out of an interval is
-    screened out of every range in it. An interval whose lower range is
-    not clear of the half-aperture, by one part in 1e6, keeps every pair.
-    Once every interval of a level has decided, the level is one steering
-    pass over the rows of all its middle ranges (one tau per row), each
-    row spanning the subcarriers from the first to the last one that its
-    pairs need (steering_chunks' spans), so a row is built and multiplied
-    only where the squint can still put a column's peak. The g32 values
-    are kept in float32, which holds them exactly.
+    in value. A column left out reads -inf, so both halves of the interval
+    leave it out too. A point whose lower range is not clear of the
+    half-aperture, by one part in 1e6, needs every column, as the end
+    ranges do. A level is one steering pass over its points' direct-half
+    rows (_screen_rows), each row spanning the subcarriers from the first
+    to the last one that its point, or the mirror point it also screens,
+    needs (steering_chunks' spans), so a row is built and multiplied only
+    where the squint can still put a column's peak; then each half-level
+    is bounded and pruned on its own, and the two join as the next level.
+    The g32 values are kept in float32, which holds them exactly.
     Every screened pair whose g32 comes within 2 eps, a margin and that
     allowance of its column's best g32 is a candidate; the list is pruned
     as the best rises, and what is left is the confirm set. One more
@@ -145,7 +145,6 @@ def screened_argmax(
     skew = np.abs(cos_axis + cos_axis[::-1])
     mirror = np.array_equal(delays_s, delays_s[::-1]) and bool(np.all(skew <= _MIRROR_COS_TOL))
     n_dir = (n_ang + 1) // 2 if mirror else n_ang  # angles built directly
-    n_mir = n_ang // 2 if mirror else 0  # of those, angles k < n_mir mirrored
 
     num_m = grid.num_subcarriers
     wc = np.conj(weights)
@@ -170,63 +169,33 @@ def screened_argmax(
     cand_g = np.empty(0)
     evaluated = 0
 
-    def measure(batch):
-        # g32 (column by angle) at each (range index r, ascending angle
-        # indices, need) of batch, -inf where need (column by angle; every
-        # column if None) leaves a column out, from one steering pass over
-        # the direct-half rows of every range: per range, first the rows
-        # whose mirror angle is wanted, which also take the mirrored
-        # product, then the rest. A row runs from the first to the last
-        # subcarrier that its point, or the mirror point it also screens, is
-        # needed at; the rows of all ranges go in order of (first, last).
-        # Each chunk writes its values straight into one (column by point)
-        # array for the batch, whose blocks are the ranges' values; its
-        # last column takes the direct products of rows wanted only for
-        # their mirror point. Every value screened raises its column's best
-        # and joins the candidates if near it
+    def measure(r, ang, need):
+        # g32 (column by point) at the points (range index r, angle index
+        # ang), -inf where need (column by point) leaves a column out, from
+        # one steering pass over their direct-half rows (_screen_rows). A
+        # row runs from the first to the last subcarrier that its point, or
+        # the mirror point it also screens, is needed at; rows go in order
+        # of (first, last, range), within a range those that also take the
+        # mirrored product first, then by angle. Each chunk writes its
+        # values straight into the points' columns. Every value screened
+        # raises its column's best and joins the candidates if near it
         nonlocal evaluated, cand_col, cand_idx, cand_g
-        offs = np.cumsum([0] + [angles.size for _, angles, _ in batch])
-        total = int(offs[-1])
-        spanned = num_m > 1 and any(need is not None for _, _, need in batch)
-        taus, cosines, to_dir, to_mir, mirrored, first, last = ([] for _ in range(7))
-        for (r, angles, need), off in zip(batch, offs):
-            k, j = _direct_rows(angles, n_ang, n_dir, n_mir)
-            evaluated += k.size + j
-            slot = np.full(n_ang, total)  # by angle index, the point's column
-            slot[angles] = np.arange(off, off + angles.size)
-            taus.append(np.full(k.size, pg.ranges_m[r] / C))
-            cosines.append(cos_axis[k])
-            to_dir.append(slot[k])
-            to_mir.append(slot[n_ang - 1 - k])
-            mirrored.append(np.arange(k.size) < j)
-            if not spanned:
-                continue
-            if need is None:
-                first.append(np.zeros(k.size, dtype=np.int64))
-                last.append(np.full(k.size, num_m - 1))
-                continue
-            per_m = np.zeros((num_m, n_ang), dtype=bool)  # by subcarrier, the angles needed
-            per_m[:, angles] = need.reshape(num_m, num_b, -1).any(axis=1)
-            on = per_m[:, k]
-            on[:, :j] |= per_m[:, n_ang - 1 - k[:j]]
-            first.append(on.argmax(axis=0))
-            last.append(num_m - 1 - on[::-1].argmax(axis=0))
-        taus, cosines, to_dir, to_mir, mirrored = map(np.concatenate, (taus, cosines, to_dir, to_mir, mirrored))
-        spans = None
-        if spanned:
-            first, last = np.concatenate(first), np.concatenate(last)
-            order = np.lexsort((last, first))
-            taus, cosines, to_dir, to_mir, mirrored = (x[order] for x in (taus, cosines, to_dir, to_mir, mirrored))
-            spans = first[order], last[order]
-        val = np.empty((cols, total + 1), np.float32)
-        for lo, hi, rows in steering_chunks(geom, grid, taus, cosines, delays_s, np.complex64, spans):
+        row_r, row_k, to_dir, to_mir = _screen_rows(r, ang, n_ang, n_dir)
+        evaluated += row_r.size + np.count_nonzero(to_mir >= 0)
+        per_m = need.reshape(num_m, num_b, -1).any(axis=1)  # by subcarrier, the points needed
+        on = per_m[:, to_dir] | per_m[:, to_mir] & (to_mir >= 0)
+        first, last = on.argmax(axis=0), num_m - 1 - on[::-1].argmax(axis=0)
+        order = np.lexsort((to_mir < 0, row_r, last, first))
+        row_r, row_k, to_dir, to_mir, first, last = (x[order] for x in (row_r, row_k, to_dir, to_mir, first, last))
+        val = np.empty(need.shape, np.float32)
+        for lo, hi, rows in steering_chunks(geom, grid, pg.ranges_m[row_r] / C, cos_axis[row_k], delays_s,
+                                            np.complex64, (first, last)):
             size = hi - lo
-            mirrors = np.flatnonzero(mirrored[lo:hi])
+            mirrors = np.flatnonzero(to_mir[lo:hi] >= 0)
             mir = mirrors.tolist()
-            # the direct products, then the mirrored ones; -inf outside the
-            # windows, if there are any
-            shape = (num_m, num_b, size + mirrors.size)
-            g = np.empty(shape, np.float32) if spans is None else np.full(shape, -np.inf, np.float32)
+            # the direct products, then the mirrored ones; outside the
+            # windows they are left unset, where need masks them
+            g = np.empty((num_m, num_b, size + mirrors.size), np.float32)
             for m, i, a in rows:
                 # one product per block against every weight: screen values
                 # need no particular bits, so arrays.gains is bypassed
@@ -241,57 +210,48 @@ def screened_argmax(
                     np.abs(wc32_rev @ a[p0:p1].T, out=g[m, :, size + j0 : size + j1])
                 else:
                     g[m, :, size + j0 : size + j1] = np.abs(wc32_rev @ a[p0:p1].T)[:, mirrors[j0:j1] - i - p0]
-            val[:, np.concatenate([to_dir[lo:hi], to_mir[lo:hi][mirrors]])] = g.reshape(cols, -1)
-        val = val[:, :total]
-        found = [val[:, o0:o1] for o0, o1 in zip(offs[:-1], offs[1:])]
-        for (_, _, need), v in zip(batch, found):
-            if need is not None:
-                np.copyto(v, -np.inf, where=~need)
+            # a row that screens only its mirror point writes its direct
+            # product there, and the mirrored product overwrites it
+            g = g.reshape(cols, -1)
+            val[:, to_dir[lo:hi]] = g[:, :size]
+            val[:, to_mir[lo:hi][mirrors]] = g[:, size:]
+        np.copyto(val, -np.inf, where=~need)
         np.maximum(best, val.max(axis=1), out=best)
         floor = best - slack
         live = cand_g >= floor[cand_col]
         c, at = np.nonzero(val >= floor[:, None])
-        where = np.concatenate([r * n_ang + angles for r, angles, _ in batch])
         cand_col = np.concatenate([cand_col[live], c])
-        cand_idx = np.concatenate([cand_idx[live], where[at]])
+        cand_idx = np.concatenate([cand_idx[live], r[at] * n_ang + ang[at]])
         cand_g = np.concatenate([cand_g[live], val[c, at]])
-        return found
+        return val
+
+    def prune(*points):
+        # of points (c0, c1, angle, g32 at c0, g32 at c1), those with a range
+        # between and a column whose bound reaches the floor held for the
+        # level (a point below it has a g64 below the candidates' floor: the
+        # bound is within eps of the one from g64 values, which is within a
+        # margin of every g64 between), with need. A column at -inf on either
+        # end was screened out of a wider interval, and stays out
+        c0, c1, ang, lower, upper = points
+        need = bound.peak(lower, upper, ang, c0, c1) >= (best - slack - bound.margin)[:, None]
+        need |= ~bound.clear(c0)
+        keep = np.flatnonzero((c1 - c0 > 1) & need.any(axis=0))
+        return [x[..., keep] for x in (*points, need)]
 
     every = np.arange(n_ang)
-    # the intervals (c0, c1, angles, g32 at c0, g32 at c1) of one bisection
-    # level whose ranges between are still to be screened, g32 only at their
-    # angles and -inf at the columns screened out of an interval around them
-    ends = measure([(0, every, None), (n_rng - 1, every, None)] if n_rng > 1 else [(0, every, None)])
-    level = [(0, n_rng - 1, every, *ends)] if n_rng > 2 else []
-    while level:
-        # the level's floor, held for all its intervals: a point whose bound
-        # falls below it has a g64 below the candidates' floor, since the
-        # bound is within eps of the one from g64 values, which is within a
-        # margin of every g64 between
-        floor = best - slack - bound.margin
-        batch, split = [], []
-        for c0, c1, k, lower, upper in level:
-            need = None
-            if bound.clear(c0):
-                # a column at -inf on either end was screened out of a wider
-                # interval, and stays out. The float32 ends are summed in
-                # float64, where the bound's rounding is accounted for
-                need = bound.peak(lower.astype(float), upper, k, c0, c1) >= floor[:, None]
-                reach = need.any(axis=0)
-                if not reach.any():
-                    continue
-                keep = np.flatnonzero(reach)
-                k, lower, upper, need = k[keep], lower.take(keep, 1), upper.take(keep, 1), need.take(keep, 1)
-            batch.append(((c0 + c1) // 2, k, need))
-            split.append((c0, c1, lower, upper))
-        if not batch:
-            break
-        level = []
-        for (mid, k, _), (c0, c1, lower, upper), middle in zip(batch, split, measure(batch)):
-            if mid - c0 > 1:
-                level.append((c0, mid, k, lower, middle))
-            if c1 - mid > 1:
-                level.append((mid, c1, k, middle, upper))
+    ends = np.unique([0, n_rng - 1])
+    at_ends = measure(np.repeat(ends, n_ang), np.tile(every, ends.size), np.ones((cols, ends.size * n_ang), bool))
+    # one bisection level, a flat array per field: points (c0, c1, angle),
+    # their g32 at c0 and c1, and need. Each half-level is pruned before the
+    # halves join, so the float64 bound is held for half a level at a time
+    level = prune(np.zeros(n_ang, dtype=np.int64), np.full(n_ang, n_rng - 1), every,
+                  at_ends[:, :n_ang], at_ends[:, -n_ang:])
+    while level[0].size:
+        c0, c1, ang, lower, upper, need = level
+        mid = (c0 + c1) // 2
+        middle = measure(mid, ang, need)
+        level = [np.concatenate(x, axis=-1) for x in zip(prune(c0, mid, ang, lower, middle),
+                                                         prune(mid, c1, ang, middle, upper))]
 
     # the confirm set's gains in float64: one complex128 steering pass over
     # each candidate's own row and the products an exhaustive search takes,
@@ -326,19 +286,22 @@ def screened_argmax(
     return val[first], cand_idx[first], evaluated, np.bincount(cand_col, minlength=cols)
 
 
-def _direct_rows(angles: np.ndarray, n_ang: int, n_dir: int, n_mir: int) -> tuple:
-    """The direct-half rows k < n_dir that screen the given angle indices.
+def _screen_rows(r: np.ndarray, angles: np.ndarray, n_ang: int, n_dir: int) -> tuple:
+    """The direct-half rows k < n_dir that screen the points (range index r, angles).
 
-    Angle a >= n_ang - n_mir is screened on row n_ang - 1 - a, the rest on
-    their own rows. Returns the rows, those that take a mirrored product
-    first, and how many do.
+    Angle a >= n_dir is screened on row n_ang - 1 - a, the rest on their
+    own rows. Per row, by (range, angle): its range and angle index, the
+    point it screens directly (else its mirror point) and its mirror point,
+    -1 if none.
     """
-    hit = np.zeros(n_ang, dtype=bool)
-    hit[angles] = True
-    both = np.zeros(n_dir, dtype=bool)
-    both[:n_mir] = hit[::-1][:n_mir]
-    k = np.concatenate([np.flatnonzero(both), np.flatnonzero(hit[:n_dir] & ~both)])
-    return k, int(np.count_nonzero(both))
+    far = angles >= n_dir
+    k = np.where(far, n_ang - 1 - angles, angles)
+    rows, row_of = np.unique(r * n_dir + k, return_inverse=True)
+    to_mir = np.full(rows.size, -1)
+    to_mir[row_of[far]] = np.flatnonzero(far)
+    to_dir = to_mir.copy()
+    to_dir[row_of[~far]] = np.flatnonzero(~far)
+    return *np.divmod(rows, n_dir), to_dir, to_mir
 
 
 class _RangeBound:
@@ -382,6 +345,9 @@ class _RangeBound:
         self.slope = (np.pi * freqs[:, None] * (w_abs @ (x * x)) / C).ravel()
         self.sin2 = np.sin(pg.angles_rad) ** 2
         self.ranges = pg.ranges_m
+        # h per range index, 0 where not clear: a bound there stays finite
+        self.h = np.divide(1.0, self.ranges - self.half_ap, out=np.zeros_like(self.ranges),
+                           where=self.clear(np.arange(self.ranges.size)))
         # a computed |g| differs from the exact one by at most sum |w_n| times a
         # few ulps of f * delay in phase (the phasors, the recurrence's steps)
         # plus the products' rounding; the margin allows hundreds of ulps of
@@ -398,24 +364,27 @@ class _RangeBound:
             lip = 2 * np.pi * np.multiply.outer(freqs, w_abs @ np.abs(geom.element_offsets_s)).ravel()
             self.eps += lip * step
 
-    def clear(self, c: int) -> bool:
-        """Whether range index c is clear of the half-aperture, where the bound holds."""
+    def clear(self, c):
+        """Whether range index c (an int or array) is clear of the half-aperture, where the bound holds."""
         r = self.ranges[c]
         return r - self.half_ap > 1e-6 * r
 
-    def peak(self, lower: np.ndarray, upper: np.ndarray, angles: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    def peak(self, lower: np.ndarray, upper: np.ndarray, angles, c0, c1) -> np.ndarray:
         """Bound on |g| at every range strictly between range indices c0 < c1.
 
-        lower and upper are |g| (column by angle) at c0 and c1 at the given
-        angle indices; c0 must be clear. At a range r between, |g| is at
-        most lower + s (h0 - h(r)) and at most upper + s (h(r) - h1), with
-        s = slope sin^2(theta) and h0, h1 = h at c0, c1. The two bounds sum
-        to lower + upper + s (h0 - h1) whatever r is, so their mean bounds
-        their minimum (the Piyavskii peak): it holds even when rounding puts
-        lower and upper further apart than the slope allows.
+        lower and upper are |g| (column by point) at c0 and c1; angles, c0
+        and c1 are ints or arrays, one entry per point. The bound holds
+        where c0 is clear, and stays finite elsewhere. At a range r between,
+        |g| is at most lower + s (h0 - h(r)) and at most upper + s (h(r) -
+        h1), with s = slope sin^2(theta) and h0, h1 = h at c0, c1. The two
+        bounds sum to lower + upper + s (h0 - h1), in float64, whatever r is,
+        so their mean bounds their minimum (the Piyavskii peak): it holds
+        even when rounding puts lower and upper further apart than the slope
+        allows.
         """
-        h0, h1 = 1.0 / (self.ranges[[c0, c1]] - self.half_ap)
-        return (lower + upper + np.multiply.outer(self.slope, self.sin2[angles] * (h0 - h1))) / 2
+        bound = np.add(lower, upper, dtype=float)
+        bound += np.multiply.outer(self.slope, self.sin2[angles] * (self.h[c0] - self.h[c1]))
+        return np.divide(bound, 2, out=bound)
 
 
 def _screen_error(num_elements: int, num_subcarriers: int) -> np.ndarray:

@@ -385,18 +385,27 @@ def _screen_case(name):
         # the screen mirrors, and the design past pi/2 peaks on mirrored points
         pg = PolarGrid(SKEWED_AXIS, near)
         return geom, grid, polar_codeword(geom, grid, PolarPoint(float(near[17]), 2.0)), pg
-    assert name == "straddles-aperture"
-    # the first ranges lie inside the 16 mm half-aperture, where the bound
-    # does not hold and the screen must evaluate every point
-    half = geom.aperture_m() / 2
-    pg = PolarGrid(sym_axis, np.geomspace(0.3 * half, 40.0 * half, 40))
+    if name == "straddles-aperture":
+        # the first ranges lie inside the 16 mm half-aperture, where the bound
+        # does not hold and the screen must evaluate every point
+        half = geom.aperture_m() / 2
+        pg = PolarGrid(sym_axis, np.geomspace(0.3 * half, 40.0 * half, 40))
+        return geom, grid, polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[25]), 1.1)), pg
+    # the first range at the half-aperture X, within 1e-6 X of it (not clear)
+    # or just clear of it: a half-level's bound is taken at every point before
+    # the points not clear keep every column, and must stay finite there (a
+    # RuntimeWarning fails the run)
+    offset = {"at-aperture": 0.0, "within-1e-6-of-aperture": 5e-7, "just-clear-of-aperture": 2e-6}[name]
+    half = float(np.max(np.abs(geom.element_offsets_s * C)))
+    pg = PolarGrid(sym_axis, half * (1 + offset) * np.geomspace(1.0, 40.0, 40))
     return geom, grid, polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[25]), 1.1)), pg
 
 
 @pytest.mark.parametrize(
     "name",
     ["far-design", "asymmetric-axis", "one-range", "two-range", "flat-carrier",
-     "delay-phase", "symmetric-delay", "skewed-axis", "straddles-aperture"],
+     "delay-phase", "symmetric-delay", "skewed-axis", "straddles-aperture",
+     "at-aperture", "within-1e-6-of-aperture", "just-clear-of-aperture"],
 )
 def test_screened_search_matches_exhaustive_reference(name):
     geom, grid, w, pg = _screen_case(name)
@@ -588,25 +597,27 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     n_ang = pg.shape[0]
     n_dir, n_mir = (n_ang + 1) // 2, n_ang // 2
     cos_axis = np.cos(pg.angles_rad)
-    passes, kept = [], []  # kept: per range measured, its pass, angles and rows
-    direct_rows = squint._direct_rows
+    passes, kept = [], []  # kept: per pass measured, its points (ranges, angles) and their rows
+    screen_rows = squint._screen_rows
 
     def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
         passes.append((taus.copy(), cosines.copy(), np.dtype(dtype)))
         return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
 
-    def rows_for(angles, *args):
-        k, j = direct_rows(angles, *args)
-        kept.append((len(passes), angles.copy(), k, j))
-        return k, j
+    def rows_for(r, angles, *args):
+        rows = screen_rows(r, angles, *args)
+        kept.append((len(passes), r.copy(), angles.copy(), rows))
+        return rows
 
     monkeypatch.setattr(squint, "steering_chunks", recorded)
-    monkeypatch.setattr(squint, "_direct_rows", rows_for)
+    monkeypatch.setattr(squint, "_screen_rows", rows_for)
     traj = focal_points(geom, grid, w, pg)
     *screen, (confirm_taus, confirm_cosines, confirm_dtype) = passes
     assert {dtype for _, _, dtype in screen} == {np.dtype(np.complex64)}
     assert confirm_dtype == np.dtype(complex)
     assert len(screen) <= 9
+    # one row mapping per screen pass, just before it
+    assert [q for q, *_ in kept] == list(range(len(screen)))
     # the two end ranges first, each at every direct-half angle
     ends = screen[0][0]
     assert np.array_equal(ends, np.repeat(pg.ranges_m[[0, -1]] / C, n_dir))
@@ -615,20 +626,26 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     # and no (range, angle) row passed twice
     rows = [(t, c) for taus, cosines, _ in screen for t, c in zip(taus, cosines)]
     assert len(set(rows)) == len(rows)
-    # each level's ranges, in ascending order, were measured at the angles
-    # their rows screen: angle a >= n_ang - n_mir is read from direct row
-    # n_ang - 1 - a
+    # each level's ranges were measured at the angles their rows screen:
+    # angle a >= n_ang - n_mir is read from direct row n_ang - 1 - a, and
+    # every point from exactly one row
     direct = mirrored = 0
-    for p, (taus, cosines, _) in enumerate(screen[1:], start=1):
-        at = [(angles, k, j) for q, angles, k, j in kept if q == p]
-        assert len(at) == np.unique(taus).size
-        for tau, (angles, k, j) in zip(np.unique(taus), at):
-            mirror_of = angles[angles >= n_ang - n_mir]
-            needed = np.union1d(angles[angles < n_dir], n_ang - 1 - mirror_of)
+    for p, ((taus, cosines, _), (_, r, angles, (row_r, row_k, to_dir, to_mir))) in enumerate(zip(screen, kept)):
+        assert np.unique(r).size == np.unique(taus).size
+        own = to_dir != to_mir
+        assert np.array_equal(np.sort(np.concatenate([to_dir[own], to_mir[to_mir >= 0]])), np.arange(angles.size))
+        assert np.array_equal(r[to_dir], row_r) and np.array_equal(angles[to_dir[own]], row_k[own])
+        assert np.array_equal(angles[to_mir[to_mir >= 0]], n_ang - 1 - row_k[to_mir >= 0])
+        for rr in np.unique(r):
+            at = angles[r == rr]
+            k, j = row_k[row_r == rr], np.count_nonzero(to_mir[row_r == rr] >= 0)
+            mirror_of = at[at >= n_ang - n_mir]
+            needed = np.union1d(at[at < n_dir], n_ang - 1 - mirror_of)
             assert np.array_equal(np.sort(k), needed) and j == mirror_of.size
-            assert np.array_equal(np.sort(cosines[taus == tau]), np.sort(cos_axis[k]))
-            direct += k.size
-            mirrored += j
+            assert np.array_equal(np.sort(cosines[taus == pg.ranges_m[rr] / C]), np.sort(cos_axis[k]))
+            if p > 0:
+                direct += k.size
+                mirrored += j
     assert direct == len(rows) - 2 * n_dir
     assert traj.evaluated_points == 2 * n_ang + direct + mirrored
     # the confirm pass builds each confirmed point's own row once, the focal
@@ -643,6 +660,27 @@ def test_direct_only_rows_skip_the_mirrored_product(monkeypatch):
     # the shipped figures, and most kept rows need only their direct point
     assert (traj.evaluated_points, direct, mirrored) == (5697, 3125, 1130)
     assert mirrored < direct / 2
+
+
+def test_a_level_that_keeps_no_point_ends_the_bisection(monkeypatch):
+    # a focal point at the nearest of 18 ranges, at one subcarrier: the
+    # bisection's last level would hold one interval, and its bound keeps no
+    # point of it, so the search ends a level early with the exhaustive bits
+    geom = ArrayGeometry.ula(32, WL / 2)
+    grid = CarrierGrid(FC, 1, 0.0)
+    pg = PolarGrid(np.array([1.0, 1.3]), np.geomspace(0.05, 0.5, 18))
+    w = polar_codeword(geom, grid, PolarPoint(float(pg.ranges_m[0]), 1.0))
+    passes = []
+
+    def recorded(geom, grid, taus, cosines, offsets_s=None, dtype=complex, spans=None):
+        if dtype == np.complex64:
+            passes.append(taus.size)
+        return steering_chunks(geom, grid, taus, cosines, offsets_s, dtype, spans)
+
+    monkeypatch.setattr(squint, "steering_chunks", recorded)
+    traj = assert_matches_exhaustive(geom, grid, w, pg)
+    assert len(passes) < _bisection_levels(18).max() + 1
+    assert traj.evaluated_points == sum(passes) == 10
 
 
 @pytest.mark.parametrize(
