@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Process time of the shipped certified grid searches (squint.screened_argmax).
+"""Wall and process time of the shipped certified grid searches (squint.screened_argmax).
 
     python scripts/focal_timing.py --repeat 7
 
@@ -12,12 +12,15 @@ music-vs-wavenumber's shipped target (configs/music_vs_wavenumber.yaml: 256
 elements, a 181 x 60 grid; seeds 0..11 at the shipped snapshot count and
 noise power). After one warm-up call each, the three run in alternation,
 --repeat times each, in this process. Per search the script prints the
-minimum and median process time, the points screened and the points
-confirmed (their total and the most for one column: a subcarrier, or a
-MUSIC basis). Set OPENBLAS_NUM_THREADS to fix the BLAS thread count.
+minimum and median wall time (time.perf_counter) and process time, the
+points screened and the points confirmed (their total and the most for one
+column: a subcarrier, or a MUSIC basis). Set OPENBLAS_NUM_THREADS to fix the
+BLAS thread count; the script prints the value it ran with, "default" when
+it is unset.
 """
 
 import argparse
+import os
 import time
 from pathlib import Path
 
@@ -63,8 +66,8 @@ def counts(name: str, args: tuple) -> tuple:
     bases, geom, grid, pg = args
     weights = np.array([e[:, 0] for e in bases])
     center = CarrierGrid(grid.center_hz, 1, 0.0)
-    _, _, screened, confirmed = screened_argmax(geom, center, weights, np.zeros(geom.num_elements), pg, music=True)
-    return screened, confirmed
+    col, _, _, screened = screened_argmax(geom, center, weights, np.zeros(geom.num_elements), pg)
+    return screened, np.bincount(col, minlength=len(bases))
 
 
 def main(argv=None) -> int:
@@ -75,16 +78,20 @@ def main(argv=None) -> int:
         ap.error("--repeat must be >= 1")
     runs = searches()
     found = {name: counts(name, search) for name, (_, search) in runs.items()}  # warm-up
-    times = {name: [] for name in runs}
+    wall = {name: [] for name in runs}
+    cpu = {name: [] for name in runs}
     for _ in range(args.repeat):
         for name, (fn, search) in runs.items():
-            t0 = time.process_time()
+            w0, c0 = time.perf_counter(), time.process_time()
             fn(*search)
-            times[name].append(time.process_time() - t0)
+            wall[name].append(time.perf_counter() - w0)
+            cpu[name].append(time.process_time() - c0)
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'default')}")
     for name, (screened, confirmed) in found.items():
-        t = times[name]
+        w, c = wall[name], cpu[name]
         print(
-            f"{name}: min {min(t):.4f} s, median {float(np.median(t)):.4f} s over {len(t)} calls; "
+            f"{name}: wall min {min(w):.4f} s, median {float(np.median(w)):.4f} s; "
+            f"process min {min(c):.4f} s, median {float(np.median(c)):.4f} s over {len(w)} calls; "
             f"{screened} points screened, {int(confirmed.sum())} confirmed "
             f"(at most {int(confirmed.max())} for one column)"
         )

@@ -12,11 +12,10 @@ from .arrays import (
     ArrayGeometry,
     CarrierGrid,
     PolarPoint,
-    far_field_steering,
     near_field_steering,
     rayleigh_distance,
 )
-from .codebook import Beamformer, PolarGrid, dft_codeword, polar_codeword
+from .codebook import Beamformer, PolarGrid, polar_codeword
 from .delay_phase import (
     Arc,
     TrajectorySpec,
@@ -80,10 +79,8 @@ __all__ = [
     "arc_trajectory_spec",
     "calibrate_radius_range",
     "collect_snapshots",
-    "dft_codeword",
     "estimate_position",
     "extract_support",
-    "far_field_steering",
     "fit_trajectory",
     "focal_points",
     "kalman_predict_update",

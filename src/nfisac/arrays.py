@@ -1,14 +1,14 @@
-"""Uniform linear array geometry and wavefront steering models.
+"""Uniform linear array geometry and the spherical wavefront steering model.
 
 The spherical model keeps the exact per-element propagation distance, so it is
-valid arbitrarily close to the array; the planar model linearizes the distance
-in the element offset and is the classical far-field approximation. Both are
-pure phase models: element amplitudes are identically one.
+valid arbitrarily close to the array; the planar far-field approximation,
+which linearizes the distance in the element offset, is only a test oracle.
+The model is pure phase: element amplitudes are identically one.
 
-Single steering vectors use np.exp. Grids of points evaluate the manifold
-exp(-2j*pi*f*tau) across a band chunk by chunk through steering_chunks,
-whose unit phasors come from a table lookup and a short series (phasors)
-rather than a complex exp per entry; their consumers only choose products
+Single steering vectors use np.exp (near_field_steering). Grids of points
+evaluate the manifold exp(-2j*pi*f*tau) across a band chunk by chunk through
+steering_chunks, whose unit phasors come from a table lookup and a short
+series (phasors) rather than a complex exp per entry; their consumers only choose products
 of those rows with their weights, each taken through gains, except the
 complex64 screen of squint.screened_argmax, whose values decide nothing.
 
@@ -370,16 +370,6 @@ def near_field_steering(
     _check_source_range(geom, p)
     f = grid.freq(m)
     return np.exp(-2j * np.pi * f * spherical_delays(geom, p))
-
-
-def far_field_steering(
-    geom: ArrayGeometry, p: PolarPoint, grid: CarrierGrid, m: int
-) -> np.ndarray:
-    """Planar-wavefront steering vector at subcarrier m; entries unit modulus."""
-    _check_source_range(geom, p)
-    f = grid.freq(m)
-    delays = p.delay_s() - geom.element_offsets_s * np.cos(p.angle_rad)
-    return np.exp(-2j * np.pi * f * delays)
 
 
 def rayleigh_distance(geom: ArrayGeometry, grid: CarrierGrid) -> float:

@@ -73,14 +73,6 @@ class PolarGrid:
         return (self.angles_rad.size, self.ranges_m.size)
 
 
-def dft_codeword(geom: ArrayGeometry, grid: CarrierGrid, angle_rad: float) -> Beamformer:
-    """Frequency-flat codeword matched to the planar wavefront at angle_rad."""
-    if not 0.0 < angle_rad < np.pi:
-        raise ValueError("angle_rad must lie in (0, pi)")
-    phase = 2.0 * np.pi * grid.center_hz * geom.element_offsets_s * np.cos(angle_rad)
-    return Beamformer(-phase)
-
-
 def polar_codeword(geom: ArrayGeometry, grid: CarrierGrid, p: PolarPoint) -> Beamformer:
     """Codeword matched to the spherical wavefront at p at the center subcarrier.
 

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, phasors, spherical_delays
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, gains, phasors, spherical_delays
 from .codebook import Beamformer
 
 
@@ -41,7 +41,7 @@ def simulate_echoes(
     # spaced, so each row takes its own table phasors
     turns = np.multiply.outer(grid.freqs(sensing_m), spherical_delays(geom, target) - w.delays_s)
     a = phasors(1.0, turns, np.empty(turns.shape, dtype=complex), np.empty(4 * turns.size))
-    echoes = complex(reflectivity) * np.abs(a @ np.conj(w.weights)) * np.sqrt(powers_w)
+    echoes = complex(reflectivity) * gains(a, np.conj(w.weights)) * np.sqrt(powers_w)
     if noise_power_w > 0:
         k = len(sensing_m)
         echoes += np.sqrt(noise_power_w / 2) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))

@@ -6,9 +6,9 @@ both jointly. The number of sources is an input; no model-order selection.
 
 The shipped path has one source per trial: snapshot_trials draws the
 snapshots, snapshot_subspace takes their signal basis e without forming the
-covariance, and single_source_peaks finds the peak of 1 / (N - |e^H a|^2).
-That spectrum grows with the beam gain |e^H a|, so its peak is a focal point
-of w = e, found by focal_points' certified grid search
+covariance, and single_source_peaks finds the peak of its spectrum. That
+spectrum grows with the beam gain |e^H a|, so its peak is a focal point of
+w = e, found by focal_points' certified grid search
 (squint.screened_argmax) without building the spectrum, bit for bit
 music_peaks' first peak of music_spectrum (see single_source_peaks).
 
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, is_psd, spherical_delays
+from .arrays import ArrayGeometry, CarrierGrid, PolarPoint, is_psd, near_field_steering
 from .codebook import PolarGrid, gains_at_freq
 from .constants import SPEED_OF_LIGHT as C
 from .errors import BoundaryPeakWarning
-from .squint import screened_argmax
+from .squint import best_per_column, screened_argmax
 
 # one-source bases whose peaks one screened search finds together: each
 # steering pass costs about as much Python overhead as a dozen bases'
@@ -167,7 +167,7 @@ def snapshot_trials(
     if noise_power < 0:
         raise ValueError("noise_power must be >= 0")
     t_count, n = snapshot_count, geom.num_elements
-    steering = [np.exp(-2j * np.pi * grid.center_hz * spherical_delays(geom, p)) for p in sources]
+    steering = [near_field_steering(geom, p, grid, grid.half_m) for p in sources]
     symbols = np.empty((len(sources), 2, t_count))
     noise = np.empty((2, t_count, n)) if noise_power > 0 else None
     noise_scale = np.sqrt(noise_power / 2)
@@ -226,8 +226,12 @@ def music_spectrum(basis: np.ndarray, geom: ArrayGeometry, grid: CarrierGrid, pg
     """
     rr, aa = np.meshgrid(pg.ranges_m, pg.angles_rad, indexing="xy")
     proj = gains_at_freq(geom, grid.center_hz, (rr / C).ravel(), np.cos(aa).ravel(), basis)
-    den = geom.num_elements - proj.sum(axis=1)
-    return (1.0 / np.maximum(den, np.finfo(float).tiny)).reshape(pg.shape)
+    return _spectrum_value(geom.num_elements, proj.sum(axis=1)).reshape(pg.shape)
+
+
+def _spectrum_value(n: int, proj: np.ndarray) -> np.ndarray:
+    """The MUSIC spectrum 1 / max(N - ||E_s^H a||^2, tiny) from the projections ||E_s^H a||^2."""
+    return 1.0 / np.maximum(n - proj, np.finfo(float).tiny)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -278,15 +282,16 @@ def single_source_peaks(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: Polar
     music_peaks(music_spectrum(e, geom, grid, pg), pg, 1)[0] and value the
     spectrum's value there, and a peak on the grid boundary warns the same
     way; but no spectrum is built. The peak is the grid argmax of the
-    spectrum value 1 / max(N - |e^H a|^2, tiny), computed with
+    spectrum's value, _spectrum_value of |e^H a|^2 computed with
     music_spectrum's steering rows and products at the center frequency,
     ties to the smaller range, then the smaller angle. That point is a local
     maximum under music_peaks' plateau rule and the first it ranks.
-    squint.screened_argmax finds it with its certified range screen, on any
-    angle axis: up to _SEARCH_BLOCK bases are columns of one search, each
-    with its own running best and its peak decided on its own float64
-    products, so a peak depends neither on the order of bases nor on which
-    share its search.
+    squint.screened_argmax's certified range screen, on any angle axis,
+    returns the points that can hold it, and squint.best_per_column ranks
+    their values: up to _SEARCH_BLOCK bases are columns of one search, each
+    with its own running best and its candidates' |e^H a| taken from its
+    own float64 products, so a peak depends neither on the order of bases
+    nor on which share its search.
     """
     center = CarrierGrid(grid.center_hz, 1, 0.0)
     no_delays = np.zeros(geom.num_elements)
@@ -298,7 +303,8 @@ def single_source_peaks(bases, geom: ArrayGeometry, grid: CarrierGrid, pg: Polar
         if any(np.shape(e) != (geom.num_elements, 1) for e in block):
             raise ValueError("each basis must be N x 1: one source")
         weights = np.array([np.asarray(e)[:, 0] for e in block])
-        values, at, _, _ = screened_argmax(geom, center, weights, no_delays, pg, music=True)
+        col, idx, g, _ = screened_argmax(geom, center, weights, no_delays, pg)
+        values, at = best_per_column(col, idx, _spectrum_value(geom.num_elements, np.square(g, out=g)))
         for value, i in zip(values, at):
             r_i, a_i = divmod(int(i), pg.angles_rad.size)
             yield _grid_peak(pg, a_i, r_i), float(value)

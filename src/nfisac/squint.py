@@ -65,7 +65,8 @@ def focal_points(
         ):
             raise ValueError("evaluation grid does not cover the design point")
 
-    best_val, best_idx, evaluated, confirmed = screened_argmax(geom, grid, w.weights[None], w.delays_s, pg)
+    col, idx, g, evaluated = screened_argmax(geom, grid, w.weights[None], w.delays_s, pg)
+    best_val, best_idx = best_per_column(col, idx, np.square(g, out=g))
 
     ir, ia = np.divmod(best_idx, n_ang)
     points = tuple(
@@ -75,7 +76,8 @@ def focal_points(
     on_boundary = bool(
         np.any((ia == 0) | (ia == n_ang - 1) | (ir == 0) | (ir == n_rng - 1))
     )
-    return SquintTrajectory(points, best_val, on_boundary, evaluated, confirmed)
+    return SquintTrajectory(points, best_val, on_boundary, evaluated,
+                            np.bincount(col, minlength=grid.num_subcarriers))
 
 
 def screened_argmax(
@@ -84,23 +86,22 @@ def screened_argmax(
     weights: np.ndarray,
     delays_s: np.ndarray,
     pg: PolarGrid,
-    music: bool = False,
 ) -> tuple:
-    """Grid argmax of every (subcarrier, weight) column, screened by range.
+    """The confirm set of every (subcarrier, weight) column's grid argmax, screened by range.
 
     weights is B x N. Column m * B + b pairs subcarrier m of grid with
     weight row w_b, and its gain at a point p is
     g = sum_n conj(w_bn) exp(-2j pi f_m (tau_n(p) - d_n)), with d = delays_s.
-    A column ranks points by |g|^2, or with music by the one-source MUSIC
-    spectrum 1 / max(N - |g|^2, tiny) of a unit-norm signal basis w_b,
-    computed from |g| as music.music_spectrum computes it. Its best point
-    has the largest value, ties to the smaller range, then the smaller
+    Returns, per candidate of the confirm set, its column, its full-grid
+    index range_index * num_angles + angle_index and its float64 |g|, and
+    then the number of points screened. A column's candidates hold its
+    largest |g| and every point whose |g| a caller's value could round
+    into a tie with it (see slack), so best_per_column over a value that
+    grows with |g| (focal_points' |g|^2, music's one-source spectrum) is
+    the column's grid argmax, ties to the smaller range, then the smaller
     angle.
-    Returns each column's best value, the full-grid index
-    range_index * num_angles + angle_index of its best point, the number
-    of points screened, and each column's number of confirmed points.
 
-    The search runs in two precisions, and each column's result is bit for
+    The search runs in two precisions, and each candidate's |g| is bit for
     bit that of evaluating every point on its own row, on any angle axis.
     The screen computes |g| in complex64: steering rows from
     steering_chunks(..., dtype=np.complex64) and, per chunk window and
@@ -133,12 +134,11 @@ def screened_argmax(
     allowance of its column's best g32 is a candidate; the list is pruned
     as the best rises, and what is left is the confirm set. One more
     steering pass, in complex128, builds each candidate's own row from
-    subcarrier 0 to the last one it is needed at, and each column takes
-    its argmax over their gains, computed through the same rows and
-    products (arrays.gains) as an exhaustive search, so the best values
-    keep their bits. A column's products are its own, so its result does
-    not depend on which columns share the search, nor on the screen's BLAS
-    thread count.
+    subcarrier 0 to the last one it is needed at, and takes the
+    candidates' |g| through the same rows and products (arrays.gains) as an
+    exhaustive search, so they keep its bits. A column's products are its
+    own, so its confirmed |g| do not depend on which columns share the
+    search, nor on the screen's BLAS thread count.
     """
     n_ang, n_rng = pg.shape
     cos_axis = np.cos(pg.angles_rad)
@@ -154,12 +154,13 @@ def screened_argmax(
     cols = num_m * num_b
 
     bound = _RangeBound(geom, grid, weights, delays_s, pg, skew if mirror else None)
-    # a screened point can tie a column's best value only if its g32 is at
-    # least the column's best g32 less this: its direct g64 and the best's
-    # differ from their g32 by eps each, and a g64 smaller than another by
-    # more than the margin plus sqrt(8 eps N) has a smaller value, squared
-    # (the margin covers the square's rounding) or MUSIC's (N - |g|^2 and
-    # 1 / D round by a few eps N)
+    # the search's contract: the confirm set holds every point whose |g| a
+    # caller's value could round into a tie with the best's. Such a point's
+    # g32 is at least its column's best g32 less this: its g64 and the
+    # best's differ from their g32 by eps each, and the margin plus
+    # sqrt(8 eps N) covers a value's rounding, a few ulps of |g| (as for
+    # |g|^2) or a few eps N in |g|^2 (as for music's spectrum of a unit-norm
+    # weight): a g64 smaller than another by more has a smaller value
     slack = 2 * bound.eps + bound.margin + np.sqrt(8 * np.finfo(float).eps * n)
     best = np.full(cols, -np.inf)  # each column's best g32 so far
     # the candidates: column, full-grid index and g32 of each screened point
@@ -272,18 +273,19 @@ def screened_argmax(
         for mc, i, a in rows:
             for bc in range(num_b):
                 gains(a, wc[bc], out=g[mc, bc, lo + i : lo + i + len(a)])
-    val = g[m, b, pos]
-    np.square(val, out=val)
-    if music:
-        # music_spectrum's N - |e^H a|^2, floored, then inverted
-        np.subtract(n, val, out=val)
-        np.maximum(val, np.finfo(float).tiny, out=val)
-        np.divide(1.0, val, out=val)
-    # per column the largest value, exact ties to the smallest full index;
     # every column keeps at least its best g32's point
-    first = np.lexsort((cand_idx, -val, cand_col))
-    first = first[np.r_[True, cand_col[first][1:] != cand_col[first][:-1]]]
-    return val[first], cand_idx[first], evaluated, np.bincount(cand_col, minlength=cols)
+    return cand_col, cand_idx, g[m, b, pos], evaluated
+
+
+def best_per_column(col: np.ndarray, idx: np.ndarray, val: np.ndarray) -> tuple:
+    """Each column's largest value and its index, in column order; exact ties go to the smaller index.
+
+    col, idx and val hold one entry per candidate, as screened_argmax returns
+    its confirm set, with val the caller's value of each candidate.
+    """
+    first = np.lexsort((idx, -val, col))
+    first = first[np.r_[True, col[first][1:] != col[first][:-1]]]
+    return val[first], idx[first]
 
 
 def _screen_rows(r: np.ndarray, angles: np.ndarray, n_ang: int, n_dir: int) -> tuple:

@@ -92,9 +92,7 @@ class RadiusRangeTable:
         return float(np.interp(radius_bins, self.radii_bins[::-1], self.ranges_m[::-1]))
 
 
-def upa_snapshot(
-    arr: PlanarArray, p: PolarPoint, freq_hz: float, global_phase_rad: float = 0.0
-) -> np.ndarray:
+def upa_snapshot(arr: PlanarArray, p: PolarPoint, freq_hz: float) -> np.ndarray:
     """Pure-phase spherical wavefront from a source at polar point p in the
     array's x-y plane, sampled on the planar array.
 
@@ -105,7 +103,7 @@ def upa_snapshot(
     x = arr.x_positions()[:, None]
     z = arr.z_positions()[None, :]
     dist = np.sqrt((x - sx) ** 2 + sy**2 + z**2)
-    return np.exp(1j * (global_phase_rad - 2.0 * np.pi * freq_hz / C * dist))
+    return np.exp(-2j * np.pi * freq_hz / C * dist)
 
 
 def upa_rayleigh_distance(arr: PlanarArray, freq_hz: float) -> float:

@@ -16,7 +16,6 @@ from nfisac.arrays import (
     ArrayGeometry,
     CarrierGrid,
     PolarPoint,
-    far_field_steering,
     near_field_steering,
     rayleigh_distance,
     spherical_delays,
@@ -25,6 +24,7 @@ from nfisac.codebook import Beamformer, PolarGrid, gains_at_freq, polar_codeword
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.music import collect_snapshots, music_spectrum, sample_covariance
 from nfisac.squint import focal_points
+from oracles import far_field_steering
 from test_squint import exhaustive_focal_points
 
 FC = 3.0e11

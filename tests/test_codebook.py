@@ -9,12 +9,12 @@ from nfisac.codebook import (
     Beamformer,
     PolarGrid,
     angular_spread,
-    dft_codeword,
     gains_at_freq,
     polar_codeword,
 )
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.errors import HardwareBoundError
+from oracles import dft_codeword
 
 FC = 3.0e11
 WL = C / FC

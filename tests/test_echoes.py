@@ -190,6 +190,24 @@ def test_noiseless_echoes_match_per_subcarrier_weights():
         assert np.all(echoes.imag == 0.0)
 
 
+def test_an_echo_does_not_depend_on_the_subcarriers_simulated_with_it():
+    # each sensing subcarrier's echo, simulated alone, has the bits of its
+    # entry in a 17-subcarrier call: a product of one steering row must not
+    # take BLAS's dot where a product of many takes its matrix-vector kernel
+    geom = ArrayGeometry.ula(128, WL / 2)
+    grid = CarrierGrid(FC, 65, 4.6875e8)
+    arc = Arc(np.pi / 3, np.pi * 4 / 9, 20.0)
+    sensing_m = np.round(np.linspace(0, 64, 17)).astype(int)
+    w, _ = fit_trajectory(geom, grid, arc_trajectory_spec(grid, arc))
+    rng = np.random.default_rng(0)
+    for s in np.linspace(0.0, 1.0, 40):
+        target = PolarPoint(20.0 + 3.0 * s, arc.angle_at(s))
+        together = simulate_echoes(geom, grid, w, sensing_m, target, 0.8 + 0.3j, np.ones(17), 0.0, rng)
+        for m, echo in zip(sensing_m, together):
+            alone = simulate_echoes(geom, grid, w, [m], target, 0.8 + 0.3j, np.ones(1), 0.0, rng)
+            assert alone.tobytes() == echo.tobytes()
+
+
 def test_noiseless_echoes_match_exp_on_shifted_delays():
     # simulate_echoes takes table phasors of f_m (tau_n - d_n) rather than
     # np.exp(-2j pi f_m (tau_n - d_n)); both round a phase of ~1e5 rad to

@@ -137,6 +137,10 @@ def test_collect_snapshots_validation_and_determinism():
         collect_snapshots(geom, GRID1, [p], 1, 0.01, seed=1)
     with pytest.raises(ValueError, match="noise_power"):
         collect_snapshots(geom, GRID1, [p], 8, -0.1, seed=1)
+    # a source's steering vector is near_field_steering's, which rejects a
+    # point source no further than half the aperture
+    with pytest.raises(ValueError, match="half the aperture"):
+        collect_snapshots(geom, GRID1, [p, PolarPoint(geom.aperture_m() / 2, 2.0)], 8, 0.01, seed=1)
     x0 = collect_snapshots(geom, GRID1, [p], 16, 0.02, seed=21)
     x1 = collect_snapshots(geom, GRID1, [p], 16, 0.02, seed=21)
     assert np.array_equal(x0, x1)
@@ -449,6 +453,11 @@ def one_source_batches(draw):
             target = PolarPoint(float(ranges[j]), np.pi / 2)
         else:
             target = PolarPoint(float(ranges[j]), float(angles[i]))
+        half = geom.aperture_m() / 2
+        if target.range_m <= half:
+            # a source lies beyond half the aperture: one drawn inside it,
+            # at a grid range that is not clear, moves just outside
+            target = PolarPoint(float(np.nextafter(half, np.inf)), target.angle_rad)
         noise = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
         x = collect_snapshots(geom, GRID1, [target], draw(st.integers(2, 48)), noise, draw(st.integers(0, 2**31)))
         trials.append(snapshot_subspace(x, 1))

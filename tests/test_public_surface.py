@@ -8,10 +8,6 @@ import nfisac
 PKG_ROOT = Path(__file__).resolve().parent.parent
 SRC = PKG_ROOT / "src" / "nfisac"
 
-# public functions that nothing in src/ or perfbench/ calls: the planar-wave
-# steering reference and the DFT codebook entry, kept as oracles for the tests
-ORACLES = ("far_field_steering", "dft_codeword")
-
 
 def _references(tree: ast.AST, skip=None) -> set:
     """Names a module reads, imports or spells as a string, outside the node skip."""
@@ -41,8 +37,8 @@ def test_every_export_resolves():
 
 def test_every_public_definition_has_a_caller():
     # a public top-level function or class must be used somewhere besides its
-    # own definition, in src/ or perfbench/, the package's exports aside;
-    # otherwise it is listed in ORACLES. A test-only path cannot slip in.
+    # own definition, in src/ or perfbench/, the package's exports aside, so
+    # a test-only path cannot slip in: test oracles live in tests/oracles.py
     modules = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     perfbench = set()
     for p in sorted((PKG_ROOT / "perfbench").glob("*.py")):
@@ -57,5 +53,4 @@ def test_every_public_definition_has_a_caller():
             used = used or any(node.name in refs for p, refs in others.items() if p != path)
             if not used:
                 unused.append(node.name)
-    # and every oracle listed is still unused, so the list stays current
-    assert sorted(unused) == sorted(ORACLES)
+    assert unused == []

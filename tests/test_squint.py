@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -15,13 +16,14 @@ from hypothesis import assume, given, settings, strategies as st
 import nfisac.arrays as arrays
 import nfisac.squint as squint
 from nfisac.arrays import ArrayGeometry, CarrierGrid, PolarPoint, steering_chunks
-from nfisac.codebook import Beamformer, PolarGrid, dft_codeword, gains_at_freq, polar_codeword
+from nfisac.codebook import Beamformer, PolarGrid, gains_at_freq, polar_codeword
 from nfisac.config import evaluation_grid, load_config
 from nfisac.constants import SPEED_OF_LIGHT as C
 from nfisac.delay_phase import Arc, arc_trajectory_spec, fit_trajectory
-from nfisac.errors import IllConditionedSpecError
+from nfisac.errors import BoundaryPeakWarning, IllConditionedSpecError
 from nfisac.music import collect_snapshots, single_source_peaks, snapshot_subspace
 from nfisac.squint import SquintTrajectory, focal_points, squint_deviation
+from oracles import dft_codeword
 
 FC = 3.0e11
 WL = C / FC
@@ -31,9 +33,9 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def exhaustive_argmax(geom, grid, weights, delays_s, pg, music=False):
     """The unscreened search: every column's value at every grid point.
 
-    The reference for squint.screened_argmax, which must return its values
-    and full-grid indices bit for bit. Column m * B + b pairs subcarrier m
-    with weight row b. It walks the grid in range-major order through the
+    The reference for squint.screened_argmax's confirm set ranked by
+    squint.best_per_column, which must give its values and full-grid indices
+    bit for bit. Column m * B + b pairs subcarrier m with weight row b. It walks the grid in range-major order through the
     same steering rows, subcarrier recurrence and matrix-vector products
     (arrays.gains per weight), every point on its own row, so only the
     screen differs. A value is |g|^2, or with music the one-source MUSIC
@@ -379,6 +381,14 @@ def _screen_case(name):
         grid = CarrierGrid(FC, 5, 0.0)
         pg = PolarGrid(sym_axis, near)
         return geom, grid, polar_codeword(geom, grid, PolarPoint(float(near[21]), 1.0)), pg
+    if name == "near-tie":
+        # 65 subcarriers on an angle axis that is not symmetric, so the
+        # screen does not mirror: a design 1e-7 rad past broadside puts the
+        # points at pi/2 -+ 0.01 of the last subcarrier's focal range within
+        # 0.35 of _screen_error's bound of a tie
+        grid = CarrierGrid(FC, 65, 4.6875e8)
+        pg = PolarGrid(np.pi / 2 + 0.01 * np.array([-3.0, -1.0, 1.0, 3.0, 5.0]), np.geomspace(0.5, 2.0, 40))
+        return geom, grid, polar_codeword(geom, grid, PolarPoint(1.0, np.pi / 2 + 1e-7)), pg
     if name in ("delay-phase", "symmetric-delay"):
         return geom, grid, _random_front(geom, 4, name == "symmetric-delay"), PolarGrid(sym_axis, near)
     if name == "skewed-axis":
@@ -415,49 +425,95 @@ def test_screened_search_matches_exhaustive_reference(name):
         assert traj.evaluated_points == pg.angles_rad.size * pg.ranges_m.size
 
 
+def documented_screen_error(num_elements, num_subcarriers):
+    """_screen_error's bound per unit sum |w_n| at m = 0..M, from the formula its docstring gives."""
+    u = 2.0**-24
+    m = np.arange(num_subcarriers)
+    k = (m + 1) + np.sqrt(5.0) * m + np.sqrt(2.0) * (num_elements + 2) + 5
+    return k * u / (1 - 2 * k * u)
+
+
+def adversarial_chunks(pg, weights, delays, best_idx, shift):
+    """steering_chunks with every complex64 row scaled to move the screen's |g| against the exhaustive argmax.
+
+    A row scaled by a real l >= 0 moves each |g| it screens (its point's,
+    and its mirror point's where the screen mirrors) by (l - 1) |g|. Per
+    subcarrier m, l is set so that no column m * B + b moves more than
+    shift[m, b] and one moves exactly that: down where the row screens a
+    column's exhaustive argmax (best_idx, by column), up everywhere else.
+    """
+    n_ang = pg.angles_rad.size
+    cos_axis = np.cos(pg.angles_rad)
+    mirror = np.array_equal(delays, delays[::-1]) and bool(np.all(np.abs(cos_axis + cos_axis[::-1]) <= squint._MIRROR_COS_TOL))
+    wc = np.conj(weights)
+    products = [wc, wc[:, ::-1]] if mirror else [wc]
+    best_at = best_idx.reshape(shift.shape)
+
+    def scaled(rows, at):
+        for m, i, a in rows:
+            if a.dtype != complex:
+                g = np.concatenate([np.abs(a @ w.T) for w in products], axis=1)
+                room = np.divide(np.tile(shift[m], len(products)), g, out=np.full(g.shape, np.inf), where=g > 0)
+                room = room.min(axis=1)
+                down = np.isin(at[:, i : i + len(a)], best_at[m]).any(axis=0)
+                a = (a * np.where(down, np.maximum(1 - room, 0), 1 + room)[:, None]).astype(a.dtype)
+            yield m, i, a
+
+    def chunks(geom, grid, taus, cosines, *rest):
+        ir = np.searchsorted(pg.ranges_m / C, taus)
+        ia = np.searchsorted(-cos_axis, -cosines)
+        assert np.array_equal(pg.ranges_m[ir] / C, taus) and np.array_equal(cos_axis[ia], cosines)
+        at = np.array([ir * n_ang + ia, ir * n_ang + n_ang - 1 - ia] if mirror else [ir * n_ang + ia])
+        for lo, hi, rows in steering_chunks(geom, grid, taus, cosines, *rest):
+            yield lo, hi, scaled(rows, at[:, lo:hi])
+
+    return chunks
+
+
 @pytest.mark.parametrize(
     "name",
-    ["far-design", "asymmetric-axis", "two-range", "flat-carrier",
+    ["near-tie", "far-design", "asymmetric-axis", "two-range", "flat-carrier",
      "delay-phase", "symmetric-delay", "skewed-axis", "music-skewed-axis", "straddles-aperture"],
 )
 def test_screen_errors_within_its_certificate_leave_the_result(monkeypatch, name):
-    # every complex64 screen row scaled by 1 +- half of _screen_error at its
-    # subcarrier, the sign drawn per point: each screened |g| moves by up to
-    # eps / 2 on top of its own rounding, which reorders near-ties in the
-    # screen, and the confirm pass still returns the exhaustive search's bits.
-    # On SKEWED_AXIS the screen mirrors, a focal and a MUSIC search alike
+    # every screened |g| moved by 0.95 of _screen_error's documented bound,
+    # computed here: each column's exhaustive argmax down and every other
+    # point up, on top of the screen's own rounding. The confirm pass still
+    # returns the exhaustive search's bits. On near-tie the best two points
+    # of the last subcarrier lie closer than the bound's recurrence term
+    # sqrt(5) m u, so a bound without it drops the argmax from the confirm
+    # set. On SKEWED_AXIS the screen mirrors, a focal and a MUSIC search alike
     if name == "music-skewed-axis":
         geom, grid, weights, pg = _music_screen_case()
+        delays = np.zeros(geom.num_elements)
+        best_idx = exhaustive_argmax(geom, grid, weights, delays, pg, music=True)[1]
     else:
         geom, grid, w, pg = _screen_case(name)
+        weights, delays = w.weights[None], w.delays_s
+        best_idx = exhaustive_argmax(geom, grid, weights, delays, pg)[1]
     if "skewed" in name:
         c = np.cos(pg.angles_rad)
         skew = np.abs(c + c[::-1])
         assert 0 < skew.max() and np.all(skew <= squint._MIRROR_COS_TOL)
-    rng = np.random.default_rng(11)
-    half = squint._screen_error(geom.num_elements, grid.num_subcarriers) / 2
-
-    def perturbed(rows, count):
-        sign = rng.choice([-1.0, 1.0], size=(count, 1))
-        for m, i, a in rows:
-            if a.dtype != complex:
-                a = (a * (1 + half[m] * sign[i : i + len(a)])).astype(a.dtype)
-            yield m, i, a
-
-    def chunks(*args):
-        for lo, hi, rows in steering_chunks(*args):
-            yield lo, hi, perturbed(rows, hi - lo)
-
-    monkeypatch.setattr(squint, "steering_chunks", chunks)
+    bound = np.multiply.outer(documented_screen_error(geom.num_elements, grid.num_subcarriers),
+                              np.abs(weights).sum(axis=1))
+    if name == "near-tie":
+        m = grid.num_subcarriers - 1
+        second, first = np.sort(np.sqrt(direct_exp_gains(geom, grid.freq(m), pg, w)))[-2:]
+        assert 0 < first - second < np.sqrt(5.0) * m * 2.0**-24 * np.abs(w.weights).sum()
+    monkeypatch.setattr(squint, "steering_chunks", adversarial_chunks(pg, weights, delays, best_idx, 0.95 * bound))
     if name != "music-skewed-axis":
         assert_matches_exhaustive(geom, grid, w, pg)
         return
-    no_delays = np.zeros(geom.num_elements)
-    val, idx, _, _ = squint.screened_argmax(geom, grid, weights, no_delays, pg, music=True)
-    ref_val, ref_idx = exhaustive_argmax(geom, grid, weights, no_delays, pg, music=True)
-    assert np.array_equal(val, ref_val) and np.array_equal(idx, ref_idx)
+    # single_source_peaks ranks the confirm set by the MUSIC spectrum
+    ref_val, ref_idx = exhaustive_argmax(geom, grid, weights, delays, pg, music=True)
+    ir, ia = np.divmod(ref_idx, pg.angles_rad.size)
+    want = [(PolarPoint(float(pg.ranges_m[r]), float(pg.angles_rad[a])), float(v)) for r, a, v in zip(ir, ia, ref_val)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryPeakWarning)  # a noisy basis may peak there
+        assert list(single_source_peaks(weights[:, :, None], geom, grid, pg)) == want
     # the two targets past pi/2 peak there
-    assert np.all(pg.angles_rad[idx[:2] % pg.angles_rad.size] > np.pi / 2)
+    assert np.all(pg.angles_rad[ia[:2]] > np.pi / 2)
 
 
 @pytest.mark.parametrize("name", ["far-design", "asymmetric-axis", "flat-carrier", "straddles-aperture"])
@@ -473,7 +529,8 @@ def test_columns_of_several_weights_are_each_weights_search(name):
         dft_codeword(geom, grid, 1.4),
     ]
     weights = np.array([f.weights for f in fronts])
-    val, idx, _, _ = squint.screened_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg)
+    col, idx, g, _ = squint.screened_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg)
+    val, idx = squint.best_per_column(col, idx, np.square(g))
     ref_val, ref_idx = exhaustive_argmax(geom, grid, weights, np.zeros(geom.num_elements), pg)
     assert np.array_equal(val, ref_val) and np.array_equal(idx, ref_idx)
     for b, front in enumerate(fronts):

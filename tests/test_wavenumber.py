@@ -51,8 +51,8 @@ def test_support_radius_decreases_with_range():
 
 def test_global_phase_leaves_estimate_bit_identical():
     table = calibrate_radius_range(ARR, FC, BROADSIDE, SWEEP)
-    snap0 = upa_snapshot(ARR, PolarPoint(5.0, BROADSIDE), FC, global_phase_rad=0.0)
-    snap1 = upa_snapshot(ARR, PolarPoint(5.0, BROADSIDE), FC, global_phase_rad=2.0313)
+    snap0 = upa_snapshot(ARR, PolarPoint(5.0, BROADSIDE), FC)
+    snap1 = snap0 * np.exp(2.0313j)
     est0, diag0 = estimate_position(table, snap0)
     est1, diag1 = estimate_position(table, snap1)
     assert est0.range_m == est1.range_m
